@@ -29,12 +29,6 @@ class InvalidIndexError(PimubError):
     code = "invalid-index"
 
 
-class DegenerateEigenspaceError(PimubError):
-    """Joint eigenbasis of a commuting slope set could not be resolved."""
-
-    code = "degenerate-eigenspace"
-
-
 class InvalidSpinError(PimubError):
     """Total spin value outside the allowed range for the qubit count."""
 

@@ -6,16 +6,36 @@ basis, with vectors labeled |nu, mu> = X_nu |anchor(mu)>.  The slope mu = 0
 gives the computational basis exactly, and one extra basis of infinite slope
 (the Fourier image of the computational basis) completes the family.
 
-The anchor of each slope basis is a joint eigenvector selected by a
-deterministic gauge:
+The slope bases have a closed form (Wootters & Fields, Ann. Phys. 191, 363
+(1989); Gibbons, Hoffman & Wootters, PRA 70, 062101 (2004)).  For mu != 0
+let G_ij = tr(mu^-1 theta_i theta_j) and Q(kappa) = kappa^T G kappa, taken
+over the integers on the self-dual bits of kappa.  Then
 
-1. restrict to eigenvectors invariant under every qubit transposition that
+    c(kappa) = i^(Q(kappa) mod 4) / sqrt(2^n)
+
+is a joint eigenvector of the slope-mu monomials.  Let beta = mu alpha.  As
+integer vectors the field sum kappa + beta differs from the integer sum by
+-2 (kappa AND beta), which moves Q by multiples of 4, so mod 4
+Q(kappa + beta) = Q(kappa) + 2 kappa^T G beta + Q(beta).  Mod 2,
+kappa^T G beta = tr(mu^-1 kappa mu alpha) = tr(alpha kappa), which cancels
+the sign (-1)^tr(alpha kappa) of Z_alpha, and the eigenvalue is
+i^Q(mu alpha).  The 2^n shifts X_j c are the whole eigenbasis.
+
+Which shift is the anchor |0, mu> is fixed by a deterministic gauge:
+
+1. restrict to candidates invariant under every qubit transposition that
    fixes the slope label (when any exist) -- this is what allows the
    label-level swap covariance to hold where it can hold at all;
 2. among those, prefer eigenvalue +1 on the Hermitian monomials of the set;
-3. break remaining ties by the first high-modulus component and then
-   lexicographically, after fixing the overall phase.
+3. break remaining ties lexicographically on the components, after fixing
+   the overall phase so that component 0 is real and positive.
 
+Every candidate is i^k / sqrt(2^n) exactly, so the gauge runs on the
+integer exponents k.  Candidate X_j c has eigenvalue (-1)^|a & j| i^Q(b)
+on the monomial with computational masks (a, b), so rule 2 is one sign
+table.
+
+A family stores each basis by its column 0; ``MubFamily.basis`` expands it.
 The family is deterministic for a fixed n: identical labels, vectors and
 exported bytes on every run.
 """
@@ -23,16 +43,13 @@ exported bytes on every run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateEigenspaceError, SchemaError
+from .errors import SchemaError
 from .gf2n import Field, FieldElement
-from .operators import fourier, permute_label
-
-_PHASE_TOL = 1e-9
-_EIG_GAP = 1e-7
-_MAX_REWEIGHT = 8
+from .operators import permute_label, popcounts, walsh
 
 
 # ----------------------------------------------------------------------
@@ -86,22 +103,8 @@ def label_from_json(field: Field, obj) -> BasisLabel:
 
 
 # ----------------------------------------------------------------------
-# Cheap monomial action (signed index permutation)
+# Phase-space rays
 # ----------------------------------------------------------------------
-
-def _sign_vector(aidx: int, dim: int) -> np.ndarray:
-    pop = np.array([(i & aidx).bit_count() for i in range(dim)])
-    return np.where(pop % 2, -1.0, 1.0)
-
-
-def _monomial_matrix(aidx: int, bidx: int, dim: int) -> np.ndarray:
-    """Dense Z_alpha X_beta given computational indices of alpha and beta."""
-    cols = np.arange(dim)
-    rows = cols ^ bidx
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[rows, cols] = _sign_vector(aidx, dim)[rows]
-    return mat
-
 
 def slope_points(field: Field, mu: FieldElement) -> list[tuple[FieldElement, FieldElement]]:
     """The ray of slope mu: pairs (alpha, mu * alpha) over all alpha."""
@@ -123,38 +126,34 @@ def stabilizer_points(field: Field, label: BasisLabel) -> list[tuple[FieldElemen
 # Slope basis construction
 # ----------------------------------------------------------------------
 
-def _joint_eigenbasis(field: Field, mu: FieldElement) -> np.ndarray:
-    """Simultaneous eigenbasis of the slope monomials via a weighted resolvent.
-
-    Any real combination of the Hermitian and anti-Hermitian parts of the
-    commuting monomials commutes with all of them; for generic weights its
-    spectrum is simple and eigh returns the joint eigenbasis directly.
-    """
-    dim = field.size
-    for attempt in range(_MAX_REWEIGHT):
-        rng = np.random.default_rng(0xC0FFEE + 1009 * mu.bits + attempt)
-        ham = np.zeros((dim, dim), dtype=complex)
-        for alpha in field.elements():
-            if alpha.bits == 0:
-                continue
-            w = _monomial_matrix(alpha.index, (mu * alpha).index, dim)
-            a, b = rng.uniform(0.5, 1.5, size=2)
-            ham += a * (w + w.conj().T) + b * 1j * (w - w.conj().T)
-        evals, evecs = np.linalg.eigh(ham)
-        spread = max(evals[-1] - evals[0], 1.0)
-        if np.diff(evals).min() > _EIG_GAP * spread:
-            return evecs
-    raise DegenerateEigenspaceError(
-        f"could not resolve a simple joint spectrum for slope {mu.bits} "
-        f"after {_MAX_REWEIGHT} reweightings"
-    )
+_PHASES = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^k for k mod 4
 
 
-def _phase_fixed(vec: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(vec) > _PHASE_TOL))
-    out = vec * (vec[k].conjugate() / abs(vec[k]))
-    out[k] = abs(out[k])
+@lru_cache(maxsize=None)
+def _xor_table(dim: int) -> np.ndarray:
+    out = np.bitwise_xor.outer(np.arange(dim), np.arange(dim))
+    out.flags.writeable = False
     return out
+
+
+def _coordinates(n: int) -> np.ndarray:
+    """Row i: the self-dual coordinates (n_1 .. n_n) of the element at index i."""
+    return np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1) & 1
+
+
+def _multiplication_matrix(mu: FieldElement) -> np.ndarray:
+    """M[i, j] = tr(mu theta_i theta_j), so coords(alpha) @ M = coords(mu alpha) mod 2."""
+    field = mu.field
+    return np.array([(mu * field.element(1 << i)).coeffs() for i in range(field.n)])
+
+
+def _inverse(mu: FieldElement) -> FieldElement:
+    """mu^-1 = mu^(2^n - 2), the product of mu^(2^k) for k = 1 .. n - 1."""
+    inv, power = mu.field.one(), mu
+    for _ in range(mu.field.n - 1):
+        power = power.square()
+        inv = inv * power
+    return inv
 
 
 def _stabilizer_swaps(mu: FieldElement) -> list[tuple[int, int]]:
@@ -176,48 +175,76 @@ def _swap_permutation(field: Field, p: int, q: int) -> np.ndarray:
     return idx & ~(1 << bp) & ~(1 << bq) | (b << bp) | (a << bq)
 
 
-def _select_anchor(field: Field, mu: FieldElement, evecs: np.ndarray) -> np.ndarray:
-    dim = field.size
-    candidates = list(range(dim))
+def _slope_exponents(field: Field, mu: FieldElement) -> np.ndarray:
+    """Exponents k of the anchor |0, mu> = i^k / sqrt(2^n) for mu != 0, by index.
 
-    # 1) keep eigenvectors fixed (up to phase) by every slope-stabilizing swap
-    stab_perms = [_swap_permutation(field, p, q) for p, q in _stabilizer_swaps(mu)]
-    if stab_perms:
-        invariant = [
-            c for c in candidates
-            if all(abs(np.vdot(evecs[:, c], evecs[:, c][perm])) > 1 - 1e-9
-                   for perm in stab_perms)
-        ]
-        if invariant:
-            candidates = invariant
+    Candidate j is X_j c, column j of the closed form (module docstring); the
+    gauge rules pick one and fix its phase.
+    """
+    n, dim = field.n, field.size
+    coords = _coordinates(n)
+    gram = _multiplication_matrix(_inverse(mu))
+    quad = np.einsum("ki,ij,kj->k", coords, gram, coords) % 4
+    candidates = np.arange(dim)
 
-    # 2) prefer eigenvalue +1 on the Hermitian monomials of the slope set
-    hermitian_alphas = [
-        a for a in field.elements()
-        if a.bits != 0 and (mu * a.square()).trace() == 0
-    ]
-    def plus_one_count(c: int) -> int:
-        v = evecs[:, c]
-        count = 0
-        for a in hermitian_alphas:
-            sign = _sign_vector(a.index, dim)
-            wv = sign * v[np.arange(dim) ^ (mu * a).index]
-            count += abs(np.vdot(v, wv) - 1.0) < 1e-8
-        return count
+    # 1) keep candidates fixed (up to phase) by every slope-stabilizing swap.
+    #    The swap pi is linear on indices, so pi X_j c = X_(pi j) pi c, and
+    #    X_j c is fixed iff X_s pi c is proportional to c, s = j + pi j; s is
+    #    0 when j's bits p and q agree and both bits otherwise
+    invariant = np.ones(dim, dtype=bool)
+    for p, q in _stabilizer_swaps(mu):
+        perm = _swap_permutation(field, p, q)
+        holds = []
+        for s in (0, 1 << (n - p) | 1 << (n - q)):
+            ratio = (quad[perm ^ s] - quad) % 4
+            holds.append((ratio == ratio[0]).all())
+        invariant &= np.where(perm == np.arange(dim), *holds)
+    if invariant.any():
+        candidates = candidates[invariant]
 
-    scores = {c: plus_one_count(c) for c in candidates}
-    best = max(scores.values())
-    candidates = [c for c in candidates if scores[c] == best]
+    # 2) prefer eigenvalue +1 on the Hermitian monomials Z_a X_b of the slope
+    #    set, alpha != 0 with tr(mu alpha^2) = sum_i alpha_i tr(mu theta_i^2) = 0
+    mult = _multiplication_matrix(mu)
+    hermitian = coords @ np.diag(mult) % 2 == 0
+    hermitian[0] = False
+    a = np.flatnonzero(hermitian)
+    b = (coords[a] @ mult % 2) @ (1 << np.arange(n - 1, -1, -1))
+    eigen = quad[b][:, None] + 2 * popcounts(dim)[a[:, None] & candidates]
+    scores = (eigen % 4 == 0).sum(axis=0)
+    candidates = candidates[scores == scores.max()]
 
-    # 3) deterministic tie-break on the phase-fixed components
-    def tie_key(c: int):
-        v = _phase_fixed(evecs[:, c])
-        k = int(np.argmax(np.abs(v) > _PHASE_TOL))
-        comps = tuple(np.round(v.view(float), 10))
-        return (k, -round(abs(v[k]), 10), comps)
+    # 3) smallest (re, im) component sequence once component 0 is made real
+    fixed = (quad[candidates[:, None] ^ np.arange(dim)] - quad[candidates, None]) % 4
+    keys = _PHASES[fixed].view(float)  # row: re, im of each component
+    return fixed[np.lexsort(keys.T[::-1])[0]]
 
-    chosen = min(candidates, key=tie_key)
-    return _phase_fixed(evecs[:, chosen])
+
+def _slope_anchor(field: Field, mu: FieldElement) -> np.ndarray:
+    if mu.bits == 0:
+        anchor = np.zeros(field.size, dtype=complex)
+        anchor[0] = 1.0
+    else:
+        anchor = _PHASES[_slope_exponents(field, mu)] / np.sqrt(field.size)
+    anchor.flags.writeable = False
+    return anchor
+
+
+def _vertical_anchor(field: Field) -> np.ndarray:
+    anchor = np.ones(field.size, dtype=complex) / np.sqrt(field.size)
+    anchor.flags.writeable = False
+    return anchor
+
+
+def _expand(anchor: np.ndarray, vertical: bool) -> np.ndarray:
+    """Read-only basis with column 0 ``anchor``, columns ordered by nu.index.
+
+    Column nu is X_nu |anchor> on a slope basis and Z_nu |anchor>, the Walsh
+    signs (-1)^|i & nu|, on the vertical one.
+    """
+    dim = anchor.shape[0]
+    basis = walsh(dim) * anchor[:, None] if vertical else anchor[_xor_table(dim)]
+    basis.flags.writeable = False
+    return basis
 
 
 def build_slope_basis(field: Field, mu: FieldElement) -> np.ndarray:
@@ -227,38 +254,36 @@ def build_slope_basis(field: Field, mu: FieldElement) -> np.ndarray:
     covariance X_beta |nu, mu> = |nu + beta, mu> is exact by construction.
     For mu = 0 this is exactly the computational basis.
     """
-    dim = field.size
-    if mu.bits == 0:
-        basis = np.eye(dim, dtype=complex)
-    else:
-        anchor = _select_anchor(field, mu, _joint_eigenbasis(field, mu))
-        basis = anchor[np.bitwise_xor.outer(np.arange(dim), np.arange(dim))]
-    basis.flags.writeable = False
-    return basis
+    return _expand(_slope_anchor(field, mu), vertical=False)
 
 
 def build_vertical(field: Field) -> np.ndarray:
     """The infinite-slope basis: columns are the Fourier images F |nu>."""
-    basis = fourier(field)
-    basis.flags.writeable = False
-    return basis
+    return _expand(_vertical_anchor(field), vertical=True)
 
 
 @dataclass(frozen=True)
 class MubFamily:
-    """The full labeled family of 2^n + 1 bases (immutable once built)."""
+    """The full labeled family of 2^n + 1 bases (immutable once built).
+
+    Each basis is stored by its column 0, the anchor |0, label>; ``basis``
+    expands it to the full matrix on every call.
+    """
 
     field: Field
-    bases: dict  # BasisLabel -> (dim, dim) ndarray, columns ordered by nu.index
+    bases: dict  # BasisLabel -> read-only (dim,) anchor column
 
     def labels(self) -> list[BasisLabel]:
         return list(self.bases)
 
-    def basis(self, label: BasisLabel) -> np.ndarray:
+    def anchor(self, label: BasisLabel) -> np.ndarray:
         return self.bases[label]
 
+    def basis(self, label: BasisLabel) -> np.ndarray:
+        return _expand(self.bases[label], label.is_vertical)
+
     def vector(self, label: BasisLabel, nu: FieldElement) -> np.ndarray:
-        return self.bases[label][:, nu.index]
+        return self.basis(label)[:, nu.index]
 
     def projector(self, label: BasisLabel, nu: FieldElement) -> np.ndarray:
         v = self.vector(label, nu)
@@ -267,12 +292,11 @@ class MubFamily:
 
 def build_family(field: Field) -> MubFamily:
     """All 2^n slope bases plus the vertical basis."""
-    bases: dict[BasisLabel, np.ndarray] = {}
-    for label in family_labels(field):
-        if label.is_vertical:
-            bases[label] = build_vertical(field)
-        else:
-            bases[label] = build_slope_basis(field, label.slope)
+    bases = {
+        label: _vertical_anchor(field) if label.is_vertical
+        else _slope_anchor(field, label.slope)
+        for label in family_labels(field)
+    }
     return MubFamily(field=field, bases=bases)
 
 
@@ -287,14 +311,13 @@ def unbiasedness_deviation(family: MubFamily) -> dict:
     | |overlap|^2 - 1/2^n | across distinct bases.
     """
     dim = family.field.size
-    labels = family.labels()
+    dense = [family.basis(label) for label in family.labels()]
     max_gram = 0.0
     max_cross = 0.0
-    for i, la in enumerate(labels):
-        va = family.basis(la)
+    for i, va in enumerate(dense):
         max_gram = max(max_gram, float(np.abs(va.conj().T @ va - np.eye(dim)).max()))
-        for lb in labels[i + 1:]:
-            ov2 = np.abs(va.conj().T @ family.basis(lb)) ** 2
+        for vb in dense[i + 1:]:
+            ov2 = np.abs(va.conj().T @ vb) ** 2
             max_cross = max(max_cross, float(np.abs(ov2 - 1.0 / dim).max()))
     return {"max_gram_dev": max_gram, "max_cross_dev": max_cross}
 
@@ -342,7 +365,7 @@ def swap_covariance_report(family: MubFamily) -> dict:
     """
     field = family.field
     dim = field.size
-    labels = family.labels()
+    dense = {label: family.basis(label) for label in family.labels()}
     failures: list[tuple[int, int, str]] = []
     both_swap = True
     display = True
@@ -351,20 +374,19 @@ def swap_covariance_report(family: MubFamily) -> dict:
     for p in range(1, field.n + 1):
         for q in range(p + 1, field.n + 1):
             perm = _swap_permutation(field, p, q)
-            for label in labels:
-                basis = family.basis(label)
+            for label, basis in dense.items():
                 permuted = basis[perm, :]
                 # locate the target basis via the permuted anchor column
                 target = None
-                for cand in labels:
-                    ov = np.abs(family.basis(cand).conj().T @ permuted[:, 0])
+                for cand, cand_basis in dense.items():
+                    ov = np.abs(cand_basis.conj().T @ permuted[:, 0])
                     if ov.max() > 1 - 1e-9:
                         target = cand
                         break
                 if target is None:
                     failures.append((p, q, repr(label)))
                     continue
-                ov = np.abs(family.basis(target).conj().T @ permuted)
+                ov = np.abs(dense[target].conj().T @ permuted)
                 col_to_row = ov.argmax(axis=0)
                 if not np.allclose(ov[col_to_row, np.arange(dim)], 1.0, atol=1e-9):
                     failures.append((p, q, repr(label)))
@@ -395,6 +417,28 @@ def swap_covariance_report(family: MubFamily) -> dict:
         "display_rule_holds": display,
         "failures": failures,
     }
+
+
+def predicted_swap_escapes(field: Field) -> set[tuple[int, int, str]]:
+    """(p, q, repr(label)) conjugations that must leave the family, by field arithmetic.
+
+    The (p, q) swap pi maps the slope-mu monomials Z_alpha X_(mu alpha) to
+    Z_pi(alpha) X_pi(mu alpha), which are the slope-mu' monomials exactly
+    when mu' pi(alpha) = pi(mu alpha) for every alpha.  pi fixes
+    1 = sum theta_i, so alpha = 1 leaves mu' = pi(mu) as the only candidate.
+    The vertical set {X_beta} always maps to itself.  The failures of
+    ``swap_covariance_report`` must be exactly these pairs.
+    """
+    elems = field.elements()
+    escapes = set()
+    for p in range(1, field.n + 1):
+        for q in range(p + 1, field.n + 1):
+            for mu in elems:
+                image = permute_label(mu, p, q)
+                if any(image * permute_label(a, p, q) != permute_label(mu * a, p, q)
+                       for a in elems):
+                    escapes.add((p, q, repr(BasisLabel(mu))))
+    return escapes
 
 
 # ----------------------------------------------------------------------

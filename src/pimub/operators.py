@@ -16,6 +16,8 @@ flipping it would dress Z_alpha with a stray (-1)^|alpha|.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import InvalidIndexError, SchemaError
@@ -55,6 +57,27 @@ def apply_shift(beta: FieldElement, vec: np.ndarray) -> np.ndarray:
     dim = 1 << beta.field.n
     idx = np.arange(dim) ^ beta.index
     return vec[idx]
+
+
+@lru_cache(maxsize=None)
+def popcounts(dim: int) -> np.ndarray:
+    """Read-only array of |i|, the number of set bits, for i < dim."""
+    out = np.array([i.bit_count() for i in range(dim)])
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def walsh(dim: int) -> np.ndarray:
+    """Read-only Sylvester-Hadamard signs (-1)^|r & c| (not normalized).
+
+    For computational indices r and c of field elements this is
+    (-1)^tr(rho gamma), so walsh(2^n) / 2^(n/2) is ``fourier``.
+    """
+    masks = np.arange(dim)
+    out = 1.0 - 2.0 * (popcounts(dim)[np.bitwise_and.outer(masks, masks)] & 1)
+    out.flags.writeable = False
+    return out
 
 
 def fourier(field: Field) -> np.ndarray:

@@ -3,10 +3,14 @@
 A label point is a pair (nu, basis).  Transpositions act on both labels by
 the field-level swap map kappa -> kappa + eps tr(eps kappa), which is the
 coordinate swap of the self-dual bit vector; the computational (slope 0) and
-vertical bases are themselves fixed, so only nu moves there.  Orbits are
-computed by union-find closure over all transposition generators -- the
-group action itself is the ground truth, while the (m, l, s) weight
-classification is checked against it rather than assumed.
+vertical bases are themselves fixed, so only nu moves there.  The orbits are
+therefore weight classes.  On a proper slope, S_n permutes the columns of
+the 2 x n bit matrix (mu; nu) together, so an orbit is fixed by the counts
+of its four column types, and (|mu|, |nu|, |mu + nu|) determine those counts:
+c11 = (|mu| + |nu| - |mu + nu|) / 2, c10 = |mu| - c11, c01 = |nu| - c11.  On
+the computational and vertical bases the orbit of nu is its weight class.
+``enumerate_orbits`` groups the label points by that key; the tests check it
+against the union-find closure of the transposition action.
 
 For permutationally invariant states the probabilities attached to the
 points of one orbit coincide whenever the swap action closes on the basis
@@ -95,25 +99,8 @@ def transform_point(point: LabelPoint, p: int, q: int) -> LabelPoint:
     return LabelPoint(nu, basis)
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-
 def all_label_points(field: Field) -> list[LabelPoint]:
+    """Every (nu, basis) pair, in ``LabelPoint.sort_key`` order."""
     return [
         LabelPoint(field.element(b), label)
         for label in family_labels(field)
@@ -121,36 +108,29 @@ def all_label_points(field: Field) -> list[LabelPoint]:
     ]
 
 
+def _kind(basis: BasisLabel) -> str:
+    if basis.is_vertical:
+        return "vertical"
+    return "computational" if basis.slope.bits == 0 else "slope"
+
+
 def enumerate_orbits(field: Field) -> OrbitTable:
-    """Union-find closure of the transposition action on all label points."""
-    points = all_label_points(field)
-    uf = _UnionFind(points)
-    for p in range(1, field.n + 1):
-        for q in range(p + 1, field.n + 1):
-            for point in points:
-                uf.union(point, transform_point(point, p, q))
+    """Label points grouped into orbits by the key (basis kind, ``orbit_invariants``).
 
-    groups: dict[LabelPoint, list[LabelPoint]] = {}
-    for point in points:
-        groups.setdefault(uf.find(point), []).append(point)
-
-    orbits = []
-    for members in sorted(groups.values(), key=lambda ms: min(m.sort_key() for m in ms)):
-        members = tuple(sorted(members, key=LabelPoint.sort_key))
-        rep = members[0]
-        inv = orbit_invariants(rep)
-        if any(orbit_invariants(m) != inv for m in members):
-            raise AssertionError(f"orbit of {rep} mixes weight invariants")
-        orbits.append(
-            Orbit(
-                orbit_id=len(orbits),
-                representative=rep,
-                members=members,
-                invariants=inv,
-            )
-        )
+    The points come in sort-key order, so each orbit's members are sorted,
+    its representative is its first member, and orbit ids follow the
+    representatives' order.
+    """
+    groups: dict[tuple, list[LabelPoint]] = {}
+    for point in all_label_points(field):
+        groups.setdefault((_kind(point.basis), orbit_invariants(point)), []).append(point)
+    orbits = tuple(
+        Orbit(orbit_id=i, representative=members[0], members=tuple(members),
+              invariants=invariants)
+        for i, ((_, invariants), members) in enumerate(groups.items())
+    )
     index = {m: o.orbit_id for o in orbits for m in o.members}
-    return OrbitTable(n=field.n, orbits=tuple(orbits), _index=index)
+    return OrbitTable(n=field.n, orbits=orbits, _index=index)
 
 
 def s_range(m: int, l: int, n: int) -> list[int]:
@@ -300,13 +280,7 @@ def orbit_report(table: OrbitTable) -> str:
     lines.append(header)
     lines.append("-" * len(header))
     for orbit in table.orbits:
-        rep = orbit.representative
-        if rep.basis.is_vertical:
-            kind = "vertical"
-        elif rep.basis.slope.bits == 0:
-            kind = "computational"
-        else:
-            kind = "slope"
+        kind = _kind(orbit.representative.basis)
         m, l, s = _mls(orbit)
         lines.append(f"{kind:<14}{m:>3}{l:>3}{s:>3}{orbit.size:>4}")
     enumerated = len(table.orbits)

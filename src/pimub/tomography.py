@@ -40,6 +40,7 @@ from .errors import (
 )
 from .gf2n import Field
 from .mub import BasisLabel, MubFamily, label_from_json, stabilizer_points
+from .operators import popcounts, walsh
 from .orbits import LabelPoint, OrbitTable, expand_probabilities, minimal_bases
 
 _TWIRL_MAX_N = 8
@@ -425,13 +426,6 @@ def pi_types(n: int) -> list[tuple[int, int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _popcounts(dim: int) -> np.ndarray:
-    out = np.array([i.bit_count() for i in range(dim)])
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=None)
 def _type_lookup(n: int) -> np.ndarray:
     out = np.full((n + 1,) * 3, -1)
     for i, t in enumerate(pi_types(n)):
@@ -442,14 +436,8 @@ def _type_lookup(n: int) -> np.ndarray:
 
 def _pauli_types(n: int, z: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Position in ``pi_types(n)`` of the Pauli strings with masks (z, x)."""
-    pop = _popcounts(1 << n)
+    pop = popcounts(1 << n)
     return _type_lookup(n)[pop[x & ~z], pop[x & z], pop[z & ~x]]
-
-
-def _walsh(dim: int) -> np.ndarray:
-    """Sylvester-Hadamard signs (-1)^|r & c| (not normalized)."""
-    masks = np.arange(dim)
-    return 1.0 - 2.0 * (_popcounts(dim)[np.bitwise_and.outer(masks, masks)] & 1)
 
 
 def _stabilizer_masks(field: Field, label: BasisLabel) -> tuple[np.ndarray, np.ndarray]:
@@ -493,11 +481,11 @@ def _stabilizer_expectations(record: MeasurementRecord, family: MubFamily):
         )
 
     z, x = _stabilizer_masks(field, record.basis)
-    anchor = family.basis(record.basis)[:, 0]
+    anchor = family.anchor(record.basis)
     shifted = anchor[np.arange(dim) ^ x[:, None]]  # row alpha: X_b applied
-    walsh = _walsh(dim)
-    eigen = _Y_PHASE[_popcounts(dim)[z & x] % 4] * ((walsh[z] * shifted) @ anchor.conj())
-    return eigen.real * (walsh @ probs), _pauli_types(field.n, z, x)
+    signs = walsh(dim)
+    eigen = _Y_PHASE[popcounts(dim)[z & x] % 4] * ((signs[z] * shifted) @ anchor.conj())
+    return eigen.real * (signs @ probs), _pauli_types(field.n, z, x)
 
 
 def _pi_operator(n: int, coords: np.ndarray) -> np.ndarray:
@@ -510,9 +498,9 @@ def _pi_operator(n: int, coords: np.ndarray) -> np.ndarray:
     dim = 1 << n
     masks = np.arange(dim)
     z, x = masks[None, :], masks[:, None]  # table[x, z]
-    table = coords[_pauli_types(n, z, x)] * _Y_PHASE[_popcounts(dim)[z & x] % 4]
+    table = coords[_pauli_types(n, z, x)] * _Y_PHASE[popcounts(dim)[z & x] % 4]
     rho = np.empty((dim, dim), dtype=complex)
-    rho[z, z ^ x] = table @ _walsh(dim) / dim
+    rho[z, z ^ x] = table @ walsh(dim) / dim
     return rho
 
 
@@ -602,6 +590,8 @@ def record_from_json(field: Field, obj: dict) -> MeasurementRecord:
         data = {}
         for item in obj["data"]:
             bits = int(item["nu_bitmask"])
+            if not 0 <= bits < field.size:
+                raise ValueError(f"nu_bitmask {bits} out of range for n={field.n}")
             data[bits] = int(item["count"]) if shots is not None else float(item["p"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed measurement record: {exc}") from exc

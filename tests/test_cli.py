@@ -209,6 +209,25 @@ def test_reconstruct_rejects_malformed_records(tmp_path, capsys):
     assert err["error"] == "schema"
 
 
+def test_reconstruct_rejects_out_of_range_nu_bitmask(tmp_path):
+    records = tmp_path / "records.json"
+    assert run_cli("simulate", "--n", "2", "--seed", "1", "--exact", "--out", str(records)) == 0
+    payload = json.loads(records.read_text())
+    payload["records"][0]["data"][0]["nu_bitmask"] = 99
+    records.write_text(json.dumps(payload))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pimub.cli", "reconstruct", "--records", str(records)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "schema"
+    assert "99" in err["message"]
+
+
 def test_simulate_rejects_dimension_mismatch(tmp_path, capsys):
     state = tmp_path / "state.json"
     state.write_text(json.dumps(matrix_to_json(np.eye(8) / 8)))
@@ -235,7 +254,8 @@ def test_verify_passes_for_one_and_two_qubits(capsys):
 def test_verify_fails_for_three_qubits_and_says_why(capsys):
     assert run_cli("verify", "--n", "3") == 1
     out = capsys.readouterr().out
-    assert "[FAIL] mub: swap covariance closes on the family" in out
+    assert "[PASS] mub: swap escapes match field arithmetic" in out
+    assert "[PASS] mub: both-index swap rule verified" in out
     assert "[FAIL] tomography: minimal-basis exact round trip" in out
     assert "closed-form orbit count" in out
 

@@ -1,5 +1,7 @@
 """MUB family: eigenstructure, unbiasedness, covariance, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,17 +16,18 @@ from pimub.mub import (
     family_labels,
     family_to_json,
     label_from_json,
+    predicted_swap_escapes,
     reconstruct_identity_check,
-    slope_points,
+    stabilizer_points,
     swap_covariance_report,
     unbiasedness_deviation,
     vertical_label,
 )
-from pimub.operators import build_x, fourier, pauli_monomial
+from pimub.operators import build_x, fourier, pauli_monomial, permute_label
 from pimub.tomography import random_density_matrix, random_pure_state
 
 from conftest import family, field
-from reference_data import TWO_QUBIT_BASES
+from reference_data import SLOPE_ANCHOR_EXPONENTS, SLOPE_ANCHOR_SHA256, TWO_QUBIT_BASES
 
 
 # ----------------------------------------------------------------------
@@ -49,7 +52,7 @@ def test_label_json_round_trip():
 # Vertical basis
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_vertical_basis_is_fourier_with_uniform_anchor(n):
     f = field(n)
     basis = build_vertical(f)
@@ -88,12 +91,14 @@ def test_zero_slope_is_computational_basis_exactly(n):
     assert np.array_equal(build_slope_basis(f, f.zero()), np.eye(f.size))
 
 
-@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("n", range(1, 6))
 def test_slope_vectors_are_joint_eigenvectors(n):
+    # oracle: dense monomials built as tensor products, on every family basis
     f = field(n)
-    for mu in f.elements():
-        basis = build_slope_basis(f, mu)
-        for alpha, beta in slope_points(f, mu):
+    fam = family(n)
+    for label in fam.labels():
+        basis = fam.basis(label)
+        for alpha, beta in stabilizer_points(f, label):
             w = pauli_monomial(alpha, beta)
             transformed = w @ basis
             lams = np.einsum("ij,ij->j", basis.conj(), transformed)
@@ -149,15 +154,36 @@ def test_family_matrices_are_frozen():
             fam.basis(label)[0, 0] = 0.0
 
 
-def test_unresolvable_spectrum_raises(monkeypatch):
-    import pimub.mub as mub_module
+def _anchor_exponents(fam):
+    """Rows k with anchor = i^k / sqrt(2^n) for the proper slopes, checked entrywise."""
+    dim = fam.field.size
+    rows = []
+    for label in fam.labels()[1:dim]:
+        anchor = fam.anchor(label)
+        k = np.round(np.angle(anchor) / (np.pi / 2)).astype(int) % 4
+        assert np.abs(anchor - 1j**k / np.sqrt(dim)).max() < 1e-12
+        rows.append(k)
+    return np.array(rows, dtype=np.uint8)
 
-    from pimub.errors import DegenerateEigenspaceError
 
-    monkeypatch.setattr(mub_module, "_EIG_GAP", 1e9)  # no weighting can pass
-    f = make_field(2)
-    with pytest.raises(DegenerateEigenspaceError):
-        mub_module.build_slope_basis(f, f.one())
+@pytest.mark.parametrize("n", range(1, 7))
+def test_slope_labelling_matches_frozen_reference(n):
+    # the anchor, and so the nu labelling of every slope basis, is the one
+    # the earlier eigensolver construction chose
+    rows = _anchor_exponents(family(n))
+    if n in SLOPE_ANCHOR_EXPONENTS:
+        assert rows.tolist() == SLOPE_ANCHOR_EXPONENTS[n]
+    else:
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == SLOPE_ANCHOR_SHA256[n]
+
+
+def test_family_stores_column_zero_of_the_built_bases():
+    f = field(3)
+    fam = family(3)
+    for label in fam.labels():
+        built = build_vertical(f) if label.is_vertical else build_slope_basis(f, label.slope)
+        assert np.array_equal(fam.basis(label), built)
+        assert np.array_equal(fam.anchor(label), built[:, 0])
 
 
 # ----------------------------------------------------------------------
@@ -256,6 +282,25 @@ def test_three_qubit_covariance_failure_is_exactly_the_proper_slopes():
     # wherever the conjugated basis does land in the family, the rule holds
     assert report["both_swap_rule_holds"]
     assert report["bases_checked"] == 3 * len(closed_labels)
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+def test_predicted_escapes_are_the_report_failures(n):
+    # brute force over every target slope, against the alpha = 1 shortcut
+    f = field(n)
+    elems = f.elements()
+    brute = set()
+    for p in range(1, n + 1):
+        for q in range(p + 1, n + 1):
+            for mu in elems:
+                images = [(permute_label(a, p, q), permute_label(mu * a, p, q)) for a in elems]
+                if not any(all(t * pa == pma for pa, pma in images) for t in elems):
+                    brute.add((p, q, repr(BasisLabel(mu))))
+    predicted = predicted_swap_escapes(f)
+    assert predicted == brute
+    report = swap_covariance_report(family(n))
+    assert sorted(report["failures"]) == sorted(predicted)
+    assert report["both_swap_rule_holds"]
 
 
 # ----------------------------------------------------------------------

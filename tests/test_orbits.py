@@ -124,6 +124,48 @@ def test_equal_invariants_imply_same_orbit(n):
         by_key[key] = orbit.orbit_id
 
 
+class _UnionFind:
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[ry] = rx
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_weight_key_table_equals_union_find_closure(n):
+    # oracle: close the transposition action itself, then order as the table does
+    points = all_label_points(field(n))
+    uf = _UnionFind(points)
+    for p in range(1, n + 1):
+        for q in range(p + 1, n + 1):
+            for point in points:
+                uf.union(point, transform_point(point, p, q))
+    groups = {}
+    for point in points:
+        groups.setdefault(uf.find(point), []).append(point)
+    closure = sorted(
+        (tuple(sorted(ms, key=LabelPoint.sort_key)) for ms in groups.values()),
+        key=lambda ms: ms[0].sort_key(),
+    )
+    table = orbit_table(n)
+    assert [o.members for o in table.orbits] == closure
+    assert [o.orbit_id for o in table.orbits] == list(range(len(closure)))
+    assert [o.representative for o in table.orbits] == [ms[0] for ms in closure]
+    for orbit in table.orbits:
+        assert all(table.orbit_of(m) is orbit for m in orbit.members)
+
+
 @pytest.mark.parametrize("n", range(2, 5))
 def test_generators_map_members_to_members(n):
     table = orbit_table(n)
