@@ -41,6 +41,7 @@ from .operators import (
     matrix_from_json,
     matrix_to_json,
     permute_label,
+    swap_index,
     swap_matrix,
 )
 from .orbits import (
@@ -99,14 +100,9 @@ def cmd_field(args) -> int:
     field = make_field(args.n)
     payload = field.to_json()
     if args.verify:
-        gram_ok = all(
-            field.trace_poly(field._mul_poly(a, b)) == (i == j)
-            for i, a in enumerate(field.selfdual_basis)
-            for j, b in enumerate(field.selfdual_basis)
-        )
         payload["checks"] = {
             "irreducible": is_irreducible(field.poly),
-            "selfdual_gram_identity": gram_ok,
+            "selfdual_gram_identity": field.selfdual_gram_identity(),
         }
         if not all(payload["checks"].values()):
             _dump(payload, args.out)
@@ -251,13 +247,8 @@ def _run_suites(n: int, tolerance: float | None) -> int:
     dim = field.size
     print(f"verification suites for n={n}")
 
-    gram_ok = all(
-        field.trace_poly(field._mul_poly(a, b)) == (i == j)
-        for i, a in enumerate(field.selfdual_basis)
-        for j, b in enumerate(field.selfdual_basis)
-    )
     check("field: polynomial irreducible", is_irreducible(field.poly))
-    check("field: self-dual Gram identity", gram_ok)
+    check("field: self-dual Gram identity", field.selfdual_gram_identity())
 
     elems = field.elements()
     worst = 0.0
@@ -297,12 +288,9 @@ def _run_suites(n: int, tolerance: float | None) -> int:
                 direct[(kappa + shift).index, kappa.index] = 1.0
             swap_ok &= bool(np.abs(pi - direct).max() <= tol_exact)
             commute_f = max(commute_f, float(np.abs(pi @ f_mat - f_mat @ pi).max()))
-            for kappa in elems:
-                moved = permute_label(kappa, p, q)
-                bits = kappa.bits
-                b_p, b_q = bits >> (p - 1) & 1, bits >> (q - 1) & 1
-                swapped = bits & ~(1 << (p - 1)) & ~(1 << (q - 1)) | (b_q << (p - 1)) | (b_p << (q - 1))
-                perm_ok &= moved.bits == swapped
+            perm = swap_index(n, p, q)
+            perm_ok &= all(permute_label(kappa, p, q).index == perm[kappa.index]
+                           for kappa in elems)
     if n > 1:
         check("operators: swap matrix equals its field form", swap_ok)
         check("operators: label swap equals bit swap", perm_ok)

@@ -187,12 +187,7 @@ class Field:
         self._trace_poly = tuple(trace_table)
 
         self.selfdual_basis = _selfdual_basis(n, self.poly, self.trace_poly)
-        gram_ok = all(
-            self.trace_poly(self._mul_poly(a, b)) == (i == j)
-            for i, a in enumerate(self.selfdual_basis)
-            for j, b in enumerate(self.selfdual_basis)
-        )
-        if not gram_ok:
+        if not self.selfdual_gram_identity():
             raise AssertionError("self-dual basis failed the Gram identity")
 
         # Coordinate conversion tables (self-dual bits <-> polynomial mask).
@@ -211,6 +206,12 @@ class Field:
         if sorted(sd_to_poly) != list(range(self.size)):
             raise AssertionError("self-dual basis does not span the field")
 
+        # bit_reversal[b] reverses the n-bit string b: self-dual bits <-> index
+        reversal = [0] * self.size
+        for b in range(1, self.size):
+            reversal[b] = reversal[b >> 1] >> 1 | (b & 1) << (n - 1)
+        self.bit_reversal = tuple(reversal)
+
     # -- raw polynomial-coordinate helpers ------------------------------
 
     def _mul_poly(self, a: int, b: int) -> int:
@@ -219,6 +220,14 @@ class Field:
     def trace_poly(self, x: int) -> int:
         """Trace Z_2 value of an element given in polynomial coordinates."""
         return self._trace_poly[x]
+
+    def selfdual_gram_identity(self) -> bool:
+        """Whether tr(theta_i theta_j) = delta_ij holds on the self-dual basis."""
+        return all(
+            self.trace_poly(self._mul_poly(a, b)) == (i == j)
+            for i, a in enumerate(self.selfdual_basis)
+            for j, b in enumerate(self.selfdual_basis)
+        )
 
     # -- element constructors -------------------------------------------
 
@@ -249,7 +258,9 @@ class Field:
 
     def index_from_bits(self, bits: int) -> int:
         # qubit i carries self-dual coordinate n_i; qubit 1 is the MSB.
-        return int(f"{bits:0{self.n}b}"[::-1], 2)
+        if not 0 <= bits < self.size:
+            raise ValueError(f"bits out of range for n={self.n}: {bits}")
+        return self.bit_reversal[bits]
 
     def bits_from_index(self, index: int) -> int:
         return self.index_from_bits(index)  # bit reversal is an involution

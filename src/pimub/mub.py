@@ -36,6 +36,9 @@ on the monomial with computational masks (a, b), so rule 2 is one sign
 table.
 
 A family stores each basis by its column 0; ``MubFamily.basis`` expands it.
+Born probabilities need no expansion: ``born_probabilities`` reads them off
+the expectations of the Pauli strings in the basis's cached
+``stabilizer_table``.
 The family is deterministic for a fixed n: identical labels, vectors and
 exported bytes on every run.
 """
@@ -44,12 +47,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SchemaError
 from .gf2n import Field, FieldElement
-from .operators import permute_label, popcounts, walsh
+from .operators import pauli_phase, pauli_types, permute_label, popcounts, swap_index, walsh
 
 
 # ----------------------------------------------------------------------
@@ -122,6 +126,32 @@ def stabilizer_points(field: Field, label: BasisLabel) -> list[tuple[FieldElemen
     return slope_points(field, label.slope)
 
 
+class StabilizerTable(NamedTuple):
+    """The Pauli strings a basis diagonalizes, one row per ray parameter alpha.
+
+    Row alpha is the string (-i)^|z & x| Z_z X_x with computational masks
+    z = a.index and x = b.index of ``stabilizer_points``, and ``types`` is its
+    position in ``pi_types``.  The arrays are int16 (n <= 12 fits), so the
+    tables of a whole family take less memory than its anchors.
+    """
+
+    z: np.ndarray
+    x: np.ndarray
+    types: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def stabilizer_table(field: Field, label: BasisLabel) -> StabilizerTable:
+    """Read-only ``StabilizerTable`` of a basis, built once per (field, label)."""
+    points = stabilizer_points(field, label)
+    z = np.array([a.index for a, _ in points], dtype=np.int16)
+    x = np.array([b.index for _, b in points], dtype=np.int16)
+    table = StabilizerTable(z, x, pauli_types(field.n, z, x).astype(np.int16))
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
 # ----------------------------------------------------------------------
 # Slope basis construction
 # ----------------------------------------------------------------------
@@ -166,15 +196,6 @@ def _stabilizer_swaps(mu: FieldElement) -> list[tuple[int, int]]:
     ]
 
 
-def _swap_permutation(field: Field, p: int, q: int) -> np.ndarray:
-    """Index array perm with (Pi v)[i] = v[perm[i]] for the (p, q) qubit swap."""
-    n, dim = field.n, field.size
-    bp, bq = n - p, n - q
-    idx = np.arange(dim)
-    a, b = idx >> bp & 1, idx >> bq & 1
-    return idx & ~(1 << bp) & ~(1 << bq) | (b << bp) | (a << bq)
-
-
 def _slope_exponents(field: Field, mu: FieldElement) -> np.ndarray:
     """Exponents k of the anchor |0, mu> = i^k / sqrt(2^n) for mu != 0, by index.
 
@@ -193,7 +214,7 @@ def _slope_exponents(field: Field, mu: FieldElement) -> np.ndarray:
     #    0 when j's bits p and q agree and both bits otherwise
     invariant = np.ones(dim, dtype=bool)
     for p, q in _stabilizer_swaps(mu):
-        perm = _swap_permutation(field, p, q)
+        perm = swap_index(n, p, q)
         holds = []
         for s in (0, 1 << (n - p) | 1 << (n - q)):
             ratio = (quad[perm ^ s] - quad) % 4
@@ -301,6 +322,44 @@ def build_family(field: Field) -> MubFamily:
 
 
 # ----------------------------------------------------------------------
+# Born probabilities through the stabilizer table
+# ----------------------------------------------------------------------
+#
+# Column nu of a family basis is the translate of the anchor that flips the
+# eigenvalue of monomial alpha by (-1)^tr(alpha nu) (X_nu on a slope basis,
+# Z_nu on the vertical one), and tr(alpha nu) is the parity of the
+# self-dual bits alpha & nu.  So the projector onto |nu, label> is
+# 2^-n sum_alpha (-1)^|alpha & nu| lambda_alpha P_alpha, with lambda_alpha the
+# anchor's eigenvalue on P_alpha: the Walsh transform over the ray maps
+# distributions to expectations and back.
+
+def anchor_eigenvalues(family: MubFamily, label: BasisLabel) -> np.ndarray:
+    """lambda_alpha = <anchor|P_alpha|anchor> (+-1) on the rows of ``stabilizer_table``."""
+    z, x, _ = stabilizer_table(family.field, label)
+    anchor = family.anchor(label)
+    dim = anchor.shape[0]
+    shifted = anchor[_xor_table(dim)[x]]  # row alpha: X_x applied
+    moments = (walsh(dim)[z] * shifted) @ anchor.conj()
+    return (pauli_phase(family.field.n, z, x) * moments).real
+
+
+def born_probabilities(family: MubFamily, label: BasisLabel, rho: np.ndarray) -> np.ndarray:
+    """Tr(rho |nu, label><nu, label|) for every nu, indexed by the self-dual bits of nu.
+
+    The expectations <P_alpha> = (-i)^|z & x| sum_k (-1)^|z & k| rho[k ^ x, k]
+    are read off rho in O(4^n), with no basis expanded.
+    """
+    field = family.field
+    z, x, _ = stabilizer_table(field, label)
+    dim = field.size
+    signs = walsh(dim)
+    columns = np.arange(dim)
+    sums = (signs[z] * rho[_xor_table(dim)[x], columns]).sum(axis=1)
+    expect = (pauli_phase(field.n, z, x) * sums).real
+    return signs @ (anchor_eigenvalues(family, label) * expect) / dim
+
+
+# ----------------------------------------------------------------------
 # Structural verification helpers
 # ----------------------------------------------------------------------
 
@@ -339,11 +398,13 @@ def reconstruct_identity_check(family: MubFamily, rho: np.ndarray) -> np.ndarray
     density matrix: the sum over each basis is a pinching, and the 2^n + 1
     pinchings of a mutually unbiased family tile the operator space.
     """
-    dim = family.field.size
+    field = family.field
+    dim = field.size
+    by_index = list(field.bit_reversal)  # basis column i holds the nu with bits reversal[i]
     out = np.zeros((dim, dim), dtype=complex)
     for label in family.labels():
         v = family.basis(label)
-        probs = np.einsum("ij,jk,ki->i", v.conj().T, rho, v).real
+        probs = born_probabilities(family, label, rho)[by_index]
         out += (v * probs) @ v.conj().T
     return out - np.eye(dim)
 
@@ -373,7 +434,7 @@ def swap_covariance_report(family: MubFamily) -> dict:
 
     for p in range(1, field.n + 1):
         for q in range(p + 1, field.n + 1):
-            perm = _swap_permutation(field, p, q)
+            perm = swap_index(field.n, p, q)
             for label, basis in dense.items():
                 permuted = basis[perm, :]
                 # locate the target basis via the permuted anchor column

@@ -80,6 +80,47 @@ def walsh(dim: int) -> np.ndarray:
     return out
 
 
+# ----------------------------------------------------------------------
+# Pauli strings by computational masks
+# ----------------------------------------------------------------------
+#
+# A Pauli string is (-i)^|z & x| Z_z X_x for computational-index masks z
+# (its Z part) and x (its X part); its type (k_X, k_Y, k_Z) counts the
+# qubits carrying X, Y and Z.  Qubit permutations preserve the type.
+
+_Y_PHASE = np.array([1.0, -1.0j, -1.0, 1.0j])  # (-i)^k for k mod 4
+
+
+def pauli_phase(n: int, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(-i)^|z & x|, the phase that makes Z_z X_x a Hermitian Pauli string."""
+    return _Y_PHASE[popcounts(1 << n)[z & x] % 4]
+
+
+def pi_types(n: int) -> list[tuple[int, int, int]]:
+    """All Pauli types (k_X, k_Y, k_Z) on n qubits, C(n + 3, 3) of them."""
+    return [
+        (kx, ky, kz)
+        for kx in range(n + 1)
+        for ky in range(n + 1 - kx)
+        for kz in range(n + 1 - kx - ky)
+    ]
+
+
+@lru_cache(maxsize=None)
+def _type_lookup(n: int) -> np.ndarray:
+    out = np.full((n + 1,) * 3, -1)
+    for i, t in enumerate(pi_types(n)):
+        out[t] = i
+    out.flags.writeable = False
+    return out
+
+
+def pauli_types(n: int, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Position in ``pi_types(n)`` of the Pauli strings with masks (z, x)."""
+    pop = popcounts(1 << n)
+    return _type_lookup(n)[pop[x & ~z], pop[x & z], pop[z & ~x]]
+
+
 def fourier(field: Field) -> np.ndarray:
     """Finite Fourier transform F[nu, nu'] = 2^(-n/2) (-1)^tr(nu nu')."""
     dim = field.size
@@ -91,21 +132,33 @@ def fourier(field: Field) -> np.ndarray:
     return signs.astype(complex) / np.sqrt(dim)
 
 
-def _check_qubits(field: Field, p: int, q: int) -> None:
-    if p == q or not (1 <= p <= field.n) or not (1 <= q <= field.n):
-        raise InvalidIndexError(f"need distinct qubit indices in 1..{field.n}, got ({p}, {q})")
+def _check_qubits(n: int, p: int, q: int) -> None:
+    if p == q or not (1 <= p <= n) or not (1 <= q <= n):
+        raise InvalidIndexError(f"need distinct qubit indices in 1..{n}, got ({p}, {q})")
+
+
+@lru_cache(maxsize=None)
+def swap_index(n: int, p: int, q: int) -> np.ndarray:
+    """Read-only index map of the (p, q) qubit swap (1-based) on n qubits.
+
+    Entry i is i with its bits for qubits p and q exchanged (qubit 1 is the
+    most significant bit), so (Pi v)[i] = v[perm[i]] and the swap is
+    rho[np.ix_(perm, perm)] on a matrix; the map is its own inverse.
+    """
+    _check_qubits(n, p, q)
+    idx = np.arange(1 << n)
+    flip = 1 << (n - p) | 1 << (n - q)
+    differ = (idx >> (n - p) ^ idx >> (n - q)) & 1
+    out = np.where(differ, idx ^ flip, idx)
+    out.flags.writeable = False
+    return out
 
 
 def swap_matrix(field: Field, p: int, q: int) -> np.ndarray:
     """Permutation matrix exchanging qubits p and q (1-based)."""
-    _check_qubits(field, p, q)
-    n, dim = field.n, field.size
-    bp, bq = n - p, n - q  # bit positions, qubit 1 = MSB
+    dim = field.size
     mat = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        a, b = i >> bp & 1, i >> bq & 1
-        j = i & ~(1 << bp) & ~(1 << bq) | (b << bp) | (a << bq)
-        mat[j, i] = 1.0
+    mat[swap_index(field.n, p, q), np.arange(dim)] = 1.0
     return mat
 
 
@@ -133,7 +186,7 @@ def permute_label(kappa: FieldElement, p: int, q: int) -> FieldElement:
     Equals exchanging coordinates p and q of the self-dual bit vector.
     """
     field = kappa.field
-    _check_qubits(field, p, q)
+    _check_qubits(field.n, p, q)
     eps = field.element((1 << (p - 1)) ^ (1 << (q - 1)))
     if (eps * kappa).trace():
         return kappa + eps

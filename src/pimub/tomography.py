@@ -9,6 +9,14 @@ measurements in the MUB family exactly or with multinomial shot noise,
 inverts measured probabilities back to a density matrix, and projects noisy
 estimates to the physical PI set.
 
+Both directions of the measurement map go through one cached table per
+basis, ``mub.stabilizer_table``: the 2^n Pauli strings, identity included,
+that the basis diagonalizes.  Simulation reads their expectations off the
+state and Walsh transforms them into Born probabilities
+(``mub.born_probabilities``); the default inversion Walsh transforms
+measured distributions back into the same expectations
+(``_stabilizer_expectations``).
+
 The default inversion is least squares on the PI operator subspace.  Each
 measured basis is the joint eigenbasis of 2^n - 1 Pauli monomials, so its
 distribution gives their expectations, and for a PI state the expectation
@@ -26,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -39,8 +46,15 @@ from .errors import (
     SchemaError,
 )
 from .gf2n import Field
-from .mub import BasisLabel, MubFamily, label_from_json, stabilizer_points
-from .operators import popcounts, walsh
+from .mub import (
+    BasisLabel,
+    MubFamily,
+    anchor_eigenvalues,
+    born_probabilities,
+    label_from_json,
+    stabilizer_table,
+)
+from .operators import pauli_phase, pauli_types, pi_types, swap_index, walsh
 from .orbits import LabelPoint, OrbitTable, expand_probabilities, minimal_bases
 
 _TWIRL_MAX_N = 8
@@ -86,13 +100,6 @@ def _qubit_count(dim: int) -> int:
     return n
 
 
-def _swap_index(n: int, p: int, q: int) -> np.ndarray:
-    bp, bq = n - p, n - q
-    idx = np.arange(1 << n)
-    a, b = idx >> bp & 1, idx >> bq & 1
-    return idx & ~(1 << bp) & ~(1 << bq) | (b << bp) | (a << bq)
-
-
 def twirl(rho: np.ndarray) -> np.ndarray:
     """Exact average of U_pi rho U_pi^dag over the full symmetric group.
 
@@ -107,7 +114,7 @@ def twirl(rho: np.ndarray) -> np.ndarray:
     for k in range(2, n + 1):
         acc = out.copy()
         for i in range(1, k):
-            perm = _swap_index(n, i, k)
+            perm = swap_index(n, i, k)
             acc += out[np.ix_(perm, perm)]
         out = acc / k
     return out
@@ -117,7 +124,7 @@ def is_permutation_invariant(rho: np.ndarray, tol: float = 1e-10) -> bool:
     n = _qubit_count(rho.shape[0])
     for p in range(1, n + 1):
         for q in range(p + 1, n + 1):
-            perm = _swap_index(n, p, q)
+            perm = swap_index(n, p, q)
             if np.abs(rho - rho[np.ix_(perm, perm)]).max() > tol:
                 return False
     return True
@@ -303,18 +310,18 @@ class MeasurementRecord:
 
 
 def exact_probabilities(rho: np.ndarray, family: MubFamily, bases) -> list[MeasurementRecord]:
-    """Born probabilities Tr(rho P_(nu,k)) for each requested basis."""
-    field = family.field
-    records = []
-    for label in bases:
-        v = family.basis(label)
-        probs = np.einsum("ij,jk,ki->i", v.conj().T, rho, v).real
-        data = {
-            field.from_index(i).bits: float(probs[i])
-            for i in range(field.size)
-        }
-        records.append(MeasurementRecord(n=field.n, basis=label, data=data))
-    return records
+    """Born probabilities Tr(rho P_(nu,k)) for each requested basis.
+
+    They come through the basis's stabilizer table (``mub.born_probabilities``):
+    the expectations of the 2^n - 1 Pauli strings it diagonalizes, Walsh
+    transformed over the ray, the inverse of ``_stabilizer_expectations``.
+    """
+    n = family.field.n
+    return [
+        MeasurementRecord(n=n, basis=label,
+                          data=dict(enumerate(born_probabilities(family, label, rho).tolist())))
+        for label in bases
+    ]
 
 
 def sample_counts(record: MeasurementRecord, shots: int, seed: int) -> MeasurementRecord:
@@ -407,43 +414,9 @@ def reconstruct(
 # PI operator subspace
 # ----------------------------------------------------------------------
 #
-# A Pauli string is (-i)^|a & b| Z_a X_b for computational-index masks a
-# (its Z part) and b (its X part); its type (k_X, k_Y, k_Z) counts the
-# qubits carrying X, Y and Z.  Qubit permutations preserve the type, so the
-# PI operators are spanned by the C(n + 3, 3) type sums.
-
-_Y_PHASE = np.array([1.0, -1.0j, -1.0, 1.0j])  # (-i)^k for k mod 4
-
-
-def pi_types(n: int) -> list[tuple[int, int, int]]:
-    """All Pauli types (k_X, k_Y, k_Z) on n qubits, C(n + 3, 3) of them."""
-    return [
-        (kx, ky, kz)
-        for kx in range(n + 1)
-        for ky in range(n + 1 - kx)
-        for kz in range(n + 1 - kx - ky)
-    ]
-
-
-@lru_cache(maxsize=None)
-def _type_lookup(n: int) -> np.ndarray:
-    out = np.full((n + 1,) * 3, -1)
-    for i, t in enumerate(pi_types(n)):
-        out[t] = i
-    out.flags.writeable = False
-    return out
-
-
-def _pauli_types(n: int, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Position in ``pi_types(n)`` of the Pauli strings with masks (z, x)."""
-    pop = popcounts(1 << n)
-    return _type_lookup(n)[pop[x & ~z], pop[x & z], pop[z & ~x]]
-
-
-def _stabilizer_masks(field: Field, label: BasisLabel) -> tuple[np.ndarray, np.ndarray]:
-    points = stabilizer_points(field, label)
-    return (np.array([a.index for a, _ in points]),
-            np.array([b.index for _, b in points]))
+# Qubit permutations preserve the type (k_X, k_Y, k_Z) of a Pauli string
+# (``operators.pi_types``), so the PI operators are spanned by the
+# C(n + 3, 3) type sums.
 
 
 def unmeasured_pi_types(field: Field, bases) -> list[tuple[int, int, int]]:
@@ -455,37 +428,33 @@ def unmeasured_pi_types(field: Field, bases) -> list[tuple[int, int, int]]:
     """
     seen: set[int] = set()
     for label in bases:
-        seen.update(_pauli_types(field.n, *_stabilizer_masks(field, label)).tolist())
+        seen.update(stabilizer_table(field, label).types.tolist())
     return [t for i, t in enumerate(pi_types(field.n)) if i not in seen]
 
 
 def _stabilizer_expectations(record: MeasurementRecord, family: MubFamily):
     """Expectations of the Pauli strings a measured basis diagonalizes, and their types.
 
-    Row alpha belongs to ray parameter alpha (``stabilizer_points``).  Column
-    nu of a family basis is the translate of column 0 that flips the
-    eigenvalue of monomial alpha by (-1)^tr(alpha nu) (X_nu on a slope
-    basis, Z_nu on the vertical one), so the expectations are the anchor's
-    eigenvalues times the Walsh transform of the distribution; tr(alpha nu)
-    is the parity of the self-dual bits alpha & nu.
+    Row alpha belongs to ray parameter alpha (``mub.stabilizer_table``).  The
+    expectations are the anchor's eigenvalues times the Walsh transform of
+    the distribution, the inverse of ``mub.born_probabilities``.
     """
     field = family.field
     dim = field.size
+    freqs = record.frequencies()
+    keys = np.fromiter(freqs, dtype=int, count=len(freqs))
+    outside = (keys < 0) | (keys >= dim)
+    if outside.any():
+        raise ValueError(f"bits out of range for n={field.n}: {keys[outside][0]}")
     probs = np.zeros(dim)
-    for bits, p in record.frequencies().items():
-        probs[field.element(bits).bits] = p  # element() rejects out-of-range labels
+    probs[keys] = list(freqs.values())
     total = probs.sum()
     if abs(total - 1.0) > _SUM_TOL:
         raise NotNormalizedError(
             f"measured basis {record.basis!r} sums to {total!r}, expected 1"
         )
-
-    z, x = _stabilizer_masks(field, record.basis)
-    anchor = family.anchor(record.basis)
-    shifted = anchor[np.arange(dim) ^ x[:, None]]  # row alpha: X_b applied
-    signs = walsh(dim)
-    eigen = _Y_PHASE[popcounts(dim)[z & x] % 4] * ((signs[z] * shifted) @ anchor.conj())
-    return eigen.real * (signs @ probs), _pauli_types(field.n, z, x)
+    values = anchor_eigenvalues(family, record.basis) * (walsh(dim) @ probs)
+    return values, stabilizer_table(field, record.basis).types
 
 
 def _pi_operator(n: int, coords: np.ndarray) -> np.ndarray:
@@ -498,7 +467,7 @@ def _pi_operator(n: int, coords: np.ndarray) -> np.ndarray:
     dim = 1 << n
     masks = np.arange(dim)
     z, x = masks[None, :], masks[:, None]  # table[x, z]
-    table = coords[_pauli_types(n, z, x)] * _Y_PHASE[popcounts(dim)[z & x] % 4]
+    table = coords[pauli_types(n, z, x)] * pauli_phase(n, z, x)
     rho = np.empty((dim, dim), dtype=complex)
     rho[z, z ^ x] = table @ walsh(dim) / dim
     return rho

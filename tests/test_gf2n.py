@@ -218,6 +218,16 @@ def test_coordinate_round_trips(n):
         assert a.coeffs()[0] == ((a * f.from_poly(f.selfdual_basis[0])).trace())
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_index_from_bits_is_string_bit_reversal(n):
+    f = field(n)
+    for bits in range(f.size):
+        assert f.index_from_bits(bits) == int(f"{bits:0{n}b}"[::-1], 2)
+    for bad in (-1, f.size):
+        with pytest.raises(ValueError):
+            f.index_from_bits(bad)
+
+
 def test_addition_is_xor():
     f = field(4)
     rng = np.random.default_rng(3)

@@ -19,6 +19,7 @@ from pimub.mub import (
     predicted_swap_escapes,
     reconstruct_identity_check,
     stabilizer_points,
+    stabilizer_table,
     swap_covariance_report,
     unbiasedness_deviation,
     vertical_label,
@@ -220,6 +221,21 @@ def test_overlap_law_including_within_basis(n):
             ov2 = np.abs(fam.basis(la).conj().T @ fam.basis(lb)) ** 2
             expected = np.eye(dim) if la == lb else np.full((dim, dim), 1.0 / dim)
             assert np.abs(ov2 - expected).max() < 1e-10
+
+
+@pytest.mark.parametrize("n", (2, 6))
+def test_stabilizer_tables_are_cached_and_smaller_than_the_anchors(n):
+    f = field(n)
+    fam = family(n)
+    tables = [stabilizer_table(f, label) for label in fam.labels()]
+    for label, table in zip(fam.labels(), tables):
+        points = stabilizer_points(f, label)
+        assert table.z.tolist() == [a.index for a, _ in points]
+        assert table.x.tolist() == [b.index for _, b in points]
+        assert not any(arr.flags.writeable for arr in table)
+        assert stabilizer_table(f, label) is table
+    table_bytes = sum(arr.nbytes for table in tables for arr in table)
+    assert table_bytes <= sum(anchor.nbytes for anchor in fam.bases.values())
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from pimub.operators import (
     pauli_monomial,
     permutation_matrix,
     permute_label,
+    swap_index,
     swap_matrix,
 )
 
@@ -184,6 +185,21 @@ def test_swap_conjugation_permutes_labels(n):
                 assert np.array_equal(pi @ build_x(alpha) @ pi, build_x(moved))
 
 
+@pytest.mark.parametrize("n", range(2, 6))
+def test_swap_index_matches_swap_matrix(n):
+    f = field(n)
+    vec = np.arange(f.size) + 1.0j * np.arange(f.size) ** 2
+    for p in range(1, n + 1):
+        for q in range(1, n + 1):
+            if p == q:
+                continue
+            perm = swap_index(n, p, q)
+            pi = swap_matrix(f, p, q)
+            assert not perm.flags.writeable
+            assert np.array_equal(pi @ vec, vec[perm])
+            assert np.array_equal(pi, swap_by_bit_exchange(f, p, q))
+
+
 def test_swap_rejects_bad_indices():
     f = field(3)
     for p, q in ((1, 1), (0, 2), (1, 4)):
@@ -191,6 +207,8 @@ def test_swap_rejects_bad_indices():
             swap_matrix(f, p, q)
         with pytest.raises(InvalidIndexError):
             permute_label(f.one(), p, q)
+        with pytest.raises(InvalidIndexError):
+            swap_index(3, p, q)
 
 
 def test_permutation_matrix_identity_and_composition():

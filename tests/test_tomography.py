@@ -373,6 +373,30 @@ def test_stabilizer_expectations_match_direct_traces(n):
             assert abs(value - direct) < 1e-12
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_exact_probabilities_match_dense_projectors(n):
+    # oracle: Tr(rho P) with the dense projector of every vector of every
+    # family basis, on a state that is not PI
+    f = field(n)
+    fam = family(n)
+    rho = random_density_matrix(f.size, seed=70 + n)
+    for rec in exact_probabilities(rho, fam, fam.labels()):
+        assert sorted(rec.data) == list(range(f.size))
+        for nu in f.elements():
+            direct = np.sum(rho * fam.projector(rec.basis, nu).T).real  # Tr(rho P)
+            assert abs(rec.data[nu.bits] - direct) <= 1e-12
+
+
+def test_out_of_range_record_key_is_rejected():
+    fam = family(2)
+    rho = random_pi_state(PIStateSpec.twirl(2, seed=9))
+    for bad in (-1, 4):
+        records = exact_probabilities(rho, fam, fam.labels())
+        records[0].data[bad] = records[0].data.pop(3)
+        with pytest.raises(ValueError, match="out of range"):
+            reconstruct(records, orbit_table(2), fam)
+
+
 def test_pi_type_counts():
     for n in range(1, 7):
         assert len(pi_types(n)) == math.comb(n + 3, 3)
