@@ -35,10 +35,12 @@ integer exponents k.  Candidate X_j c has eigenvalue (-1)^|a & j| i^Q(b)
 on the monomial with computational masks (a, b), so rule 2 is one sign
 table.
 
-A family stores each basis by its column 0; ``MubFamily.basis`` expands it.
-Born probabilities need no expansion: ``born_probabilities`` reads them off
-the expectations of the Pauli strings in the basis's cached
-``stabilizer_table``.
+A family stores each basis by its column 0; ``MubFamily.basis`` expands it
+for the structural checks and the JSON export only.  Both directions of the
+measurement map go through the basis's cached ``stabilizer_table``:
+``born_probabilities`` reads the expectations of its Pauli strings off a
+state, ``pauli_expectations`` recovers them from a distribution, and
+``family_operator`` sums them over bases into sum p P - identity.
 The family is deterministic for a fixed n: identical labels, vectors and
 exported bytes on every run.
 """
@@ -53,7 +55,8 @@ import numpy as np
 
 from .errors import SchemaError
 from .gf2n import Field, FieldElement
-from .operators import pauli_phase, pauli_types, permute_label, popcounts, swap_index, walsh
+from .operators import (pauli_operator, pauli_phase, pauli_types, permute_label, popcounts,
+                        swap_index, walsh)
 
 
 # ----------------------------------------------------------------------
@@ -359,6 +362,31 @@ def born_probabilities(family: MubFamily, label: BasisLabel, rho: np.ndarray) ->
     return signs @ (anchor_eigenvalues(family, label) * expect) / dim
 
 
+def pauli_expectations(family: MubFamily, label: BasisLabel, probs: np.ndarray) -> np.ndarray:
+    """<P_alpha> on the rows of ``stabilizer_table`` from probs indexed by the bits of nu.
+
+    The inverse of ``born_probabilities``: the anchor's eigenvalues times the
+    Walsh transform of the distribution.  Row 0, the identity, is its total.
+    """
+    return anchor_eigenvalues(family, label) * (walsh(family.field.size) @ probs)
+
+
+def family_operator(family: MubFamily, distributions: dict) -> np.ndarray:
+    """sum_(k,nu) p_k(nu) P_(nu,k) - identity, ``distributions`` {label: p by the bits of nu}.
+
+    Each basis adds its ``pauli_expectations`` onto the rows of its
+    stabilizer table.  The identity gets the sum of the totals minus 2^n, not
+    a fixed 1: orbit expansions need not sum to 1 on unmeasured bases.
+    """
+    dim = family.field.size
+    expect = np.zeros((dim, dim))
+    for label, probs in distributions.items():
+        z, x, _ = stabilizer_table(family.field, label)
+        expect[x, z] += pauli_expectations(family, label, probs)
+    expect[0, 0] -= dim
+    return pauli_operator(family.field.n, expect)
+
+
 # ----------------------------------------------------------------------
 # Structural verification helpers
 # ----------------------------------------------------------------------
@@ -398,15 +426,9 @@ def reconstruct_identity_check(family: MubFamily, rho: np.ndarray) -> np.ndarray
     density matrix: the sum over each basis is a pinching, and the 2^n + 1
     pinchings of a mutually unbiased family tile the operator space.
     """
-    field = family.field
-    dim = field.size
-    by_index = list(field.bit_reversal)  # basis column i holds the nu with bits reversal[i]
-    out = np.zeros((dim, dim), dtype=complex)
-    for label in family.labels():
-        v = family.basis(label)
-        probs = born_probabilities(family, label, rho)[by_index]
-        out += (v * probs) @ v.conj().T
-    return out - np.eye(dim)
+    return family_operator(
+        family, {label: born_probabilities(family, label, rho) for label in family.labels()}
+    )
 
 
 def swap_covariance_report(family: MubFamily) -> dict:

@@ -52,13 +52,6 @@ def pauli_monomial(alpha: FieldElement, beta: FieldElement) -> np.ndarray:
     return build_z(alpha) @ build_x(beta)
 
 
-def apply_shift(beta: FieldElement, vec: np.ndarray) -> np.ndarray:
-    """X_beta |v> computed as an index permutation (no matrix build)."""
-    dim = 1 << beta.field.n
-    idx = np.arange(dim) ^ beta.index
-    return vec[idx]
-
-
 @lru_cache(maxsize=None)
 def popcounts(dim: int) -> np.ndarray:
     """Read-only array of |i|, the number of set bits, for i < dim."""
@@ -121,15 +114,24 @@ def pauli_types(n: int, z: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _type_lookup(n)[pop[x & ~z], pop[x & z], pop[z & ~x]]
 
 
+def pauli_operator(n: int, expect: np.ndarray) -> np.ndarray:
+    """2^-n sum_(x,z) expect[x, z] (-i)^|z & x| Z_z X_x, from Pauli-string expectations.
+
+    No Pauli matrix is formed: entry (r, r ^ x) collects
+    sum_z expect[x, z] (-i)^|z & x| (-1)^|z & r|, one Walsh transform over
+    the Z mask z for every X mask x.
+    """
+    dim = 1 << n
+    masks = np.arange(dim)
+    z, x = masks[None, :], masks[:, None]
+    rho = np.empty((dim, dim), dtype=complex)
+    rho[z, z ^ x] = expect * pauli_phase(n, z, x) @ walsh(dim) / dim
+    return rho
+
+
 def fourier(field: Field) -> np.ndarray:
-    """Finite Fourier transform F[nu, nu'] = 2^(-n/2) (-1)^tr(nu nu')."""
-    dim = field.size
-    elems = [field.from_index(i) for i in range(dim)]
-    signs = np.empty((dim, dim))
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            signs[i, j] = -1.0 if (a * b).trace() else 1.0
-    return signs.astype(complex) / np.sqrt(dim)
+    """Finite Fourier transform F[nu, nu'] = 2^(-n/2) (-1)^tr(nu nu') (see ``walsh``)."""
+    return walsh(field.size).astype(complex) / np.sqrt(field.size)
 
 
 def _check_qubits(n: int, p: int, q: int) -> None:

@@ -13,9 +13,10 @@ Both directions of the measurement map go through one cached table per
 basis, ``mub.stabilizer_table``: the 2^n Pauli strings, identity included,
 that the basis diagonalizes.  Simulation reads their expectations off the
 state and Walsh transforms them into Born probabilities
-(``mub.born_probabilities``); the default inversion Walsh transforms
-measured distributions back into the same expectations
-(``_stabilizer_expectations``).
+(``mub.born_probabilities``).  Every inversion Walsh transforms
+distributions back into the same expectations (``mub.pauli_expectations``)
+and assembles the estimate from them with ``operators.pauli_operator``; no
+basis is expanded.
 
 The default inversion is least squares on the PI operator subspace.  Each
 measured basis is the joint eigenbasis of 2^n - 1 Pauli monomials, so its
@@ -49,12 +50,13 @@ from .gf2n import Field
 from .mub import (
     BasisLabel,
     MubFamily,
-    anchor_eigenvalues,
     born_probabilities,
+    family_operator,
     label_from_json,
+    pauli_expectations,
     stabilizer_table,
 )
-from .operators import pauli_phase, pauli_types, pi_types, swap_index, walsh
+from .operators import pauli_operator, pauli_types, pi_types, swap_index
 from .orbits import LabelPoint, OrbitTable, expand_probabilities, minimal_bases
 
 _TWIRL_MAX_N = 8
@@ -370,8 +372,9 @@ def reconstruct(
     ``mode`` "representative" or "average" is the orbit expansion: the
     distributions are propagated to the full family along label orbits
     (``expand_probabilities`` with that mode) and summed through
-    rho = sum_(k,nu) p_(nu,k) P_(nu,k) - identity.  Qubit swaps do not map
-    the family to itself for n >= 3, so this is exact only for n <= 2.
+    rho = sum_(k,nu) p_(nu,k) P_(nu,k) - identity (``mub.family_operator``).
+    Qubit swaps do not map the family to itself for n >= 3, so this is exact
+    only for n <= 2.
 
     No physicality projection is applied here.
     """
@@ -389,25 +392,18 @@ def reconstruct(
             np.add.at(sums, types, values)
             np.add.at(hits, types, 1)
         coords = np.divide(sums, hits, out=np.zeros(count), where=hits > 0)
-        return _pi_operator(field.n, coords)
+        masks = np.arange(field.size)
+        return pauli_operator(field.n, coords[pauli_types(field.n, masks, masks[:, None])])
 
     measured: dict[LabelPoint, float] = {}
     for record in records:
         for bits, p in record.frequencies().items():
             measured[LabelPoint(field.element(bits), record.basis)] = p
 
-    expanded = expand_probabilities(measured, table, mode=mode)
-
-    dim = field.size
-    rho = np.zeros((dim, dim), dtype=complex)
-    for label in family.labels():
-        v = family.basis(label)
-        probs = np.empty(dim)
-        for bits in range(dim):
-            nu = field.element(bits)
-            probs[nu.index] = expanded[LabelPoint(nu, label)]
-        rho += (v * probs) @ v.conj().T
-    return rho - np.eye(dim)
+    distributions = {label: np.zeros(field.size) for label in family.labels()}
+    for point, p in expand_probabilities(measured, table, mode=mode).items():
+        distributions[point.basis][point.nu.bits] = p
+    return family_operator(family, distributions)
 
 
 # ----------------------------------------------------------------------
@@ -435,9 +431,7 @@ def unmeasured_pi_types(field: Field, bases) -> list[tuple[int, int, int]]:
 def _stabilizer_expectations(record: MeasurementRecord, family: MubFamily):
     """Expectations of the Pauli strings a measured basis diagonalizes, and their types.
 
-    Row alpha belongs to ray parameter alpha (``mub.stabilizer_table``).  The
-    expectations are the anchor's eigenvalues times the Walsh transform of
-    the distribution, the inverse of ``mub.born_probabilities``.
+    Row alpha belongs to ray parameter alpha (``mub.stabilizer_table``).
     """
     field = family.field
     dim = field.size
@@ -453,24 +447,8 @@ def _stabilizer_expectations(record: MeasurementRecord, family: MubFamily):
         raise NotNormalizedError(
             f"measured basis {record.basis!r} sums to {total!r}, expected 1"
         )
-    values = anchor_eigenvalues(family, record.basis) * (walsh(dim) @ probs)
+    values = pauli_expectations(family, record.basis, probs)
     return values, stabilizer_table(field, record.basis).types
-
-
-def _pi_operator(n: int, coords: np.ndarray) -> np.ndarray:
-    """2^-n sum_P coords[type(P)] P over all Pauli strings P.
-
-    No Pauli matrix is formed: entry (r, r ^ b) collects
-    sum_a coords[type(a, b)] (-i)^|a & b| (-1)^|a & r|, one Walsh transform
-    over the Z mask a for every X mask b.
-    """
-    dim = 1 << n
-    masks = np.arange(dim)
-    z, x = masks[None, :], masks[:, None]  # table[x, z]
-    table = coords[pauli_types(n, z, x)] * pauli_phase(n, z, x)
-    rho = np.empty((dim, dim), dtype=complex)
-    rho[z, z ^ x] = table @ walsh(dim) / dim
-    return rho
 
 
 def _project_to_simplex(values: np.ndarray) -> np.ndarray:
@@ -485,21 +463,15 @@ def _project_to_simplex(values: np.ndarray) -> np.ndarray:
 
 
 def project_physical(rho_hat: np.ndarray) -> np.ndarray:
-    """Nearest physical PI state: eigenvalue simplex projection, then twirl.
+    """Frobenius-nearest PI density matrix: twirl, then simplex projection of the spectrum.
 
-    The twirl is a convex combination of unitary conjugations, so it cannot
-    push the spectrum below zero; the second pass is a guard that documents
-    that argument at runtime.
+    The twirl is the orthogonal projector onto PI operators, so the nearest
+    PI state is the nearest state to the twirled estimate.  The simplex step
+    (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)) keeps the
+    eigenvectors, so it commutes with every qubit permutation.
     """
-    herm = (rho_hat + rho_hat.conj().T) / 2.0
-    for _ in range(2):
-        evals, evecs = np.linalg.eigh(herm)
-        clipped = _project_to_simplex(evals)
-        herm = twirl((evecs * clipped) @ evecs.conj().T)
-        herm = (herm + herm.conj().T) / 2.0
-        if np.linalg.eigvalsh(herm).min() >= -1e-12:
-            return herm
-    raise AssertionError("twirling re-introduced a negative eigenvalue")
+    evals, evecs = np.linalg.eigh(twirl((rho_hat + rho_hat.conj().T) / 2.0))
+    return (evecs * _project_to_simplex(evals)) @ evecs.conj().T
 
 
 # ----------------------------------------------------------------------

@@ -260,6 +260,23 @@ def test_identity_check_on_random_mixed_state():
     assert np.abs(reconstruct_identity_check(fam, rho) - rho).max() < 1e-10
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_identity_check_matches_dense_projector_sum(n):
+    # oracle: sum_(k,nu) Tr(rho P) P - identity with every dense projector,
+    # on a Ginibre state that is not PI
+    f = field(n)
+    fam = family(n)
+    rho = random_density_matrix(f.size, seed=90 + n)
+    dense = -np.eye(f.size, dtype=complex)
+    for label in fam.labels():
+        v = fam.basis(label)
+        probs = np.einsum("ik,ij,jk->k", v.conj(), rho, v).real
+        dense += (v * probs) @ v.conj().T
+    out = reconstruct_identity_check(fam, rho)
+    assert np.abs(out - dense).max() <= 1e-12
+    assert np.abs(out - rho).max() <= 1e-12
+
+
 # ----------------------------------------------------------------------
 # Swap covariance
 # ----------------------------------------------------------------------

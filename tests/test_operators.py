@@ -125,6 +125,18 @@ def test_fourier_is_real_symmetric_involution(n):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
+def test_fourier_matches_trace_definition(n):
+    # oracle: F[nu, nu'] = 2^(-n/2) (-1)^tr(nu nu') by field multiplication
+    f = field(n)
+    elems = [f.from_index(i) for i in range(f.size)]
+    signs = np.empty((f.size, f.size))
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            signs[i, j] = -1.0 if (a * b).trace() else 1.0
+    assert np.array_equal(fourier(f), signs.astype(complex) / np.sqrt(f.size))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
 def test_fourier_equals_hadamard_tensor_power(n):
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     expected = np.array([[1.0]])

@@ -13,9 +13,9 @@ from pimub.errors import (
     MissingBasisError,
     NotNormalizedError,
 )
-from pimub.mub import BasisLabel, stabilizer_points
+from pimub.mub import BasisLabel, MubFamily, reconstruct_identity_check, stabilizer_points
 from pimub.operators import build_x, build_z, is_density_matrix, permutation_matrix
-from pimub.orbits import minimal_bases
+from pimub.orbits import LabelPoint, expand_probabilities, minimal_bases
 from pimub.tomography import (
     PIStateSpec,
     dicke_state,
@@ -38,7 +38,7 @@ from pimub.tomography import (
     twirl,
     unmeasured_pi_types,
 )
-from pimub.tomography import _stabilizer_expectations
+from pimub.tomography import _project_to_simplex, _stabilizer_expectations
 
 from conftest import family, field, orbit_table
 
@@ -439,6 +439,62 @@ def test_orbit_expansion_modes_remain_biased_for_three_qubits():
         assert trace_distance(rho, rho_hat) > 1e-3
 
 
+def _dense_orbit_sum(records, table, fam, mode):
+    """Oracle: sum_(k,nu) p_(nu,k) P_(nu,k) - identity over the expanded
+    orbit values, with every family basis expanded to a dense matrix."""
+    f = fam.field
+    measured = {
+        LabelPoint(f.element(bits), rec.basis): p
+        for rec in records
+        for bits, p in rec.frequencies().items()
+    }
+    expanded = expand_probabilities(measured, table, mode=mode)
+    rho = -np.eye(f.size, dtype=complex)
+    for label in fam.labels():
+        v = fam.basis(label)
+        probs = [expanded[LabelPoint(f.from_index(i), label)] for i in range(f.size)]
+        rho += (v * probs) @ v.conj().T
+    return rho, expanded
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("mode", ("representative", "average"))
+def test_orbit_modes_match_dense_projector_sum(n, mode):
+    f = field(n)
+    fam = family(n)
+    table = orbit_table(n)
+    rho = random_pi_state(PIStateSpec.twirl(n, seed=20 + n))
+    exact = exact_probabilities(rho, fam, minimal_bases(f))
+    sampled = [sample_counts(r, shots=1000, seed=i) for i, r in enumerate(exact)]
+    worst_total = 0.0
+    for records in (exact, sampled):
+        dense, expanded = _dense_orbit_sum(records, table, fam, mode)
+        assert np.abs(reconstruct(records, table, fam, mode=mode) - dense).max() <= 1e-12
+        totals = {}
+        for point, p in expanded.items():
+            totals[point.basis] = totals.get(point.basis, 0.0) + p
+        worst_total = max(worst_total, max(abs(t - 1.0) for t in totals.values()))
+    # the representative expansion need not sum to one on unmeasured bases,
+    # so the identity coefficient is not a fixed 2^n + 1 - 2^n
+    if mode == "representative" and n >= 3:
+        assert worst_total > 1e-3
+
+
+def test_estimators_never_expand_a_basis(monkeypatch):
+    def refuse(self, label):
+        raise AssertionError(f"basis {label!r} expanded")
+
+    monkeypatch.setattr(MubFamily, "basis", refuse)
+    f = field(3)
+    fam = family(3)
+    rho = random_pi_state(PIStateSpec.twirl(3, seed=31))
+    exact = exact_probabilities(rho, fam, minimal_bases(f))
+    sampled = [sample_counts(r, shots=1000, seed=i) for i, r in enumerate(exact)]
+    for mode in ("pi-subspace", "representative", "average"):
+        project_physical(reconstruct(sampled, orbit_table(3), fam, mode=mode))
+    assert np.abs(reconstruct_identity_check(fam, rho) - rho).max() < 1e-12
+
+
 def test_reconstruct_rejects_unknown_mode_and_unnormalized_records():
     f = field(2)
     fam = family(2)
@@ -469,6 +525,21 @@ def test_projection_clips_and_renormalizes():
     evals = np.linalg.eigvalsh(out)
     assert evals.min() >= -1e-14
     assert abs(evals.sum() - 1.0) < 1e-12
+
+
+def test_projection_is_the_nearest_pi_state_for_non_pi_input():
+    # twirl-then-clip is the Frobenius-nearest PI state; clip-then-twirl is
+    # PI and physical too, but farther away when the input is not PI
+    rng = np.random.default_rng(17)
+    g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    herm = random_density_matrix(8, seed=17) + 0.2 * (g + g.conj().T)
+    assert not is_permutation_invariant(herm)
+    out = project_physical(herm)
+    assert is_density_matrix(out, herm_tol=1e-12, trace_tol=1e-12)
+    assert is_permutation_invariant(out, tol=1e-12)
+    evals, evecs = np.linalg.eigh(herm)
+    clip_then_twirl = twirl((evecs * _project_to_simplex(evals)) @ evecs.conj().T)
+    assert np.linalg.norm(out - herm) < np.linalg.norm(clip_then_twirl - herm) - 1e-6
 
 
 def test_noisy_reconstruction_projects_to_a_physical_pi_state():
