@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import NotNormalizedError, SchemaError
 from .gf2n import Field, FieldElement
 from .operators import (pauli_operator, pauli_phase, pauli_types, permute_label, popcounts,
                         swap_index, walsh)
@@ -369,6 +369,19 @@ def pauli_expectations(family: MubFamily, label: BasisLabel, probs: np.ndarray) 
     Walsh transform of the distribution.  Row 0, the identity, is its total.
     """
     return anchor_eigenvalues(family, label) * (walsh(family.field.size) @ probs)
+
+
+_SUM_TOL = 1e-9  # how far a measured distribution may sit off the simplex
+
+
+def check_distributions(labels, probs: np.ndarray) -> None:
+    """Raise ``NotNormalizedError`` unless each row sums to 1 with no entry below 0, within 1e-9."""
+    # row i is the distribution of labels[i]; a NaN or infinite entry fails the sum test
+    for label, total, low in zip(labels, probs.sum(axis=1).tolist(), probs.min(axis=1).tolist()):
+        if not abs(total - 1.0) <= _SUM_TOL:
+            raise NotNormalizedError(f"measured basis {label!r} sums to {total!r}, expected 1")
+        if low < -_SUM_TOL:
+            raise NotNormalizedError(f"measured basis {label!r} has an entry {low!r} below 0")
 
 
 def family_operator(family: MubFamily, distributions: dict) -> np.ndarray:

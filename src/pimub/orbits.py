@@ -10,7 +10,9 @@ of its four column types, and (|mu|, |nu|, |mu + nu|) determine those counts:
 c11 = (|mu| + |nu| - |mu + nu|) / 2, c10 = |mu| - c11, c01 = |nu| - c11.  On
 the computational and vertical bases the orbit of nu is its weight class.
 ``enumerate_orbits`` groups the label points by that key; the tests check it
-against the union-find closure of the transposition action.
+against the union-find closure of the transposition action, and stores each
+point's orbit id in the integer array ``OrbitTable.ids``, which is all that
+``expand_probabilities`` reads.
 
 For permutationally invariant states the probabilities attached to the
 points of one orbit coincide whenever the swap action closes on the basis
@@ -30,14 +32,14 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
-from .errors import MissingOrbitError, NotNormalizedError
+import numpy as np
+
+from .errors import MissingOrbitError
 from .gf2n import Field, FieldElement
-from .mub import BasisLabel, family_labels, vertical_label
+from .mub import BasisLabel, check_distributions, family_labels, vertical_label
 from .operators import permute_label
-
-_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -63,17 +65,25 @@ class Orbit:
         return len(self.members)
 
 
+def _row(basis: BasisLabel, size: int) -> int:
+    """Row of a basis in ``OrbitTable.ids``: the slope bits, ``size`` for vertical."""
+    return size if basis.is_vertical else basis.slope.bits
+
+
 @dataclass(frozen=True)
 class OrbitTable:
+    """Orbits; read-only ``ids[row, nu bits]`` is the orbit id of (nu, labels[row]).
+
+    ``labels`` is in ``family_labels`` order, so row-major is label-key order.
+    """
+
     n: int
     orbits: tuple[Orbit, ...]
-    _index: dict  # LabelPoint -> orbit_id
+    labels: tuple[BasisLabel, ...]
+    ids: np.ndarray = dataclass_field(compare=False)
 
     def orbit_of(self, point: LabelPoint) -> Orbit:
-        return self.orbits[self._index[point]]
-
-    def representative_of(self, point: LabelPoint) -> LabelPoint:
-        return self.orbit_of(point).representative
+        return self.orbits[self.ids[_row(point.basis, 1 << self.n), point.nu.bits]]
 
     @property
     def total_points(self) -> int:
@@ -82,11 +92,9 @@ class OrbitTable:
 
 def orbit_invariants(point: LabelPoint) -> tuple[int, ...]:
     """Weight invariants: (|mu|, |nu|, |mu + nu|) for a slope, (|nu|,) otherwise."""
-    if point.basis.is_vertical:
+    if _kind(point.basis) != "slope":
         return (point.nu.weight,)
     mu = point.basis.slope
-    if mu.bits == 0:
-        return (point.nu.weight,)
     return (mu.weight, point.nu.weight, (mu + point.nu).weight)
 
 
@@ -122,15 +130,20 @@ def enumerate_orbits(field: Field) -> OrbitTable:
     representatives' order.
     """
     groups: dict[tuple, list[LabelPoint]] = {}
+    orbit_ids: dict[tuple, int] = {}
+    ids = []
     for point in all_label_points(field):
-        groups.setdefault((_kind(point.basis), orbit_invariants(point)), []).append(point)
+        key = (_kind(point.basis), orbit_invariants(point))
+        groups.setdefault(key, []).append(point)
+        ids.append(orbit_ids.setdefault(key, len(orbit_ids)))
     orbits = tuple(
         Orbit(orbit_id=i, representative=members[0], members=tuple(members),
               invariants=invariants)
         for i, ((_, invariants), members) in enumerate(groups.items())
     )
-    index = {m: o.orbit_id for o in orbits for m in o.members}
-    return OrbitTable(n=field.n, orbits=orbits, _index=index)
+    ids = np.array(ids).reshape(field.size + 1, field.size)
+    ids.flags.writeable = False
+    return OrbitTable(n=field.n, orbits=orbits, labels=tuple(family_labels(field)), ids=ids)
 
 
 def s_range(m: int, l: int, n: int) -> list[int]:
@@ -176,74 +189,62 @@ def closed_form_orbit_count(n: int) -> int:
 # ----------------------------------------------------------------------
 
 def expand_probabilities(
-    measured: dict,
+    distributions: dict,
     table: OrbitTable,
     mode: str = "representative",
 ) -> dict:
-    """Propagate measured probabilities to every label point of the family.
+    """Propagate measured distributions to every basis of the family.
 
-    ``measured`` maps LabelPoint -> probability and must contain full
-    distributions for the measured bases (each summing to one within 1e-9).
+    ``distributions`` maps each measured ``BasisLabel`` to its probabilities
+    indexed by the bits of nu; they must pass ``mub.check_distributions``.
     Every orbit must own at least one measured point.  ``mode`` selects what
     value an orbit carries when several of its points were measured:
     ``"representative"`` takes the measured point with the smallest label
-    key, ``"average"`` takes the mean.
+    key, ``"average"`` takes the mean.  Returns the same format for every
+    label of ``table.labels``, in that order.
     """
     if mode not in ("representative", "average"):
         raise ValueError(f"unknown expansion mode: {mode!r}")
 
-    by_basis: dict[BasisLabel, float] = {}
-    for point, prob in measured.items():
-        by_basis[point.basis] = by_basis.get(point.basis, 0.0) + prob
-    for basis, total in sorted(by_basis.items(), key=lambda kv: kv[0].sort_key()):
-        if abs(total - 1.0) > _SUM_TOL:
-            raise NotNormalizedError(
-                f"measured basis {basis!r} sums to {total!r}, expected 1"
-            )
+    measured = sorted(distributions, key=BasisLabel.sort_key)
+    size = 1 << table.n
+    values = np.array([distributions[label] for label in measured], dtype=float).reshape(-1, size)
+    check_distributions(measured, values)
+    # rows in label-key order, so the flattened points are in label-key order
+    ids = table.ids[[_row(label, size) for label in measured]].ravel()
+    values = values.ravel()
 
-    orbit_value: dict[int, float] = {}
-    for orbit in table.orbits:
-        hits = [m for m in orbit.members if m in measured]
-        if not hits:
-            raise MissingOrbitError(
-                f"orbit {orbit.orbit_id} (invariants {orbit.invariants}) "
-                "has no measured representative"
-            )
-        if mode == "average":
-            orbit_value[orbit.orbit_id] = sum(measured[h] for h in hits) / len(hits)
-        else:
-            orbit_value[orbit.orbit_id] = measured[min(hits, key=LabelPoint.sort_key)]
-
-    return {
-        member: orbit_value[orbit.orbit_id]
-        for orbit in table.orbits
-        for member in orbit.members
-    }
+    hits = np.bincount(ids, minlength=len(table.orbits))
+    if not hits.all():
+        orbit = table.orbits[int(np.argmin(hits))]
+        raise MissingOrbitError(
+            f"orbit {orbit.orbit_id} (invariants {orbit.invariants}) "
+            "has no measured representative"
+        )
+    if mode == "average":
+        orbit_value = np.bincount(ids, values, minlength=len(table.orbits)) / hits
+    else:
+        orbit_value = values[np.unique(ids, return_index=True)[1]]
+    return dict(zip(table.labels, orbit_value[table.ids]))
 
 
 # ----------------------------------------------------------------------
 # Exports
 # ----------------------------------------------------------------------
 
+_COLUMNS = ("orbit_id", "basis_label", "nu_bitmask", "m", "l", "s", "orbit_size")
+
+
 def _basis_csv_label(basis: BasisLabel) -> str:
     return "vertical" if basis.is_vertical else f"slope:{basis.slope.bits}"
 
 
 def orbit_table_to_json(table: OrbitTable) -> dict:
-    rows = []
-    for orbit in table.orbits:
-        m, l, s = _mls(orbit)
-        rows.append(
-            {
-                "orbit_id": orbit.orbit_id,
-                "basis_label": _basis_csv_label(orbit.representative.basis),
-                "nu_bitmask": orbit.representative.nu.bits,
-                "m": m,
-                "l": l,
-                "s": s,
-                "orbit_size": orbit.size,
-            }
-        )
+    rows = [
+        dict(zip(_COLUMNS, (orbit.orbit_id, _basis_csv_label(orbit.representative.basis),
+                            orbit.representative.nu.bits, *_mls(orbit), orbit.size)))
+        for orbit in table.orbits
+    ]
     return {
         "n": table.n,
         "orbit_count": len(table.orbits),
@@ -256,39 +257,35 @@ def orbit_table_to_json(table: OrbitTable) -> dict:
 
 
 def _mls(orbit: Orbit) -> tuple:
-    rep = orbit.representative
-    if rep.basis.is_vertical or rep.basis.slope.bits == 0:
-        l = orbit.invariants[0]
-        return (0, l, l)
-    return orbit.invariants
+    if _kind(orbit.representative.basis) == "slope":
+        return orbit.invariants
+    l = orbit.invariants[0]
+    return (0, l, l)
 
 
 def orbit_table_to_csv(table: OrbitTable) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["orbit_id", "basis_label", "nu_bitmask", "m", "l", "s", "orbit_size"])
+    writer.writerow(_COLUMNS)
     for row in orbit_table_to_json(table)["orbits"]:
-        writer.writerow([row["orbit_id"], row["basis_label"], row["nu_bitmask"],
-                         row["m"], row["l"], row["s"], row["orbit_size"]])
+        writer.writerow(row.values())
     return buf.getvalue()
 
 
 def orbit_report(table: OrbitTable) -> str:
     """Human-readable (m, l, s, #) table plus the closed-form comparison."""
+    obj = orbit_table_to_json(table)
     lines = [f"orbit classes for n={table.n}"]
     header = f"{'kind':<14}{'m':>3}{'l':>3}{'s':>3}{'#':>4}"
     lines.append(header)
     lines.append("-" * len(header))
-    for orbit in table.orbits:
-        kind = _kind(orbit.representative.basis)
-        m, l, s = _mls(orbit)
-        lines.append(f"{kind:<14}{m:>3}{l:>3}{s:>3}{orbit.size:>4}")
-    enumerated = len(table.orbits)
-    closed = closed_form_orbit_count(table.n)
-    lines.append(f"orbits enumerated: {enumerated}, total points: {table.total_points}")
-    lines.append(f"independent probabilities: {enumerated - (table.n + 2)}")
-    lines.append(f"closed-form estimate: {closed}")
-    if closed != enumerated:
+    for orbit, row in zip(table.orbits, obj["orbits"]):
+        lines.append(f"{_kind(orbit.representative.basis):<14}"
+                     f"{row['m']:>3}{row['l']:>3}{row['s']:>3}{row['orbit_size']:>4}")
+    lines.append(f"orbits enumerated: {obj['orbit_count']}, total points: {obj['total_points']}")
+    lines.append(f"independent probabilities: {obj['independent_count']}")
+    lines.append(f"closed-form estimate: {obj['closed_form_count']}")
+    if not obj["closed_form_matches"]:
         lines.append(
             "WARNING: closed-form estimate disagrees with the enumerated count; "
             "the enumeration is authoritative"

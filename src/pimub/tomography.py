@@ -9,6 +9,7 @@ measurements in the MUB family exactly or with multinomial shot noise,
 inverts measured probabilities back to a density matrix, and projects noisy
 estimates to the physical PI set.
 
+Every inversion reads records through one gate, ``_distributions``.
 Both directions of the measurement map go through one cached table per
 basis, ``mub.stabilizer_table``: the 2^n Pauli strings, identity included,
 that the basis diagonalizes.  Simulation reads their expectations off the
@@ -43,7 +44,6 @@ from .errors import (
     DimensionOverflowError,
     InvalidSpinError,
     MissingBasisError,
-    NotNormalizedError,
     SchemaError,
 )
 from .gf2n import Field
@@ -51,16 +51,16 @@ from .mub import (
     BasisLabel,
     MubFamily,
     born_probabilities,
+    check_distributions,
     family_operator,
     label_from_json,
     pauli_expectations,
     stabilizer_table,
 )
 from .operators import pauli_operator, pauli_types, pi_types, swap_index
-from .orbits import LabelPoint, OrbitTable, expand_probabilities, minimal_bases
+from .orbits import OrbitTable, expand_probabilities, minimal_bases
 
 _TWIRL_MAX_N = 8
-_SUM_TOL = 1e-9  # the normalization gate of the orbit expansion
 
 
 # ----------------------------------------------------------------------
@@ -316,7 +316,7 @@ def exact_probabilities(rho: np.ndarray, family: MubFamily, bases) -> list[Measu
 
     They come through the basis's stabilizer table (``mub.born_probabilities``):
     the expectations of the 2^n - 1 Pauli strings it diagonalizes, Walsh
-    transformed over the ray, the inverse of ``_stabilizer_expectations``.
+    transformed over the ray, the inverse of ``mub.pauli_expectations``.
     """
     n = family.field.n
     return [
@@ -376,34 +376,46 @@ def reconstruct(
     Qubit swaps do not map the family to itself for n >= 3, so this is exact
     only for n <= 2.
 
-    No physicality projection is applied here.
+    An outcome a record omits has probability 0.  No physicality projection
+    is applied here.
     """
     field = family.field
-    provided = {record.basis for record in records}
-    missing = [b for b in minimal_bases(field) if b not in provided]
+    distributions = _distributions(records, field)
+    missing = [b for b in minimal_bases(field) if b not in distributions]
     if missing:
         raise MissingBasisError(f"records missing required bases: {missing}")
 
     if mode == PI_SUBSPACE:
         count = len(pi_types(field.n))
         sums, hits = np.zeros(count), np.zeros(count)
-        for record in records:
-            values, types = _stabilizer_expectations(record, family)
-            np.add.at(sums, types, values)
+        for label, probs in distributions.items():
+            types = stabilizer_table(field, label).types
+            np.add.at(sums, types, pauli_expectations(family, label, probs))
             np.add.at(hits, types, 1)
         coords = np.divide(sums, hits, out=np.zeros(count), where=hits > 0)
         masks = np.arange(field.size)
         return pauli_operator(field.n, coords[pauli_types(field.n, masks, masks[:, None])])
 
-    measured: dict[LabelPoint, float] = {}
-    for record in records:
-        for bits, p in record.frequencies().items():
-            measured[LabelPoint(field.element(bits), record.basis)] = p
+    return family_operator(family, expand_probabilities(distributions, table, mode))
 
-    distributions = {label: np.zeros(field.size) for label in family.labels()}
-    for point, p in expand_probabilities(measured, table, mode=mode).items():
-        distributions[point.basis][point.nu.bits] = p
-    return family_operator(family, distributions)
+
+def _distributions(records, field: Field) -> dict:
+    """The one record gate: {basis label: probabilities by the bits of nu}, omitted ones 0."""
+    labels = [record.basis for record in records]
+    probs = np.zeros((len(labels), field.size))
+    for row, record in zip(probs, records):
+        freqs = record.frequencies()
+        keys = np.fromiter(freqs, dtype=int, count=len(freqs))
+        outside = (keys < 0) | (keys >= field.size)
+        if outside.any():
+            raise ValueError(f"bits out of range for n={field.n}: {keys[outside][0]}")
+        row[keys] = list(freqs.values())
+    distributions = dict(zip(labels, probs))
+    if len(distributions) < len(labels):
+        twice = next(label for i, label in enumerate(labels) if label in labels[:i])
+        raise SchemaError(f"basis {twice!r} is recorded more than once")
+    check_distributions(labels, probs)
+    return distributions
 
 
 # ----------------------------------------------------------------------
@@ -426,29 +438,6 @@ def unmeasured_pi_types(field: Field, bases) -> list[tuple[int, int, int]]:
     for label in bases:
         seen.update(stabilizer_table(field, label).types.tolist())
     return [t for i, t in enumerate(pi_types(field.n)) if i not in seen]
-
-
-def _stabilizer_expectations(record: MeasurementRecord, family: MubFamily):
-    """Expectations of the Pauli strings a measured basis diagonalizes, and their types.
-
-    Row alpha belongs to ray parameter alpha (``mub.stabilizer_table``).
-    """
-    field = family.field
-    dim = field.size
-    freqs = record.frequencies()
-    keys = np.fromiter(freqs, dtype=int, count=len(freqs))
-    outside = (keys < 0) | (keys >= dim)
-    if outside.any():
-        raise ValueError(f"bits out of range for n={field.n}: {keys[outside][0]}")
-    probs = np.zeros(dim)
-    probs[keys] = list(freqs.values())
-    total = probs.sum()
-    if abs(total - 1.0) > _SUM_TOL:
-        raise NotNormalizedError(
-            f"measured basis {record.basis!r} sums to {total!r}, expected 1"
-        )
-    values = pauli_expectations(family, record.basis, probs)
-    return values, stabilizer_table(field, record.basis).types
 
 
 def _project_to_simplex(values: np.ndarray) -> np.ndarray:

@@ -228,6 +228,29 @@ def test_reconstruct_rejects_out_of_range_nu_bitmask(tmp_path):
     assert "99" in err["message"]
 
 
+@pytest.mark.parametrize("mode", ("pi-subspace", "representative", "average"))
+@pytest.mark.parametrize("bad", ("nan", "inf", "pair", "duplicate"))
+def test_reconstruct_rejects_invalid_records_as_json(tmp_path, capsys, mode, bad):
+    records = tmp_path / "records.json"
+    assert run_cli("simulate", "--n", "3", "--seed", "1", "--exact", "--out", str(records)) == 0
+    payload = json.loads(records.read_text())
+    data = payload["records"][1]["data"]
+    low = min(data, key=lambda item: item["p"])
+    if bad == "duplicate":
+        payload["records"].append(payload["records"][1])
+    elif bad == "pair":
+        next(item for item in data if item is not low)["p"] += 0.5
+        low["p"] -= 0.5
+    else:
+        low["p"] = float(bad)
+    records.write_text(json.dumps(payload))
+    code = run_cli("reconstruct", "--records", str(records), "--mode", mode, "--project")
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == ("schema" if bad == "duplicate" else "not-normalized")
+    assert "np.float64" not in err["message"]
+
+
 def test_simulate_rejects_dimension_mismatch(tmp_path, capsys):
     state = tmp_path / "state.json"
     state.write_text(json.dumps(matrix_to_json(np.eye(8) / 8)))

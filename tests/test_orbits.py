@@ -10,6 +10,7 @@ from pimub.orbits import (
     all_label_points,
     closed_form_orbit_count,
     expand_probabilities,
+    enumerate_orbits,
     independent_count,
     minimal_bases,
     orbit_invariants,
@@ -24,6 +25,7 @@ from pimub.tomography import (
     exact_probabilities,
     independent_parameter_count,
     random_pi_state,
+    sample_counts,
 )
 
 from conftest import family, field, orbit_table
@@ -166,6 +168,22 @@ def test_weight_key_table_equals_union_find_closure(n):
         assert all(table.orbit_of(m) is orbit for m in orbit.members)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_orbit_ids_follow_the_members(n):
+    table = orbit_table(n)
+    assert table.ids.shape == (2**n + 1, 2**n)
+    assert not table.ids.flags.writeable
+    assert list(table.labels) == family(n).labels()
+    for orbit in table.orbits:
+        for m in orbit.members:
+            assert table.ids[table.labels.index(m.basis), m.nu.bits] == orbit.orbit_id
+
+
+def test_orbit_tables_compare_by_their_orbits():
+    assert enumerate_orbits(field(3)) == enumerate_orbits(field(3))
+    assert enumerate_orbits(field(3)) != enumerate_orbits(field(2))
+
+
 @pytest.mark.parametrize("n", range(2, 5))
 def test_generators_map_members_to_members(n):
     table = orbit_table(n)
@@ -251,12 +269,45 @@ def test_closed_form_count_disagrees_by_one(n):
 # Probability expansion
 # ----------------------------------------------------------------------
 
-def _measured_map(f, records):
-    return {
-        LabelPoint(f.element(bits), rec.basis): p
-        for rec in records
-        for bits, p in rec.frequencies().items()
-    }
+def _distributions(records):
+    """{basis label: probabilities indexed by the bits of nu}."""
+    out = {}
+    for rec in records:
+        probs = np.zeros(1 << rec.n)
+        for bits, p in rec.frequencies().items():
+            probs[bits] = p
+        out[rec.basis] = probs
+    return out
+
+
+def _member_expansion(measured, table, mode):
+    """Oracle: each orbit's value taken point by point over its sorted members."""
+    out = {label: np.full(1 << table.n, np.nan) for label in table.labels}
+    for orbit in table.orbits:
+        hits = [measured[m.basis][m.nu.bits] for m in orbit.members if m.basis in measured]
+        value = hits[0] if mode == "representative" else sum(hits) / len(hits)
+        for m in orbit.members:
+            out[m.basis][m.nu.bits] = value
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("mode", ("representative", "average"))
+def test_expansion_matches_the_member_oracle(n, mode):
+    # sampled records on more than the minimal bases, so orbits hold
+    # several measured points that disagree
+    f = field(n)
+    fam = family(n)
+    rho = random_pi_state(PIStateSpec.twirl(n, seed=40 + n))
+    bases = minimal_bases(f) + [label for label in fam.labels() if label not in minimal_bases(f)][:3]
+    records = [sample_counts(r, shots=500, seed=i)
+               for i, r in enumerate(exact_probabilities(rho, fam, bases))]
+    measured = _distributions(records)
+    expanded = expand_probabilities(measured, orbit_table(n), mode=mode)
+    oracle = _member_expansion(measured, orbit_table(n), mode)
+    assert list(expanded) == list(oracle)
+    for label in oracle:
+        assert np.array_equal(expanded[label], oracle[label])
 
 
 def test_expansion_of_maximally_mixed_is_uniform():
@@ -264,9 +315,9 @@ def test_expansion_of_maximally_mixed_is_uniform():
     fam = family(2)
     rho = np.eye(4, dtype=complex) / 4.0
     records = exact_probabilities(rho, fam, minimal_bases(f))
-    expanded = expand_probabilities(_measured_map(f, records), orbit_table(2))
-    assert len(expanded) == 20
-    assert all(abs(p - 0.25) < 1e-12 for p in expanded.values())
+    expanded = expand_probabilities(_distributions(records), orbit_table(2))
+    assert sum(len(probs) for probs in expanded.values()) == 20
+    assert all(abs(p - 0.25) < 1e-12 for probs in expanded.values() for p in probs)
 
 
 def test_expansion_propagates_across_the_two_qubit_slope_pair():
@@ -274,11 +325,11 @@ def test_expansion_propagates_across_the_two_qubit_slope_pair():
     fam = family(2)
     rho = random_pi_state(PIStateSpec.twirl(2, seed=12))
     records = exact_probabilities(rho, fam, minimal_bases(f))
-    measured = _measured_map(f, records)
+    measured = _distributions(records)
     expanded = expand_probabilities(measured, orbit_table(2))
     theta1, theta2 = f.element(0b01), f.element(0b10)
-    source = measured[LabelPoint(theta2, BasisLabel(theta1))]
-    target = expanded[LabelPoint(theta1, BasisLabel(theta2))]
+    source = measured[BasisLabel(theta1)][theta2.bits]
+    target = expanded[BasisLabel(theta2)][theta1.bits]
     assert abs(source - target) < 1e-15
 
 
@@ -288,11 +339,12 @@ def test_expansion_agrees_with_direct_probabilities_for_two_qubits():
     table = orbit_table(2)
     for seed in range(5):
         rho = random_pi_state(PIStateSpec.twirl(2, seed=seed))
-        measured = _measured_map(f, exact_probabilities(rho, fam, minimal_bases(f)))
+        measured = _distributions(exact_probabilities(rho, fam, minimal_bases(f)))
         expanded = expand_probabilities(measured, table)
-        direct = _measured_map(f, exact_probabilities(rho, fam, fam.labels()))
-        for point, p in expanded.items():
-            assert abs(p - direct[point]) < 1e-10
+        direct = _distributions(exact_probabilities(rho, fam, fam.labels()))
+        assert list(expanded) == fam.labels()
+        for label, probs in expanded.items():
+            assert np.abs(probs - direct[label]).max() < 1e-10
 
 
 def test_expansion_deviates_from_direct_probabilities_for_three_qubits():
@@ -306,15 +358,12 @@ def test_expansion_deviates_from_direct_probabilities_for_three_qubits():
     f = field(3)
     fam = family(3)
     rho = random_pi_state(PIStateSpec.twirl(3, seed=0))
-    measured = _measured_map(f, exact_probabilities(rho, fam, minimal_bases(f)))
+    measured = _distributions(exact_probabilities(rho, fam, minimal_bases(f)))
     expanded = expand_probabilities(measured, orbit_table(3))
-    direct = _measured_map(f, exact_probabilities(rho, fam, fam.labels()))
-    worst = max(abs(p - direct[point]) for point, p in expanded.items())
+    direct = _distributions(exact_probabilities(rho, fam, fam.labels()))
+    worst = max(np.abs(probs - direct[label]).max() for label, probs in expanded.items())
     assert worst > 1e-3
-    sums = [
-        abs(sum(expanded[LabelPoint(f.element(b), label)] for b in range(8)) - 1.0)
-        for label in fam.labels()
-    ]
+    sums = [abs(sum(expanded[label][b] for b in range(8)) - 1.0) for label in fam.labels()]
     assert max(sums) > 1e-3
 
 
@@ -322,11 +371,11 @@ def test_expansion_modes_average_vs_representative():
     f = field(2)
     fam = family(2)
     rho = random_pi_state(PIStateSpec.twirl(2, seed=5))
-    measured = _measured_map(f, exact_probabilities(rho, fam, minimal_bases(f)))
+    measured = _distributions(exact_probabilities(rho, fam, minimal_bases(f)))
     rep = expand_probabilities(measured, orbit_table(2), mode="representative")
     avg = expand_probabilities(measured, orbit_table(2), mode="average")
     # exact inputs: both modes agree
-    assert all(abs(rep[k] - avg[k]) < 1e-12 for k in rep)
+    assert all(np.abs(rep[k] - avg[k]).max() < 1e-12 for k in rep)
     with pytest.raises(ValueError):
         expand_probabilities(measured, orbit_table(2), mode="median")
 
@@ -337,10 +386,10 @@ def test_expansion_per_basis_sums_for_exact_inputs():
     f = field(2)
     fam = family(2)
     rho = random_pi_state(PIStateSpec.twirl(2, seed=9))
-    measured = _measured_map(f, exact_probabilities(rho, fam, minimal_bases(f)))
+    measured = _distributions(exact_probabilities(rho, fam, minimal_bases(f)))
     expanded = expand_probabilities(measured, orbit_table(2))
     for label in fam.labels():
-        total = sum(expanded[LabelPoint(f.element(b), label)] for b in range(4))
+        total = sum(expanded[label][b] for b in range(4))
         assert abs(total - 1.0) < 1e-9
 
 
@@ -351,17 +400,20 @@ def test_expansion_missing_orbit_error():
     # drop the vertical basis: its orbits have no slope members
     records = exact_probabilities(rho, fam, minimal_bases(f)[:-1])
     with pytest.raises(MissingOrbitError):
-        expand_probabilities(_measured_map(f, records), orbit_table(2))
+        expand_probabilities(_distributions(records), orbit_table(2))
+    with pytest.raises(MissingOrbitError):
+        expand_probabilities({}, orbit_table(2))
 
 
 def test_expansion_not_normalized_error():
     f = field(2)
     fam = family(2)
     rho = np.eye(4, dtype=complex) / 4.0
-    measured = _measured_map(f, exact_probabilities(rho, fam, minimal_bases(f)))
+    measured = _distributions(exact_probabilities(rho, fam, minimal_bases(f)))
     broken = dict(measured)
-    point = LabelPoint(f.zero(), BasisLabel(f.zero()))
-    broken[point] = broken[point] + 0.1
+    label = BasisLabel(f.zero())
+    broken[label] = broken[label].copy()
+    broken[label][0] += 0.1
     with pytest.raises(NotNormalizedError):
         expand_probabilities(broken, orbit_table(2))
 

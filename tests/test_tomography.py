@@ -12,11 +12,19 @@ from pimub.errors import (
     InvalidSpinError,
     MissingBasisError,
     NotNormalizedError,
+    SchemaError,
 )
-from pimub.mub import BasisLabel, MubFamily, reconstruct_identity_check, stabilizer_points
+from pimub.mub import (
+    BasisLabel,
+    MubFamily,
+    pauli_expectations,
+    reconstruct_identity_check,
+    stabilizer_points,
+)
 from pimub.operators import build_x, build_z, is_density_matrix, permutation_matrix
 from pimub.orbits import LabelPoint, expand_probabilities, minimal_bases
 from pimub.tomography import (
+    RECONSTRUCT_MODES,
     PIStateSpec,
     dicke_state,
     exact_probabilities,
@@ -38,7 +46,7 @@ from pimub.tomography import (
     twirl,
     unmeasured_pi_types,
 )
-from pimub.tomography import _project_to_simplex, _stabilizer_expectations
+from pimub.tomography import _project_to_simplex
 
 from conftest import family, field, orbit_table
 
@@ -366,7 +374,8 @@ def test_stabilizer_expectations_match_direct_traces(n):
     fam = family(n)
     rho = random_density_matrix(f.size, seed=50 + n)
     for rec in exact_probabilities(rho, fam, fam.labels()):
-        values, _ = _stabilizer_expectations(rec, fam)
+        probs = np.array([rec.data[bits] for bits in range(f.size)])
+        values = pauli_expectations(fam, rec.basis, probs)
         for (alpha, beta), value in zip(stabilizer_points(f, rec.basis), values):
             phase = (-1j) ** (alpha.bits & beta.bits).bit_count()
             direct = (phase * np.trace(rho @ build_z(alpha) @ build_x(beta))).real
@@ -444,15 +453,14 @@ def _dense_orbit_sum(records, table, fam, mode):
     orbit values, with every family basis expanded to a dense matrix."""
     f = fam.field
     measured = {
-        LabelPoint(f.element(bits), rec.basis): p
+        rec.basis: np.array([rec.frequencies()[bits] for bits in range(f.size)])
         for rec in records
-        for bits, p in rec.frequencies().items()
     }
     expanded = expand_probabilities(measured, table, mode=mode)
     rho = -np.eye(f.size, dtype=complex)
     for label in fam.labels():
         v = fam.basis(label)
-        probs = [expanded[LabelPoint(f.from_index(i), label)] for i in range(f.size)]
+        probs = expanded[label][[f.bits_from_index(i) for i in range(f.size)]]
         rho += (v * probs) @ v.conj().T
     return rho, expanded
 
@@ -470,9 +478,7 @@ def test_orbit_modes_match_dense_projector_sum(n, mode):
     for records in (exact, sampled):
         dense, expanded = _dense_orbit_sum(records, table, fam, mode)
         assert np.abs(reconstruct(records, table, fam, mode=mode) - dense).max() <= 1e-12
-        totals = {}
-        for point, p in expanded.items():
-            totals[point.basis] = totals.get(point.basis, 0.0) + p
+        totals = {label: probs.sum() for label, probs in expanded.items()}
         worst_total = max(worst_total, max(abs(t - 1.0) for t in totals.values()))
     # the representative expansion need not sum to one on unmeasured bases,
     # so the identity coefficient is not a fixed 2^n + 1 - 2^n
@@ -504,6 +510,76 @@ def test_reconstruct_rejects_unknown_mode_and_unnormalized_records():
     records[1].data[0] += 0.1
     with pytest.raises(NotNormalizedError):
         reconstruct(records, orbit_table(2), fam)
+
+
+def test_estimators_never_hash_label_points(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"label point {self!r} hashed")
+
+    f = field(3)
+    fam = family(3)
+    table = orbit_table(3)
+    rho = random_pi_state(PIStateSpec.twirl(3, seed=33))
+    exact = exact_probabilities(rho, fam, minimal_bases(f))
+    sampled = [sample_counts(r, shots=1000, seed=i) for i, r in enumerate(exact)]
+    monkeypatch.setattr(LabelPoint, "__hash__", refuse)
+    for mode in RECONSTRUCT_MODES:
+        reconstruct(sampled, table, fam, mode=mode)
+
+
+def _three_qubit_records(seed=35):
+    """Exact minimal-basis records of a PI state, and the smallest outcome
+    of record 1 with another outcome of the same record."""
+    fam = family(3)
+    rho = random_pi_state(PIStateSpec.twirl(3, seed=seed))
+    records = exact_probabilities(rho, fam, minimal_bases(field(3)))
+    data = records[1].data
+    low = min(data, key=data.get)
+    return records, low, (low + 1) % 8
+
+
+@pytest.mark.parametrize("mode", RECONSTRUCT_MODES)
+@pytest.mark.parametrize("bad", ("nan", "inf", "-inf", "pair"))
+def test_reconstruct_rejects_non_finite_and_negative_entries(mode, bad):
+    records, low, other = _three_qubit_records()
+    data = records[1].data
+    if bad == "pair":
+        data[other] += 0.5
+        data[low] -= 0.5
+    else:
+        data[low] = float(bad)
+    with pytest.raises(NotNormalizedError) as info:
+        reconstruct(records, orbit_table(3), family(3), mode=mode)
+    assert "np.float64" not in str(info.value)
+
+
+@pytest.mark.parametrize("mode", RECONSTRUCT_MODES)
+def test_reconstruct_rejects_a_duplicated_basis(mode):
+    records, _, _ = _three_qubit_records()
+    with pytest.raises(SchemaError, match="more than once"):
+        reconstruct(records + records[1:2], orbit_table(3), family(3), mode=mode)
+
+
+@pytest.mark.parametrize("mode", RECONSTRUCT_MODES)
+def test_roundoff_below_zero_is_accepted(mode):
+    # exact records of pure and Dicke states hold entries down to about -3e-17
+    records, low, other = _three_qubit_records()
+    data = records[1].data
+    data[other] += data[low] + 1e-17
+    data[low] = -1e-17
+    assert np.isfinite(reconstruct(records, orbit_table(3), family(3), mode=mode)).all()
+
+
+@pytest.mark.parametrize("mode", RECONSTRUCT_MODES)
+def test_omitted_outcome_reads_as_zero(mode):
+    records, low, other = _three_qubit_records()
+    data = records[1].data
+    data[other] += data[low]
+    data[low] = 0.0
+    explicit = reconstruct(records, orbit_table(3), family(3), mode=mode)
+    del data[low]
+    omitted = reconstruct(records, orbit_table(3), family(3), mode=mode)
+    assert np.array_equal(omitted, explicit)
 
 
 # ----------------------------------------------------------------------
