@@ -92,6 +92,16 @@ def _load_json(path: str):
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
 
 
+def _read_state(obj, n: int) -> np.ndarray:
+    """A state from its matrix JSON: a 2^n x 2^n density matrix, else ``SchemaError``."""
+    rho = matrix_from_json(obj)
+    if rho.shape[0] != 1 << n:
+        raise SchemaError(f"state dimension {rho.shape[0]} does not match n={n}")
+    if not is_density_matrix(rho):
+        raise SchemaError("state is not Hermitian, positive semidefinite and of trace 1")
+    return rho
+
+
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
@@ -153,11 +163,7 @@ def _generated_state(n: int, method: str, seed: int) -> np.ndarray:
 def cmd_simulate(args) -> int:
     field = make_field(args.n)
     if args.state:
-        rho = matrix_from_json(_load_json(args.state))
-        if rho.shape[0] != field.size:
-            raise SchemaError(
-                f"state dimension {rho.shape[0]} does not match n={args.n}"
-            )
+        rho = _read_state(_load_json(args.state), args.n)
     else:
         rho = _generated_state(args.n, args.method, args.seed)
 
@@ -185,7 +191,7 @@ def cmd_reconstruct(args) -> int:
     try:
         n = int(payload["n"])
         record_objs = payload["records"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed records file: {exc}") from exc
     field = make_field(n)
     records = [record_from_json(field, obj) for obj in record_objs]
@@ -198,9 +204,9 @@ def cmd_reconstruct(args) -> int:
 
     truth = None
     if args.state:
-        truth = matrix_from_json(_load_json(args.state))
+        truth = _read_state(_load_json(args.state), n)
     elif payload.get("truth") is not None:
-        truth = matrix_from_json(payload["truth"])
+        truth = _read_state(payload["truth"], n)
 
     physical = is_density_matrix(rho_hat, herm_tol=1e-9, trace_tol=1e-9)
     report = {

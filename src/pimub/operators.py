@@ -232,8 +232,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     try:
         dim = int(obj["dim"])
         entries = obj["entries"]
-        if len(entries) != dim * dim:
-            raise ValueError
+        if dim < 1 or len(entries) != dim * dim:
+            raise ValueError(f"{len(entries)} entries for dim={dim}")
         flat = np.array([complex(re, im) for re, im in entries])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed matrix JSON: {exc}") from exc

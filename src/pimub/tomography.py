@@ -9,7 +9,11 @@ measurements in the MUB family exactly or with multinomial shot noise,
 inverts measured probabilities back to a density matrix, and projects noisy
 estimates to the physical PI set.
 
-Every inversion reads records through one gate, ``_distributions``.
+A measurement record holds its outcomes as one array indexed by the
+self-dual bits of nu, from simulation (``exact_probabilities``,
+``sample_counts``) to inversion; ``record_from_json`` is the one place an
+outcome key is read and range-checked.  Every inversion reads records
+through one gate, ``_distributions``.
 Both directions of the measurement map go through one cached table per
 basis, ``mub.stabilizer_table``: the 2^n Pauli strings, identity included,
 that the basis diagonalizes.  Simulation reads their expectations off the
@@ -288,27 +292,26 @@ def random_pi_state(spec: PIStateSpec) -> np.ndarray:
 # Measurement simulation
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementRecord:
     """Outcome distribution of one von Neumann measurement basis.
 
-    ``data`` maps the self-dual bitmask of nu to a probability (exact
-    record) or to an integer count (sampled record with ``shots`` set).
+    ``data`` holds one entry per outcome, indexed by the self-dual bitmask
+    of nu: 2^n probabilities (exact record) or integer counts (sampled
+    record with ``shots`` set).  Records compare by identity.
     """
 
     n: int
     basis: BasisLabel
-    data: dict
+    data: np.ndarray
     shots: int | None = None
 
     @property
     def is_sampled(self) -> bool:
         return self.shots is not None
 
-    def frequencies(self) -> dict:
-        if self.shots is None:
-            return dict(self.data)
-        return {bits: count / self.shots for bits, count in self.data.items()}
+    def frequencies(self) -> np.ndarray:
+        return self.data if self.shots is None else self.data / self.shots
 
 
 def exact_probabilities(rho: np.ndarray, family: MubFamily, bases) -> list[MeasurementRecord]:
@@ -320,8 +323,7 @@ def exact_probabilities(rho: np.ndarray, family: MubFamily, bases) -> list[Measu
     """
     n = family.field.n
     return [
-        MeasurementRecord(n=n, basis=label,
-                          data=dict(enumerate(born_probabilities(family, label, rho).tolist())))
+        MeasurementRecord(n=n, basis=label, data=born_probabilities(family, label, rho))
         for label in bases
     ]
 
@@ -332,16 +334,9 @@ def sample_counts(record: MeasurementRecord, shots: int, seed: int) -> Measureme
         raise ValueError("record already holds sampled counts")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    bits_order = sorted(record.data)
-    pvals = np.array([max(record.data[b], 0.0) for b in bits_order])
-    pvals /= pvals.sum()
-    counts = np.random.default_rng(seed).multinomial(shots, pvals)
-    return MeasurementRecord(
-        n=record.n,
-        basis=record.basis,
-        data={b: int(c) for b, c in zip(bits_order, counts)},
-        shots=shots,
-    )
+    pvals = np.maximum(record.data, 0.0)
+    counts = np.random.default_rng(seed).multinomial(shots, pvals / pvals.sum())
+    return MeasurementRecord(n=record.n, basis=record.basis, data=counts, shots=shots)
 
 
 # ----------------------------------------------------------------------
@@ -376,8 +371,7 @@ def reconstruct(
     Qubit swaps do not map the family to itself for n >= 3, so this is exact
     only for n <= 2.
 
-    An outcome a record omits has probability 0.  No physicality projection
-    is applied here.
+    No physicality projection is applied here.
     """
     field = family.field
     distributions = _distributions(records, field)
@@ -400,16 +394,14 @@ def reconstruct(
 
 
 def _distributions(records, field: Field) -> dict:
-    """The one record gate: {basis label: probabilities by the bits of nu}, omitted ones 0."""
+    """The one record gate: {basis label: probabilities by the bits of nu}."""
     labels = [record.basis for record in records]
     probs = np.zeros((len(labels), field.size))
     for row, record in zip(probs, records):
-        freqs = record.frequencies()
-        keys = np.fromiter(freqs, dtype=int, count=len(freqs))
-        outside = (keys < 0) | (keys >= field.size)
-        if outside.any():
-            raise ValueError(f"bits out of range for n={field.n}: {keys[outside][0]}")
-        row[keys] = list(freqs.values())
+        if np.shape(record.data) != row.shape:
+            raise SchemaError(f"record of basis {record.basis!r} has outcome shape "
+                              f"{np.shape(record.data)}, expected {row.shape} for n={field.n}")
+        row[:] = record.frequencies()
     distributions = dict(zip(labels, probs))
     if len(distributions) < len(labels):
         twice = next(label for i, label in enumerate(labels) if label in labels[:i])
@@ -504,8 +496,8 @@ def record_to_json(record: MeasurementRecord) -> dict:
         "n": record.n,
         "basis": record.basis.to_json(),
         "data": [
-            {"nu_bitmask": bits, key: record.data[bits]}
-            for bits in sorted(record.data)
+            {"nu_bitmask": bits, key: value}
+            for bits, value in enumerate(record.data.tolist())
         ],
     }
     if record.shots is not None:
@@ -514,15 +506,28 @@ def record_to_json(record: MeasurementRecord) -> dict:
 
 
 def record_from_json(field: Field, obj: dict) -> MeasurementRecord:
+    """Parse one record for ``field``; an outcome it omits reads as 0.
+
+    Raises ``SchemaError`` for a record of another n, shots that are not a
+    positive integer, and a nu_bitmask out of range or listed twice.
+    """
     try:
         basis = label_from_json(field, obj["basis"])
+        if obj.get("n", field.n) != field.n:
+            raise ValueError(f"record is for n={obj['n']!r}, expected n={field.n}")
         shots = obj.get("shots")
-        data = {}
+        if shots is not None and (type(shots) is not int or shots < 1):
+            raise ValueError(f"shots must be a positive integer, got {shots!r}")
+        data = np.zeros(field.size, dtype=float if shots is None else int)
+        listed = set()
         for item in obj["data"]:
             bits = int(item["nu_bitmask"])
             if not 0 <= bits < field.size:
                 raise ValueError(f"nu_bitmask {bits} out of range for n={field.n}")
+            if bits in listed:
+                raise ValueError(f"nu_bitmask {bits} is listed twice")
+            listed.add(bits)
             data[bits] = int(item["count"]) if shots is not None else float(item["p"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed measurement record: {exc}") from exc
     return MeasurementRecord(n=field.n, basis=basis, data=data, shots=shots)

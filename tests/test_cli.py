@@ -203,10 +203,11 @@ def test_reconstruct_missing_file_reports_json_error(tmp_path, capsys):
 
 def test_reconstruct_rejects_malformed_records(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"n": 2, "records": [{"basis": "nosuch"}]}))
-    assert run_cli("reconstruct", "--records", str(bad)) == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "schema"
+    for payload in ({"n": 2, "records": [{"basis": "nosuch"}]}, {"n": "x", "records": []}):
+        bad.write_text(json.dumps(payload))
+        assert run_cli("reconstruct", "--records", str(bad)) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "schema"
 
 
 def test_reconstruct_rejects_out_of_range_nu_bitmask(tmp_path):
@@ -249,6 +250,67 @@ def test_reconstruct_rejects_invalid_records_as_json(tmp_path, capsys, mode, bad
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == ("schema" if bad == "duplicate" else "not-normalized")
     assert "np.float64" not in err["message"]
+
+
+@pytest.mark.parametrize("bad", ("shots-0", "shots-x", "other-n", "nu-twice"))
+def test_reconstruct_rejects_bad_record_fields_as_json(tmp_path, capsys, bad):
+    records, small = tmp_path / "records.json", tmp_path / "small.json"
+    assert run_cli("simulate", "--n", "3", "--seed", "1", "--shots", "100", "--out", str(records)) == 0
+    payload = json.loads(records.read_text())
+    record = payload["records"][1]
+    if bad == "shots-0":
+        record["shots"] = 0
+    elif bad == "shots-x":
+        record["shots"] = "x"
+    elif bad == "other-n":
+        assert run_cli("simulate", "--n", "2", "--seed", "1", "--shots", "100", "--out", str(small)) == 0
+        payload["records"][1] = json.loads(small.read_text())["records"][1]
+    else:
+        record["data"].append(dict(record["data"][0]))
+    records.write_text(json.dumps(payload))
+    assert run_cli("reconstruct", "--records", str(records)) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "schema"
+
+
+_BAD_STATES = {
+    "non-hermitian": np.eye(4) / 4 + 0.3 * np.eye(4, k=1),
+    "negative": np.diag([0.75, 0.5, 0.25, -0.5]),
+    "trace": np.eye(4) * 0.35,
+}
+
+
+@pytest.mark.parametrize("where", ("simulate", "reconstruct", "truth"))
+@pytest.mark.parametrize("bad", list(_BAD_STATES))
+def test_state_files_must_hold_density_matrices(tmp_path, capsys, where, bad):
+    state, records = tmp_path / "state.json", tmp_path / "records.json"
+    state.write_text(json.dumps(matrix_to_json(_BAD_STATES[bad])))
+    if where == "simulate":
+        argv = ["simulate", "--n", "2", "--seed", "1", "--exact", "--state", str(state),
+                "--out", str(records)]
+    else:
+        assert run_cli("simulate", "--n", "2", "--seed", "1", "--exact", "--out", str(records)) == 0
+        argv = ["reconstruct", "--records", str(records)]
+        if where == "reconstruct":
+            argv += ["--state", str(state)]
+        else:
+            payload = json.loads(records.read_text())
+            payload["truth"] = matrix_to_json(_BAD_STATES[bad])
+            records.write_text(json.dumps(payload))
+    assert run_cli(*argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "schema"
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("method", ("twirl", "dicke", "blocks"))
+def test_simulated_truths_pass_the_state_check(tmp_path, n, method):
+    records = tmp_path / "records.json"
+    assert run_cli("simulate", "--n", str(n), "--seed", "2", "--method", method, "--exact",
+                   "--out", str(records)) == 0
+    assert run_cli("reconstruct", "--records", str(records), "--out", str(tmp_path / "r.json")) == 0
 
 
 def test_simulate_rejects_dimension_mismatch(tmp_path, capsys):

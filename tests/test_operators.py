@@ -279,3 +279,5 @@ def test_matrix_json_rejects_malformed():
         matrix_from_json({"dim": 2, "entries": [[0.0, 0.0]]})
     with pytest.raises(SchemaError):
         matrix_from_json({"entries": []})
+    with pytest.raises(SchemaError):
+        matrix_from_json({"dim": -1, "entries": [[1.0, 0.0]]})

@@ -271,13 +271,7 @@ def test_closed_form_count_disagrees_by_one(n):
 
 def _distributions(records):
     """{basis label: probabilities indexed by the bits of nu}."""
-    out = {}
-    for rec in records:
-        probs = np.zeros(1 << rec.n)
-        for bits, p in rec.frequencies().items():
-            probs[bits] = p
-        out[rec.basis] = probs
-    return out
+    return {rec.basis: rec.frequencies() for rec in records}
 
 
 def _member_expansion(measured, table, mode):

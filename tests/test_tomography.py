@@ -25,6 +25,7 @@ from pimub.operators import build_x, build_z, is_density_matrix, permutation_mat
 from pimub.orbits import LabelPoint, expand_probabilities, minimal_bases
 from pimub.tomography import (
     RECONSTRUCT_MODES,
+    MeasurementRecord,
     PIStateSpec,
     dicke_state,
     exact_probabilities,
@@ -215,7 +216,7 @@ def test_maximally_mixed_gives_uniform_outcomes():
     records = exact_probabilities(np.eye(8, dtype=complex) / 8.0, fam, fam.labels())
     assert len(records) == 9
     for rec in records:
-        assert all(abs(p - 0.125) < 1e-12 for p in rec.data.values())
+        assert all(abs(p - 0.125) < 1e-12 for p in rec.data)
 
 
 def test_projector_input_reproduces_the_overlap_law():
@@ -227,9 +228,9 @@ def test_projector_input_reproduces_the_overlap_law():
     for rec in exact_probabilities(rho, fam, fam.labels()):
         if rec.basis == label:
             assert abs(rec.data[nu0.bits] - 1.0) < 1e-12
-            assert all(abs(p) < 1e-12 for b, p in rec.data.items() if b != nu0.bits)
+            assert all(abs(p) < 1e-12 for b, p in enumerate(rec.data) if b != nu0.bits)
         else:
-            assert all(abs(p - 0.25) < 1e-12 for p in rec.data.values())
+            assert all(abs(p - 0.25) < 1e-12 for p in rec.data)
 
 
 def test_two_qubit_pi_state_has_equal_diagonal_slope_probabilities():
@@ -247,7 +248,7 @@ def test_record_probabilities_sum_to_one():
     fam = family(3)
     rho = random_pi_state(PIStateSpec.twirl(3, seed=2))
     for rec in exact_probabilities(rho, fam, fam.labels()):
-        assert abs(sum(rec.data.values()) - 1.0) < 1e-12
+        assert abs(rec.data.sum() - 1.0) < 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -264,32 +265,32 @@ def _exact_record():
 def test_single_shot_yields_a_single_count():
     rec = sample_counts(_exact_record(), shots=1, seed=0)
     assert rec.shots == 1
-    assert sorted(rec.data.values(), reverse=True)[0] == 1
-    assert sum(rec.data.values()) == 1
+    assert sorted(rec.data, reverse=True)[0] == 1
+    assert rec.data.sum() == 1
 
 
 def test_sampling_is_deterministic_for_fixed_seed():
     a = sample_counts(_exact_record(), shots=500, seed=77)
     b = sample_counts(_exact_record(), shots=500, seed=77)
-    assert a.data == b.data
-    assert sample_counts(_exact_record(), shots=500, seed=78).data != a.data
+    assert np.array_equal(a.data, b.data)
+    assert not np.array_equal(sample_counts(_exact_record(), shots=500, seed=78).data, a.data)
 
 
 def test_counts_sum_to_shots_and_frequencies_normalize():
     rec = sample_counts(_exact_record(), shots=1234, seed=5)
-    assert sum(rec.data.values()) == 1234
-    assert abs(sum(rec.frequencies().values()) - 1.0) < 1e-12
+    assert rec.data.sum() == 1234
+    assert abs(rec.frequencies().sum() - 1.0) < 1e-12
 
 
 def test_empirical_frequencies_converge_in_expectation():
     exact = _exact_record()
-    p = np.array([exact.data[b] for b in sorted(exact.data)])
+    p = exact.data
 
     def mean_l1(shots):
         devs = []
         for seed in range(10):
             rec = sample_counts(exact, shots=shots, seed=seed)
-            freq = np.array([rec.frequencies()[b] for b in sorted(rec.data)])
+            freq = rec.frequencies()
             devs.append(np.abs(freq - p).sum())
         return np.mean(devs)
 
@@ -308,11 +309,11 @@ def test_sampling_rejects_invalid_input():
 def test_record_json_round_trip():
     f = field(2)
     exact = _exact_record()
-    assert record_from_json(f, record_to_json(exact)).data == exact.data
+    assert np.array_equal(record_from_json(f, record_to_json(exact)).data, exact.data)
     sampled = sample_counts(exact, shots=100, seed=9)
     again = record_from_json(f, record_to_json(sampled))
     assert again.shots == 100
-    assert again.data == sampled.data
+    assert np.array_equal(again.data, sampled.data)
 
 
 # ----------------------------------------------------------------------
@@ -390,20 +391,48 @@ def test_exact_probabilities_match_dense_projectors(n):
     fam = family(n)
     rho = random_density_matrix(f.size, seed=70 + n)
     for rec in exact_probabilities(rho, fam, fam.labels()):
-        assert sorted(rec.data) == list(range(f.size))
+        assert rec.data.shape == (f.size,)
         for nu in f.elements():
             direct = np.sum(rho * fam.projector(rec.basis, nu).T).real  # Tr(rho P)
             assert abs(rec.data[nu.bits] - direct) <= 1e-12
 
 
 def test_out_of_range_record_key_is_rejected():
-    fam = family(2)
+    # an outcome key exists only in JSON; past it, a record of another
+    # length (or of another n) is the same fault
+    f = field(2)
     rho = random_pi_state(PIStateSpec.twirl(2, seed=9))
+    obj = record_to_json(exact_probabilities(rho, family(2), minimal_bases(f))[0])
     for bad in (-1, 4):
-        records = exact_probabilities(rho, fam, fam.labels())
-        records[0].data[bad] = records[0].data.pop(3)
-        with pytest.raises(ValueError, match="out of range"):
-            reconstruct(records, orbit_table(2), fam)
+        obj["data"][3]["nu_bitmask"] = bad
+        with pytest.raises(SchemaError, match="out of range"):
+            record_from_json(f, obj)
+    records, _, _ = _three_qubit_records()
+    other_n = exact_probabilities(rho, family(2), minimal_bases(f)[1:2])[0]
+    short = MeasurementRecord(n=3, basis=records[1].basis, data=records[1].data[:-1])
+    for mode in RECONSTRUCT_MODES:
+        for wrong in (other_n, short):
+            records[1] = wrong
+            with pytest.raises(SchemaError, match="outcome shape"):
+                reconstruct(records, orbit_table(3), family(3), mode=mode)
+
+
+def test_record_json_rejects_bad_shots_n_and_duplicate_outcomes():
+    f = field(3)
+    exact, = exact_probabilities(np.eye(8, dtype=complex) / 8.0, family(3), [minimal_bases(f)[1]])
+    for shots in (0, -5, "x", 2.5, True):
+        obj = record_to_json(sample_counts(exact, shots=100, seed=1))
+        obj["shots"] = shots
+        with pytest.raises(SchemaError, match="shots"):
+            record_from_json(f, obj)
+    obj = record_to_json(exact)
+    with pytest.raises(SchemaError, match="n=3"):
+        record_from_json(field(2), obj)
+    del obj["n"]  # a record without its own n takes the file's
+    assert np.array_equal(record_from_json(f, obj).data, exact.data)
+    obj["data"].append(dict(obj["data"][0]))
+    with pytest.raises(SchemaError, match="listed twice"):
+        record_from_json(f, obj)
 
 
 def test_pi_type_counts():
@@ -533,8 +562,7 @@ def _three_qubit_records(seed=35):
     fam = family(3)
     rho = random_pi_state(PIStateSpec.twirl(3, seed=seed))
     records = exact_probabilities(rho, fam, minimal_bases(field(3)))
-    data = records[1].data
-    low = min(data, key=data.get)
+    low = int(np.argmin(records[1].data))
     return records, low, (low + 1) % 8
 
 
@@ -577,7 +605,10 @@ def test_omitted_outcome_reads_as_zero(mode):
     data[other] += data[low]
     data[low] = 0.0
     explicit = reconstruct(records, orbit_table(3), family(3), mode=mode)
-    del data[low]
+    obj = record_to_json(records[1])
+    del obj["data"][low]
+    records[1] = record_from_json(field(3), obj)
+    assert records[1].data[low] == 0.0
     omitted = reconstruct(records, orbit_table(3), family(3), mode=mode)
     assert np.array_equal(omitted, explicit)
 
