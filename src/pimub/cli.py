@@ -189,10 +189,12 @@ def cmd_simulate(args) -> int:
 def cmd_reconstruct(args) -> int:
     payload = _load_json(args.records)
     try:
-        n = int(payload["n"])
+        n = payload["n"]
         record_objs = payload["records"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed records file: {exc}") from exc
+    if type(n) is not int:
+        raise SchemaError(f"malformed records file: n must be an integer, got {n!r}")
     field = make_field(n)
     records = [record_from_json(field, obj) for obj in record_objs]
     family = build_family(field)

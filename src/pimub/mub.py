@@ -38,15 +38,19 @@ table.
 A family stores each basis by its column 0; ``MubFamily.basis`` expands it
 for the structural checks and the JSON export only.  Both directions of the
 measurement map go through the basis's cached ``stabilizer_table``:
-``born_probabilities`` reads the expectations of its Pauli strings off a
-state, ``pauli_expectations`` recovers them from a distribution, and
-``family_operator`` sums them over bases into sum p P - identity.
+``born_probabilities`` reads the expectations of its Pauli strings as rows
+of the state's ``operators.pauli_table`` (one table serves every basis),
+``pauli_expectations`` recovers them from a distribution, and
+``family_operator`` sums them over bases into sum p P - identity.  The
+anchor's eigenvalues on those strings are computed once per family and
+label (``anchor_eigenvalues``).
 The family is deterministic for a fixed n: identical labels, vectors and
 exported bytes on every run.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -56,7 +60,7 @@ import numpy as np
 from .errors import NotNormalizedError, SchemaError
 from .gf2n import Field, FieldElement
 from .operators import (pauli_operator, pauli_phase, pauli_types, permute_label, popcounts,
-                        swap_index, walsh)
+                        pauli_table, swap_index, walsh)
 
 
 # ----------------------------------------------------------------------
@@ -291,11 +295,13 @@ class MubFamily:
     """The full labeled family of 2^n + 1 bases (immutable once built).
 
     Each basis is stored by its column 0, the anchor |0, label>; ``basis``
-    expands it to the full matrix on every call.
+    expands it to the full matrix on every call.  ``eigenvalues`` caches
+    ``anchor_eigenvalues`` by label, filled on first use.
     """
 
     field: Field
     bases: dict  # BasisLabel -> read-only (dim,) anchor column
+    eigenvalues: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
     def labels(self) -> list[BasisLabel]:
         return list(self.bases)
@@ -336,8 +342,7 @@ def build_family(field: Field) -> MubFamily:
 # anchor's eigenvalue on P_alpha: the Walsh transform over the ray maps
 # distributions to expectations and back.
 
-def anchor_eigenvalues(family: MubFamily, label: BasisLabel) -> np.ndarray:
-    """lambda_alpha = <anchor|P_alpha|anchor> (+-1) on the rows of ``stabilizer_table``."""
+def _anchor_moments(family: MubFamily, label: BasisLabel) -> np.ndarray:
     z, x, _ = stabilizer_table(family.field, label)
     anchor = family.anchor(label)
     dim = anchor.shape[0]
@@ -346,20 +351,30 @@ def anchor_eigenvalues(family: MubFamily, label: BasisLabel) -> np.ndarray:
     return (pauli_phase(family.field.n, z, x) * moments).real
 
 
-def born_probabilities(family: MubFamily, label: BasisLabel, rho: np.ndarray) -> np.ndarray:
+def anchor_eigenvalues(family: MubFamily, label: BasisLabel) -> np.ndarray:
+    """lambda_alpha = <anchor|P_alpha|anchor> (+-1) on the rows of ``stabilizer_table``.
+
+    Computed in O(4^n) on the first call for a label and cached read-only on
+    the family, so a hand-built family never reads another family's values.
+    """
+    values = family.eigenvalues.get(label)
+    if values is None:
+        values = _anchor_moments(family, label)
+        values.flags.writeable = False
+        family.eigenvalues[label] = values
+    return values
+
+
+def born_probabilities(family: MubFamily, label: BasisLabel, expect: np.ndarray) -> np.ndarray:
     """Tr(rho |nu, label><nu, label|) for every nu, indexed by the self-dual bits of nu.
 
-    The expectations <P_alpha> = (-i)^|z & x| sum_k (-1)^|z & k| rho[k ^ x, k]
-    are read off rho in O(4^n), with no basis expanded.
+    ``expect`` is the state's table of Pauli expectations
+    (``operators.pauli_table``); the basis reads the rows of its
+    ``stabilizer_table`` from it, so one table serves every basis.
     """
-    field = family.field
-    z, x, _ = stabilizer_table(field, label)
-    dim = field.size
-    signs = walsh(dim)
-    columns = np.arange(dim)
-    sums = (signs[z] * rho[_xor_table(dim)[x], columns]).sum(axis=1)
-    expect = (pauli_phase(field.n, z, x) * sums).real
-    return signs @ (anchor_eigenvalues(family, label) * expect) / dim
+    z, x, _ = stabilizer_table(family.field, label)
+    signs = walsh(family.field.size)
+    return signs @ (anchor_eigenvalues(family, label) * expect[x, z]) / family.field.size
 
 
 def pauli_expectations(family: MubFamily, label: BasisLabel, probs: np.ndarray) -> np.ndarray:
@@ -439,8 +454,9 @@ def reconstruct_identity_check(family: MubFamily, rho: np.ndarray) -> np.ndarray
     density matrix: the sum over each basis is a pinching, and the 2^n + 1
     pinchings of a mutually unbiased family tile the operator space.
     """
+    expect = pauli_table(rho).real
     return family_operator(
-        family, {label: born_probabilities(family, label, rho) for label in family.labels()}
+        family, {label: born_probabilities(family, label, expect) for label in family.labels()}
     )
 
 

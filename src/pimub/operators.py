@@ -17,10 +17,11 @@ flipping it would dress Z_alpha with a stray (-1)^|alpha|.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidIndexError, SchemaError
+from .errors import DimensionMismatchError, InvalidIndexError, SchemaError
 from .gf2n import Field, FieldElement
 
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -114,19 +115,70 @@ def pauli_types(n: int, z: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _type_lookup(n)[pop[x & ~z], pop[x & z], pop[z & ~x]]
 
 
+class PauliGrid(NamedTuple):
+    """Every Pauli string on n qubits, entry [x, z] for X mask x and Z mask z.
+
+    ``types`` (int16) is the position in ``pi_types`` and ``phase`` is
+    (-i)^|z & x|.  ``index`` is the flat gather index r * 2^n + (r ^ x) at
+    [r, x]: it reads diagonal x of a matrix, the entries rho[r, r ^ x], into
+    column x, and reads column x back into diagonal x of a [r, x] array.
+    """
+
+    types: np.ndarray
+    phase: np.ndarray
+    index: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def pauli_grid(n: int) -> PauliGrid:
+    """Read-only ``PauliGrid`` of n qubits, built once per n."""
+    dim = 1 << n
+    masks = np.arange(dim)
+    z, x = masks[None, :], masks[:, None]
+    rows = masks[:, None]
+    grid = PauliGrid(pauli_types(n, z, x).astype(np.int16), pauli_phase(n, z, x),
+                     rows * dim + (rows ^ masks))
+    for arr in grid:
+        arr.flags.writeable = False
+    return grid
+
+
+def _walsh_columns(table: np.ndarray) -> np.ndarray:
+    """walsh @ table for a C-ordered complex table, as one real matrix product.
+
+    Seen as floats, the table is its real and imaginary columns side by side.
+    """
+    return (walsh(table.shape[0]) @ table.view(float)).view(complex)
+
+
+def pauli_table(rho: np.ndarray) -> np.ndarray:
+    """expect[x, z] = Tr(rho (-i)^|z & x| Z_z X_x) for all 4^n masks; inverts ``pauli_operator``.
+
+    Tr(rho Z_z X_x) = (-1)^|z & x| sum_r (-1)^|z & r| rho[r, r ^ x], and
+    (-1)^k (-i)^k = i^k, so the table is one gather of the diagonals
+    rho[r, r ^ x], one Walsh transform over r and the conjugate phase.
+    """
+    n = rho.shape[0].bit_length() - 1
+    if rho.shape != (1 << n, 1 << n):
+        raise DimensionMismatchError(f"matrix of shape {rho.shape} is not 2^n x 2^n")
+    grid = pauli_grid(n)
+    diagonals = np.take(np.asarray(rho, dtype=complex), grid.index)
+    return _walsh_columns(diagonals).T * grid.phase.conj()
+
+
 def pauli_operator(n: int, expect: np.ndarray) -> np.ndarray:
     """2^-n sum_(x,z) expect[x, z] (-i)^|z & x| Z_z X_x, from Pauli-string expectations.
 
     No Pauli matrix is formed: entry (r, r ^ x) collects
     sum_z expect[x, z] (-i)^|z & x| (-1)^|z & r|, one Walsh transform over
-    the Z mask z for every X mask x.
+    the Z mask z for every X mask x, the inverse of ``pauli_table``.
     """
     dim = 1 << n
-    masks = np.arange(dim)
-    z, x = masks[None, :], masks[:, None]
-    rho = np.empty((dim, dim), dtype=complex)
-    rho[z, z ^ x] = expect * pauli_phase(n, z, x) @ walsh(dim) / dim
-    return rho
+    grid = pauli_grid(n)
+    weighted = np.empty((dim, dim), dtype=complex)
+    np.multiply(expect.T, grid.phase.T, out=weighted)
+    weighted *= 1.0 / dim
+    return np.take(_walsh_columns(weighted), grid.index)
 
 
 def fourier(field: Field) -> np.ndarray:
@@ -201,10 +253,10 @@ def permute_label(kappa: FieldElement, p: int, q: int) -> FieldElement:
 
 def is_unitary(mat: np.ndarray, tol: float = 1e-12) -> bool:
     dim = mat.shape[0]
-    return bool(np.allclose(mat @ mat.conj().T, np.eye(dim), atol=tol))
+    return bool(np.allclose(mat @ mat.conj().T, np.eye(dim), rtol=0, atol=tol))
 
 def is_hermitian(mat: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.allclose(mat, mat.conj().T, atol=tol))
+    return bool(np.allclose(mat, mat.conj().T, rtol=0, atol=tol))
 
 
 def is_density_matrix(mat: np.ndarray, herm_tol: float = 1e-12,

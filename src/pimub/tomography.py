@@ -16,12 +16,17 @@ outcome key is read and range-checked.  Every inversion reads records
 through one gate, ``_distributions``.
 Both directions of the measurement map go through one cached table per
 basis, ``mub.stabilizer_table``: the 2^n Pauli strings, identity included,
-that the basis diagonalizes.  Simulation reads their expectations off the
-state and Walsh transforms them into Born probabilities
+that the basis diagonalizes.  Simulation builds the state's table of all
+4^n Pauli expectations once (``operators.pauli_table``), reads each
+basis's rows from it and Walsh transforms them into Born probabilities
 (``mub.born_probabilities``).  Every inversion Walsh transforms
 distributions back into the same expectations (``mub.pauli_expectations``)
 and assembles the estimate from them with ``operators.pauli_operator``; no
 basis is expanded.
+
+The twirl lives in the same coordinates: a qubit permutation keeps the
+type (k_X, k_Y, k_Z) of a Pauli string, so averaging over S_n replaces each
+expectation by the mean over its type (``twirl``).
 
 The default inversion is least squares on the PI operator subspace.  Each
 measured basis is the joint eigenbasis of 2^n - 1 Pauli monomials, so its
@@ -61,7 +66,7 @@ from .mub import (
     pauli_expectations,
     stabilizer_table,
 )
-from .operators import pauli_operator, pauli_types, pi_types, swap_index
+from .operators import pauli_grid, pauli_operator, pauli_table, pi_types, swap_index
 from .orbits import OrbitTable, expand_probabilities, minimal_bases
 
 _TWIRL_MAX_N = 8
@@ -109,21 +114,21 @@ def _qubit_count(dim: int) -> int:
 def twirl(rho: np.ndarray) -> np.ndarray:
     """Exact average of U_pi rho U_pi^dag over the full symmetric group.
 
-    Uses the coset recursion S_k = union_i (i k) S_(k-1): after the step at
-    level k the matrix equals the exact S_k average, so n - 1 levels of at
-    most n swaps replace the n! term sum.
+    Qubit permutations move each Pauli string transitively through the
+    strings of its type (k_X, k_Y, k_Z), so the average keeps the Pauli
+    expansion with every coefficient replaced by the mean over its type:
+    one ``pauli_table``, one ``np.bincount`` per part and one
+    ``pauli_operator``.  The means are complex, so any square matrix of
+    side 2^n is accepted, Hermitian or not.
     """
     n = _qubit_count(rho.shape[0])
     if n > _TWIRL_MAX_N:
         raise DimensionOverflowError(f"twirl supports n <= {_TWIRL_MAX_N}, got n={n}")
-    out = np.array(rho, dtype=complex)
-    for k in range(2, n + 1):
-        acc = out.copy()
-        for i in range(1, k):
-            perm = swap_index(n, i, k)
-            acc += out[np.ix_(perm, perm)]
-        out = acc / k
-    return out
+    types = pauli_grid(n).types
+    expect = pauli_table(rho).ravel()
+    flat = types.ravel()
+    sums = np.bincount(flat, expect.real) + 1j * np.bincount(flat, expect.imag)
+    return pauli_operator(n, (sums / np.bincount(flat))[types])
 
 
 def is_permutation_invariant(rho: np.ndarray, tol: float = 1e-10) -> bool:
@@ -320,10 +325,12 @@ def exact_probabilities(rho: np.ndarray, family: MubFamily, bases) -> list[Measu
     They come through the basis's stabilizer table (``mub.born_probabilities``):
     the expectations of the 2^n - 1 Pauli strings it diagonalizes, Walsh
     transformed over the ray, the inverse of ``mub.pauli_expectations``.
+    The state's ``pauli_table`` is built once and read by every basis.
     """
     n = family.field.n
+    expect = pauli_table(rho).real
     return [
-        MeasurementRecord(n=n, basis=label, data=born_probabilities(family, label, rho))
+        MeasurementRecord(n=n, basis=label, data=born_probabilities(family, label, expect))
         for label in bases
     ]
 
@@ -387,8 +394,7 @@ def reconstruct(
             np.add.at(sums, types, pauli_expectations(family, label, probs))
             np.add.at(hits, types, 1)
         coords = np.divide(sums, hits, out=np.zeros(count), where=hits > 0)
-        masks = np.arange(field.size)
-        return pauli_operator(field.n, coords[pauli_types(field.n, masks, masks[:, None])])
+        return pauli_operator(field.n, coords[pauli_grid(field.n).types])
 
     return family_operator(family, expand_probabilities(distributions, table, mode))
 
@@ -505,29 +511,37 @@ def record_to_json(record: MeasurementRecord) -> dict:
     return out
 
 
+def _json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer (not a bool, float or string), else ``ValueError``."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def record_from_json(field: Field, obj: dict) -> MeasurementRecord:
     """Parse one record for ``field``; an outcome it omits reads as 0.
 
     Raises ``SchemaError`` for a record of another n, shots that are not a
-    positive integer, and a nu_bitmask out of range or listed twice.
+    positive integer, a nu_bitmask or count that is not an integer, and a
+    nu_bitmask out of range or listed twice.
     """
     try:
         basis = label_from_json(field, obj["basis"])
-        if obj.get("n", field.n) != field.n:
+        if _json_int(obj.get("n", field.n), "n") != field.n:
             raise ValueError(f"record is for n={obj['n']!r}, expected n={field.n}")
         shots = obj.get("shots")
-        if shots is not None and (type(shots) is not int or shots < 1):
+        if shots is not None and _json_int(shots, "shots") < 1:
             raise ValueError(f"shots must be a positive integer, got {shots!r}")
         data = np.zeros(field.size, dtype=float if shots is None else int)
         listed = set()
         for item in obj["data"]:
-            bits = int(item["nu_bitmask"])
+            bits = _json_int(item["nu_bitmask"], "nu_bitmask")
             if not 0 <= bits < field.size:
                 raise ValueError(f"nu_bitmask {bits} out of range for n={field.n}")
             if bits in listed:
                 raise ValueError(f"nu_bitmask {bits} is listed twice")
             listed.add(bits)
-            data[bits] = int(item["count"]) if shots is not None else float(item["p"])
+            data[bits] = _json_int(item["count"], "count") if shots is not None else float(item["p"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed measurement record: {exc}") from exc
     return MeasurementRecord(n=field.n, basis=basis, data=data, shots=shots)

@@ -274,6 +274,35 @@ def test_reconstruct_rejects_bad_record_fields_as_json(tmp_path, capsys, bad):
     assert json.loads(lines[0])["error"] == "schema"
 
 
+@pytest.mark.parametrize("bad", ("nu-fraction", "count-fraction", "nu-string", "n-fraction"))
+def test_reconstruct_rejects_non_integer_fields_as_json(tmp_path, bad):
+    records = tmp_path / "records.json"
+    assert run_cli("simulate", "--n", "2", "--seed", "1", "--shots", "9", "--out", str(records)) == 0
+    payload = json.loads(records.read_text())
+    data = payload["records"][0]["data"]
+    if bad == "nu-fraction":
+        data[1]["nu_bitmask"] = 1.5
+    elif bad == "count-fraction":
+        data[1]["count"] += 0.5
+        data[2]["count"] -= 0.5
+    elif bad == "nu-string":
+        data[1]["nu_bitmask"] = "1"
+    else:
+        payload["n"] = 2.5
+    records.write_text(json.dumps(payload))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pimub.cli", "reconstruct", "--records", str(records)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "schema"
+    assert "must be an integer" in err["message"]
+
+
 _BAD_STATES = {
     "non-hermitian": np.eye(4) / 4 + 0.3 * np.eye(4, k=1),
     "negative": np.diag([0.75, 0.5, 0.25, -0.5]),
@@ -298,6 +327,18 @@ def test_state_files_must_hold_density_matrices(tmp_path, capsys, where, bad):
             payload = json.loads(records.read_text())
             payload["truth"] = matrix_to_json(_BAD_STATES[bad])
             records.write_text(json.dumps(payload))
+    assert run_cli(*argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "schema"
+
+
+def test_simulate_rejects_a_state_asymmetric_beyond_the_tolerance(tmp_path, capsys):
+    # positive, of trace 1, and Hermitian only to 5e-7: outside the 1e-12 gate
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(matrix_to_json(np.array([[0.5, 0.1 + 5e-7], [0.1, 0.5]]))))
+    argv = ["simulate", "--n", "1", "--seed", "1", "--exact", "--state", str(state),
+            "--out", str(tmp_path / "records.json")]
     assert run_cli(*argv) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1

@@ -8,6 +8,8 @@ import pytest
 from pimub.gf2n import make_field
 from pimub.mub import (
     BasisLabel,
+    MubFamily,
+    anchor_eigenvalues,
     basis_to_json,
     build_family,
     build_slope_basis,
@@ -236,6 +238,24 @@ def test_stabilizer_tables_are_cached_and_smaller_than_the_anchors(n):
         assert stabilizer_table(f, label) is table
     table_bytes = sum(arr.nbytes for table in tables for arr in table)
     assert table_bytes <= sum(anchor.nbytes for anchor in fam.bases.values())
+
+
+def test_anchor_eigenvalues_belong_to_their_family():
+    # a hand-built family anchored on another column of the same basis must
+    # get its own eigenvalues, equal to <anchor|P|anchor> computed densely
+    f = field(3)
+    fam = family(3)
+    label = BasisLabel(f.element(0b011))
+    other = MubFamily(f, {**fam.bases, label: fam.basis(label)[:, 5]})
+    first, second = anchor_eigenvalues(fam, label), anchor_eigenvalues(other, label)
+    assert not np.array_equal(first, second)
+    for fam_, values in ((fam, first), (other, second)):
+        anchor = fam_.anchor(label)
+        for (alpha, beta), value in zip(stabilizer_points(f, label), values):
+            pauli = (-1j) ** (alpha.index & beta.index).bit_count() * pauli_monomial(alpha, beta)
+            assert abs(value - (anchor.conj() @ pauli @ anchor).real) < 1e-12
+    assert anchor_eigenvalues(fam, label) is first
+    assert not first.flags.writeable
 
 
 # ----------------------------------------------------------------------

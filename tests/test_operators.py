@@ -3,16 +3,19 @@
 import numpy as np
 import pytest
 
-from pimub.errors import InvalidIndexError, SchemaError
+from pimub.errors import DimensionMismatchError, InvalidIndexError, SchemaError
 from pimub.operators import (
     build_x,
     build_z,
     fourier,
     is_density_matrix,
+    is_hermitian,
     is_unitary,
     matrix_from_json,
     matrix_to_json,
     pauli_monomial,
+    pauli_operator,
+    pauli_table,
     permutation_matrix,
     permute_label,
     swap_index,
@@ -255,6 +258,48 @@ def test_permute_label_gf4_example():
 
 
 # ----------------------------------------------------------------------
+# Pauli tables: matrix -> expectations -> matrix
+# ----------------------------------------------------------------------
+
+def _ginibre(dim, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pauli_table_and_pauli_operator_invert_each_other(n):
+    dim = 2**n
+    for seed in (n, 10 + n):
+        mat = _ginibre(dim, seed)
+        hermitian = mat @ mat.conj().T
+        for a in (mat, hermitian):
+            assert np.abs(pauli_operator(n, pauli_table(a)) - a).max() < 1e-12 * dim
+            # read as a table of expectations, the same matrix goes the other way
+            assert np.abs(pauli_table(pauli_operator(n, a)) - a).max() < 1e-12 * dim
+        assert np.abs(pauli_table(hermitian).imag).max() < 1e-12 * dim
+    real = _ginibre(dim, 30 + n).real
+    assert np.array_equal(pauli_table(real), pauli_table(real.astype(complex)))
+
+
+def test_pauli_table_rejects_matrices_not_of_side_2_to_the_n():
+    for shape in ((3, 3), (4, 2), (6, 6)):
+        with pytest.raises(DimensionMismatchError):
+            pauli_table(np.ones(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_pauli_table_matches_dense_traces(n):
+    # oracle: Tr(A P) with P = (-i)^|z & x| Z_z X_x built from tensor products
+    f = field(n)
+    mat = _ginibre(f.size, 20 + n)
+    table = pauli_table(mat)
+    for x in range(f.size):
+        for z in range(f.size):
+            pauli = (-1j) ** (z & x).bit_count() * pauli_monomial(f.from_index(z), f.from_index(x))
+            assert abs(table[x, z] - np.trace(mat @ pauli)) < 1e-12 * f.size
+
+
+# ----------------------------------------------------------------------
 # Validation helpers and JSON
 # ----------------------------------------------------------------------
 
@@ -265,6 +310,16 @@ def test_density_matrix_validation():
     skew = np.zeros((2, 2), dtype=complex)
     skew[0, 1] = 1.0
     assert not is_density_matrix(skew + np.eye(2) / 2)
+
+
+def test_hermiticity_tolerance_is_absolute():
+    # a 5e-7 asymmetry is far outside 1e-12, however large the entries
+    mat = np.array([[0.5, 0.1 + 5e-7], [0.1, 0.5]], dtype=complex)
+    assert np.linalg.eigvalsh((mat + mat.conj().T) / 2).min() > 0
+    assert not is_hermitian(mat, 1e-12)
+    assert not is_density_matrix(mat)
+    assert is_hermitian(mat, 1e-6)
+    assert not is_unitary(np.eye(2) * (1 + 1e-7), 1e-12)
 
 
 def test_matrix_json_round_trip():

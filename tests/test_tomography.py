@@ -1,11 +1,13 @@
 """PI states, measurement simulation, inversion, physicality projection."""
 
+import collections
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from pimub import mub, tomography
 from pimub.errors import (
     DimensionMismatchError,
     DimensionOverflowError,
@@ -17,11 +19,12 @@ from pimub.errors import (
 from pimub.mub import (
     BasisLabel,
     MubFamily,
+    build_family,
     pauli_expectations,
     reconstruct_identity_check,
     stabilizer_points,
 )
-from pimub.operators import build_x, build_z, is_density_matrix, permutation_matrix
+from pimub.operators import build_x, build_z, is_density_matrix, permutation_matrix, swap_index
 from pimub.orbits import LabelPoint, expand_probabilities, minimal_bases
 from pimub.tomography import (
     RECONSTRUCT_MODES,
@@ -108,6 +111,31 @@ def literal_twirl(rho, n):
 def test_twirl_matches_the_literal_group_average(n):
     rho = random_density_matrix(2**n, seed=n)
     assert np.abs(twirl(rho) - literal_twirl(rho, n)).max() < 1e-13
+
+
+def coset_twirl(rho, n):
+    """Oracle: the S_n average by the coset recursion S_k = union_i (i k) S_(k-1).
+
+    After the step at level k the matrix equals the exact S_k average, so
+    n - 1 levels of at most n swaps replace the n! term sum.
+    """
+    out = np.array(rho, dtype=complex)
+    for k in range(2, n + 1):
+        acc = out.copy()
+        for i in range(1, k):
+            perm = swap_index(n, i, k)
+            acc += out[np.ix_(perm, perm)]
+        out = acc / k
+    return out
+
+
+@pytest.mark.parametrize("n", (5, 6, 7, 8))
+def test_twirl_matches_the_coset_recursion(n):
+    dim = 2**n
+    rng = np.random.default_rng(60 + n)
+    ginibre = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    for mat in (random_density_matrix(dim, seed=n), ginibre, ginibre.real):
+        assert np.abs(twirl(mat) - coset_twirl(mat, n)).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", (2, 3, 5))
@@ -435,6 +463,35 @@ def test_record_json_rejects_bad_shots_n_and_duplicate_outcomes():
         record_from_json(f, obj)
 
 
+@pytest.mark.parametrize("key, value", (
+    ("nu_bitmask", 1.5), ("nu_bitmask", "1"), ("nu_bitmask", True),
+    ("count", 2.7), ("count", "3"), ("count", False), ("n", 1.0), ("n", True),
+))
+def test_record_json_accepts_only_integer_fields(key, value):
+    f = field(1)
+    exact, = exact_probabilities(np.eye(2, dtype=complex) / 2.0, family(1), [minimal_bases(f)[1]])
+    obj = record_to_json(sample_counts(exact, shots=10, seed=1))
+    assert record_from_json(f, obj).data.tolist() == [item["count"] for item in obj["data"]]
+    if key == "n":
+        obj["n"] = value
+    else:
+        obj["data"][1][key] = value
+    with pytest.raises(SchemaError, match=f"{key} must be an integer"):
+        record_from_json(f, obj)
+
+
+def test_record_json_rejects_fractional_outcomes_and_counts():
+    # truncated by int(), this record would read as counts [0 2 7 0]
+    f = field(2)
+    obj = {"n": 2, "basis": {"slope": 0}, "shots": 9,
+           "data": [{"nu_bitmask": 1.5, "count": 2.7}, {"nu_bitmask": 2, "count": 7.9}]}
+    with pytest.raises(SchemaError, match="nu_bitmask must be an integer"):
+        record_from_json(f, obj)
+    obj["data"][0]["nu_bitmask"] = 1
+    with pytest.raises(SchemaError, match="count must be an integer"):
+        record_from_json(f, obj)
+
+
 def test_pi_type_counts():
     for n in range(1, 7):
         assert len(pi_types(n)) == math.comb(n + 3, 3)
@@ -528,6 +585,45 @@ def test_estimators_never_expand_a_basis(monkeypatch):
     for mode in ("pi-subspace", "representative", "average"):
         project_physical(reconstruct(sampled, orbit_table(3), fam, mode=mode))
     assert np.abs(reconstruct_identity_check(fam, rho) - rho).max() < 1e-12
+
+
+# Performance guards: they count work, so no timing threshold can flake.
+
+def test_anchor_eigenvalues_are_computed_once_per_label(monkeypatch):
+    calls = collections.Counter()
+    compute = mub._anchor_moments
+
+    def counted(fam, label):
+        calls[label] += 1
+        return compute(fam, label)
+
+    monkeypatch.setattr(mub, "_anchor_moments", counted)
+    f = field(3)
+    fam = build_family(f)  # a fresh family, so no label is cached yet
+    for seed in range(50):
+        rho = random_pi_state(PIStateSpec.twirl(3, seed=seed))
+        exact = exact_probabilities(rho, fam, minimal_bases(f))
+        sampled = [sample_counts(r, shots=1000, seed=seed * 10 + i) for i, r in enumerate(exact)]
+        reconstruct(sampled, orbit_table(3), fam)
+    assert calls == {label: 1 for label in minimal_bases(f)}
+    values = mub.anchor_eigenvalues(fam, minimal_bases(f)[1])
+    with pytest.raises(ValueError):
+        values[0] = 0.0
+
+
+def test_exact_probabilities_build_one_pauli_table_per_state(monkeypatch):
+    calls = []
+    table = tomography.pauli_table
+
+    def counted(rho):
+        calls.append(rho.shape)
+        return table(rho)
+
+    monkeypatch.setattr(tomography, "pauli_table", counted)
+    f = field(6)
+    records = exact_probabilities(random_density_matrix(f.size, seed=6), family(6), minimal_bases(f))
+    assert len(records) == 8
+    assert calls == [(64, 64)]
 
 
 def test_reconstruct_rejects_unknown_mode_and_unnormalized_records():
