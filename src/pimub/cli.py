@@ -60,6 +60,7 @@ from .tomography import (
     exact_probabilities,
     fidelity,
     independent_parameter_count,
+    json_int,
     project_physical,
     random_density_matrix,
     random_pi_state,
@@ -189,12 +190,10 @@ def cmd_simulate(args) -> int:
 def cmd_reconstruct(args) -> int:
     payload = _load_json(args.records)
     try:
-        n = payload["n"]
+        n = json_int(payload["n"], "n")
         record_objs = payload["records"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed records file: {exc}") from exc
-    if type(n) is not int:
-        raise SchemaError(f"malformed records file: n must be an integer, got {n!r}")
     field = make_field(n)
     records = [record_from_json(field, obj) for obj in record_objs]
     family = build_family(field)

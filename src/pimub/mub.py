@@ -296,12 +296,14 @@ class MubFamily:
 
     Each basis is stored by its column 0, the anchor |0, label>; ``basis``
     expands it to the full matrix on every call.  ``eigenvalues`` caches
-    ``anchor_eigenvalues`` by label, filled on first use.
+    ``anchor_eigenvalues`` by label, filled on first use; the constructor
+    does not take it, so every family starts with an empty cache.
     """
 
     field: Field
     bases: dict  # BasisLabel -> read-only (dim,) anchor column
-    eigenvalues: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
+    eigenvalues: dict = dataclasses.field(default_factory=dict, init=False, compare=False,
+                                          repr=False)
 
     def labels(self) -> list[BasisLabel]:
         return list(self.bases)

@@ -115,17 +115,29 @@ def pauli_types(n: int, z: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _type_lookup(n)[pop[x & ~z], pop[x & z], pop[z & ~x]]
 
 
+def qubit_count(dim: int) -> int:
+    """n for a matrix side dim = 2^n with n >= 1, else ``DimensionMismatchError``."""
+    n = dim.bit_length() - 1
+    if n < 1 or dim != 1 << n:
+        raise DimensionMismatchError(f"matrix dimension {dim} is not 2^n")
+    return n
+
+
 class PauliGrid(NamedTuple):
     """Every Pauli string on n qubits, entry [x, z] for X mask x and Z mask z.
 
-    ``types`` (int16) is the position in ``pi_types`` and ``phase`` is
-    (-i)^|z & x|.  ``index`` is the flat gather index r * 2^n + (r ^ x) at
-    [r, x]: it reads diagonal x of a matrix, the entries rho[r, r ^ x], into
-    column x, and reads column x back into diagonal x of a [r, x] array.
+    ``types`` (int16) is the position in ``pi_types`` and ``counts`` the
+    number of strings of each type.  ``phase`` is (-i)^|z & x|, symmetric in
+    x and z, and ``conj_phase`` its conjugate.  ``index`` is the flat gather
+    index r * 2^n + (r ^ x) at [r, x]: it reads diagonal x of a matrix, the
+    entries rho[r, r ^ x], into column x, and reads column x back into
+    diagonal x of a [r, x] array.
     """
 
     types: np.ndarray
+    counts: np.ndarray
     phase: np.ndarray
+    conj_phase: np.ndarray
     index: np.ndarray
 
 
@@ -135,8 +147,10 @@ def pauli_grid(n: int) -> PauliGrid:
     dim = 1 << n
     masks = np.arange(dim)
     z, x = masks[None, :], masks[:, None]
+    types = pauli_types(n, z, x).astype(np.int16)
+    phase = pauli_phase(n, z, x)
     rows = masks[:, None]
-    grid = PauliGrid(pauli_types(n, z, x).astype(np.int16), pauli_phase(n, z, x),
+    grid = PauliGrid(types, np.bincount(types.ravel()), phase, phase.conj(),
                      rows * dim + (rows ^ masks))
     for arr in grid:
         arr.flags.writeable = False
@@ -158,12 +172,12 @@ def pauli_table(rho: np.ndarray) -> np.ndarray:
     (-1)^k (-i)^k = i^k, so the table is one gather of the diagonals
     rho[r, r ^ x], one Walsh transform over r and the conjugate phase.
     """
-    n = rho.shape[0].bit_length() - 1
+    n = qubit_count(rho.shape[0])
     if rho.shape != (1 << n, 1 << n):
         raise DimensionMismatchError(f"matrix of shape {rho.shape} is not 2^n x 2^n")
     grid = pauli_grid(n)
     diagonals = np.take(np.asarray(rho, dtype=complex), grid.index)
-    return _walsh_columns(diagonals).T * grid.phase.conj()
+    return _walsh_columns(diagonals).T * grid.conj_phase
 
 
 def pauli_operator(n: int, expect: np.ndarray) -> np.ndarray:
@@ -176,7 +190,7 @@ def pauli_operator(n: int, expect: np.ndarray) -> np.ndarray:
     dim = 1 << n
     grid = pauli_grid(n)
     weighted = np.empty((dim, dim), dtype=complex)
-    np.multiply(expect.T, grid.phase.T, out=weighted)
+    np.multiply(expect.T, grid.phase, out=weighted)
     weighted *= 1.0 / dim
     return np.take(_walsh_columns(weighted), grid.index)
 

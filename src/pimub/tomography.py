@@ -66,7 +66,8 @@ from .mub import (
     pauli_expectations,
     stabilizer_table,
 )
-from .operators import pauli_grid, pauli_operator, pauli_table, pi_types, swap_index
+from .operators import (pauli_grid, pauli_operator, pauli_table, pi_types, qubit_count,
+                        swap_index)
 from .orbits import OrbitTable, expand_probabilities, minimal_bases
 
 _TWIRL_MAX_N = 8
@@ -104,13 +105,6 @@ def independent_parameter_count(n: int) -> int:
 # Permutation twirl
 # ----------------------------------------------------------------------
 
-def _qubit_count(dim: int) -> int:
-    n = dim.bit_length() - 1
-    if dim != 1 << n or n < 1:
-        raise DimensionMismatchError(f"matrix dimension {dim} is not 2^n")
-    return n
-
-
 def twirl(rho: np.ndarray) -> np.ndarray:
     """Exact average of U_pi rho U_pi^dag over the full symmetric group.
 
@@ -121,18 +115,18 @@ def twirl(rho: np.ndarray) -> np.ndarray:
     ``pauli_operator``.  The means are complex, so any square matrix of
     side 2^n is accepted, Hermitian or not.
     """
-    n = _qubit_count(rho.shape[0])
+    n = qubit_count(rho.shape[0])
     if n > _TWIRL_MAX_N:
         raise DimensionOverflowError(f"twirl supports n <= {_TWIRL_MAX_N}, got n={n}")
-    types = pauli_grid(n).types
+    grid = pauli_grid(n)
     expect = pauli_table(rho).ravel()
-    flat = types.ravel()
+    flat = grid.types.ravel()
     sums = np.bincount(flat, expect.real) + 1j * np.bincount(flat, expect.imag)
-    return pauli_operator(n, (sums / np.bincount(flat))[types])
+    return pauli_operator(n, (sums / grid.counts)[grid.types])
 
 
 def is_permutation_invariant(rho: np.ndarray, tol: float = 1e-10) -> bool:
-    n = _qubit_count(rho.shape[0])
+    n = qubit_count(rho.shape[0])
     for p in range(1, n + 1):
         for q in range(p + 1, n + 1):
             perm = swap_index(n, p, q)
@@ -511,8 +505,11 @@ def record_to_json(record: MeasurementRecord) -> dict:
     return out
 
 
-def _json_int(value, what: str) -> int:
-    """``value`` if it is a JSON integer (not a bool, float or string), else ``ValueError``."""
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer (not a bool, float or string), else ``ValueError``.
+
+    The integer rule for every integer field of a records file.
+    """
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
@@ -527,21 +524,21 @@ def record_from_json(field: Field, obj: dict) -> MeasurementRecord:
     """
     try:
         basis = label_from_json(field, obj["basis"])
-        if _json_int(obj.get("n", field.n), "n") != field.n:
+        if json_int(obj.get("n", field.n), "n") != field.n:
             raise ValueError(f"record is for n={obj['n']!r}, expected n={field.n}")
         shots = obj.get("shots")
-        if shots is not None and _json_int(shots, "shots") < 1:
+        if shots is not None and json_int(shots, "shots") < 1:
             raise ValueError(f"shots must be a positive integer, got {shots!r}")
         data = np.zeros(field.size, dtype=float if shots is None else int)
         listed = set()
         for item in obj["data"]:
-            bits = _json_int(item["nu_bitmask"], "nu_bitmask")
+            bits = json_int(item["nu_bitmask"], "nu_bitmask")
             if not 0 <= bits < field.size:
                 raise ValueError(f"nu_bitmask {bits} out of range for n={field.n}")
             if bits in listed:
                 raise ValueError(f"nu_bitmask {bits} is listed twice")
             listed.add(bits)
-            data[bits] = _json_int(item["count"], "count") if shots is not None else float(item["p"])
+            data[bits] = json_int(item["count"], "count") if shots is not None else float(item["p"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed measurement record: {exc}") from exc
     return MeasurementRecord(n=field.n, basis=basis, data=data, shots=shots)

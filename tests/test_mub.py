@@ -258,6 +258,14 @@ def test_anchor_eigenvalues_belong_to_their_family():
     assert not first.flags.writeable
 
 
+def test_family_constructor_takes_no_eigenvalues():
+    # the cache is filled only by anchor_eigenvalues, never passed in
+    fam = family(2)
+    with pytest.raises(TypeError):
+        MubFamily(fam.field, fam.bases, eigenvalues={})
+    assert MubFamily(fam.field, fam.bases).eigenvalues == {}
+
+
 # ----------------------------------------------------------------------
 # Reconstruction identity
 # ----------------------------------------------------------------------

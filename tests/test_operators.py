@@ -1,5 +1,7 @@
 """Pauli group matrices: factorization, commutation, Fourier, swaps."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,11 @@ from pimub.operators import (
     matrix_from_json,
     matrix_to_json,
     pauli_monomial,
+    pauli_grid,
     pauli_operator,
     pauli_table,
     permutation_matrix,
+    pi_types,
     permute_label,
     swap_index,
     swap_matrix,
@@ -282,9 +286,27 @@ def test_pauli_table_and_pauli_operator_invert_each_other(n):
 
 
 def test_pauli_table_rejects_matrices_not_of_side_2_to_the_n():
-    for shape in ((3, 3), (4, 2), (6, 6)):
+    for shape in ((0, 0), (1, 1), (3, 3), (4, 2), (4,), (6, 6)):
         with pytest.raises(DimensionMismatchError):
             pauli_table(np.ones(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_pauli_grid_counts_and_phases(n):
+    # a type (k_X, k_Y, k_Z) holds n! / (k_X! k_Y! k_Z! (n - k)!) strings
+    grid = pauli_grid(n)
+    expected = [
+        math.factorial(n)
+        // (math.factorial(kx) * math.factorial(ky) * math.factorial(kz)
+            * math.factorial(n - kx - ky - kz))
+        for kx, ky, kz in pi_types(n)
+    ]
+    assert grid.counts.tolist() == expected
+    assert np.array_equal(np.bincount(grid.types.ravel()), grid.counts)
+    assert np.array_equal(grid.phase, grid.phase.T)
+    assert np.array_equal(grid.conj_phase, grid.phase.conj())
+    assert not any(arr.flags.writeable for arr in grid)
+    assert pauli_grid(n) is grid
 
 
 @pytest.mark.parametrize("n", range(1, 5))
