@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import __version__
-from .errors import PimubError, SchemaError
+from .errors import PimubError, SchemaError, json_int
 from .gf2n import MAX_N, is_irreducible, make_field
 from .mub import (
     build_family,
@@ -60,7 +61,6 @@ from .tomography import (
     exact_probabilities,
     fidelity,
     independent_parameter_count,
-    json_int,
     project_physical,
     random_density_matrix,
     random_pi_state,
@@ -74,13 +74,16 @@ from .tomography import (
 )
 
 
-def _dump(obj, path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _write(text: str, path: str | None) -> None:
     if path:
         with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _dump(obj, path: str | None) -> None:
+    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
 
 
 def _load_json(path: str):
@@ -111,13 +114,11 @@ def cmd_field(args) -> int:
     field = make_field(args.n)
     payload = field.to_json()
     if args.verify:
+        # both hold for every field make_field returns: Field() raises otherwise
         payload["checks"] = {
             "irreducible": is_irreducible(field.poly),
             "selfdual_gram_identity": field.selfdual_gram_identity(),
         }
-        if not all(payload["checks"].values()):
-            _dump(payload, args.out)
-            return 1
     _dump(payload, args.out)
     return 0
 
@@ -131,12 +132,7 @@ def cmd_mubs(args) -> int:
 def cmd_orbits(args) -> int:
     table = enumerate_orbits(make_field(args.n))
     if args.csv:
-        text = orbit_table_to_csv(table)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(orbit_table_to_csv(table), args.out)
     else:
         _dump(orbit_table_to_json(table), args.out)
     print(orbit_report(table), file=sys.stderr)
@@ -231,56 +227,40 @@ def cmd_reconstruct(args) -> int:
 # Verification suites
 # ----------------------------------------------------------------------
 
-def _run_suites(n: int, tolerance: float | None) -> int:
-    tol_overlap = tolerance if tolerance is not None else 1e-10
-    tol_exact = tolerance if tolerance is not None else 1e-12
-    tol_round = tolerance if tolerance is not None else 1e-9
-    failures = 0
+# default gates for exact operator identities, family overlaps and round trips
+_TOLERANCES = (1e-12, 1e-10, 1e-9)
 
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            failures += 1
-        line = f"  [{status}] {name}"
-        if detail:
-            line += f"  ({detail})"
-        print(line)
 
-    def info(name: str, detail: str) -> None:
-        print(f"  [INFO] {name}  ({detail})")
-
+def _verify_rows(n: int, tolerance: float | None) -> list[tuple[str, bool | None, str]]:
+    """The verification rows (name, ok, detail) in print order; ``ok`` is None on INFO rows."""
+    exact, overlap, round_trip = _TOLERANCES if tolerance is None else (tolerance,) * 3
     field = make_field(n)
     dim = field.size
-    print(f"verification suites for n={n}")
-
-    check("field: polynomial irreducible", is_irreducible(field.poly))
-    check("field: self-dual Gram identity", field.selfdual_gram_identity())
+    rows = [
+        ("field: polynomial irreducible", is_irreducible(field.poly), ""),
+        ("field: self-dual Gram identity", field.selfdual_gram_identity(), ""),
+    ]
 
     elems = field.elements()
-    worst = 0.0
-    for a in elems:
-        za = build_z(a)
-        for b in elems:
-            xb = build_x(b)
-            sign = -1.0 if (a * b).trace() else 1.0
-            worst = max(worst, float(np.abs(za @ xb - sign * xb @ za).max()))
-    check("operators: commutation signs", worst <= tol_exact, f"max dev {worst:.2e}")
-
+    xs = [build_x(b) for b in elems]
     f_mat = fourier(field)
-    worst = max(
-        float(np.abs(build_x(a) - f_mat @ build_z(a) @ f_mat).max()) for a in elems
-    )
-    check("operators: X = F Z F", worst <= tol_exact, f"max dev {worst:.2e}")
-
+    commute = fzf = 0.0
+    for a, xa in zip(elems, xs):
+        za = build_z(a)
+        for b, xb in zip(elems, xs):
+            sign = -1.0 if (a * b).trace() else 1.0
+            commute = max(commute, float(np.abs(za @ xb - sign * xb @ za).max()))
+        fzf = max(fzf, float(np.abs(xa - f_mat @ za @ f_mat).max()))
     had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     tensor = np.array([[1.0]])
     for _ in range(n):
         tensor = np.kron(tensor, had)
-    check(
-        "operators: F is the tensor-power transform",
-        float(np.abs(f_mat - tensor).max()) <= tol_exact,
-    )
+    rows += [
+        ("operators: commutation signs", commute <= exact, f"max dev {commute:.2e}"),
+        ("operators: X = F Z F", fzf <= exact, f"max dev {fzf:.2e}"),
+        ("operators: F is the tensor-power transform",
+         float(np.abs(f_mat - tensor).max()) <= exact, ""),
+    ]
 
     swap_ok = True
     perm_ok = True
@@ -293,70 +273,58 @@ def _run_suites(n: int, tolerance: float | None) -> int:
             for kappa in elems:
                 shift = eps if (eps * kappa).trace() else field.zero()
                 direct[(kappa + shift).index, kappa.index] = 1.0
-            swap_ok &= bool(np.abs(pi - direct).max() <= tol_exact)
+            swap_ok &= bool(np.abs(pi - direct).max() <= exact)
             commute_f = max(commute_f, float(np.abs(pi @ f_mat - f_mat @ pi).max()))
             perm = swap_index(n, p, q)
             perm_ok &= all(permute_label(kappa, p, q).index == perm[kappa.index]
                            for kappa in elems)
     if n > 1:
-        check("operators: swap matrix equals its field form", swap_ok)
-        check("operators: label swap equals bit swap", perm_ok)
-        check("operators: [swap, F] = 0", commute_f <= tol_exact, f"max dev {commute_f:.2e}")
+        rows += [
+            ("operators: swap matrix equals its field form", swap_ok, ""),
+            ("operators: label swap equals bit swap", perm_ok, ""),
+            ("operators: [swap, F] = 0", commute_f <= exact, f"max dev {commute_f:.2e}"),
+        ]
 
     family = build_family(field)
     dev = unbiasedness_deviation(family)
-    check(
-        "mub: within-basis Gram identity",
-        dev["max_gram_dev"] <= tol_overlap,
-        f"max dev {dev['max_gram_dev']:.2e}",
-    )
-    check(
-        "mub: cross-basis overlaps 1/2^n",
-        dev["max_cross_dev"] <= tol_overlap,
-        f"max dev {dev['max_cross_dev']:.2e}",
-    )
     comp_dev = completeness_deviation(family)
-    check("mub: completeness sum", comp_dev <= tol_overlap, f"max dev {comp_dev:.2e}")
+    rows += [
+        ("mub: within-basis Gram identity", dev["max_gram_dev"] <= overlap,
+         f"max dev {dev['max_gram_dev']:.2e}"),
+        ("mub: cross-basis overlaps 1/2^n", dev["max_cross_dev"] <= overlap,
+         f"max dev {dev['max_cross_dev']:.2e}"),
+        ("mub: completeness sum", comp_dev <= overlap, f"max dev {comp_dev:.2e}"),
+    ]
 
     if n > 1:
         # qubit swaps cannot map the family to itself once n >= 3 (see
         # orbits); the gate is that the escapes are exactly the predicted ones
         cov = swap_covariance_report(family)
         predicted = predicted_swap_escapes(field)
-        check(
-            "mub: swap escapes match field arithmetic",
-            set(cov["failures"]) == predicted and len(cov["failures"]) == len(predicted),
-            f"{len(cov['failures'])} escaping basis/swap pairs, {len(predicted)} predicted",
-        )
-        check(
-            "mub: both-index swap rule verified",
-            cov["both_swap_rule_holds"],
-            f"on {cov['bases_checked']} landing conjugations",
-        )
-        info(
-            "mub: alternate (nu-trace) rule",
-            "holds" if cov["display_rule_holds"] else "refuted numerically",
-        )
+        rows += [
+            ("mub: swap escapes match field arithmetic",
+             set(cov["failures"]) == predicted and len(cov["failures"]) == len(predicted),
+             f"{len(cov['failures'])} escaping basis/swap pairs, {len(predicted)} predicted"),
+            ("mub: both-index swap rule verified", cov["both_swap_rule_holds"],
+             f"on {cov['bases_checked']} landing conjugations"),
+            ("mub: alternate (nu-trace) rule", None,
+             "holds" if cov["display_rule_holds"] else "refuted numerically"),
+        ]
 
     table = enumerate_orbits(field)
-    check(
-        "orbits: partition covers all label points",
-        table.total_points == (dim + 1) * dim,
-        f"{table.total_points} points",
-    )
     enumerated = len(table.orbits)
     indep = independent_count(field, table)
-    check(
-        "orbits: independent count matches spin-block parameters",
-        indep == independent_parameter_count(n),
-        f"enumerated {indep}, blocks {independent_parameter_count(n)}",
-    )
     closed = closed_form_orbit_count(n)
-    info(
-        "orbits: closed-form orbit count",
-        f"formula {closed} vs enumerated {enumerated}"
-        + ("" if closed == enumerated else " -- DISAGREES; enumeration is authoritative"),
-    )
+    rows += [
+        ("orbits: partition covers all label points", table.total_points == (dim + 1) * dim,
+         f"{table.total_points} points"),
+        ("orbits: independent count matches spin-block parameters",
+         indep == independent_parameter_count(n),
+         f"enumerated {indep}, blocks {independent_parameter_count(n)}"),
+        ("orbits: closed-form orbit count", None,
+         f"formula {closed} vs enumerated {enumerated}"
+         + ("" if closed == enumerated else " -- DISAGREES; enumeration is authoritative")),
+    ]
 
     bases = minimal_bases(field)
     worst_round = dict.fromkeys(("representative", PI_SUBSPACE), 0.0)
@@ -366,26 +334,28 @@ def _run_suites(n: int, tolerance: float | None) -> int:
         for mode in worst_round:
             rho_hat = reconstruct(recs, table, family, mode=mode)
             worst_round[mode] = max(worst_round[mode], trace_distance(rho, rho_hat))
-    check(
-        "tomography: minimal-basis exact round trip",
-        worst_round["representative"] <= tol_round,
-        f"orbit expansion, max trace distance {worst_round['representative']:.2e}",
-    )
     unmeasured = unmeasured_pi_types(field, bases)
-    check(
-        "tomography: PI-subspace exact round trip",
-        worst_round[PI_SUBSPACE] <= tol_round,
-        f"max trace distance {worst_round[PI_SUBSPACE]:.2e}; "
-        + (f"unmeasured Pauli types (kX, kY, kZ) {unmeasured}" if unmeasured
-           else "bases informationally complete for PI states"),
-    )
-
-    print(f"{'all suites passed' if failures == 0 else f'{failures} suite(s) failed'}")
-    return 0 if failures == 0 else 1
+    rows += [
+        ("tomography: minimal-basis exact round trip",
+         worst_round["representative"] <= round_trip,
+         f"orbit expansion, max trace distance {worst_round['representative']:.2e}"),
+        ("tomography: PI-subspace exact round trip", worst_round[PI_SUBSPACE] <= round_trip,
+         f"max trace distance {worst_round[PI_SUBSPACE]:.2e}; "
+         + (f"unmeasured Pauli types (kX, kY, kZ) {unmeasured}" if unmeasured
+            else "bases informationally complete for PI states")),
+    ]
+    return rows
 
 
 def cmd_verify(args) -> int:
-    return _run_suites(args.n, args.tolerance)
+    print(f"verification suites for n={args.n}")
+    failures = 0
+    for name, ok, detail in _verify_rows(args.n, args.tolerance):
+        status = "INFO" if ok is None else "PASS" if ok else "FAIL"
+        failures += status == "FAIL"
+        print(f"  [{status}] {name}" + (f"  ({detail})" if detail else ""))
+    print("all suites passed" if failures == 0 else f"{failures} suite(s) failed")
+    return 0 if failures == 0 else 1
 
 
 # ----------------------------------------------------------------------
@@ -459,8 +429,8 @@ def main(argv=None) -> int:
         parser.error(f"--n must lie in 1..{max_n}")
     if getattr(args, "shots", None) is not None and args.shots < 1:
         parser.error("--shots must be >= 1")
-    if getattr(args, "tolerance", None) is not None and args.tolerance <= 0:
-        parser.error("--tolerance must be positive")
+    if getattr(args, "tolerance", None) is not None and not 0 < args.tolerance < math.inf:
+        parser.error("--tolerance must be positive and finite")
     try:
         return args.func(args)
     except PimubError as exc:

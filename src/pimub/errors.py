@@ -1,7 +1,8 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the JSON value rules.
 
 Every error carries a short machine-readable ``code`` so the command line
-front end can emit structured diagnostics on stderr.
+front end can emit structured diagnostics on stderr.  ``json_int`` and
+``json_number`` are the type rules every file reader applies to its fields.
 """
 
 
@@ -69,3 +70,17 @@ class SchemaError(PimubError):
     """A JSON artifact does not conform to its interchange schema."""
 
     code = "schema"
+
+
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer (not a bool, float or string), else ``ValueError``."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_number(value, what: str) -> int | float:
+    """``value`` if it is a JSON number, int or float (not a bool or string), else ``ValueError``."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return value

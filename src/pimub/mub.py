@@ -57,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotNormalizedError, SchemaError
+from .errors import NotNormalizedError, SchemaError, json_int
 from .gf2n import Field, FieldElement
 from .operators import (pauli_operator, pauli_phase, pauli_types, permute_label, popcounts,
                         pauli_table, swap_index, walsh)
@@ -106,10 +106,14 @@ def family_labels(field: Field) -> list[BasisLabel]:
 
 
 def label_from_json(field: Field, obj) -> BasisLabel:
+    """"vertical" or {"slope": bits} with integer bits in 0..2^n - 1, else ``SchemaError``."""
     if obj == "vertical":
         return BasisLabel(None)
     if isinstance(obj, dict) and set(obj) == {"slope"}:
-        return BasisLabel(field.element(int(obj["slope"])))
+        try:
+            return BasisLabel(field.element(json_int(obj["slope"], "slope")))
+        except ValueError as exc:
+            raise SchemaError(f"malformed basis label {obj!r}: {exc}") from exc
     raise SchemaError(f"malformed basis label: {obj!r}")
 
 
@@ -479,7 +483,11 @@ def swap_covariance_report(family: MubFamily) -> dict:
     """
     field = family.field
     dim = field.size
-    dense = {label: family.basis(label) for label in family.labels()}
+    labels = family.labels()
+    elems = [field.from_index(i) for i in range(dim)]  # nu by column
+    dense = np.empty((len(labels), dim, dim), dtype=complex)
+    for k, label in enumerate(labels):
+        dense[k] = family.basis(label)
     failures: list[tuple[int, int, str]] = []
     both_swap = True
     display = True
@@ -488,41 +496,35 @@ def swap_covariance_report(family: MubFamily) -> dict:
     for p in range(1, field.n + 1):
         for q in range(p + 1, field.n + 1):
             perm = swap_index(field.n, p, q)
-            for label, basis in dense.items():
-                permuted = basis[perm, :]
-                # locate the target basis via the permuted anchor column
-                target = None
-                for cand, cand_basis in dense.items():
-                    ov = np.abs(cand_basis.conj().T @ permuted[:, 0])
-                    if ov.max() > 1 - 1e-9:
-                        target = cand
-                        break
-                if target is None:
+            eps = field.element((1 << (p - 1)) ^ (1 << (q - 1)))
+            nu_moved = np.array([permute_label(nu, p, q).index for nu in elems])
+            # the display rule's slope shifts, eps where tr(eps nu) = 1 and 0 elsewhere
+            shifts = {eps if (eps * nu).trace() else field.zero() for nu in elems}
+            # landing[c, k]: does basis k's permuted anchor lie in basis c?  One
+            # product per candidate c keeps the temporaries to (2^n + 1) x 2^n
+            anchors = dense[:, perm, 0].conj()
+            landing = np.array([np.abs(anchors @ basis).max(axis=1) for basis in dense]) > 1 - 1e-9
+            for k, label in enumerate(labels):
+                hits = np.flatnonzero(landing[:, k])
+                if not hits.size:
                     failures.append((p, q, repr(label)))
                     continue
-                ov = np.abs(dense[target].conj().T @ permuted)
+                target = labels[hits[0]]
+                ov = np.abs(dense[hits[0]].conj().T @ dense[k][perm, :])
                 col_to_row = ov.argmax(axis=0)
                 if not np.allclose(ov[col_to_row, np.arange(dim)], 1.0, atol=1e-9):
                     failures.append((p, q, repr(label)))
                     continue
                 # verify index rules on every nu of this basis
                 checked += 1
-                for nu_idx in range(dim):
-                    nu = field.from_index(nu_idx)
-                    nu_moved = permute_label(nu, p, q)
-                    actual_nu_idx = int(col_to_row[nu_idx])
-                    if label.is_vertical:
-                        expect_target = vertical_label()
-                        expect_display = expect_target
-                    else:
-                        expect_target = BasisLabel(permute_label(label.slope, p, q))
-                        eps = field.element((1 << (p - 1)) ^ (1 << (q - 1)))
-                        shift = eps if (eps * nu).trace() else field.zero()
-                        expect_display = BasisLabel(label.slope + shift)
-                    if target != expect_target or actual_nu_idx != nu_moved.index:
-                        both_swap = False
-                    if target != expect_display or actual_nu_idx != nu_moved.index:
-                        display = False
+                same_nu = np.array_equal(col_to_row, nu_moved)
+                if label.is_vertical:
+                    expect_target = expect_display = {vertical_label()}
+                else:
+                    expect_target = {BasisLabel(permute_label(label.slope, p, q))}
+                    expect_display = {BasisLabel(label.slope + shift) for shift in shifts}
+                both_swap &= same_nu and expect_target == {target}
+                display &= same_nu and expect_display == {target}
 
     return {
         "closed": not failures,

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidIndexError, SchemaError
+from .errors import DimensionMismatchError, InvalidIndexError, SchemaError, json_int, json_number
 from .gf2n import Field, FieldElement
 
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -296,11 +296,12 @@ def matrix_to_json(mat: np.ndarray) -> dict:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
-        dim = int(obj["dim"])
+        dim = json_int(obj["dim"], "dim")
         entries = obj["entries"]
         if dim < 1 or len(entries) != dim * dim:
             raise ValueError(f"{len(entries)} entries for dim={dim}")
-        flat = np.array([complex(re, im) for re, im in entries])
+        flat = np.array([complex(json_number(re, "entry"), json_number(im, "entry"))
+                         for re, im in entries])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed matrix JSON: {exc}") from exc
     return flat.reshape(dim, dim)

@@ -54,6 +54,8 @@ from .errors import (
     InvalidSpinError,
     MissingBasisError,
     SchemaError,
+    json_int,
+    json_number,
 )
 from .gf2n import Field
 from .mub import (
@@ -249,6 +251,7 @@ def random_pi_state(spec: PIStateSpec) -> np.ndarray:
     """Build the PI density matrix described by ``spec``."""
     n, dim = spec.n, 1 << spec.n
     if spec.method == "twirl":
+        # twirl's own cap fires only after the 2^n x 2^n draw below (248 MB at n = 11)
         if n > _TWIRL_MAX_N:
             raise DimensionOverflowError(f"twirl method requires n <= {_TWIRL_MAX_N}")
         if spec.seed is None:
@@ -505,22 +508,12 @@ def record_to_json(record: MeasurementRecord) -> dict:
     return out
 
 
-def json_int(value, what: str) -> int:
-    """``value`` if it is a JSON integer (not a bool, float or string), else ``ValueError``.
-
-    The integer rule for every integer field of a records file.
-    """
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def record_from_json(field: Field, obj: dict) -> MeasurementRecord:
     """Parse one record for ``field``; an outcome it omits reads as 0.
 
     Raises ``SchemaError`` for a record of another n, shots that are not a
-    positive integer, a nu_bitmask or count that is not an integer, and a
-    nu_bitmask out of range or listed twice.
+    positive integer, a nu_bitmask or count that is not an integer, a p that
+    is not a number, and a nu_bitmask out of range or listed twice.
     """
     try:
         basis = label_from_json(field, obj["basis"])
@@ -538,7 +531,8 @@ def record_from_json(field: Field, obj: dict) -> MeasurementRecord:
             if bits in listed:
                 raise ValueError(f"nu_bitmask {bits} is listed twice")
             listed.add(bits)
-            data[bits] = json_int(item["count"], "count") if shots is not None else float(item["p"])
+            data[bits] = (json_int(item["count"], "count") if shots is not None
+                          else json_number(item["p"], "p"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed measurement record: {exc}") from exc
     return MeasurementRecord(n=field.n, basis=basis, data=data, shots=shots)

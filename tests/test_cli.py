@@ -365,9 +365,64 @@ def test_simulate_rejects_dimension_mismatch(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "schema"
 
 
+@pytest.mark.parametrize("bad", ("p-string", "slope-float", "dim-float"))
+def test_reconstruct_rejects_non_number_fields_as_json(tmp_path, capsys, bad):
+    records = tmp_path / "records.json"
+    assert run_cli("simulate", "--n", "2", "--seed", "1", "--exact", "--out", str(records)) == 0
+    payload = json.loads(records.read_text())
+    record = next(rec for rec in payload["records"] if rec["basis"] != "vertical")
+    if bad == "p-string":
+        record["data"][0]["p"] = str(record["data"][0]["p"])
+    elif bad == "slope-float":
+        record["basis"]["slope"] = float(record["basis"]["slope"])
+    else:
+        payload["truth"]["dim"] = 4.0
+    records.write_text(json.dumps(payload))
+    assert run_cli("reconstruct", "--records", str(records)) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "schema"
+
+
 # ----------------------------------------------------------------------
 # verify
 # ----------------------------------------------------------------------
+
+def test_verify_prints_its_rows_in_a_fixed_order(capsys):
+    assert run_cli("verify", "--n", "2") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "verification suites for n=2"
+    assert lines[-1] == "all suites passed"
+    assert [line.split("  (")[0] for line in lines[1:-1]] == [
+        "  [PASS] field: polynomial irreducible",
+        "  [PASS] field: self-dual Gram identity",
+        "  [PASS] operators: commutation signs",
+        "  [PASS] operators: X = F Z F",
+        "  [PASS] operators: F is the tensor-power transform",
+        "  [PASS] operators: swap matrix equals its field form",
+        "  [PASS] operators: label swap equals bit swap",
+        "  [PASS] operators: [swap, F] = 0",
+        "  [PASS] mub: within-basis Gram identity",
+        "  [PASS] mub: cross-basis overlaps 1/2^n",
+        "  [PASS] mub: completeness sum",
+        "  [PASS] mub: swap escapes match field arithmetic",
+        "  [PASS] mub: both-index swap rule verified",
+        "  [INFO] mub: alternate (nu-trace) rule",
+        "  [PASS] orbits: partition covers all label points",
+        "  [PASS] orbits: independent count matches spin-block parameters",
+        "  [INFO] orbits: closed-form orbit count",
+        "  [PASS] tomography: minimal-basis exact round trip",
+        "  [PASS] tomography: PI-subspace exact round trip",
+    ]
+
+
+@pytest.mark.parametrize("value", ("0", "-1", "nan", "inf"))
+def test_verify_tolerance_must_be_positive_and_finite(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "--n", "2", "--tolerance", value)
+    assert exc.value.code == 2
+    assert "--tolerance must be positive and finite" in capsys.readouterr().err
+
 
 def test_verify_passes_for_one_and_two_qubits(capsys):
     assert run_cli("verify", "--n", "1") == 0

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from pimub.errors import SchemaError
 from pimub.gf2n import make_field
 from pimub.mub import (
     BasisLabel,
@@ -49,6 +50,12 @@ def test_label_json_round_trip():
     f = field(3)
     for label in family_labels(f):
         assert label_from_json(f, label.to_json()) == label
+
+
+@pytest.mark.parametrize("slope", (2.7, 1.0, "1", True, -1, 8))
+def test_label_json_accepts_only_integer_slopes_in_range(slope):
+    with pytest.raises(SchemaError, match="malformed basis label"):
+        label_from_json(field(3), {"slope": slope})
 
 
 # ----------------------------------------------------------------------
@@ -362,6 +369,28 @@ def test_predicted_escapes_are_the_report_failures(n):
     report = swap_covariance_report(family(n))
     assert sorted(report["failures"]) == sorted(predicted)
     assert report["both_swap_rule_holds"]
+
+
+@pytest.mark.parametrize("n, checked, escapes", ((4, 18, 84), (5, 30, 300)))
+def test_covariance_report_counts_past_three_qubits(n, checked, escapes):
+    report = swap_covariance_report(family(n))
+    assert report["bases_checked"] == checked
+    assert len(report["failures"]) == escapes
+    assert report["both_swap_rule_holds"]
+    assert not report["display_rule_holds"]
+
+
+@pytest.mark.parametrize("n, checked", ((2, 5), (3, 9)))
+def test_covariance_report_refutes_a_misanchored_family(n, checked):
+    # slope 0 anchored on |1> instead of |0>: the basis is the same set of
+    # vectors, so every conjugation still lands, but the nu labels shift
+    f = field(n)
+    fam = family(n)
+    zero = BasisLabel(f.zero())
+    report = swap_covariance_report(MubFamily(f, {**fam.bases, zero: fam.basis(zero)[:, 1]}))
+    assert report["bases_checked"] == checked
+    assert not report["both_swap_rule_holds"]
+    assert not report["display_rule_holds"]
 
 
 # ----------------------------------------------------------------------

@@ -358,3 +358,17 @@ def test_matrix_json_rejects_malformed():
         matrix_from_json({"entries": []})
     with pytest.raises(SchemaError):
         matrix_from_json({"dim": -1, "entries": [[1.0, 0.0]]})
+
+
+@pytest.mark.parametrize("obj", (
+    {"dim": 1.0, "entries": [[1.0, 0.0]]},
+    {"dim": 2.7, "entries": [[1.0, 0.0]] * 4},
+    {"dim": "2", "entries": [[1.0, 0.0]] * 4},
+    {"dim": True, "entries": [[1.0, 0.0]]},
+    {"dim": 1, "entries": [[True, 0.0]]},
+    {"dim": 1, "entries": [[1.0, False]]},
+))
+def test_matrix_json_accepts_only_json_numbers(obj):
+    assert matrix_from_json({"dim": 1, "entries": [[1, 0.0]]}).tolist() == [[1 + 0j]]
+    with pytest.raises(SchemaError, match="must be an integer|must be a number"):
+        matrix_from_json(obj)

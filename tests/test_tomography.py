@@ -163,6 +163,12 @@ def test_twirl_spec_requires_seed_and_cap():
         random_pi_state(PIStateSpec.twirl(9, seed=0))
 
 
+def test_twirl_spec_cap_fires_before_the_state_is_drawn():
+    # a 2^30 x 2^30 draw cannot be allocated, so only the early cap raises this
+    with pytest.raises(DimensionOverflowError):
+        random_pi_state(PIStateSpec.twirl(30, seed=0))
+
+
 def test_twirl_state_is_reproducible():
     a = random_pi_state(PIStateSpec.twirl(3, seed=5))
     b = random_pi_state(PIStateSpec.twirl(3, seed=5))
@@ -477,6 +483,18 @@ def test_record_json_accepts_only_integer_fields(key, value):
     else:
         obj["data"][1][key] = value
     with pytest.raises(SchemaError, match=f"{key} must be an integer"):
+        record_from_json(f, obj)
+
+
+@pytest.mark.parametrize("value", ("0.25", True, False))
+def test_record_json_accepts_only_numbers_for_p(value):
+    f = field(1)
+    exact, = exact_probabilities(np.eye(2, dtype=complex) / 2.0, family(1), [minimal_bases(f)[1]])
+    obj = record_to_json(exact)
+    obj["data"][0]["p"], obj["data"][1]["p"] = 1, 0.0  # an int is a JSON number too
+    assert record_from_json(f, obj).data.tolist() == [1.0, 0.0]
+    obj["data"][1]["p"] = value
+    with pytest.raises(SchemaError, match="p must be a number"):
         record_from_json(f, obj)
 
 
