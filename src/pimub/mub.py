@@ -512,7 +512,7 @@ def swap_covariance_report(family: MubFamily) -> dict:
                 target = labels[hits[0]]
                 ov = np.abs(dense[hits[0]].conj().T @ dense[k][perm, :])
                 col_to_row = ov.argmax(axis=0)
-                if not np.allclose(ov[col_to_row, np.arange(dim)], 1.0, atol=1e-9):
+                if not np.allclose(ov[col_to_row, np.arange(dim)], 1.0, rtol=0, atol=1e-9):
                     failures.append((p, q, repr(label)))
                     continue
                 # verify index rules on every nu of this basis

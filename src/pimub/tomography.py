@@ -4,16 +4,22 @@ A permutationally invariant (PI) n-qubit state decomposes over total-spin
 sectors j = j_min .. n/2 as a direct sum of spin blocks rho_j tensored with
 maximally mixed multiplicity factors; its free real parameter count is
 sum_j (2j+1)^2 - 1.  This module generates such states (exact twirl, Dicke
-mixtures, explicit spin blocks for n <= 3), simulates von Neumann
-measurements in the MUB family exactly or with multinomial shot noise,
-inverts measured probabilities back to a density matrix, and projects noisy
-estimates to the physical PI set.
+mixtures, explicit spin blocks), simulates von Neumann measurements in the
+MUB family exactly or with multinomial shot noise, inverts measured
+probabilities back to a density matrix, and projects noisy estimates to the
+physical PI set.
+
+The spin blocks are read in one real orthogonal basis per n,
+``coupled_basis``: qubits coupled one by one with the spin-1/2
+Clebsch-Gordan coefficients, so that every PI operator is
+(+)_j 1_(m_j) (x) rho_j in it.  The "blocks" states are built there, and
+``project_physical`` diagonalizes only the (2j+1)-sided blocks.
 
 A measurement record holds its outcomes as one array indexed by the
 self-dual bits of nu, from simulation (``exact_probabilities``,
 ``sample_counts``) to inversion; ``record_from_json`` is the one place an
 outcome key is read and range-checked.  Every inversion reads records
-through one gate, ``_distributions``.
+through one gate, ``_distributions``, which stacks them into one array.
 Both directions of the measurement map go through one cached table per
 basis, ``mub.stabilizer_table``: the 2^n Pauli strings, identity included,
 that the basis diagonalizes.  Simulation builds the state's table of all
@@ -32,8 +38,9 @@ The default inversion is least squares on the PI operator subspace.  Each
 measured basis is the joint eigenbasis of 2^n - 1 Pauli monomials, so its
 distribution gives their expectations, and for a PI state the expectation
 of a Pauli string depends only on its type (k_X, k_Y, k_Z).  The fit is the
-mean of the measured expectations per type.  With the n + 2 minimal bases it
-is exact for n <= 4.  At n = 5 the bases carry no monomial of the types
+mean of the measured expectations per type, over all bases at once: one
+Walsh product and one ``np.bincount`` per sum.  With the n + 2 minimal
+bases it is exact for n <= 4.  At n = 5 the bases carry no monomial of the types
 (1, 4, 0) and (4, 1, 0), so the measurement is not informationally complete
 for PI states in this field presentation, and those two coordinates are set
 to zero (see ``unmeasured_pi_types``).  The paper's orbit expansion
@@ -45,6 +52,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,15 +70,15 @@ from .gf2n import Field
 from .mub import (
     BasisLabel,
     MubFamily,
+    anchor_eigenvalues,
     born_probabilities,
     check_distributions,
     family_operator,
     label_from_json,
-    pauli_expectations,
     stabilizer_table,
 )
 from .operators import (pauli_grid, pauli_operator, pauli_table, pi_types, qubit_count,
-                        swap_index)
+                        swap_index, walsh)
 from .orbits import OrbitTable, expand_probabilities, minimal_bases
 
 _TWIRL_MAX_N = 8
@@ -101,6 +110,101 @@ def multiplicity(n: int, j) -> int:
 def independent_parameter_count(n: int) -> int:
     """Free real parameters of a PI density matrix: sum_j (2j+1)^2 - 1."""
     return sum((int(2 * j) + 1) ** 2 for j in spin_values(n)) - 1
+
+
+class CoupledBasis(NamedTuple):
+    """The coupled spin basis of n qubits, sectors in ``spin_values`` order.
+
+    ``matrix`` is real orthogonal.  Its columns run sector by sector, within
+    a sector copy by copy, and within a copy over |j, m> for m = j .. -j.
+    ``sizes`` holds 2j + 1 and ``counts`` the multiplicity of each sector.
+    """
+
+    matrix: np.ndarray
+    sizes: tuple
+    counts: tuple
+
+
+@lru_cache(maxsize=None)
+def coupled_basis(n: int) -> CoupledBasis:
+    """Read-only ``CoupledBasis``: qubits 1 .. n coupled in sequence, |0> as spin up.
+
+    Each step couples a spin-j copy, d = 2j + 1 columns |i> (m = j - i), to
+    one more qubit, the next less significant bit, with the spin-1/2
+    Clebsch-Gordan coefficients.  Column i of the new copies reads
+
+        j + 1/2:   sqrt((d - i) / d) |i>|0>     + sqrt(i / d) |i - 1>|1>
+        j - 1/2:  -sqrt((i + 1) / d) |i + 1>|0> + sqrt((d - 1 - i) / d) |i>|1>
+
+    and a sector lists the copies coupled up from j - 1/2 before those
+    coupled down from j + 1/2.
+    """
+    if n > _TWIRL_MAX_N:
+        raise DimensionOverflowError(f"spin blocks support n <= {_TWIRL_MAX_N}, got n={n}")
+    sectors = {1: np.ones((1, 1, 1))}  # size -> copies as [row, copy, i]
+    for _ in range(n):
+        grown: dict[int, list] = {}
+        for d, old in sorted(sectors.items()):
+            i = np.arange(d)
+            up = np.zeros((old.shape[0], 2, old.shape[1], d + 1))
+            up[:, 0, :, :d] = old * np.sqrt((d - i) / d)
+            up[:, 1, :, 1:] = old * np.sqrt((i + 1) / d)
+            grown.setdefault(d + 1, []).append(up)
+            if d > 1:
+                down = np.empty((old.shape[0], 2, old.shape[1], d - 1))
+                down[:, 0] = old[..., 1:] * -np.sqrt(i[1:] / d)
+                down[:, 1] = old[..., :-1] * np.sqrt((d - 1 - i[:-1]) / d)
+                grown.setdefault(d - 1, []).append(down)
+        sectors = {d: np.concatenate([c.reshape(2 * c.shape[0], c.shape[2], d) for c in parts],
+                                     axis=1)
+                   for d, parts in grown.items()}
+    sizes = tuple(sorted(sectors, reverse=True))
+    matrix = np.concatenate([sectors[d].reshape(1 << n, -1) for d in sizes], axis=1)
+    matrix.flags.writeable = False
+    return CoupledBasis(matrix, sizes, tuple(sectors[d].shape[1] for d in sizes))
+
+
+class _Frame(NamedTuple):
+    """``coupled_basis`` with the columns of each sector in (m, copy) order.
+
+    ``sectors`` holds one (span, copies) pair per sector: the slice of its
+    columns, and their transpose as a complex (2j + 1, m_j 2^n) array, entry
+    [i, c 2^n + r] = <r|j, m_i; copy c>.  Rows ``span`` of a 2^n x 2^n array,
+    reshaped alike, meet ``copies`` in one 2-d product per sector.  ``reps``
+    holds m_j for each position of the concatenated block spectra, and
+    ``firsts`` where each eigenvalue starts once repeated m_j times.
+    """
+
+    matrix: np.ndarray
+    sectors: list
+    reps: np.ndarray
+    firsts: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _frame(n: int) -> _Frame:
+    basis = coupled_basis(n)
+    spans, order, start = [], [], 0
+    for size, count in zip(basis.sizes, basis.counts):
+        spans.append(slice(start, start + size * count))
+        order.append(start + np.arange(size * count).reshape(count, size).T.ravel())
+        start += size * count
+    matrix = basis.matrix[:, np.concatenate(order)]
+    sectors = [(span, matrix[:, span].T.reshape(size, -1).astype(complex))
+               for span, size in zip(spans, basis.sizes)]
+    for arr in (matrix, *(copies for _, copies in sectors)):
+        arr.flags.writeable = False
+    reps = np.repeat(basis.counts, basis.sizes)
+    return _Frame(matrix, sectors, reps, np.cumsum(reps) - reps)
+
+
+def _from_blocks(frame: _Frame, blocks) -> np.ndarray:
+    """U (+)_j (1_(m_j) (x) blocks[j]) U^T for one (2j+1)-sided block per sector."""
+    dim = frame.matrix.shape[0]
+    right = np.empty((dim, dim), dtype=complex)  # the block sum times U^T
+    for (span, copies), block in zip(frame.sectors, blocks):
+        np.matmul(block, copies, out=right[span].reshape(copies.shape))
+    return (frame.matrix @ right.view(float)).view(complex)
 
 
 # ----------------------------------------------------------------------
@@ -149,7 +253,8 @@ class PIStateSpec:
     method "dicke":  mixture of Dicke projectors with given weights
                      (one weight per excitation number 0..n).
     method "blocks": explicit spin-block densities rho_j with sector
-                     probabilities p_j (hand-coded couplings, n <= 3).
+                     probabilities p_j, each spread evenly over the copies
+                     of its sector in ``coupled_basis`` (n <= 8).
     """
 
     n: int
@@ -207,46 +312,6 @@ def _check_simplex(values, what: str) -> None:
         raise ValueError(f"{what} must be nonnegative and sum to 1, got {values}")
 
 
-def _block_isometries(n: int) -> dict:
-    """Isometries onto each spin-j copy, keyed by 2j (hand-coded, n <= 3).
-
-    Column m of each isometry is |j, m> for m = j .. -j, with |0> as spin-up.
-    Copies of the same j are orthonormal coupled bases, so mixing a block
-    uniformly over its copies commutes with every qubit permutation.
-    """
-    s2, s3, s6, s23 = map(math.sqrt, (2.0, 3.0, 6.0, 2.0 / 3.0))
-    if n == 1:
-        return {1: [np.eye(2, dtype=complex)]}
-    if n == 2:
-        triplet = np.zeros((4, 3), dtype=complex)
-        triplet[0b00, 0] = 1.0
-        triplet[0b01, 1] = triplet[0b10, 1] = 1.0 / s2
-        triplet[0b11, 2] = 1.0
-        singlet = np.zeros((4, 1), dtype=complex)
-        singlet[0b01, 0], singlet[0b10, 0] = 1.0 / s2, -1.0 / s2
-        return {2: [triplet], 0: [singlet]}
-    if n == 3:
-        quartet = np.zeros((8, 4), dtype=complex)
-        quartet[0b000, 0] = 1.0
-        for i in (0b001, 0b010, 0b100):
-            quartet[i, 1] = 1.0 / s3
-        for i in (0b011, 0b101, 0b110):
-            quartet[i, 2] = 1.0 / s3
-        quartet[0b111, 3] = 1.0
-        # copy A: qubits 1,2 coupled to a singlet
-        copy_a = np.zeros((8, 2), dtype=complex)
-        copy_a[0b010, 0], copy_a[0b100, 0] = 1.0 / s2, -1.0 / s2
-        copy_a[0b011, 1], copy_a[0b101, 1] = 1.0 / s2, -1.0 / s2
-        # copy B: qubits 1,2 coupled to a triplet, then down to j = 1/2
-        copy_b = np.zeros((8, 2), dtype=complex)
-        copy_b[0b001, 0] = s23
-        copy_b[0b010, 0] = copy_b[0b100, 0] = -1.0 / s6
-        copy_b[0b011, 1] = copy_b[0b101, 1] = 1.0 / s6
-        copy_b[0b110, 1] = -s23
-        return {3: [quartet], 1: [copy_a, copy_b]}
-    raise DimensionOverflowError(f"explicit spin blocks are hand-coded for n <= 3, got n={n}")
-
-
 def random_pi_state(spec: PIStateSpec) -> np.ndarray:
     """Build the PI density matrix described by ``spec``."""
     n, dim = spec.n, 1 << spec.n
@@ -269,8 +334,8 @@ def random_pi_state(spec: PIStateSpec) -> np.ndarray:
                 rho += w * np.outer(vec, vec.conj())
         return rho
     if spec.method == "blocks":
-        isometries = _block_isometries(n)
-        two_js = sorted(isometries, reverse=True)
+        basis = coupled_basis(n)
+        two_js = [size - 1 for size in basis.sizes]
         probs, blocks = spec.block_probs, spec.blocks
         if probs is None or blocks is None or len(probs) != len(two_js) or len(blocks) != len(two_js):
             raise ValueError(
@@ -278,15 +343,12 @@ def random_pi_state(spec: PIStateSpec) -> np.ndarray:
                 f"(sectors 2j = {two_js})"
             )
         _check_simplex(probs, "sector probabilities")
-        rho = np.zeros((dim, dim), dtype=complex)
-        for p_j, block, two_j in zip(probs, blocks, two_js):
-            block = np.asarray(block, dtype=complex)
-            if block.shape != (two_j + 1, two_j + 1):
+        for block, two_j in zip(blocks, two_js):
+            if np.shape(block) != (two_j + 1, two_j + 1):
                 raise ValueError(f"sector 2j={two_j} block must be {two_j + 1}x{two_j + 1}")
-            copies = isometries[two_j]
-            for iso in copies:
-                rho += (p_j / len(copies)) * (iso @ block @ iso.conj().T)
-        return rho
+        # each copy of a sector carries block / count, so every copy weighs the same
+        return _from_blocks(_frame(n), [p_j / count * np.asarray(block, dtype=complex)
+                                        for p_j, block, count in zip(probs, blocks, basis.counts)])
     raise ValueError(f"unknown PI state method: {spec.method!r}")
 
 
@@ -378,26 +440,29 @@ def reconstruct(
     No physicality projection is applied here.
     """
     field = family.field
-    distributions = _distributions(records, field)
-    missing = [b for b in minimal_bases(field) if b not in distributions]
+    labels, probs = _distributions(records, field)
+    present = set(labels)
+    missing = [b for b in minimal_bases(field) if b not in present]
     if missing:
         raise MissingBasisError(f"records missing required bases: {missing}")
 
     if mode == PI_SUBSPACE:
-        count = len(pi_types(field.n))
-        sums, hits = np.zeros(count), np.zeros(count)
-        for label, probs in distributions.items():
-            types = stabilizer_table(field, label).types
-            np.add.at(sums, types, pauli_expectations(family, label, probs))
-            np.add.at(hits, types, 1)
+        # one Walsh product for every basis, then one bincount per sum over types
+        expect = (probs @ walsh(field.size)).ravel()
+        expect *= np.concatenate([anchor_eigenvalues(family, label) for label in labels])
+        types = np.concatenate([stabilizer_table(field, label).types for label in labels])
+        grid = pauli_grid(field.n)
+        count = len(grid.counts)
+        sums = np.bincount(types, expect, minlength=count)
+        hits = np.bincount(types, minlength=count)
         coords = np.divide(sums, hits, out=np.zeros(count), where=hits > 0)
-        return pauli_operator(field.n, coords[pauli_grid(field.n).types])
+        return pauli_operator(field.n, coords[grid.types])
 
-    return family_operator(family, expand_probabilities(distributions, table, mode))
+    return family_operator(family, expand_probabilities(dict(zip(labels, probs)), table, mode))
 
 
-def _distributions(records, field: Field) -> dict:
-    """The one record gate: {basis label: probabilities by the bits of nu}."""
+def _distributions(records, field: Field) -> tuple[list, np.ndarray]:
+    """The one record gate: the basis labels, and their probabilities by the bits of nu as rows."""
     labels = [record.basis for record in records]
     probs = np.zeros((len(labels), field.size))
     for row, record in zip(probs, records):
@@ -405,12 +470,11 @@ def _distributions(records, field: Field) -> dict:
             raise SchemaError(f"record of basis {record.basis!r} has outcome shape "
                               f"{np.shape(record.data)}, expected {row.shape} for n={field.n}")
         row[:] = record.frequencies()
-    distributions = dict(zip(labels, probs))
-    if len(distributions) < len(labels):
+    if len(set(labels)) < len(labels):
         twice = next(label for i, label in enumerate(labels) if label in labels[:i])
         raise SchemaError(f"basis {twice!r} is recorded more than once")
     check_distributions(labels, probs)
-    return distributions
+    return labels, probs
 
 
 # ----------------------------------------------------------------------
@@ -447,15 +511,37 @@ def _project_to_simplex(values: np.ndarray) -> np.ndarray:
 
 
 def project_physical(rho_hat: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest PI density matrix: twirl, then simplex projection of the spectrum.
+    """Frobenius-nearest PI density matrix, projected block by block in the coupled basis.
 
-    The twirl is the orthogonal projector onto PI operators, so the nearest
-    PI state is the nearest state to the twirled estimate.  The simplex step
-    (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)) keeps the
-    eigenvectors, so it commutes with every qubit permutation.
+    In the coupled basis U (``coupled_basis``) a PI operator reads
+    (+)_j 1_(m_j) (x) rho_j.  The twirl, the orthogonal projector onto such
+    operators, sets each rho_j to the mean of the m_j diagonal copy blocks of
+    U^T rho_hat U, and the nearest PI state is the nearest state to the
+    twirled estimate.  Each mean block is made Hermitian and diagonalized,
+    and one simplex step (Smolin, Gambetta & Smith, PRL 108, 070502 (2012))
+    acts on the spectrum with each eigenvalue counted m_j times.  No
+    2^n-sided matrix is twirled or diagonalized.
     """
-    evals, evecs = np.linalg.eigh(twirl((rho_hat + rho_hat.conj().T) / 2.0))
-    return (evecs * _project_to_simplex(evals)) @ evecs.conj().T
+    n = qubit_count(rho_hat.shape[0])
+    frame = _frame(n)
+    if rho_hat.shape != frame.matrix.shape:
+        raise DimensionMismatchError(f"matrix of shape {rho_hat.shape} is not 2^n x 2^n")
+    rho_hat = np.ascontiguousarray(rho_hat, dtype=complex)
+    rows = (frame.matrix.T @ rho_hat.view(float)).view(complex)  # U^T rho_hat
+    spectra, vectors = [], []
+    for span, copies in frame.sectors:
+        total = rows[span].reshape(copies.shape) @ copies.T  # m_j times the twirled block
+        evals, evecs = np.linalg.eigh(total + total.conj().T)
+        spectra.append(evals)
+        vectors.append(evecs)
+    spectrum = np.concatenate(spectra) / (2 * frame.reps)
+    weights = _project_to_simplex(spectrum.repeat(frame.reps))[frame.firsts]
+    blocks, start = [], 0
+    for evecs in vectors:
+        stop = start + len(evecs)
+        blocks.append((evecs * weights[start:stop]) @ evecs.conj().T)
+        start = stop
+    return _from_blocks(frame, blocks)
 
 
 # ----------------------------------------------------------------------

@@ -354,6 +354,14 @@ def test_simulated_truths_pass_the_state_check(tmp_path, n, method):
     assert run_cli("reconstruct", "--records", str(records), "--out", str(tmp_path / "r.json")) == 0
 
 
+def test_blocks_method_round_trips_past_three_qubits(tmp_path):
+    records, report = tmp_path / "records.json", tmp_path / "report.json"
+    assert run_cli("simulate", "--n", "4", "--seed", "2", "--method", "blocks", "--exact",
+                   "--out", str(records)) == 0
+    assert run_cli("reconstruct", "--records", str(records), "--project", "--out", str(report)) == 0
+    assert json.loads(report.read_text())["fidelity"] > 1 - 1e-9
+
+
 def test_simulate_rejects_dimension_mismatch(tmp_path, capsys):
     state = tmp_path / "state.json"
     state.write_text(json.dumps(matrix_to_json(np.eye(8) / 8)))

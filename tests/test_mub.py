@@ -393,6 +393,19 @@ def test_covariance_report_refutes_a_misanchored_family(n, checked):
     assert not report["display_rule_holds"]
 
 
+def test_covariance_report_refutes_a_landing_that_misses_by_5e_6():
+    # slope 0 anchored on sqrt(1 + 5e-6) |00>: the (1, 2) swap maps the basis
+    # onto itself with overlaps 1 + 5e-6, outside the 1e-9 landing gate
+    f = field(2)
+    fam = family(2)
+    zero = BasisLabel(f.zero())
+    scaled = fam.anchor(zero) * np.sqrt(1 + 5e-6)
+    report = swap_covariance_report(MubFamily(f, {**fam.bases, zero: scaled}))
+    assert report["failures"] == [(1, 2, repr(zero))]
+    assert report["bases_checked"] == 4
+    assert not report["closed"]
+
+
 # ----------------------------------------------------------------------
 # Export
 # ----------------------------------------------------------------------

@@ -24,12 +24,14 @@ from pimub.mub import (
     reconstruct_identity_check,
     stabilizer_points,
 )
-from pimub.operators import build_x, build_z, is_density_matrix, permutation_matrix, swap_index
+from pimub.operators import (build_x, build_z, is_density_matrix, pauli_grid, pauli_operator,
+                             pauli_table, permutation_matrix, swap_index)
 from pimub.orbits import LabelPoint, expand_probabilities, minimal_bases
 from pimub.tomography import (
     RECONSTRUCT_MODES,
     MeasurementRecord,
     PIStateSpec,
+    coupled_basis,
     dicke_state,
     exact_probabilities,
     fidelity,
@@ -90,6 +92,99 @@ def test_independent_parameter_count_examples():
     assert independent_parameter_count(2) == 9
     assert independent_parameter_count(3) == 19
     assert independent_parameter_count(4) == 34
+
+
+# ----------------------------------------------------------------------
+# Coupled spin basis
+# ----------------------------------------------------------------------
+
+def hand_coupled_copies(n):
+    """Oracle: the coupled copies of n <= 3 qubits written out by hand, keyed by 2j."""
+    s2, s3, s6, s23 = map(math.sqrt, (2.0, 3.0, 6.0, 2.0 / 3.0))
+    if n == 1:
+        return {1: [np.eye(2)]}
+    if n == 2:
+        triplet = np.zeros((4, 3))
+        triplet[0b00, 0] = triplet[0b11, 2] = 1.0
+        triplet[0b01, 1] = triplet[0b10, 1] = 1.0 / s2
+        singlet = np.zeros((4, 1))
+        singlet[0b01, 0], singlet[0b10, 0] = 1.0 / s2, -1.0 / s2
+        return {2: [triplet], 0: [singlet]}
+    quartet = np.zeros((8, 4))
+    quartet[0b000, 0] = quartet[0b111, 3] = 1.0
+    quartet[[0b001, 0b010, 0b100], 1] = 1.0 / s3
+    quartet[[0b011, 0b101, 0b110], 2] = 1.0 / s3
+    # qubits 1, 2 coupled to a singlet
+    via_singlet = np.zeros((8, 2))
+    via_singlet[0b010, 0], via_singlet[0b100, 0] = 1.0 / s2, -1.0 / s2
+    via_singlet[0b011, 1], via_singlet[0b101, 1] = 1.0 / s2, -1.0 / s2
+    # qubits 1, 2 coupled to a triplet, then down to j = 1/2
+    via_triplet = np.zeros((8, 2))
+    via_triplet[0b001, 0] = s23
+    via_triplet[0b010, 0] = via_triplet[0b100, 0] = -1.0 / s6
+    via_triplet[0b011, 1] = via_triplet[0b101, 1] = 1.0 / s6
+    via_triplet[0b110, 1] = -s23
+    return {3: [quartet], 1: [via_singlet, via_triplet]}
+
+
+def collective_spin(n):
+    """Oracle: the collective J_z and J^2 of n qubits, |0> as spin up."""
+    half = [np.array(m) / 2.0 for m in ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])]
+    total = [
+        sum(np.kron(np.kron(np.eye(2**k), s), np.eye(2 ** (n - k - 1))) for k in range(n))
+        for s in half
+    ]
+    return total[2], sum(j @ j for j in total)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_coupled_basis_is_orthogonal_and_tiles_the_sectors(n):
+    u, sizes, counts = coupled_basis(n)
+    assert u.dtype == float and u.shape == (2**n, 2**n)
+    assert np.abs(u.T @ u - np.eye(2**n)).max() < 1e-13
+    assert sizes == tuple(int(2 * j) + 1 for j in spin_values(n))
+    assert counts == tuple(multiplicity(n, j) for j in spin_values(n))
+    assert sum(m * d for d, m in zip(sizes, counts)) == 2**n
+    with pytest.raises(ValueError):
+        u[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_coupled_columns_are_collective_spin_eigenvectors(n):
+    jz, j2 = collective_spin(n)
+    u, sizes, counts = coupled_basis(n)
+    two_j = np.concatenate([np.full(d * m, d - 1) for d, m in zip(sizes, counts)])
+    two_m = np.concatenate([np.tile(np.arange(d - 1, -d, -2), m) for d, m in zip(sizes, counts)])
+    assert np.abs(jz @ u - u * (two_m / 2.0)).max() < 1e-12
+    assert np.abs(j2 @ u - u * (two_j / 2.0 * (two_j / 2.0 + 1.0))).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_coupled_basis_reproduces_the_hand_coupled_copies(n):
+    u, sizes, counts = coupled_basis(n)
+    expected = [iso for d in sizes for iso in hand_coupled_copies(n)[d - 1]]
+    assert np.abs(u - np.hstack(expected)).max() < 1e-15
+
+
+@pytest.mark.parametrize("n", (2, 4, 6))
+def test_twirled_states_are_copy_block_diagonal_in_the_coupled_basis(n):
+    u, sizes, counts = coupled_basis(n)
+    y = u.T @ random_pi_state(PIStateSpec.twirl(n, seed=70 + n)) @ u
+    expected = np.zeros_like(y)
+    start = 0
+    for d, m in zip(sizes, counts):
+        first = y[start:start + d, start:start + d]
+        for c in range(m):
+            at = start + c * d
+            assert np.abs(y[at:at + d, at:at + d] - first).max() < 1e-12
+            expected[at:at + d, at:at + d] = first
+        start += d * m
+    assert np.abs(y - expected).max() < 1e-12
+
+
+def test_coupled_basis_caps_n():
+    with pytest.raises(DimensionOverflowError):
+        coupled_basis(9)
 
 
 # ----------------------------------------------------------------------
@@ -235,9 +330,41 @@ def test_purity_respects_the_block_decomposition(n):
     assert abs(direct - predicted) < 1e-12
 
 
-def test_spin_block_method_capped_at_three_qubits():
+def test_spin_block_method_capped_at_the_twirl_limit():
+    blocks = [np.eye(d) / d for d in (10, 8, 6, 4, 2)]
     with pytest.raises(DimensionOverflowError):
-        random_pi_state(PIStateSpec.spin_blocks(4, [1, 0, 0], [np.eye(5) / 5, np.eye(3) / 3, np.eye(1)]))
+        random_pi_state(PIStateSpec.spin_blocks(9, [1, 0, 0, 0, 0], blocks))
+
+
+def _random_spin_block_spec(n, seed):
+    rng = np.random.default_rng(seed)
+    sectors = spin_values(n)
+    probs = rng.dirichlet(np.ones(len(sectors)))
+    blocks = [random_density_matrix(int(2 * j) + 1, seed=seed + int(2 * j)) for j in sectors]
+    return PIStateSpec.spin_blocks(n, probs, blocks)
+
+
+@pytest.mark.parametrize("n", (4, 5, 6))
+def test_spin_block_states_past_three_qubits_are_pi_densities(n):
+    rho = random_pi_state(_random_spin_block_spec(n, seed=40 + n))
+    assert is_density_matrix(rho, herm_tol=1e-12, trace_tol=1e-12)
+    assert is_permutation_invariant(rho, tol=1e-12)
+
+
+@pytest.mark.parametrize("n", (4, 5, 6))
+def test_purity_respects_the_block_decomposition_past_three_qubits(n):
+    spec = _random_spin_block_spec(n, seed=50 + n)
+    rho = random_pi_state(spec)
+    predicted = sum(
+        p**2 * np.trace(b @ b).real / multiplicity(n, j)
+        for p, b, j in zip(spec.block_probs, spec.blocks, spin_values(n))
+    )
+    assert abs(np.trace(rho @ rho).real - predicted) < 1e-12
+
+
+def test_spin_block_method_checks_block_shapes():
+    with pytest.raises(ValueError, match="2j=2 block must be 3x3"):
+        random_pi_state(PIStateSpec.spin_blocks(4, [1, 0, 0], [np.eye(5) / 5, np.eye(2) / 2, 1]))
 
 
 # ----------------------------------------------------------------------
@@ -523,6 +650,43 @@ def test_unmeasured_pi_types_of_the_minimal_bases():
     assert unmeasured_pi_types(field(5), family(5).labels()) == []
 
 
+def looped_pi_subspace_fit(records, fam):
+    """Oracle: the per-type mean, accumulated basis by basis."""
+    f = fam.field
+    count = len(pi_types(f.n))
+    sums, hits = np.zeros(count), np.zeros(count)
+    for record in records:
+        types = mub.stabilizer_table(f, record.basis).types
+        np.add.at(sums, types, pauli_expectations(fam, record.basis, record.frequencies()))
+        np.add.at(hits, types, 1)
+    coords = np.divide(sums, hits, out=np.zeros(count), where=hits > 0)
+    return pauli_operator(f.n, coords[pauli_grid(f.n).types])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pi_subspace_fit_matches_the_per_basis_loop(n):
+    f = field(n)
+    fam = family(n)
+    rho = random_density_matrix(f.size, seed=90 + n)  # not PI, so every type is exercised
+    exact = exact_probabilities(rho, fam, minimal_bases(f))
+    sampled = [sample_counts(r, shots=500, seed=i) for i, r in enumerate(exact)]
+    for records in (exact, sampled):
+        estimate = reconstruct(records, orbit_table(n), fam)
+        assert np.abs(estimate - looped_pi_subspace_fit(records, fam)).max() < 1e-14
+
+
+def test_unmeasured_types_get_zero_coordinates():
+    f = field(5)
+    rho = random_pi_state(PIStateSpec.twirl(5, seed=3))
+    estimate = reconstruct(exact_probabilities(rho, family(5), minimal_bases(f)), orbit_table(5),
+                           family(5))
+    table = pauli_table(estimate)
+    grid = pauli_grid(5)
+    for t in unmeasured_pi_types(f, minimal_bases(f)):
+        assert np.abs(table[grid.types == pi_types(5).index(t)]).max() < 1e-14
+        assert np.abs(pauli_table(rho)[grid.types == pi_types(5).index(t)]).max() > 1e-6
+
+
 def test_full_family_recovers_five_qubit_pi_states():
     # the minimal bases miss two types at n = 5; the whole family misses none
     fam = family(5)
@@ -761,6 +925,54 @@ def test_projection_is_the_nearest_pi_state_for_non_pi_input():
     evals, evecs = np.linalg.eigh(herm)
     clip_then_twirl = twirl((evecs * _project_to_simplex(evals)) @ evecs.conj().T)
     assert np.linalg.norm(out - herm) < np.linalg.norm(clip_then_twirl - herm) - 1e-6
+
+
+def dense_projection(rho_hat):
+    """Oracle: Hermitian part, twirl, then the simplex step on the full 2^n spectrum."""
+    evals, evecs = np.linalg.eigh(twirl((rho_hat + rho_hat.conj().T) / 2.0))
+    return (evecs * _project_to_simplex(evals)) @ evecs.conj().T
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_block_projection_matches_the_dense_projection(n):
+    dim = 2**n
+    rng = np.random.default_rng(80 + n)
+    ginibre = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    pi_state = random_pi_state(PIStateSpec.twirl(n, seed=80 + n))
+    noisy = random_density_matrix(dim, seed=n) + 0.1 * (ginibre + ginibre.conj().T)
+    for mat in (pi_state, pi_state + 0.05 * twirl(ginibre + ginibre.conj().T), noisy, ginibre,
+                ginibre.T, ginibre.real):
+        assert np.abs(project_physical(mat) - dense_projection(mat)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", (3, 6, 8))
+def test_projection_diagonalizes_only_spin_blocks(monkeypatch, n):
+    # count-based guard: no 2^n-sided eigensolve and no twirl
+    sides = []
+    eigh = np.linalg.eigh
+
+    def counted(mat, *args, **kwargs):
+        sides.append(mat.shape[-1])
+        return eigh(mat, *args, **kwargs)
+
+    def refuse(rho):
+        raise AssertionError("twirl called")
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(tomography, "twirl", refuse)
+    rng = np.random.default_rng(n)
+    project_physical(rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n)))
+    assert sorted(sides, reverse=True) == [int(2 * j) + 1 for j in spin_values(n)]
+    assert max(sides) <= n + 1
+
+
+def test_projection_caps_n_and_rejects_non_square_input():
+    with pytest.raises(DimensionOverflowError):
+        project_physical(np.eye(2**9) / 2**9)
+    with pytest.raises(DimensionMismatchError):
+        project_physical(np.eye(8)[:, :4])
+    with pytest.raises(DimensionMismatchError):
+        project_physical(np.eye(6) / 6)
 
 
 def test_noisy_reconstruction_projects_to_a_physical_pi_state():
