@@ -50,6 +50,7 @@ from .orbits import (
     enumerate_orbits,
     independent_count,
     minimal_bases,
+    orbit_count,
     orbit_report,
     orbit_table_to_csv,
     orbit_table_to_json,
@@ -164,8 +165,8 @@ def cmd_simulate(args) -> int:
     else:
         rho = _generated_state(args.n, args.method, args.seed)
 
-    family = build_family(field)
-    records = exact_probabilities(rho, family, minimal_bases(field))
+    bases = minimal_bases(field)
+    records = exact_probabilities(rho, build_family(field, bases), bases)
     if not args.exact:
         records = [
             sample_counts(rec, args.shots, seed=args.seed * 1000 + i)
@@ -192,8 +193,11 @@ def cmd_reconstruct(args) -> int:
         raise SchemaError(f"malformed records file: {exc}") from exc
     field = make_field(n)
     records = [record_from_json(field, obj) for obj in record_objs]
-    family = build_family(field)
-    table = enumerate_orbits(field)
+    if args.mode == PI_SUBSPACE:
+        # the PI-subspace fit reads only the recorded bases and no orbit table
+        family, table = build_family(field, [rec.basis for rec in records]), None
+    else:
+        family, table = build_family(field), enumerate_orbits(field)
 
     rho_hat = reconstruct(records, table, family, mode=args.mode)
     if args.project:
@@ -215,8 +219,8 @@ def cmd_reconstruct(args) -> int:
         "fidelity": fidelity(truth, rho_hat) if truth is not None and physical else None,
         "trace_distance": None if truth is None else trace_distance(truth, rho_hat),
         "physical": physical,
-        "orbit_count": len(table.orbits),
-        "independent_count": independent_count(field, table),
+        "orbit_count": orbit_count(n),
+        "independent_count": independent_count(field),
         "state": matrix_to_json(rho_hat),
     }
     _dump(report, args.out)
@@ -323,7 +327,8 @@ def _verify_rows(n: int, tolerance: float | None) -> list[tuple[str, bool | None
          f"enumerated {indep}, blocks {independent_parameter_count(n)}"),
         ("orbits: closed-form orbit count", None,
          f"formula {closed} vs enumerated {enumerated}"
-         + ("" if closed == enumerated else " -- DISAGREES; enumeration is authoritative")),
+         + ("" if closed == enumerated else " -- DISAGREES; enumeration is authoritative")
+         + f"; exact count C(n+3,3) + n + 1 = {orbit_count(n)}"),
     ]
 
     bases = minimal_bases(field)

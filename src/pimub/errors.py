@@ -49,7 +49,7 @@ class DimensionMismatchError(PimubError):
 
 
 class MissingOrbitError(PimubError):
-    """An orbit has no measured representative to expand from."""
+    """An orbit expansion has no orbit table, or an orbit no measured representative."""
 
     code = "missing-orbit"
 
@@ -61,7 +61,7 @@ class NotNormalizedError(PimubError):
 
 
 class MissingBasisError(PimubError):
-    """Measurement records do not cover the required minimal bases."""
+    """Records miss a required minimal basis, or a family lacks a requested basis."""
 
     code = "missing-basis"
 

@@ -29,7 +29,6 @@ at construction time):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -283,9 +282,6 @@ class Field:
             "selfdual_basis": list(self.selfdual_basis),
         }
 
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
-
 
 @dataclass(frozen=True)
 class FieldElement:
@@ -352,15 +348,6 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"FieldElement(bits={self.bits:#0{self.field.n + 2}b}, n={self.field.n})"
-
-
-def element_from_coeffs(field: Field, coeffs) -> FieldElement:
-    """Element from an iterable of self-dual coordinates (n_1, ..., n_n)."""
-    coeffs = list(coeffs)
-    if len(coeffs) != field.n or any(c not in (0, 1) for c in coeffs):
-        raise ValueError(f"need {field.n} binary coordinates, got {coeffs}")
-    bits = sum(c << i for i, c in enumerate(coeffs))
-    return field.element(bits)
 
 
 @lru_cache(maxsize=None)

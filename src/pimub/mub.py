@@ -36,7 +36,9 @@ on the monomial with computational masks (a, b), so rule 2 is one sign
 table.
 
 A family stores each basis by its column 0; ``MubFamily.basis`` expands it
-for the structural checks and the JSON export only.  Both directions of the
+for the structural checks and the JSON export only.  ``build_family`` builds
+the whole family or only the labels a caller reads, such as the n + 2
+minimal bases of a measurement.  Both directions of the
 measurement map go through the basis's cached ``stabilizer_table``:
 ``born_probabilities`` reads the expectations of its Pauli strings as rows
 of the state's ``operators.pauli_table`` (one table serves every basis),
@@ -57,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotNormalizedError, SchemaError, json_int
+from .errors import MissingBasisError, NotNormalizedError, SchemaError, json_int
 from .gf2n import Field, FieldElement
 from .operators import (pauli_operator, pauli_phase, pauli_types, permute_label, popcounts,
                         pauli_table, swap_index, walsh)
@@ -296,10 +298,13 @@ def build_vertical(field: Field) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MubFamily:
-    """The full labeled family of 2^n + 1 bases (immutable once built).
+    """A labeled family of bases (immutable once built): all 2^n + 1, or some of them.
 
     Each basis is stored by its column 0, the anchor |0, label>; ``basis``
-    expands it to the full matrix on every call.  ``eigenvalues`` caches
+    expands it to the full matrix on every call.  A partial family (see
+    ``build_family``) is the same type with fewer entries in ``bases``, so
+    it compares unequal to the full family; asking it for a basis it lacks
+    raises ``MissingBasisError``.  ``eigenvalues`` caches
     ``anchor_eigenvalues`` by label, filled on first use; the constructor
     does not take it, so every family starts with an empty cache.
     """
@@ -313,10 +318,13 @@ class MubFamily:
         return list(self.bases)
 
     def anchor(self, label: BasisLabel) -> np.ndarray:
-        return self.bases[label]
+        try:
+            return self.bases[label]
+        except KeyError:
+            raise MissingBasisError(f"basis {label!r} is not in the family") from None
 
     def basis(self, label: BasisLabel) -> np.ndarray:
-        return _expand(self.bases[label], label.is_vertical)
+        return _expand(self.anchor(label), label.is_vertical)
 
     def vector(self, label: BasisLabel, nu: FieldElement) -> np.ndarray:
         return self.basis(label)[:, nu.index]
@@ -326,12 +334,17 @@ class MubFamily:
         return np.outer(v, v.conj())
 
 
-def build_family(field: Field) -> MubFamily:
-    """All 2^n slope bases plus the vertical basis."""
+def build_family(field: Field, labels=None) -> MubFamily:
+    """The bases of ``labels``, in that order; all 2^n slope bases plus the vertical one if None.
+
+    Each anchor depends on its own label only, so a partial family holds
+    the same arrays as the full one for the labels it has, at the cost of
+    those labels alone.  It compares unequal to the full family.
+    """
     bases = {
         label: _vertical_anchor(field) if label.is_vertical
         else _slope_anchor(field, label.slope)
-        for label in family_labels(field)
+        for label in (family_labels(field) if labels is None else labels)
     }
     return MubFamily(field=field, bases=bases)
 

@@ -48,11 +48,6 @@ def build_x(beta: FieldElement) -> np.ndarray:
     return _tensor(SIGMA_X if b else _ID2 for b in coeffs)
 
 
-def pauli_monomial(alpha: FieldElement, beta: FieldElement) -> np.ndarray:
-    """The group monomial Z_alpha X_beta."""
-    return build_z(alpha) @ build_x(beta)
-
-
 @lru_cache(maxsize=None)
 def popcounts(dim: int) -> np.ndarray:
     """Read-only array of |i|, the number of set bits, for i < dim."""
@@ -230,24 +225,6 @@ def swap_matrix(field: Field, p: int, q: int) -> np.ndarray:
     return mat
 
 
-def permutation_matrix(field: Field, perm) -> np.ndarray:
-    """Unitary representation of a qubit permutation.
-
-    ``perm[i]`` is the (0-based) source qubit moved to position i, so the
-    matrix maps |b_perm[0] ... b_perm[n-1]> labels onto |b_0 ... b_(n-1)>.
-    """
-    n, dim = field.n, field.size
-    perm = list(perm)
-    if sorted(perm) != list(range(n)):
-        raise InvalidIndexError(f"not a permutation of 0..{n - 1}: {perm}")
-    mat = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        bits = [(i >> (n - 1 - k)) & 1 for k in range(n)]
-        j = sum(bits[perm[k]] << (n - 1 - k) for k in range(n))
-        mat[j, i] = 1.0
-    return mat
-
-
 def permute_label(kappa: FieldElement, p: int, q: int) -> FieldElement:
     """Field-level swap action: kappa + eps * tr(eps * kappa), eps = theta_p + theta_q.
 
@@ -264,10 +241,6 @@ def permute_label(kappa: FieldElement, p: int, q: int) -> FieldElement:
 # ----------------------------------------------------------------------
 # Structural checks shared by tests and the verification command
 # ----------------------------------------------------------------------
-
-def is_unitary(mat: np.ndarray, tol: float = 1e-12) -> bool:
-    dim = mat.shape[0]
-    return bool(np.allclose(mat @ mat.conj().T, np.eye(dim), rtol=0, atol=tol))
 
 def is_hermitian(mat: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.allclose(mat, mat.conj().T, rtol=0, atol=tol))

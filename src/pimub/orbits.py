@@ -12,7 +12,11 @@ the computational and vertical bases the orbit of nu is its weight class.
 ``enumerate_orbits`` groups the label points by that key; the tests check it
 against the union-find closure of the transposition action, and stores each
 point's orbit id in the integer array ``OrbitTable.ids``, which is all that
-``expand_probabilities`` reads.
+``expand_probabilities`` reads.  The key also counts the orbits: each of the
+C(n + 3, 3) column-type count vectors of (mu; nu) is one orbit, those with
+mu = 0 being the weight classes of the computational basis, and the
+vertical basis adds its n + 1 weight classes, so there are
+C(n + 3, 3) + n + 1 orbits (``orbit_count``).
 
 For permutationally invariant states the probabilities attached to the
 points of one orbit coincide whenever the swap action closes on the basis
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -39,7 +44,6 @@ import numpy as np
 from .errors import MissingOrbitError
 from .gf2n import Field, FieldElement
 from .mub import BasisLabel, check_distributions, family_labels, vertical_label
-from .operators import permute_label
 
 
 @dataclass(frozen=True)
@@ -82,9 +86,6 @@ class OrbitTable:
     labels: tuple[BasisLabel, ...]
     ids: np.ndarray = dataclass_field(compare=False)
 
-    def orbit_of(self, point: LabelPoint) -> Orbit:
-        return self.orbits[self.ids[_row(point.basis, 1 << self.n), point.nu.bits]]
-
     @property
     def total_points(self) -> int:
         return sum(o.size for o in self.orbits)
@@ -96,15 +97,6 @@ def orbit_invariants(point: LabelPoint) -> tuple[int, ...]:
         return (point.nu.weight,)
     mu = point.basis.slope
     return (mu.weight, point.nu.weight, (mu + point.nu).weight)
-
-
-def transform_point(point: LabelPoint, p: int, q: int) -> LabelPoint:
-    """Image of a label point under the (p, q) qubit swap."""
-    nu = permute_label(point.nu, p, q)
-    basis = point.basis
-    if not basis.is_vertical and basis.slope.bits != 0:
-        basis = BasisLabel(permute_label(basis.slope, p, q))
-    return LabelPoint(nu, basis)
 
 
 def all_label_points(field: Field) -> list[LabelPoint]:
@@ -168,11 +160,15 @@ def minimal_bases(field: Field) -> list[BasisLabel]:
     return labels
 
 
+def orbit_count(n: int) -> int:
+    """The exact number of label orbits, C(n + 3, 3) + n + 1 (module docstring)."""
+    return math.comb(n + 3, 3) + n + 1
+
+
 def independent_count(field: Field, table: OrbitTable | None = None) -> int:
-    """Number of orbits minus one normalization per measured basis."""
-    if table is None:
-        table = enumerate_orbits(field)
-    return len(table.orbits) - (field.n + 2)
+    """Orbits (in ``table``, else ``orbit_count``) minus one normalization per measured basis."""
+    count = orbit_count(field.n) if table is None else len(table.orbits)
+    return count - (field.n + 2)
 
 
 def closed_form_orbit_count(n: int) -> int:

@@ -62,6 +62,7 @@ from .errors import (
     DimensionOverflowError,
     InvalidSpinError,
     MissingBasisError,
+    MissingOrbitError,
     SchemaError,
     json_int,
     json_number,
@@ -415,7 +416,7 @@ RECONSTRUCT_MODES = (PI_SUBSPACE, "representative", "average")
 
 def reconstruct(
     records,
-    table: OrbitTable,
+    table: OrbitTable | None,
     family: MubFamily,
     mode: str = PI_SUBSPACE,
 ) -> np.ndarray:
@@ -428,14 +429,16 @@ def reconstruct(
     and types no record measures get 0, the minimum-norm solution.  It is
     exact for PI states whenever ``unmeasured_pi_types`` is empty, which
     holds for the minimal bases at n <= 4 but not at n = 5.  ``table`` is
-    not read in this mode.
+    not read in this mode and may be None, and ``family`` needs only the
+    recorded bases (``build_family`` with their labels).
 
     ``mode`` "representative" or "average" is the orbit expansion: the
     distributions are propagated to the full family along label orbits
     (``expand_probabilities`` with that mode) and summed through
     rho = sum_(k,nu) p_(nu,k) P_(nu,k) - identity (``mub.family_operator``).
     Qubit swaps do not map the family to itself for n >= 3, so this is exact
-    only for n <= 2.
+    only for n <= 2.  These modes need the orbit table (else
+    ``MissingOrbitError``) and the full family.
 
     No physicality projection is applied here.
     """
@@ -458,6 +461,8 @@ def reconstruct(
         coords = np.divide(sums, hits, out=np.zeros(count), where=hits > 0)
         return pauli_operator(field.n, coords[grid.types])
 
+    if table is None:
+        raise MissingOrbitError(f"mode {mode!r} expands along orbits and needs an orbit table")
     return family_operator(family, expand_probabilities(dict(zip(labels, probs)), table, mode))
 
 

@@ -1,4 +1,5 @@
-"""Shared cached constructions: building a MUB family is the slow step.
+"""Shared cached constructions (building a MUB family is the slow step), and
+the permutation-matrix oracle that the operator and twirl tests share.
 
 ``src`` goes on ``sys.path`` and on ``PYTHONPATH``, so a bare ``pytest``
 finds the package without an install, and so do the CLI subprocesses the
@@ -17,6 +18,8 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
 )
 
+import numpy as np  # noqa: E402
+
 from pimub import build_family, enumerate_orbits, make_field  # noqa: E402
 
 
@@ -33,3 +36,17 @@ def family(n):
 @lru_cache(maxsize=None)
 def orbit_table(n):
     return enumerate_orbits(field(n))
+
+
+def permutation_matrix(f, perm):
+    """Oracle: the unitary that moves the (0-based) qubit perm[i] to position i.
+
+    It maps |b_perm[0] ... b_perm[n-1]> onto |b_0 ... b_(n-1)>, qubit 1 the
+    most significant bit.
+    """
+    n = f.n
+    mat = np.zeros((f.size, f.size), dtype=complex)
+    for i in range(f.size):
+        bits = [(i >> (n - 1 - k)) & 1 for k in range(n)]
+        mat[sum(bits[perm[k]] << (n - 1 - k) for k in range(n)), i] = 1.0
+    return mat

@@ -7,9 +7,14 @@ import sys
 import numpy as np
 import pytest
 
+import pimub.cli
 from pimub.cli import main
+from pimub.gf2n import make_field
+from pimub.mub import build_family
 from pimub.operators import matrix_from_json, matrix_to_json
-from pimub.tomography import PIStateSpec, random_pi_state
+from pimub.orbits import enumerate_orbits, independent_count, minimal_bases
+from pimub.tomography import (PIStateSpec, project_physical, random_pi_state, reconstruct,
+                              record_from_json)
 
 
 def run_cli(*argv):
@@ -123,6 +128,53 @@ def test_default_mode_is_exact_for_three_qubits(tmp_path):
     # the orbit expansion is exact only for n <= 2
     assert json.loads(reports["representative"])["trace_distance"] > 1e-3
     assert json.loads(reports["average"])["trace_distance"] > 1e-3
+
+
+def test_default_reconstruct_builds_no_orbit_table(tmp_path, monkeypatch):
+    rec = tmp_path / "records.json"
+    rep = tmp_path / "report.json"
+    assert run_cli("simulate", "--n", "4", "--seed", "2", "--shots", "500", "--out", str(rec)) == 0
+
+    def refuse(field):
+        raise AssertionError("the default mode must not enumerate orbits")
+
+    monkeypatch.setattr(pimub.cli, "enumerate_orbits", refuse)
+    assert run_cli("reconstruct", "--records", str(rec), "--project", "--out", str(rep)) == 0
+    report = json.loads(rep.read_text())
+    table = enumerate_orbits(make_field(4))
+    assert report["orbit_count"] == len(table.orbits)
+    assert report["independent_count"] == independent_count(make_field(4), table)
+
+
+@pytest.mark.parametrize("n", (2, 5))
+def test_cli_builds_only_the_bases_it_reads(tmp_path, monkeypatch, n):
+    calls = []
+
+    def spy(field, labels=None):
+        calls.append(labels)
+        return build_family(field, labels)
+
+    monkeypatch.setattr(pimub.cli, "build_family", spy)
+    rec = tmp_path / "records.json"
+    assert run_cli("simulate", "--n", str(n), "--seed", "1", "--exact", "--out", str(rec)) == 0
+    for mode in ("pi-subspace", "representative"):
+        out = tmp_path / f"{mode}.json"
+        assert run_cli("reconstruct", "--records", str(rec), "--mode", mode, "--out", str(out)) == 0
+    minimal = minimal_bases(make_field(n))
+    assert calls == [minimal, minimal, None]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_default_report_state_is_the_full_family_estimate(tmp_path, n):
+    rec = tmp_path / "records.json"
+    rep = tmp_path / "report.json"
+    assert run_cli("simulate", "--n", str(n), "--seed", "4", "--shots", "2000",
+                   "--out", str(rec)) == 0
+    assert run_cli("reconstruct", "--records", str(rec), "--project", "--out", str(rep)) == 0
+    f = make_field(n)
+    records = [record_from_json(f, obj) for obj in json.loads(rec.read_text())["records"]]
+    full = project_physical(reconstruct(records, enumerate_orbits(f), build_family(f)))
+    assert json.loads(rep.read_text())["state"] == matrix_to_json(full)
 
 
 def test_sampled_pipeline_with_projection(tmp_path):

@@ -1,11 +1,12 @@
 """MUB family: eigenstructure, unbiasedness, covariance, determinism."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
-from pimub.errors import SchemaError
+from pimub.errors import MissingBasisError, SchemaError
 from pimub.gf2n import make_field
 from pimub.mub import (
     BasisLabel,
@@ -27,7 +28,8 @@ from pimub.mub import (
     unbiasedness_deviation,
     vertical_label,
 )
-from pimub.operators import build_x, fourier, pauli_monomial, permute_label
+from pimub.operators import build_x, build_z, fourier, permute_label
+from pimub.orbits import minimal_bases
 from pimub.tomography import random_density_matrix, random_pure_state
 
 from conftest import family, field
@@ -109,7 +111,7 @@ def test_slope_vectors_are_joint_eigenvectors(n):
     for label in fam.labels():
         basis = fam.basis(label)
         for alpha, beta in stabilizer_points(f, label):
-            w = pauli_monomial(alpha, beta)
+            w = build_z(alpha) @ build_x(beta)
             transformed = w @ basis
             lams = np.einsum("ij,ij->j", basis.conj(), transformed)
             assert np.allclose(np.abs(lams), 1.0, atol=1e-10)
@@ -259,10 +261,32 @@ def test_anchor_eigenvalues_belong_to_their_family():
     for fam_, values in ((fam, first), (other, second)):
         anchor = fam_.anchor(label)
         for (alpha, beta), value in zip(stabilizer_points(f, label), values):
-            pauli = (-1j) ** (alpha.index & beta.index).bit_count() * pauli_monomial(alpha, beta)
+            pauli = (-1j) ** (alpha.index & beta.index).bit_count() * build_z(alpha) @ build_x(beta)
             assert abs(value - (anchor.conj() @ pauli @ anchor).real) < 1e-12
     assert anchor_eigenvalues(fam, label) is first
     assert not first.flags.writeable
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_partial_family_holds_the_full_family_anchors(n):
+    # at n = 1 the n + 2 minimal bases are the whole family
+    f = field(n)
+    labels = minimal_bases(f)
+    partial = build_family(f, labels)
+    assert partial.labels() == labels
+    for label in labels:
+        assert np.array_equal(partial.anchor(label), family(n).anchor(label))
+    assert partial != family(n)
+
+
+def test_partial_family_names_a_basis_it_lacks():
+    f = field(3)
+    partial = build_family(f, minimal_bases(f))
+    absent = BasisLabel(f.element(0b010))
+    for read in (partial.anchor, partial.basis, lambda label: anchor_eigenvalues(partial, label)):
+        with pytest.raises(MissingBasisError, match=re.escape(repr(absent))):
+            read(absent)
+    assert partial.eigenvalues == {}
 
 
 def test_family_constructor_takes_no_eigenvalues():

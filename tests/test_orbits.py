@@ -5,6 +5,7 @@ import pytest
 
 from pimub.errors import MissingOrbitError, NotNormalizedError
 from pimub.mub import BasisLabel, vertical_label
+from pimub.operators import permute_label
 from pimub.orbits import (
     LabelPoint,
     all_label_points,
@@ -13,12 +14,12 @@ from pimub.orbits import (
     enumerate_orbits,
     independent_count,
     minimal_bases,
+    orbit_count,
     orbit_invariants,
     orbit_report,
     orbit_table_to_csv,
     orbit_table_to_json,
     s_range,
-    transform_point,
 )
 from pimub.tomography import (
     PIStateSpec,
@@ -30,6 +31,23 @@ from pimub.tomography import (
 
 from conftest import family, field, orbit_table
 from reference_data import THREE_QUBIT_ORBIT_CLASSES, THREE_QUBIT_TOTAL_POINTS
+
+
+def orbit_of(table, point):
+    """The orbit of ``point``, read from ``table.ids``."""
+    return table.orbits[table.ids[table.labels.index(point.basis), point.nu.bits]]
+
+
+def transform_point(point, p, q):
+    """Oracle: the image of a label point under the (p, q) qubit swap.
+
+    nu moves by the field-level swap; so does the slope of a proper slope
+    basis, while the computational and vertical bases stay fixed.
+    """
+    basis = point.basis
+    if not basis.is_vertical and basis.slope.bits != 0:
+        basis = BasisLabel(permute_label(basis.slope, p, q))
+    return LabelPoint(permute_label(point.nu, p, q), basis)
 
 
 def _class_rows(table):
@@ -83,7 +101,7 @@ def test_two_qubit_orbit_structure():
     assert per_class == {"computational": 3, "weight1": 4, "weight2": 3, "vertical": 3}
     # the weight-1 class pairs the two single-theta bases
     pair = {(0b01, 0b10), (0b10, 0b01)}
-    orbit = table.orbit_of(LabelPoint(f.element(0b10), BasisLabel(f.element(0b01))))
+    orbit = orbit_of(table, LabelPoint(f.element(0b10), BasisLabel(f.element(0b01))))
     members = {(p.nu.bits, p.basis.slope.bits) for p in orbit.members}
     assert members == pair
 
@@ -165,7 +183,7 @@ def test_weight_key_table_equals_union_find_closure(n):
     assert [o.orbit_id for o in table.orbits] == list(range(len(closure)))
     assert [o.representative for o in table.orbits] == [ms[0] for ms in closure]
     for orbit in table.orbits:
-        assert all(table.orbit_of(m) is orbit for m in orbit.members)
+        assert all(orbit_of(table, m) is orbit for m in orbit.members)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -245,6 +263,13 @@ def test_minimal_bases_count_and_weights(n):
     assert len(labels) == n + 2
     slopes = [lab.slope.weight for lab in labels if not lab.is_vertical]
     assert slopes == list(range(n + 1))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_exact_orbit_count_is_the_enumerated_count(n):
+    assert orbit_count(n) == len(enumerate_orbits(field(n)).orbits)
+    assert orbit_count(n) - (n + 2) == independent_parameter_count(n)
+    assert independent_count(field(n)) == independent_parameter_count(n)
 
 
 def test_independent_counts_worked_examples():

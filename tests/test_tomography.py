@@ -13,6 +13,7 @@ from pimub.errors import (
     DimensionOverflowError,
     InvalidSpinError,
     MissingBasisError,
+    MissingOrbitError,
     NotNormalizedError,
     SchemaError,
 )
@@ -25,7 +26,7 @@ from pimub.mub import (
     stabilizer_points,
 )
 from pimub.operators import (build_x, build_z, is_density_matrix, pauli_grid, pauli_operator,
-                             pauli_table, permutation_matrix, swap_index)
+                             pauli_table, swap_index)
 from pimub.orbits import LabelPoint, expand_probabilities, minimal_bases
 from pimub.tomography import (
     RECONSTRUCT_MODES,
@@ -54,7 +55,7 @@ from pimub.tomography import (
 )
 from pimub.tomography import _project_to_simplex
 
-from conftest import family, field, orbit_table
+from conftest import family, field, orbit_table, permutation_matrix
 
 
 # ----------------------------------------------------------------------
@@ -507,6 +508,26 @@ def test_reconstruct_requires_the_minimal_bases():
     records = exact_probabilities(rho, fam, minimal_bases(f)[:-1])
     with pytest.raises(MissingBasisError):
         reconstruct(records, orbit_table(2), fam)
+
+
+@pytest.mark.parametrize("mode", ("representative", "average"))
+def test_orbit_modes_name_a_missing_orbit_table(mode):
+    f = field(2)
+    records = exact_probabilities(random_pi_state(PIStateSpec.twirl(2, seed=3)), family(2),
+                                  minimal_bases(f))
+    with pytest.raises(MissingOrbitError, match=mode):
+        reconstruct(records, None, family(2), mode=mode)
+
+
+def test_default_mode_needs_only_the_recorded_bases():
+    f = field(3)
+    rho = random_pi_state(PIStateSpec.twirl(3, seed=8))
+    records = exact_probabilities(rho, family(3), minimal_bases(f))
+    partial = build_family(f, minimal_bases(f))
+    assert np.array_equal(reconstruct(records, None, partial),
+                          reconstruct(records, orbit_table(3), family(3)))
+    with pytest.raises(MissingBasisError, match="not in the family"):
+        reconstruct(records, None, build_family(f, minimal_bases(f)[:-1]))
 
 
 def test_reconstruct_accepts_extra_bases():
