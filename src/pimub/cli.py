@@ -50,7 +50,6 @@ from .orbits import (
     enumerate_orbits,
     independent_count,
     minimal_bases,
-    orbit_count,
     orbit_report,
     orbit_table_to_csv,
     orbit_table_to_json,
@@ -193,11 +192,10 @@ def cmd_reconstruct(args) -> int:
         raise SchemaError(f"malformed records file: {exc}") from exc
     field = make_field(n)
     records = [record_from_json(field, obj) for obj in record_objs]
-    if args.mode == PI_SUBSPACE:
-        # the PI-subspace fit reads only the recorded bases and no orbit table
-        family, table = build_family(field, [rec.basis for rec in records]), None
-    else:
-        family, table = build_family(field), enumerate_orbits(field)
+    # the PI-subspace fit reads only the recorded bases; the orbit modes all
+    recorded = [rec.basis for rec in records] if args.mode == PI_SUBSPACE else None
+    family = build_family(field, recorded)
+    table = enumerate_orbits(field)
 
     rho_hat = reconstruct(records, table, family, mode=args.mode)
     if args.project:
@@ -219,8 +217,8 @@ def cmd_reconstruct(args) -> int:
         "fidelity": fidelity(truth, rho_hat) if truth is not None and physical else None,
         "trace_distance": None if truth is None else trace_distance(truth, rho_hat),
         "physical": physical,
-        "orbit_count": orbit_count(n),
-        "independent_count": independent_count(field),
+        "orbit_count": len(table.orbits),
+        "independent_count": independent_count(field, table),
         "state": matrix_to_json(rho_hat),
     }
     _dump(report, args.out)
@@ -328,7 +326,7 @@ def _verify_rows(n: int, tolerance: float | None) -> list[tuple[str, bool | None
         ("orbits: closed-form orbit count", None,
          f"formula {closed} vs enumerated {enumerated}"
          + ("" if closed == enumerated else " -- DISAGREES; enumeration is authoritative")
-         + f"; exact count C(n+3,3) + n + 1 = {orbit_count(n)}"),
+         + f"; exact count C(n+3,3) + n + 1 = {independent_parameter_count(n) + n + 2}"),
     ]
 
     bases = minimal_bases(field)

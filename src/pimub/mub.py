@@ -296,17 +296,18 @@ def build_vertical(field: Field) -> np.ndarray:
     return _expand(_vertical_anchor(field), vertical=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MubFamily:
     """A labeled family of bases (immutable once built): all 2^n + 1, or some of them.
 
     Each basis is stored by its column 0, the anchor |0, label>; ``basis``
     expands it to the full matrix on every call.  A partial family (see
-    ``build_family``) is the same type with fewer entries in ``bases``, so
-    it compares unequal to the full family; asking it for a basis it lacks
-    raises ``MissingBasisError``.  ``eigenvalues`` caches
-    ``anchor_eigenvalues`` by label, filled on first use; the constructor
-    does not take it, so every family starts with an empty cache.
+    ``build_family``) is the same type with fewer entries in ``bases``;
+    asking it for a basis it lacks raises ``MissingBasisError``.  Families
+    compare by identity, so a partial family is unequal to the full one.
+    ``eigenvalues`` caches ``anchor_eigenvalues`` by label, filled on first
+    use; the constructor does not take it, so every family starts with an
+    empty cache.
     """
 
     field: Field
@@ -339,7 +340,7 @@ def build_family(field: Field, labels=None) -> MubFamily:
 
     Each anchor depends on its own label only, so a partial family holds
     the same arrays as the full one for the labels it has, at the cost of
-    those labels alone.  It compares unequal to the full family.
+    those labels alone.  Families compare by identity (``MubFamily``).
     """
     bases = {
         label: _vertical_anchor(field) if label.is_vertical

