@@ -424,14 +424,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_MAX_SHOTS = 2**63 - 1  # numpy's multinomial draws int64 counts
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     max_n = getattr(args, "max_n", None)
     if max_n is not None and not 1 <= args.n <= max_n:
         parser.error(f"--n must lie in 1..{max_n}")
-    if getattr(args, "shots", None) is not None and args.shots < 1:
-        parser.error("--shots must be >= 1")
+    if getattr(args, "shots", None) is not None and not 1 <= args.shots <= _MAX_SHOTS:
+        parser.error(f"--shots must lie in 1..{_MAX_SHOTS}")
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        parser.error("--seed must be >= 0")
     if getattr(args, "tolerance", None) is not None and not 0 < args.tolerance < math.inf:
         parser.error("--tolerance must be positive and finite")
     try:

@@ -38,14 +38,15 @@ table.
 A family stores each basis by its column 0; ``MubFamily.basis`` expands it
 for the structural checks and the JSON export only.  ``build_family`` builds
 the whole family or only the labels a caller reads, such as the n + 2
-minimal bases of a measurement.  Both directions of the
-measurement map go through the basis's cached ``stabilizer_table``:
-``born_probabilities`` reads the expectations of its Pauli strings as rows
-of the state's ``operators.pauli_table`` (one table serves every basis),
-``pauli_expectations`` recovers them from a distribution, and
-``family_operator`` sums them over bases into sum p P - identity.  The
-anchor's eigenvalues on those strings are computed once per family and
-label (``anchor_eigenvalues``).
+minimal bases of a measurement.  The Pauli strings a basis diagonalizes
+are a function of bit masks (``stabilizer_table``): z is the index of
+alpha and x that of mu alpha, one product by the multiplication matrix of
+mu.  Both directions of the measurement map read them, with the anchor's
+eigenvalue on each, from ``MubFamily.table``, filled once per family and
+label on first read: ``born_probabilities`` reads the expectations of the
+strings as rows of the state's ``operators.pauli_table`` (one table serves
+every basis), ``pauli_expectations`` recovers them from a distribution,
+and ``family_operator`` sums them over bases into sum p P - identity.
 The family is deterministic for a fixed n: identical labels, vectors and
 exported bytes on every run.
 """
@@ -120,32 +121,18 @@ def label_from_json(field: Field, obj) -> BasisLabel:
 
 
 # ----------------------------------------------------------------------
-# Phase-space rays
+# Stabilizer tables
 # ----------------------------------------------------------------------
-
-def slope_points(field: Field, mu: FieldElement) -> list[tuple[FieldElement, FieldElement]]:
-    """The ray of slope mu: pairs (alpha, mu * alpha) over all alpha."""
-    return [(a, mu * a) for a in field.elements()]
-
-
-def stabilizer_points(field: Field, label: BasisLabel) -> list[tuple[FieldElement, FieldElement]]:
-    """Phase-space points (a, b) whose monomials Z_a X_b the basis diagonalizes.
-
-    Listed by ray parameter alpha, in field order: (alpha, mu alpha) on the
-    slope-mu ray, (0, alpha) on the vertical ray.
-    """
-    if label.is_vertical:
-        return [(field.zero(), a) for a in field.elements()]
-    return slope_points(field, label.slope)
-
 
 class StabilizerTable(NamedTuple):
     """The Pauli strings a basis diagonalizes, one row per ray parameter alpha.
 
-    Row alpha is the string (-i)^|z & x| Z_z X_x with computational masks
-    z = a.index and x = b.index of ``stabilizer_points``, and ``types`` is its
-    position in ``pi_types``.  The arrays are int16 (n <= 12 fits), so the
-    tables of a whole family take less memory than its anchors.
+    Rows run over alpha in field order.  Row alpha is the string
+    (-i)^|z & x| Z_z X_x with computational masks z and x: the indices of
+    alpha and mu alpha on the slope-mu ray, of 0 and alpha on the vertical
+    ray.  ``types`` is its position in ``pi_types``.  The arrays are int16
+    (n <= 12 fits), so the tables of a whole family take less memory than
+    its anchors.
     """
 
     z: np.ndarray
@@ -153,12 +140,14 @@ class StabilizerTable(NamedTuple):
     types: np.ndarray
 
 
-@lru_cache(maxsize=None)
 def stabilizer_table(field: Field, label: BasisLabel) -> StabilizerTable:
-    """Read-only ``StabilizerTable`` of a basis, built once per (field, label)."""
-    points = stabilizer_points(field, label)
-    z = np.array([a.index for a, _ in points], dtype=np.int16)
-    x = np.array([b.index for _, b in points], dtype=np.int16)
+    """Read-only ``StabilizerTable`` of a basis, from bit masks in O(n 2^n)."""
+    alpha = np.array(field.bit_reversal)  # index of the element with self-dual bits b
+    if label.is_vertical:
+        z, x = np.zeros_like(alpha), alpha
+    else:
+        z, x = alpha, _times(_multiplication_matrix(label.slope), alpha)
+    z, x = z.astype(np.int16), x.astype(np.int16)
     table = StabilizerTable(z, x, pauli_types(field.n, z, x).astype(np.int16))
     for arr in table:
         arr.flags.writeable = False
@@ -188,6 +177,12 @@ def _multiplication_matrix(mu: FieldElement) -> np.ndarray:
     """M[i, j] = tr(mu theta_i theta_j), so coords(alpha) @ M = coords(mu alpha) mod 2."""
     field = mu.field
     return np.array([(mu * field.element(1 << i)).coeffs() for i in range(field.n)])
+
+
+def _times(mult: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Indices of mu alpha for the alpha at ``index``, ``mult`` the multiplication matrix of mu."""
+    n = len(mult)
+    return (_coordinates(n)[index] @ mult % 2) @ (1 << np.arange(n - 1, -1, -1))
 
 
 def _inverse(mu: FieldElement) -> FieldElement:
@@ -242,7 +237,7 @@ def _slope_exponents(field: Field, mu: FieldElement) -> np.ndarray:
     hermitian = coords @ np.diag(mult) % 2 == 0
     hermitian[0] = False
     a = np.flatnonzero(hermitian)
-    b = (coords[a] @ mult % 2) @ (1 << np.arange(n - 1, -1, -1))
+    b = _times(mult, a)
     eigen = quad[b][:, None] + 2 * popcounts(dim)[a[:, None] & candidates]
     scores = (eigen % 4 == 0).sum(axis=0)
     candidates = candidates[scores == scores.max()]
@@ -296,6 +291,15 @@ def build_vertical(field: Field) -> np.ndarray:
     return _expand(_vertical_anchor(field), vertical=True)
 
 
+class BasisTable(NamedTuple):
+    """A family basis's ``StabilizerTable`` and its anchor's eigenvalue on each row."""
+
+    z: np.ndarray
+    x: np.ndarray
+    types: np.ndarray
+    eigenvalues: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class MubFamily:
     """A labeled family of bases (immutable once built): all 2^n + 1, or some of them.
@@ -305,15 +309,13 @@ class MubFamily:
     ``build_family``) is the same type with fewer entries in ``bases``;
     asking it for a basis it lacks raises ``MissingBasisError``.  Families
     compare by identity, so a partial family is unequal to the full one.
-    ``eigenvalues`` caches ``anchor_eigenvalues`` by label, filled on first
-    use; the constructor does not take it, so every family starts with an
-    empty cache.
+    ``tables`` caches ``table`` by label, filled on first read; the
+    constructor does not take it, so every family starts with an empty cache.
     """
 
     field: Field
     bases: dict  # BasisLabel -> read-only (dim,) anchor column
-    eigenvalues: dict = dataclasses.field(default_factory=dict, init=False, compare=False,
-                                          repr=False)
+    tables: dict = dataclasses.field(default_factory=dict, init=False, compare=False, repr=False)
 
     def labels(self) -> list[BasisLabel]:
         return list(self.bases)
@@ -327,12 +329,24 @@ class MubFamily:
     def basis(self, label: BasisLabel) -> np.ndarray:
         return _expand(self.anchor(label), label.is_vertical)
 
-    def vector(self, label: BasisLabel, nu: FieldElement) -> np.ndarray:
-        return self.basis(label)[:, nu.index]
+    def table(self, label: BasisLabel) -> BasisTable:
+        """Read-only ``BasisTable`` of a basis, built on the first read for its label.
 
-    def projector(self, label: BasisLabel, nu: FieldElement) -> np.ndarray:
-        v = self.vector(label, nu)
-        return np.outer(v, v.conj())
+        P_alpha |anchor> = lambda_alpha |anchor>, and entry r of the left side is
+        (-i)^|z & x| (-1)^|z & r| anchor[r ^ x], so lambda_alpha is that over
+        anchor[r] at any r where the anchor is nonzero: O(2^n), not a 4^n moment.
+        """
+        entry = self.tables.get(label)
+        if entry is None:
+            anchor = self.anchor(label)
+            z, x, types = stabilizer_table(self.field, label)
+            r = int(np.argmax(np.abs(anchor)))
+            signs = 1 - 2 * (popcounts(self.field.size)[z & r] & 1)
+            ratio = pauli_phase(self.field.n, z, x) * signs * anchor[r ^ x] / anchor[r]
+            eigenvalues = ratio.real.copy()
+            eigenvalues.flags.writeable = False
+            entry = self.tables[label] = BasisTable(z, x, types, eigenvalues)
+        return entry
 
 
 def build_family(field: Field, labels=None) -> MubFamily:
@@ -362,48 +376,24 @@ def build_family(field: Field, labels=None) -> MubFamily:
 # anchor's eigenvalue on P_alpha: the Walsh transform over the ray maps
 # distributions to expectations and back.
 
-def _anchor_moments(family: MubFamily, label: BasisLabel) -> np.ndarray:
-    z, x, _ = stabilizer_table(family.field, label)
-    anchor = family.anchor(label)
-    dim = anchor.shape[0]
-    shifted = anchor[_xor_table(dim)[x]]  # row alpha: X_x applied
-    moments = (walsh(dim)[z] * shifted) @ anchor.conj()
-    return (pauli_phase(family.field.n, z, x) * moments).real
-
-
-def anchor_eigenvalues(family: MubFamily, label: BasisLabel) -> np.ndarray:
-    """lambda_alpha = <anchor|P_alpha|anchor> (+-1) on the rows of ``stabilizer_table``.
-
-    Computed in O(4^n) on the first call for a label and cached read-only on
-    the family, so a hand-built family never reads another family's values.
-    """
-    values = family.eigenvalues.get(label)
-    if values is None:
-        values = _anchor_moments(family, label)
-        values.flags.writeable = False
-        family.eigenvalues[label] = values
-    return values
-
-
 def born_probabilities(family: MubFamily, label: BasisLabel, expect: np.ndarray) -> np.ndarray:
     """Tr(rho |nu, label><nu, label|) for every nu, indexed by the self-dual bits of nu.
 
     ``expect`` is the state's table of Pauli expectations
     (``operators.pauli_table``); the basis reads the rows of its
-    ``stabilizer_table`` from it, so one table serves every basis.
+    ``MubFamily.table`` from it, so one table serves every basis.
     """
-    z, x, _ = stabilizer_table(family.field, label)
-    signs = walsh(family.field.size)
-    return signs @ (anchor_eigenvalues(family, label) * expect[x, z]) / family.field.size
+    z, x, _, eigenvalues = family.table(label)
+    return walsh(family.field.size) @ (eigenvalues * expect[x, z]) / family.field.size
 
 
 def pauli_expectations(family: MubFamily, label: BasisLabel, probs: np.ndarray) -> np.ndarray:
-    """<P_alpha> on the rows of ``stabilizer_table`` from probs indexed by the bits of nu.
+    """<P_alpha> on the rows of ``MubFamily.table`` from probs indexed by the bits of nu.
 
     The inverse of ``born_probabilities``: the anchor's eigenvalues times the
     Walsh transform of the distribution.  Row 0, the identity, is its total.
     """
-    return anchor_eigenvalues(family, label) * (walsh(family.field.size) @ probs)
+    return family.table(label).eigenvalues * (walsh(family.field.size) @ probs)
 
 
 _SUM_TOL = 1e-9  # how far a measured distribution may sit off the simplex
@@ -429,7 +419,7 @@ def family_operator(family: MubFamily, distributions: dict) -> np.ndarray:
     dim = family.field.size
     expect = np.zeros((dim, dim))
     for label, probs in distributions.items():
-        z, x, _ = stabilizer_table(family.field, label)
+        z, x, _, _ = family.table(label)
         expect[x, z] += pauli_expectations(family, label, probs)
     expect[0, 0] -= dim
     return pauli_operator(family.field.n, expect)

@@ -9,14 +9,16 @@ the 2 x n bit matrix (mu; nu) together, so an orbit is fixed by the counts
 of its four column types, and (|mu|, |nu|, |mu + nu|) determine those counts:
 c11 = (|mu| + |nu| - |mu + nu|) / 2, c10 = |mu| - c11, c01 = |nu| - c11.  On
 the computational and vertical bases the orbit of nu is its weight class.
-``enumerate_orbits`` groups the label points by that key; the tests check it
-against the union-find closure of the transposition action, and stores each
-point's orbit id in the integer array ``OrbitTable.ids``, which is all that
-``expand_probabilities`` reads.  The key also counts the orbits: each of the
-C(n + 3, 3) column-type count vectors of (mu; nu) is one orbit, those with
-mu = 0 being the weight classes of the computational basis, and the
-vertical basis adds its n + 1 weight classes, so there are
-C(n + 3, 3) + n + 1 orbits, which is
+``enumerate_orbits`` computes that key for every label point at once, from
+popcounts of the slope bits, of nu and of their XOR, and stores each point's
+orbit id in the integer array ``OrbitTable.ids``, which is all that
+``expand_probabilities`` reads; an ``Orbit`` keeps only its representative,
+invariants and size.  The tests check the table against a point-by-point
+grouping and against the union-find closure of the transposition action.
+The key also counts the orbits: each of the C(n + 3, 3) column-type count
+vectors of (mu; nu) is one orbit, those with mu = 0 being the weight
+classes of the computational basis, and the vertical basis adds its n + 1
+weight classes, so there are C(n + 3, 3) + n + 1 orbits, which is
 ``tomography.independent_parameter_count(n) + n + 2``.
 
 For permutationally invariant states the probabilities attached to the
@@ -44,6 +46,7 @@ import numpy as np
 from .errors import MissingOrbitError
 from .gf2n import Field, FieldElement
 from .mub import BasisLabel, check_distributions, family_labels, vertical_label
+from .operators import popcounts
 
 
 @dataclass(frozen=True)
@@ -60,13 +63,9 @@ class LabelPoint:
 @dataclass(frozen=True)
 class Orbit:
     orbit_id: int
-    representative: LabelPoint
-    members: tuple[LabelPoint, ...]
+    representative: LabelPoint  # the member with the smallest label key
     invariants: tuple[int, ...]  # (m, l, s) for slopes, (l,) for mu=0 / vertical
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
+    size: int
 
 
 def _row(basis: BasisLabel, size: int) -> int:
@@ -91,23 +90,6 @@ class OrbitTable:
         return sum(o.size for o in self.orbits)
 
 
-def orbit_invariants(point: LabelPoint) -> tuple[int, ...]:
-    """Weight invariants: (|mu|, |nu|, |mu + nu|) for a slope, (|nu|,) otherwise."""
-    if _kind(point.basis) != "slope":
-        return (point.nu.weight,)
-    mu = point.basis.slope
-    return (mu.weight, point.nu.weight, (mu + point.nu).weight)
-
-
-def all_label_points(field: Field) -> list[LabelPoint]:
-    """Every (nu, basis) pair, in ``LabelPoint.sort_key`` order."""
-    return [
-        LabelPoint(field.element(b), label)
-        for label in family_labels(field)
-        for b in range(field.size)
-    ]
-
-
 def _kind(basis: BasisLabel) -> str:
     if basis.is_vertical:
         return "vertical"
@@ -115,27 +97,36 @@ def _kind(basis: BasisLabel) -> str:
 
 
 def enumerate_orbits(field: Field) -> OrbitTable:
-    """Label points grouped into orbits by the key (basis kind, ``orbit_invariants``).
+    """Label points grouped into orbits by their weight key, on integer arrays.
 
-    The points come in sort-key order, so each orbit's members are sorted,
-    its representative is its first member, and orbit ids follow the
-    representatives' order.
+    Row mu of ``keys`` holds (|mu|, |nu|, |mu + nu|) for every nu, packed in
+    base n + 1; on row 0, the computational basis, that is a function of |nu|
+    alone, and the vertical row holds |nu| offset past every slope key.
+    Orbit ids follow first appearance in row-major (label-key) order, so
+    each orbit's representative is its smallest member.
     """
-    groups: dict[tuple, list[LabelPoint]] = {}
-    orbit_ids: dict[tuple, int] = {}
-    ids = []
-    for point in all_label_points(field):
-        key = (_kind(point.basis), orbit_invariants(point))
-        groups.setdefault(key, []).append(point)
-        ids.append(orbit_ids.setdefault(key, len(orbit_ids)))
-    orbits = tuple(
-        Orbit(orbit_id=i, representative=members[0], members=tuple(members),
-              invariants=invariants)
-        for i, ((_, invariants), members) in enumerate(groups.items())
-    )
-    ids = np.array(ids).reshape(field.size + 1, field.size)
+    n, size = field.n, field.size
+    base = n + 1
+    pop = popcounts(size)
+    mu, nu = np.arange(size)[:, None], np.arange(size)
+    keys = np.empty((size + 1, size), dtype=np.int64)
+    keys[:size] = (pop[mu] * base + pop[nu]) * base + pop[mu ^ nu]
+    keys[size] = base**3 + pop
+    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True,
+                                          return_counts=True)
+    order = np.argsort(first)  # orbit id -> position in the sorted keys
+    ids = np.argsort(order)[inverse].reshape(size + 1, size)
     ids.flags.writeable = False
-    return OrbitTable(n=field.n, orbits=orbits, labels=tuple(family_labels(field)), ids=ids)
+
+    labels = tuple(family_labels(field))
+    orbits = []
+    for orbit_id, (point, count) in enumerate(zip(first[order].tolist(), counts[order].tolist())):
+        row, bits = divmod(point, size)
+        l = bits.bit_count()
+        invariants = (row.bit_count(), l, (row ^ bits).bit_count()) if 0 < row < size else (l,)
+        orbits.append(Orbit(orbit_id, LabelPoint(field.element(bits), labels[row]), invariants,
+                            count))
+    return OrbitTable(n=n, orbits=tuple(orbits), labels=labels, ids=ids)
 
 
 def s_range(m: int, l: int, n: int) -> list[int]:

@@ -20,15 +20,15 @@ self-dual bits of nu, from simulation (``exact_probabilities``,
 ``sample_counts``) to inversion; ``record_from_json`` is the one place an
 outcome key is read and range-checked.  Every inversion reads records
 through one gate, ``_distributions``, which stacks them into one array.
-Both directions of the measurement map go through one cached table per
-basis, ``mub.stabilizer_table``: the 2^n Pauli strings, identity included,
-that the basis diagonalizes.  Simulation builds the state's table of all
-4^n Pauli expectations once (``operators.pauli_table``), reads each
-basis's rows from it and Walsh transforms them into Born probabilities
-(``mub.born_probabilities``).  Every inversion Walsh transforms
-distributions back into the same expectations (``mub.pauli_expectations``)
-and assembles the estimate from them with ``operators.pauli_operator``; no
-basis is expanded.
+Both directions of the measurement map go through one table per basis of
+the family, ``MubFamily.table``: the 2^n Pauli strings, identity included,
+that the basis diagonalizes, and the anchor's eigenvalue on each.
+Simulation builds the state's table of all 4^n Pauli expectations once
+(``operators.pauli_table``), reads each basis's rows from it and Walsh
+transforms them into Born probabilities (``mub.born_probabilities``).
+Every inversion Walsh transforms distributions back into the same
+expectations (``mub.pauli_expectations``) and assembles the estimate from
+them with ``operators.pauli_operator``; no basis is expanded.
 
 The twirl lives in the same coordinates: a qubit permutation keeps the
 type (k_X, k_Y, k_Z) of a Pauli string, so averaging over S_n replaces each
@@ -71,7 +71,6 @@ from .gf2n import Field
 from .mub import (
     BasisLabel,
     MubFamily,
-    anchor_eigenvalues,
     born_probabilities,
     check_distributions,
     family_operator,
@@ -451,9 +450,10 @@ def reconstruct(
 
     if mode == PI_SUBSPACE:
         # one Walsh product for every basis, then one bincount per sum over types
+        basis_tables = [family.table(label) for label in labels]
         expect = (probs @ walsh(field.size)).ravel()
-        expect *= np.concatenate([anchor_eigenvalues(family, label) for label in labels])
-        types = np.concatenate([stabilizer_table(field, label).types for label in labels])
+        expect *= np.concatenate([t.eigenvalues for t in basis_tables])
+        types = np.concatenate([t.types for t in basis_tables])
         grid = pauli_grid(field.n)
         count = len(grid.counts)
         sums = np.bincount(types, expect, minlength=count)

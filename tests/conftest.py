@@ -1,5 +1,6 @@
 """Shared cached constructions (building a MUB family is the slow step), and
-the permutation-matrix oracle that the operator and twirl tests share.
+the oracles that several test files share: the permutation matrix of the
+operator and twirl tests, and the phase-space points of a basis.
 
 ``src`` goes on ``sys.path`` and on ``PYTHONPATH``, so a bare ``pytest``
 finds the package without an install, and so do the CLI subprocesses the
@@ -36,6 +37,17 @@ def family(n):
 @lru_cache(maxsize=None)
 def orbit_table(n):
     return enumerate_orbits(field(n))
+
+
+def stabilizer_points(f, label):
+    """Oracle: the points (a, b) whose monomials Z_a X_b the basis diagonalizes.
+
+    Listed by ray parameter alpha, in field order: (alpha, mu alpha) on the
+    slope-mu ray, (0, alpha) on the vertical ray.
+    """
+    if label.is_vertical:
+        return [(f.zero(), a) for a in f.elements()]
+    return [(a, label.slope * a) for a in f.elements()]
 
 
 def permutation_matrix(f, perm):

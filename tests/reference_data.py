@@ -18,6 +18,11 @@ was within 1.2e-12 of i^k / sqrt(2^n) entrywise for n <= 6.  One row per
 slope mu with self-dual bits 1 .. 2^n - 1, entries by computational index.
 SLOPE_ANCHOR_SHA256 holds, for n = 5 and 6, the sha256 of those rows packed
 as uint8, row-major.
+
+ORBIT_EXPORT_SHA256: for n = 1 .. 8, the sha256 of the bytes of
+`pimub orbits --n n`: its JSON stdout, its `--csv` stdout and its stderr
+report, recorded from the per-point enumeration.  The exports hold only
+integers, so the digests do not depend on the platform.
 """
 
 I = 1j
@@ -124,4 +129,31 @@ SLOPE_ANCHOR_EXPONENTS = {
 SLOPE_ANCHOR_SHA256 = {
     5: "9f1c1213c606421fb90afccb0dac4a107b42630cf16853185ef4231bc6f85ea3",
     6: "f0500736f3017414dc9c9d4c784e44105dfba6dab31ff1b982f90057ec8af378",
+}
+
+ORBIT_EXPORT_SHA256 = {
+    1: ("81053ed6903d661971d605ecfbba99a662fd6c6d717416da9d240deaa33e2d17",
+        "8a2c93d60ffba8f7339f9063f21eae3a560f7ebf488997f5c08490b632c68db8",
+        "8e8391ec7b2a2ee951a0ba47f6d97ed42b07e32e1c42ea21f5584e90cc37ad98"),
+    2: ("b5162b4f9ae2831d59451452e06eef95ff8eb2860cf9fedc59363cc90c244ad4",
+        "25f3a67fd24723bc4fdbbc05af878d85142de741c17078efabeede483eac203b",
+        "53980515a5ef03fd76245ba9f4fe7b842266f9fb6ecc5216ccca9606015c78c3"),
+    3: ("9ea42a132e2c31dba49b5e27b164145625d15909c0d776b3f229064da8ed86e3",
+        "432cd1e1395622a723b343d0a85cbbaf0803cc88a3b406dc952553d6186ec72a",
+        "46447e45c40a3eb0f2143c0c9f93aa15de63894c6ab2d2f63051388691687690"),
+    4: ("e31e8c512c2e3fea3c467bca7aed50e0dd7cea6b8266114bb07d653f3a33ed2d",
+        "2f29993e7f9539a00b3528655e2cf3be9d0e607839a0f0cddde6370eebf5b0d5",
+        "45652f34379f6bba6da57adf3040a1524ccaafac9b9448fbaae1ebc9c0f8c89a"),
+    5: ("94baab819496cfe977d073cbfbeb55cfb066cd43b025b76b63671c9af7407122",
+        "4c78652d4e243836b9270a58e4c13d7c8c1e358781b015f2bcb8ca3790560cb3",
+        "00a1b461c769785282d7966fbb16607ee1c942b4d303db21adbb492129998a36"),
+    6: ("4a9015b6afeded4e6cdad3109302e68112d9a040915776cac28ef7866dd28fa1",
+        "149444dae78ecd1a8a2a3530b6d3dc4ef5eb24c723fe5bde726066230ed8d541",
+        "d854b9a2e110071b8100823c0a41451cba1c5b82fd5b6d4d2908d084394f41ff"),
+    7: ("602957c1845729470ecc9615cff80caa39b1ec4f42e477a10700088d8e107de6",
+        "f54e13c4eafaca802eb92f3e06e88a0e8c641ac92028bde836856c99e1e98c3a",
+        "611c4edab037cf4bf56fa79dfe8315568e4ecb2d0d92bd92e2e5e50e3aaeaff4"),
+    8: ("17cb5a6cea83730fe1dd9ede0e53ee92bfb2dc0e1c455242ef21f707c00b135a",
+        "a213e6b04bbc866d390a7cd4bce18a84d93b4803ceb560568b6b6246166d334e",
+        "96ab2eaa72419e5a4b3daba0f6077bc4bfb9729bad06332c50357e34ae269e17"),
 }

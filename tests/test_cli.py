@@ -1,5 +1,6 @@
 """Command line: pipeline composability, determinism, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -15,6 +16,8 @@ from pimub.operators import matrix_from_json, matrix_to_json
 from pimub.orbits import enumerate_orbits, minimal_bases
 from pimub.tomography import (PIStateSpec, project_physical, random_pi_state, reconstruct,
                               record_from_json)
+
+from reference_data import ORBIT_EXPORT_SHA256
 
 
 def run_cli(*argv):
@@ -48,6 +51,27 @@ def test_field_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         run_cli("field", "--n", "13")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", (
+    (("--seed", "-1", "--exact"), "--seed must be >= 0"),
+    (("--seed", "1", "--shots", str(10**20)), "--shots must lie in 1..9223372036854775807"),
+    (("--seed", "1", "--shots", "0"), "--shots must lie in 1..9223372036854775807"),
+))
+def test_simulate_seed_and_shots_out_of_range_exit_2(argv, message, capsys):
+    # numpy would otherwise raise ValueError (negative seed) or OverflowError
+    # (shots past int64) with a traceback and exit 1
+    with pytest.raises(SystemExit) as exc:
+        run_cli("simulate", "--n", "3", *argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_simulate_accepts_the_largest_shot_count(tmp_path):
+    out = tmp_path / "records.json"
+    assert run_cli("simulate", "--n", "1", "--seed", "0", "--shots", str(2**63 - 1),
+                   "--out", str(out)) == 0
+    assert json.loads(out.read_text())["shots"] == 2**63 - 1
 
 
 # ----------------------------------------------------------------------
@@ -87,6 +111,19 @@ def test_orbits_json_and_csv(tmp_path, capsys):
     assert run_cli("orbits", "--n", "3", "--csv", "--out", str(csv_out)) == 0
     lines = csv_out.read_text().strip().splitlines()
     assert len(lines) == 25  # header + 24 orbits
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_orbit_exports_match_their_frozen_digests(n, capsys):
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert run_cli("orbits", "--n", str(n)) == 0
+    json_out = capsys.readouterr()
+    assert run_cli("orbits", "--n", str(n), "--csv") == 0
+    csv_out = capsys.readouterr()
+    assert csv_out.err == json_out.err
+    assert (digest(json_out.out), digest(csv_out.out), digest(json_out.err)) == ORBIT_EXPORT_SHA256[n]
 
 
 # ----------------------------------------------------------------------

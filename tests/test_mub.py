@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from pimub.errors import MissingBasisError, SchemaError
-from pimub.gf2n import make_field
+from pimub.gf2n import FieldElement, make_field
 from pimub.mub import (
     BasisLabel,
     MubFamily,
-    anchor_eigenvalues,
     basis_to_json,
     build_family,
     build_slope_basis,
@@ -22,17 +21,16 @@ from pimub.mub import (
     label_from_json,
     predicted_swap_escapes,
     reconstruct_identity_check,
-    stabilizer_points,
     stabilizer_table,
     swap_covariance_report,
     unbiasedness_deviation,
     vertical_label,
 )
-from pimub.operators import build_x, build_z, fourier, permute_label
+from pimub.operators import build_x, build_z, fourier, pauli_phase, permute_label, walsh
 from pimub.orbits import minimal_bases
 from pimub.tomography import random_density_matrix, random_pure_state
 
-from conftest import family, field
+from conftest import family, field, stabilizer_points
 from reference_data import SLOPE_ANCHOR_EXPONENTS, SLOPE_ANCHOR_SHA256, TWO_QUBIT_BASES
 
 
@@ -234,17 +232,50 @@ def test_overlap_law_including_within_basis(n):
             assert np.abs(ov2 - expected).max() < 1e-10
 
 
-@pytest.mark.parametrize("n", (2, 6))
-def test_stabilizer_tables_are_cached_and_smaller_than_the_anchors(n):
+def _anchor_moments(fam, label):
+    """Oracle: <anchor|P_alpha|anchor> on the rows of the basis's table, in O(4^n)."""
+    z, x, _ = stabilizer_table(fam.field, label)
+    anchor = fam.anchor(label)
+    dim = anchor.shape[0]
+    shifted = anchor[np.bitwise_xor.outer(x, np.arange(dim))]  # row alpha: X_x applied
+    moments = (walsh(dim)[z] * shifted) @ anchor.conj()
+    return (pauli_phase(fam.field.n, z, x) * moments).real
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_basis_tables_match_the_point_and_moment_oracles(n):
+    # every label of the full family: the masks are the indices of the ray's
+    # points, and the eigenvalues are the signs of the anchor's moments
     f = field(n)
     fam = family(n)
-    tables = [stabilizer_table(f, label) for label in fam.labels()]
-    for label, table in zip(fam.labels(), tables):
+    for label in fam.labels():
+        z, x, _, eigenvalues = fam.table(label)
         points = stabilizer_points(f, label)
-        assert table.z.tolist() == [a.index for a, _ in points]
-        assert table.x.tolist() == [b.index for _, b in points]
+        assert z.tolist() == [a.index for a, _ in points]
+        assert x.tolist() == [b.index for _, b in points]
+        moments = _anchor_moments(fam, label)
+        assert np.array_equal(np.abs(eigenvalues), np.ones(f.size))
+        assert np.array_equal(eigenvalues, np.sign(moments))
+        if n % 2 == 0:
+            assert np.array_equal(eigenvalues, moments)
+        else:
+            # 2^(-n/2) is inexact at odd n, so the moments miss +-1 by roundoff
+            assert np.abs(eigenvalues - moments).max() <= np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", (2, 6))
+def test_stabilizer_tables_are_cached_and_smaller_than_the_anchors(n):
+    # the cache belongs to the family: a read fills it once per label, and
+    # another family of the same field starts empty
+    f = field(n)
+    fam = build_family(f)
+    tables = [fam.table(label) for label in fam.labels()]
+    for label, table in zip(fam.labels(), tables):
         assert not any(arr.flags.writeable for arr in table)
-        assert stabilizer_table(f, label) is table
+        assert fam.table(label) is table
+        assert stabilizer_table(f, label) is not stabilizer_table(f, label)
+    assert list(fam.tables) == fam.labels()
+    assert build_family(f).tables == {}
     table_bytes = sum(arr.nbytes for table in tables for arr in table)
     assert table_bytes <= sum(anchor.nbytes for anchor in fam.bases.values())
 
@@ -256,14 +287,14 @@ def test_anchor_eigenvalues_belong_to_their_family():
     fam = family(3)
     label = BasisLabel(f.element(0b011))
     other = MubFamily(f, {**fam.bases, label: fam.basis(label)[:, 5]})
-    first, second = anchor_eigenvalues(fam, label), anchor_eigenvalues(other, label)
+    first, second = fam.table(label).eigenvalues, other.table(label).eigenvalues
     assert not np.array_equal(first, second)
     for fam_, values in ((fam, first), (other, second)):
         anchor = fam_.anchor(label)
         for (alpha, beta), value in zip(stabilizer_points(f, label), values):
             pauli = (-1j) ** (alpha.index & beta.index).bit_count() * build_z(alpha) @ build_x(beta)
             assert abs(value - (anchor.conj() @ pauli @ anchor).real) < 1e-12
-    assert anchor_eigenvalues(fam, label) is first
+    assert fam.table(label).eigenvalues is first
     assert not first.flags.writeable
 
 
@@ -284,18 +315,36 @@ def test_partial_family_names_a_basis_it_lacks():
     f = field(3)
     partial = build_family(f, minimal_bases(f))
     absent = BasisLabel(f.element(0b010))
-    for read in (partial.anchor, partial.basis, lambda label: anchor_eigenvalues(partial, label)):
+    for read in (partial.anchor, partial.basis, partial.table):
         with pytest.raises(MissingBasisError, match=re.escape(repr(absent))):
             read(absent)
-    assert partial.eigenvalues == {}
+    assert partial.tables == {}
 
 
 def test_family_constructor_takes_no_eigenvalues():
-    # the cache is filled only by anchor_eigenvalues, never passed in
+    # the table cache, eigenvalues included, is filled only by reads, never passed in
     fam = family(2)
     with pytest.raises(TypeError):
-        MubFamily(fam.field, fam.bases, eigenvalues={})
-    assert MubFamily(fam.field, fam.bases).eigenvalues == {}
+        MubFamily(fam.field, fam.bases, tables={})
+    assert MubFamily(fam.field, fam.bases).tables == {}
+
+
+# Performance guards: they count work, so no timing threshold can flake.
+
+def test_a_stabilizer_table_costs_order_n_field_products(monkeypatch):
+    calls = []
+    multiply = FieldElement.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return multiply(a, b)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    f = field(6)
+    for bits in (1, 0b101101, 63):
+        calls.clear()
+        stabilizer_table(f, BasisLabel(f.element(bits)))
+        assert len(calls) <= f.n  # one per row of the multiplication matrix, not 2^n
 
 
 # ----------------------------------------------------------------------

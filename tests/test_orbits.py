@@ -5,18 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from pimub import orbits
 from pimub.errors import MissingOrbitError, NotNormalizedError
-from pimub.mub import BasisLabel, vertical_label
+from pimub.mub import BasisLabel, family_labels, vertical_label
 from pimub.operators import permute_label
 from pimub.orbits import (
     LabelPoint,
-    all_label_points,
     closed_form_orbit_count,
     expand_probabilities,
     enumerate_orbits,
     independent_count,
     minimal_bases,
-    orbit_invariants,
     orbit_report,
     orbit_table_to_csv,
     orbit_table_to_json,
@@ -37,6 +36,44 @@ from reference_data import THREE_QUBIT_ORBIT_CLASSES, THREE_QUBIT_TOTAL_POINTS
 def orbit_of(table, point):
     """The orbit of ``point``, read from ``table.ids``."""
     return table.orbits[table.ids[table.labels.index(point.basis), point.nu.bits]]
+
+
+def members(table, orbit):
+    """The points of ``orbit``, read from ``table.ids``, in label-key order."""
+    f = field(table.n)
+    rows, bits = np.nonzero(table.ids == orbit.orbit_id)
+    return [LabelPoint(f.element(b), table.labels[r]) for r, b in zip(rows.tolist(), bits.tolist())]
+
+
+def all_label_points(f):
+    """Oracle: every (nu, basis) pair, in ``LabelPoint.sort_key`` order."""
+    return [LabelPoint(f.element(b), label) for label in family_labels(f) for b in range(f.size)]
+
+
+def orbit_invariants(point):
+    """Oracle: (|mu|, |nu|, |mu + nu|) for a proper slope, (|nu|,) otherwise."""
+    basis = point.basis
+    if basis.is_vertical or basis.slope.bits == 0:
+        return (point.nu.weight,)
+    return (basis.slope.weight, point.nu.weight, (basis.slope + point.nu).weight)
+
+
+def per_point_orbits(f):
+    """Oracle: label points grouped one by one by (basis kind, invariants).
+
+    Returns the orbit id of every point as a (2^n + 1) x 2^n array, ids in
+    order of first appearance, and each orbit's (representative, invariants,
+    size).
+    """
+    groups, orbit_ids, ids = {}, {}, []
+    for point in all_label_points(f):
+        basis = point.basis
+        kind = "vertical" if basis.is_vertical else "slope" if basis.slope.bits else "computational"
+        key = (kind, orbit_invariants(point))
+        groups.setdefault(key, []).append(point)
+        ids.append(orbit_ids.setdefault(key, len(orbit_ids)))
+    return (np.array(ids).reshape(f.size + 1, f.size),
+            [(points[0], invariants, len(points)) for (_, invariants), points in groups.items()])
 
 
 def transform_point(point, p, q):
@@ -103,8 +140,7 @@ def test_two_qubit_orbit_structure():
     # the weight-1 class pairs the two single-theta bases
     pair = {(0b01, 0b10), (0b10, 0b01)}
     orbit = orbit_of(table, LabelPoint(f.element(0b10), BasisLabel(f.element(0b01))))
-    members = {(p.nu.bits, p.basis.slope.bits) for p in orbit.members}
-    assert members == pair
+    assert {(p.nu.bits, p.basis.slope.bits) for p in members(table, orbit)} == pair
 
 
 def test_three_qubit_orbits_match_frozen_classes():
@@ -114,6 +150,15 @@ def test_three_qubit_orbits_match_frozen_classes():
     assert sorted(_class_rows(table)) == sorted(THREE_QUBIT_ORBIT_CLASSES)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_orbit_table_equals_the_per_point_oracle(n):
+    ids, oracle = per_point_orbits(field(n))
+    table = orbit_table(n)
+    assert np.array_equal(table.ids, ids)
+    assert [(o.representative, o.invariants, o.size) for o in table.orbits] == oracle
+    assert [o.orbit_id for o in table.orbits] == list(range(len(oracle)))
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_partition_covers_all_points(n):
     table = orbit_table(n)
@@ -121,15 +166,18 @@ def test_partition_covers_all_points(n):
     assert table.total_points == len(points) == (2**n + 1) * 2**n
     seen = set()
     for orbit in table.orbits:
-        seen.update(orbit.members)
-        assert orbit.representative == min(orbit.members, key=LabelPoint.sort_key)
+        points_of = members(table, orbit)
+        assert len(points_of) == orbit.size
+        seen.update(points_of)
+        assert orbit.representative == min(points_of, key=LabelPoint.sort_key)
     assert seen == set(points)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_invariants_constant_on_orbits(n):
-    for orbit in orbit_table(n).orbits:
-        assert {orbit_invariants(m) for m in orbit.members} == {orbit.invariants}
+    table = orbit_table(n)
+    for orbit in table.orbits:
+        assert {orbit_invariants(m) for m in members(table, orbit)} == {orbit.invariants}
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -180,11 +228,10 @@ def test_weight_key_table_equals_union_find_closure(n):
         key=lambda ms: ms[0].sort_key(),
     )
     table = orbit_table(n)
-    assert [o.members for o in table.orbits] == closure
+    assert [members(table, o) for o in table.orbits] == [list(ms) for ms in closure]
     assert [o.orbit_id for o in table.orbits] == list(range(len(closure)))
     assert [o.representative for o in table.orbits] == [ms[0] for ms in closure]
-    for orbit in table.orbits:
-        assert all(orbit_of(table, m) is orbit for m in orbit.members)
+    assert [o.size for o in table.orbits] == [len(ms) for ms in closure]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -193,9 +240,9 @@ def test_orbit_ids_follow_the_members(n):
     assert table.ids.shape == (2**n + 1, 2**n)
     assert not table.ids.flags.writeable
     assert list(table.labels) == family(n).labels()
+    assert np.bincount(table.ids.ravel()).tolist() == [o.size for o in table.orbits]
     for orbit in table.orbits:
-        for m in orbit.members:
-            assert table.ids[table.labels.index(m.basis), m.nu.bits] == orbit.orbit_id
+        assert orbit_of(table, orbit.representative) is orbit
 
 
 def test_orbit_tables_compare_by_their_orbits():
@@ -207,11 +254,27 @@ def test_orbit_tables_compare_by_their_orbits():
 def test_generators_map_members_to_members(n):
     table = orbit_table(n)
     for orbit in table.orbits:
-        members = set(orbit.members)
-        for point in orbit.members:
+        points_of = set(members(table, orbit))
+        for point in points_of:
             for p in range(1, n + 1):
                 for q in range(p + 1, n + 1):
-                    assert transform_point(point, p, q) in members
+                    assert transform_point(point, p, q) in points_of
+
+
+# Performance guards: they count work, so no timing threshold can flake.
+
+@pytest.mark.parametrize("n", (3, 6))
+def test_enumeration_builds_one_label_point_per_orbit(monkeypatch, n):
+    built = []
+    point = orbits.LabelPoint
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return point(*args, **kwargs)
+
+    monkeypatch.setattr(orbits, "LabelPoint", counted)
+    table = enumerate_orbits(field(n))
+    assert len(built) <= len(table.orbits) < table.total_points
 
 
 # ----------------------------------------------------------------------
@@ -301,12 +364,13 @@ def _distributions(records):
 
 
 def _member_expansion(measured, table, mode):
-    """Oracle: each orbit's value taken point by point over its sorted members."""
+    """Oracle: each orbit's value taken point by point over its sorted members (from ``ids``)."""
     out = {label: np.full(1 << table.n, np.nan) for label in table.labels}
     for orbit in table.orbits:
-        hits = [measured[m.basis][m.nu.bits] for m in orbit.members if m.basis in measured]
+        points_of = members(table, orbit)
+        hits = [measured[m.basis][m.nu.bits] for m in points_of if m.basis in measured]
         value = hits[0] if mode == "representative" else sum(hits) / len(hits)
-        for m in orbit.members:
+        for m in points_of:
             out[m.basis][m.nu.bits] = value
     return out
 

@@ -23,7 +23,6 @@ from pimub.mub import (
     build_family,
     pauli_expectations,
     reconstruct_identity_check,
-    stabilizer_points,
 )
 from pimub.operators import (build_x, build_z, is_density_matrix, pauli_grid, pauli_operator,
                              pauli_table, swap_index)
@@ -55,7 +54,13 @@ from pimub.tomography import (
 )
 from pimub.tomography import _project_to_simplex
 
-from conftest import family, field, orbit_table, permutation_matrix
+from conftest import family, field, orbit_table, permutation_matrix, stabilizer_points
+
+
+def projector(fam, label, nu):
+    """Oracle: the dense projector onto |nu, label>, column nu.index of the basis."""
+    v = fam.basis(label)[:, nu.index]
+    return np.outer(v, v.conj())
 
 
 # ----------------------------------------------------------------------
@@ -386,7 +391,7 @@ def test_projector_input_reproduces_the_overlap_law():
     fam = family(2)
     label = BasisLabel(f.element(0b01))
     nu0 = f.element(0b10)
-    rho = fam.projector(label, nu0)
+    rho = projector(fam, label, nu0)
     for rec in exact_probabilities(rho, fam, fam.labels()):
         if rec.basis == label:
             assert abs(rec.data[nu0.bits] - 1.0) < 1e-12
@@ -575,7 +580,7 @@ def test_exact_probabilities_match_dense_projectors(n):
     for rec in exact_probabilities(rho, fam, fam.labels()):
         assert rec.data.shape == (f.size,)
         for nu in f.elements():
-            direct = np.sum(rho * fam.projector(rec.basis, nu).T).real  # Tr(rho P)
+            direct = np.sum(rho * projector(fam, rec.basis, nu).T).real  # Tr(rho P)
             assert abs(rec.data[nu.bits] - direct) <= 1e-12
 
 
@@ -793,14 +798,15 @@ def test_estimators_never_expand_a_basis(monkeypatch):
 # Performance guards: they count work, so no timing threshold can flake.
 
 def test_anchor_eigenvalues_are_computed_once_per_label(monkeypatch):
+    # a family fills its table of a label, eigenvalues included, on the first read
     calls = collections.Counter()
-    compute = mub._anchor_moments
+    build = mub.stabilizer_table
 
-    def counted(fam, label):
+    def counted(f, label):
         calls[label] += 1
-        return compute(fam, label)
+        return build(f, label)
 
-    monkeypatch.setattr(mub, "_anchor_moments", counted)
+    monkeypatch.setattr(mub, "stabilizer_table", counted)
     f = field(3)
     fam = build_family(f)  # a fresh family, so no label is cached yet
     for seed in range(50):
@@ -809,7 +815,8 @@ def test_anchor_eigenvalues_are_computed_once_per_label(monkeypatch):
         sampled = [sample_counts(r, shots=1000, seed=seed * 10 + i) for i, r in enumerate(exact)]
         reconstruct(sampled, orbit_table(3), fam)
     assert calls == {label: 1 for label in minimal_bases(f)}
-    values = mub.anchor_eigenvalues(fam, minimal_bases(f)[1])
+    assert list(fam.tables) == minimal_bases(f)
+    values = fam.table(minimal_bases(f)[1]).eigenvalues
     with pytest.raises(ValueError):
         values[0] = 0.0
 

@@ -1,0 +1,111 @@
+"""Run the pimub CLI from two source trees side by side and compare the bytes.
+
+    python tools/compare_cli.py PARENT_SRC CHANGE_SRC [--max-n 8]
+
+Each SRC is a directory holding the ``pimub`` package (a checkout's
+``src``).  The cases are ``orbits --n k`` (JSON and CSV) and, for every n,
+``simulate`` with each state method, exact and sampled, each followed by
+``reconstruct`` in every mode, with and without ``--project``.  A pipeline
+runs within one tree: the change's reconstruct reads the change's records.
+For every case the exit code, stdout and stderr are compared byte for byte.
+Where stdout differs but both sides parse as JSON of the same shape, the
+largest absolute difference between their numbers is reported instead.
+Exit status 0 when every case matches byte for byte, else 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+METHODS = ("twirl", "dicke", "blocks")
+SAMPLING = (("--exact",), ("--shots", "1000"))
+MODES = ("pi-subspace", "representative", "average")
+
+
+def run(src: str, argv: list[str], cwd: str) -> tuple[int, bytes, bytes]:
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "pimub.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def deviation(a, b) -> float:
+    """Largest |a - b| over the numbers of two JSON values; inf if their shapes differ."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        return max((deviation(a[k], b[k]) for k in a), default=0.0)
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return max((deviation(x, y) for x, y in zip(a, b)), default=0.0)
+    numbers = (int, float)
+    if isinstance(a, numbers) and isinstance(b, numbers) and type(a) is type(b) \
+            and not isinstance(a, bool):
+        return abs(a - b)
+    return 0.0 if a == b else float("inf")
+
+
+def compare(name: str, parent: tuple, change: tuple) -> tuple[bool, float]:
+    """(byte-identical, numeric deviation of stdout); prints one line per case."""
+    if parent == change:
+        print(f"same  {name}")
+        return True, 0.0
+    dev = float("inf")
+    if parent[0] == change[0] and parent[2] == change[2]:
+        try:
+            dev = deviation(json.loads(parent[1]), json.loads(change[1]))
+        except ValueError:
+            pass
+    print(f"DIFF  {name}  exit {parent[0]}/{change[0]}, "
+          f"stderr {'same' if parent[2] == change[2] else 'differs'}, stdout deviation {dev:.3g}")
+    return False, dev
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", help="source directory of the parent")
+    parser.add_argument("change", help="source directory of the change")
+    parser.add_argument("--max-n", type=int, default=8)
+    args = parser.parse_args()
+    trees = {"parent": str(Path(args.parent).resolve()), "change": str(Path(args.change).resolve())}
+    worst: dict[int, float] = {}
+    identical = True
+
+    def record(n: int, name: str, outputs: dict) -> None:
+        nonlocal identical
+        same, dev = compare(name, outputs["parent"], outputs["change"])
+        identical &= same
+        worst[n] = max(worst.get(n, 0.0), dev)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in range(1, args.max_n + 1):
+            for extra in ((), ("--csv",)):
+                argv = ["orbits", "--n", str(n), *extra]
+                record(n, " ".join(argv), {side: run(src, argv, tmp) for side, src in trees.items()})
+            for method in METHODS:
+                for sampling in SAMPLING:
+                    argv = ["simulate", "--n", str(n), "--seed", str(n), "--method", method,
+                            *sampling]
+                    outputs = {side: run(src, argv, tmp) for side, src in trees.items()}
+                    record(n, " ".join(argv), outputs)
+                    for side, (_, stdout, _) in outputs.items():
+                        Path(tmp, f"{side}.json").write_bytes(stdout)
+                    for mode in MODES:
+                        for project in ((), ("--project",)):
+                            tail = ["--mode", mode, *project]
+                            record(n, " ".join(argv + ["| reconstruct", *tail]), {
+                                side: run(src, ["reconstruct", "--records", f"{side}.json", *tail],
+                                          tmp)
+                                for side, src in trees.items()
+                            })
+    print("largest stdout deviation by n: "
+          + ", ".join(f"{n}: {dev:.3g}" for n, dev in sorted(worst.items())))
+    print("all cases byte-identical" if identical else "some cases differ")
+    return 0 if identical else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
