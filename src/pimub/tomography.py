@@ -13,7 +13,13 @@ The spin blocks are read in one real orthogonal basis per n,
 ``coupled_basis``: qubits coupled one by one with the spin-1/2
 Clebsch-Gordan coefficients, so that every PI operator is
 (+)_j 1_(m_j) (x) rho_j in it.  The "blocks" states are built there, and
-``project_physical`` diagonalizes only the (2j+1)-sided blocks.
+``project_physical`` diagonalizes only the (2j+1)-sided blocks.  So do
+``fidelity`` and ``trace_distance`` for 5 <= n <= 8 when their inputs (for
+the trace distance, their difference) are PI: an operator passes when
+rebuilding it from the mean of its m_j copy blocks moves no entry by more
+than 1e-12.  Anything else, and every input
+below n = 5, where the 2^n-sided eigensolves are the cheaper path, is
+scored on the dense matrices.
 
 A measurement record holds its outcomes as one array indexed by the
 self-dual bits of nu, from simulation (``exact_probabilities``,
@@ -170,13 +176,15 @@ class _Frame(NamedTuple):
     ``sectors`` holds one (span, copies) pair per sector: the slice of its
     columns, and their transpose as a complex (2j + 1, m_j 2^n) array, entry
     [i, c 2^n + r] = <r|j, m_i; copy c>.  Rows ``span`` of a 2^n x 2^n array,
-    reshaped alike, meet ``copies`` in one 2-d product per sector.  ``reps``
-    holds m_j for each position of the concatenated block spectra, and
-    ``firsts`` where each eigenvalue starts once repeated m_j times.
+    reshaped alike, meet ``copies`` in one 2-d product per sector.  ``counts``
+    holds m_j for each sector as a column, ``reps`` m_j for each position of
+    the concatenated block spectra, and ``firsts`` where each eigenvalue starts
+    once repeated m_j times.
     """
 
     matrix: np.ndarray
     sectors: list
+    counts: np.ndarray
     reps: np.ndarray
     firsts: np.ndarray
 
@@ -192,10 +200,18 @@ def _frame(n: int) -> _Frame:
     matrix = basis.matrix[:, np.concatenate(order)]
     sectors = [(span, matrix[:, span].T.reshape(size, -1).astype(complex))
                for span, size in zip(spans, basis.sizes)]
-    for arr in (matrix, *(copies for _, copies in sectors)):
+    counts = np.array(basis.counts, dtype=float)[:, None]
+    for arr in (matrix, counts, *(copies for _, copies in sectors)):
         arr.flags.writeable = False
     reps = np.repeat(basis.counts, basis.sizes)
-    return _Frame(matrix, sectors, reps, np.cumsum(reps) - reps)
+    return _Frame(matrix, sectors, counts, reps, np.cumsum(reps) - reps)
+
+
+def _copy_sums(frame: _Frame, mat: np.ndarray) -> list[np.ndarray]:
+    """For each sector, the sum of the m_j diagonal copy blocks of U^T mat U."""
+    mat = np.ascontiguousarray(mat, dtype=complex)
+    rows = (frame.matrix.T @ mat.view(float)).view(complex)  # U^T mat
+    return [rows[span].reshape(copies.shape) @ copies.T for span, copies in frame.sectors]
 
 
 def _from_blocks(frame: _Frame, blocks) -> np.ndarray:
@@ -531,11 +547,8 @@ def project_physical(rho_hat: np.ndarray) -> np.ndarray:
     frame = _frame(n)
     if rho_hat.shape != frame.matrix.shape:
         raise DimensionMismatchError(f"matrix of shape {rho_hat.shape} is not 2^n x 2^n")
-    rho_hat = np.ascontiguousarray(rho_hat, dtype=complex)
-    rows = (frame.matrix.T @ rho_hat.view(float)).view(complex)  # U^T rho_hat
     spectra, vectors = [], []
-    for span, copies in frame.sectors:
-        total = rows[span].reshape(copies.shape) @ copies.T  # m_j times the twirled block
+    for total in _copy_sums(frame, rho_hat):  # m_j times each twirled block
         evals, evecs = np.linalg.eigh(total + total.conj().T)
         spectra.append(evals)
         vectors.append(evecs)
@@ -553,30 +566,85 @@ def project_physical(rho_hat: np.ndarray) -> np.ndarray:
 # Quality metrics
 # ----------------------------------------------------------------------
 
+# The metrics score PI pairs on spin blocks for 5 <= n <= _TWIRL_MAX_N (the
+# ``coupled_basis`` cap).  Below n = 5 the 2^n-sided eigensolves cost less
+# than reading and checking the blocks.
+_BLOCK_METRICS_MIN_N = 5
+# an operator counts as PI when no entry of it differs from the operator
+# rebuilt from its mean copy blocks by more than this
+_PI_GATE_TOL = 1e-12
+
+
 def _check_same_dim(rho: np.ndarray, sigma: np.ndarray) -> None:
-    if rho.shape != sigma.shape or rho.shape[0] != rho.shape[1]:
+    if rho.ndim != 2 or rho.shape != sigma.shape or rho.shape[0] != rho.shape[1]:
         raise DimensionMismatchError(f"incompatible shapes {rho.shape} vs {sigma.shape}")
 
 
+def _metric_stacks(*mats: np.ndarray) -> tuple[list, np.ndarray | int]:
+    """The matrices to score ``mats`` on, and how many times each counts.
+
+    For 2^n-sided PI operators with 5 <= n <= 8, each is the stack of its
+    mean copy blocks, zero padded to (sectors, n + 1, n + 1), and block j
+    counts m_j times (a column of the m_j).  An operator is PI when it
+    equals U (+)_j (1_(m_j) (x) mean_j) U^T to ``_PI_GATE_TOL`` in every
+    entry.  If n lies outside that range or any operator is not PI,
+    ``mats`` are returned as they are, counted once.
+    """
+    dim = mats[0].shape[0]
+    n = dim.bit_length() - 1
+    if _BLOCK_METRICS_MIN_N <= n <= _TWIRL_MAX_N and dim == 1 << n:
+        frame = _frame(n)
+        stacks = []
+        for mat in mats:
+            stack = np.zeros((len(frame.sectors), n + 1, n + 1), dtype=complex)
+            means = [np.divide(total, count, out=block[:len(total), :len(total)])
+                     for block, total, count in zip(stack, _copy_sums(frame, mat), frame.counts)]
+            if not np.abs(mat - _from_blocks(frame, means)).max() <= _PI_GATE_TOL:  # NaN too
+                break
+            stacks.append(stack)
+        else:
+            return stacks, frame.counts
+    return list(mats), 1
+
+
+def _adjoint(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().swapaxes(-1, -2)
+
+
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity Tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1]."""
+    """Uhlmann fidelity Tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1].
+
+    For two PI states with 5 <= n <= 8 it is the sum over spin blocks,
+    sum_j m_j Tr sqrt(sqrt(rho_j) sigma_j sqrt(rho_j)), with the block
+    eigensolves batched in one stack.  If either input fails the PI gate of
+    ``_metric_stacks`` (every entry within 1e-12 of the operator rebuilt
+    from its blocks), both are scored as 2^n-sided matrices, and so are all
+    inputs below n = 5, where that is the faster path.
+    """
     _check_same_dim(rho, sigma)
-    evals, evecs = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-    root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
-    inner = np.linalg.eigvalsh(root @ sigma @ root)
+    (rho_s, sigma_s), counts = _metric_stacks(rho, sigma)
+    evals, evecs = np.linalg.eigh((rho_s + _adjoint(rho_s)) / 2.0)
+    root = (evecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :]) @ _adjoint(evecs)
+    inner = np.linalg.eigvalsh(root @ sigma_s @ root)
     # roundoff leaves eigenvalues of order eps whose square roots would
     # pollute the sum at sqrt(eps); cut them relative to the largest one
     cut = inner.max() * rho.shape[0] * np.finfo(float).eps if inner.size else 0.0
-    value = np.sqrt(np.clip(inner, 0.0, None) * (inner > cut)).sum()
+    value = (np.sqrt(np.clip(inner, 0.0, None) * (inner > cut)) * counts).sum()
     return float(min(max(value, 0.0), 1.0))
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Half the trace norm of rho - sigma, in [0, 1]."""
+    """Half the trace norm of rho - sigma, in [0, 1].
+
+    When rho - sigma is PI (the gate of ``_metric_stacks``, 1e-12 in every
+    entry) and 5 <= n <= 8, it is half of sum_j m_j sum |eig(rho_j - sigma_j)|
+    over the spin blocks, in one batched eigensolve; otherwise, and always
+    below n = 5, it is read from the 2^n-sided difference.
+    """
     _check_same_dim(rho, sigma)
-    diff = rho - sigma
-    diff = (diff + diff.conj().T) / 2.0
-    value = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum()
+    (diff,), counts = _metric_stacks(rho - sigma)
+    diff = (diff + _adjoint(diff)) / 2.0
+    value = 0.5 * (np.abs(np.linalg.eigvalsh(diff)) * counts).sum()
     return float(min(max(value, 0.0), 1.0))
 
 

@@ -1,6 +1,7 @@
 """Shared cached constructions (building a MUB family is the slow step), and
 the oracles that several test files share: the permutation matrix of the
-operator and twirl tests, and the phase-space points of a basis.
+operator and twirl tests, the phase-space points of a basis, and the
+quality metrics computed on 2^n-sided matrices.
 
 ``src`` goes on ``sys.path`` and on ``PYTHONPATH``, so a bare ``pytest``
 finds the package without an install, and so do the CLI subprocesses the
@@ -62,3 +63,21 @@ def permutation_matrix(f, perm):
         bits = [(i >> (n - 1 - k)) & 1 for k in range(n)]
         mat[sum(bits[perm[k]] << (n - 1 - k) for k in range(n)), i] = 1.0
     return mat
+
+
+def dense_fidelity(rho, sigma):
+    """Oracle: Uhlmann fidelity from two 2^n-sided eigensolves, whatever the input."""
+    evals, evecs = np.linalg.eigh((rho + rho.conj().T) / 2.0)
+    root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
+    inner = np.linalg.eigvalsh(root @ sigma @ root)
+    cut = inner.max() * rho.shape[0] * np.finfo(float).eps if inner.size else 0.0
+    value = np.sqrt(np.clip(inner, 0.0, None) * (inner > cut)).sum()
+    return float(min(max(value, 0.0), 1.0))
+
+
+def dense_trace_distance(rho, sigma):
+    """Oracle: half the trace norm of the Hermitian part of rho - sigma, 2^n-sided."""
+    diff = rho - sigma
+    diff = (diff + diff.conj().T) / 2.0
+    value = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum()
+    return float(min(max(value, 0.0), 1.0))

@@ -14,9 +14,10 @@ from pimub.gf2n import make_field
 from pimub.mub import build_family
 from pimub.operators import matrix_from_json, matrix_to_json
 from pimub.orbits import enumerate_orbits, minimal_bases
-from pimub.tomography import (PIStateSpec, project_physical, random_pi_state, reconstruct,
-                              record_from_json)
+from pimub.tomography import (PIStateSpec, project_physical, random_density_matrix,
+                              random_pi_state, reconstruct, record_from_json)
 
+from conftest import dense_fidelity, dense_trace_distance
 from reference_data import ORBIT_EXPORT_SHA256
 
 
@@ -236,6 +237,22 @@ def test_simulate_from_state_file(tmp_path):
     assert report["trace_distance"] < 1e-9
     rho_hat = matrix_from_json(report["state"])
     assert np.abs(rho_hat - rho).max() < 1e-9
+
+
+def test_non_pi_truth_is_scored_by_the_dense_metrics(tmp_path):
+    # at n = 5 the metrics score PI pairs on spin blocks; a non-PI truth
+    # must still get the 2^n-sided values
+    state, rec, rep = tmp_path / "state.json", tmp_path / "records.json", tmp_path / "report.json"
+    state.write_text(json.dumps(matrix_to_json(random_density_matrix(32, seed=5))))
+    assert run_cli("simulate", "--n", "5", "--seed", "5", "--shots", "1000", "--state", str(state),
+                   "--out", str(rec)) == 0
+    assert run_cli("reconstruct", "--records", str(rec), "--project", "--state", str(state),
+                   "--out", str(rep)) == 0
+    report = json.loads(rep.read_text())
+    truth = matrix_from_json(json.loads(state.read_text()))
+    rho_hat = matrix_from_json(report["state"])
+    assert report["fidelity"] == dense_fidelity(truth, rho_hat)
+    assert report["trace_distance"] == dense_trace_distance(truth, rho_hat)
 
 
 def test_unphysical_estimate_reports_no_fidelity(tmp_path):

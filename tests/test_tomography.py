@@ -25,7 +25,7 @@ from pimub.mub import (
     reconstruct_identity_check,
 )
 from pimub.operators import (build_x, build_z, is_density_matrix, pauli_grid, pauli_operator,
-                             pauli_table, swap_index)
+                             pauli_table, qubit_count, swap_index)
 from pimub.orbits import LabelPoint, expand_probabilities, minimal_bases
 from pimub.tomography import (
     RECONSTRUCT_MODES,
@@ -54,7 +54,8 @@ from pimub.tomography import (
 )
 from pimub.tomography import _project_to_simplex
 
-from conftest import family, field, orbit_table, permutation_matrix, stabilizer_points
+from conftest import (dense_fidelity, dense_trace_distance, family, field, orbit_table,
+                      permutation_matrix, stabilizer_points)
 
 
 def projector(fam, label, nu):
@@ -1045,10 +1046,82 @@ def test_fidelity_mixed_vs_pure_against_direct_oracle():
 
 
 def test_metrics_reject_mismatched_dimensions():
-    with pytest.raises(DimensionMismatchError):
-        fidelity(np.eye(2) / 2, np.eye(4) / 4)
-    with pytest.raises(DimensionMismatchError):
-        trace_distance(np.eye(2) / 2, np.eye(4) / 4)
+    # a 1-d pair and a stack of square matrices are no pair of square matrices either
+    for shapes in (((2, 2), (4, 4)), ((4,), (4,)), ((2, 2, 2), (2, 2, 2)), ((2, 1), (2, 1))):
+        rho, sigma = (np.ones(shape) for shape in shapes)
+        for metric in (fidelity, trace_distance):
+            with pytest.raises(DimensionMismatchError):
+                metric(rho, sigma)
+
+
+def _sampled_estimate(rho, seed):
+    """Unprojected default-mode estimate of ``rho`` from 1000 shots per minimal basis."""
+    f = field(qubit_count(rho.shape[0]))
+    bases = minimal_bases(f)
+    fam = build_family(f, bases)
+    exact = exact_probabilities(rho, fam, bases)
+    records = [sample_counts(r, shots=1000, seed=seed + i) for i, r in enumerate(exact)]
+    return reconstruct(records, None, fam)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_metrics_of_pi_states_match_the_dense_formulas(n):
+    # from n = 5 on the metrics read spin blocks; below they are the dense formulas to the bit
+    rng = np.random.default_rng(90 + n)
+    pure = random_pi_state(PIStateSpec.dicke(n, np.eye(n + 1)[n // 2]))  # rank deficient
+    estimate = _sampled_estimate(pure, seed=90 + n)
+    assert np.linalg.eigvalsh(estimate).min() < -1e-3
+    states = [
+        random_pi_state(PIStateSpec.twirl(n, seed=90 + n)),
+        random_pi_state(PIStateSpec.dicke(n, rng.dirichlet(np.ones(n + 1)))),
+        pure,
+        random_pi_state(_random_spin_block_spec(n, seed=90 + n)),
+        project_physical(estimate),
+        random_pi_state(PIStateSpec.dicke(n, np.eye(n + 1)[0])),
+    ]
+    tol = 0.0 if n <= 4 else 1e-12
+    pairs = list(zip(states, states[1:] + states[:1]))
+    for a, b in pairs + [(b, a) for a, b in pairs]:
+        assert abs(fidelity(a, b) - dense_fidelity(a, b)) <= tol
+        assert abs(trace_distance(a, b) - dense_trace_distance(a, b)) <= tol
+    for state in states:
+        for a, b in ((state, estimate), (estimate, state)):
+            assert abs(trace_distance(a, b) - dense_trace_distance(a, b)) <= tol
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_metrics_of_non_pi_inputs_are_the_dense_formulas(n):
+    dim = 2**n
+    pi_state = random_pi_state(PIStateSpec.twirl(n, seed=95 + n))
+    for other in (random_density_matrix(dim, seed=95 + n), random_pure_state(dim, seed=96 + n)):
+        for a, b in ((pi_state, other), (other, pi_state)):
+            assert fidelity(a, b) == dense_fidelity(a, b)
+            assert trace_distance(a, b) == dense_trace_distance(a, b)
+
+
+@pytest.mark.parametrize("n, pi, dense", [(3, True, True), (6, True, False), (8, True, False),
+                                          (6, False, True)])
+def test_metrics_diagonalize_spin_blocks_only_for_pi_pairs_past_four_qubits(monkeypatch, n, pi,
+                                                                           dense):
+    # count-based guard: a PI pair at n >= 5 makes no 2^n-sided eigensolve
+    rho = random_pi_state(PIStateSpec.twirl(n, seed=n))
+    sigma = (project_physical(rho + 0.05 * np.diag(np.linspace(-1, 1, 2**n))) if pi
+             else random_density_matrix(2**n, seed=n))
+    assert is_permutation_invariant(sigma, tol=1e-12) == pi
+    sides = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(mat, *args, _solve=getattr(np.linalg, name), **kwargs):
+            sides.append(mat.shape[-1])
+            return _solve(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for metric in (fidelity, trace_distance):
+        sides.clear()
+        metric(rho, sigma)
+        if dense:
+            assert 2**n in sides
+        else:
+            assert sides and max(sides) <= n + 1
 
 
 def test_symmetry_of_metrics():

@@ -9,7 +9,8 @@ Each SRC is a directory holding the ``pimub`` package (a checkout's
 runs within one tree: the change's reconstruct reads the change's records.
 For every case the exit code, stdout and stderr are compared byte for byte.
 Where stdout differs but both sides parse as JSON of the same shape, the
-largest absolute difference between their numbers is reported instead.
+largest absolute difference between their numbers is reported instead,
+with the JSON path where it sits (e.g. ``at fidelity``).
 Exit status 0 when every case matches byte for byte, else 1.
 """
 
@@ -35,17 +36,25 @@ def run(src: str, argv: list[str], cwd: str) -> tuple[int, bytes, bytes]:
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def deviation(a, b) -> float:
-    """Largest |a - b| over the numbers of two JSON values; inf if their shapes differ."""
+def deviation(a, b, path: str = "") -> tuple[float, str]:
+    """Largest |a - b| over the numbers of two JSON values, and the path to it.
+
+    The deviation is inf where their shapes differ; the path reads like
+    ``state.entries[5][0]``, the first one on a tie.
+    """
+    parts = None
     if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
-        return max((deviation(a[k], b[k]) for k in a), default=0.0)
-    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        return max((deviation(x, y) for x, y in zip(a, b)), default=0.0)
+        parts = ((a[k], b[k], f"{path}.{k}" if path else k) for k in a)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        parts = ((x, y, f"{path}[{i}]") for i, (x, y) in enumerate(zip(a, b)))
+    if parts is not None:
+        return max((deviation(*part) for part in parts), key=lambda found: found[0],
+                   default=(0.0, path))
     numbers = (int, float)
     if isinstance(a, numbers) and isinstance(b, numbers) and type(a) is type(b) \
             and not isinstance(a, bool):
-        return abs(a - b)
-    return 0.0 if a == b else float("inf")
+        return abs(a - b), path
+    return 0.0 if a == b else float("inf"), path
 
 
 def compare(name: str, parent: tuple, change: tuple) -> tuple[bool, float]:
@@ -53,14 +62,15 @@ def compare(name: str, parent: tuple, change: tuple) -> tuple[bool, float]:
     if parent == change:
         print(f"same  {name}")
         return True, 0.0
-    dev = float("inf")
+    dev, where = float("inf"), ""
     if parent[0] == change[0] and parent[2] == change[2]:
         try:
-            dev = deviation(json.loads(parent[1]), json.loads(change[1]))
+            dev, where = deviation(json.loads(parent[1]), json.loads(change[1]))
         except ValueError:
             pass
     print(f"DIFF  {name}  exit {parent[0]}/{change[0]}, "
-          f"stderr {'same' if parent[2] == change[2] else 'differs'}, stdout deviation {dev:.3g}")
+          f"stderr {'same' if parent[2] == change[2] else 'differs'}, stdout deviation {dev:.3g}"
+          + (f" at {where}" if where and dev > 0 else ""))
     return False, dev
 
 
