@@ -110,11 +110,12 @@ def pauli_types(n: int, z: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _type_lookup(n)[pop[x & ~z], pop[x & z], pop[z & ~x]]
 
 
-def qubit_count(dim: int) -> int:
-    """n for a matrix side dim = 2^n with n >= 1, else ``DimensionMismatchError``."""
-    n = dim.bit_length() - 1
-    if n < 1 or dim != 1 << n:
-        raise DimensionMismatchError(f"matrix dimension {dim} is not 2^n")
+def qubit_count(mat: np.ndarray) -> int:
+    """n for a 2-d square array of side 2^n with n >= 1, else ``DimensionMismatchError``."""
+    shape = np.shape(mat)
+    n = shape[0].bit_length() - 1 if len(shape) == 2 else 0
+    if n < 1 or shape != (1 << n, 1 << n):
+        raise DimensionMismatchError(f"matrix of shape {shape} is not 2^n x 2^n")
     return n
 
 
@@ -167,10 +168,7 @@ def pauli_table(rho: np.ndarray) -> np.ndarray:
     (-1)^k (-i)^k = i^k, so the table is one gather of the diagonals
     rho[r, r ^ x], one Walsh transform over r and the conjugate phase.
     """
-    n = qubit_count(rho.shape[0])
-    if rho.shape != (1 << n, 1 << n):
-        raise DimensionMismatchError(f"matrix of shape {rho.shape} is not 2^n x 2^n")
-    grid = pauli_grid(n)
+    grid = pauli_grid(qubit_count(rho))
     diagonals = np.take(np.asarray(rho, dtype=complex), grid.index)
     return _walsh_columns(diagonals).T * grid.conj_phase
 

@@ -12,13 +12,14 @@ physical PI set.
 The spin blocks are read in one real orthogonal basis per n,
 ``coupled_basis``: qubits coupled one by one with the spin-1/2
 Clebsch-Gordan coefficients, so that every PI operator is
-(+)_j 1_(m_j) (x) rho_j in it.  The "blocks" states are built there, and
-``project_physical`` diagonalizes only the (2j+1)-sided blocks.  So do
-``fidelity`` and ``trace_distance`` for 5 <= n <= 8 when their inputs (for
-the trace distance, their difference) are PI: an operator passes when
-rebuilding it from the mean of its m_j copy blocks moves no entry by more
-than 1e-12.  Anything else, and every input
-below n = 5, where the 2^n-sided eigensolves are the cheaper path, is
+(+)_j 1_(m_j) (x) rho_j in it.  Every S_n operation on states runs
+there.  ``twirl``, the S_n average, keeps the mean rho_j of the m_j
+diagonal copy blocks of each sector.  The "blocks" states are built there,
+and ``project_physical`` diagonalizes only the (2j+1)-sided mean blocks.
+So do ``fidelity`` and ``trace_distance`` for 5 <= n <= 8 when their inputs
+(for the trace distance, their difference) are PI: an operator passes when
+its twirl moves no entry by more than 1e-12.  Anything else, and every
+input below n = 5, where the 2^n-sided eigensolves are the cheaper path, is
 scored on the dense matrices.
 
 A measurement record holds its outcomes as one array indexed by the
@@ -35,10 +36,9 @@ transforms them into Born probabilities (``mub.born_probabilities``).
 Every inversion Walsh transforms distributions back into the same
 expectations (``mub.pauli_expectations``) and assembles the estimate from
 them with ``operators.pauli_operator``; no basis is expanded.
-
-The twirl lives in the same coordinates: a qubit permutation keeps the
-type (k_X, k_Y, k_Z) of a Pauli string, so averaging over S_n replaces each
-expectation by the mean over its type (``twirl``).
+These Pauli coordinates serve the measurement side alone (Born
+probabilities, the fit below and the estimate); states are twirled on
+their spin blocks.
 
 The default inversion is least squares on the PI operator subspace.  Each
 measured basis is the joint eigenbasis of 2^n - 1 Pauli monomials, so its
@@ -214,6 +214,11 @@ def _copy_sums(frame: _Frame, mat: np.ndarray) -> list[np.ndarray]:
     return [rows[span].reshape(copies.shape) @ copies.T for span, copies in frame.sectors]
 
 
+def _mean_blocks(frame: _Frame, mat: np.ndarray) -> list[np.ndarray]:
+    """For each sector, the mean rho_j of the m_j diagonal copy blocks of U^T mat U."""
+    return [total / count for total, count in zip(_copy_sums(frame, mat), frame.counts)]
+
+
 def _from_blocks(frame: _Frame, blocks) -> np.ndarray:
     """U (+)_j (1_(m_j) (x) blocks[j]) U^T for one (2j+1)-sided block per sector."""
     dim = frame.matrix.shape[0]
@@ -228,27 +233,21 @@ def _from_blocks(frame: _Frame, blocks) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def twirl(rho: np.ndarray) -> np.ndarray:
-    """Exact average of U_pi rho U_pi^dag over the full symmetric group.
+    """Exact average of U_pi rho U_pi^dag over the full symmetric group (n <= 8).
 
-    Qubit permutations move each Pauli string transitively through the
-    strings of its type (k_X, k_Y, k_Z), so the average keeps the Pauli
-    expansion with every coefficient replaced by the mean over its type:
-    one ``pauli_table``, one ``np.bincount`` per part and one
-    ``pauli_operator``.  The means are complex, so any square matrix of
-    side 2^n is accepted, Hermitian or not.
+    In the coupled basis U (``coupled_basis``) the permutations act on the
+    copy index of each spin sector alone, irreducibly, so by Schur's lemma
+    the average is U (+)_j (1_(m_j) (x) rho_j) U^T with rho_j the mean of the
+    m_j diagonal copy blocks of U^T rho U: every off-diagonal copy block and
+    every block between sectors averages to zero.  Any square matrix of side
+    2^n is accepted, Hermitian or not, and no 4^n Pauli table is formed.
     """
-    n = qubit_count(rho.shape[0])
-    if n > _TWIRL_MAX_N:
-        raise DimensionOverflowError(f"twirl supports n <= {_TWIRL_MAX_N}, got n={n}")
-    grid = pauli_grid(n)
-    expect = pauli_table(rho).ravel()
-    flat = grid.types.ravel()
-    sums = np.bincount(flat, expect.real) + 1j * np.bincount(flat, expect.imag)
-    return pauli_operator(n, (sums / grid.counts)[grid.types])
+    frame = _frame(qubit_count(rho))
+    return _from_blocks(frame, _mean_blocks(frame, rho))
 
 
 def is_permutation_invariant(rho: np.ndarray, tol: float = 1e-10) -> bool:
-    n = qubit_count(rho.shape[0])
+    n = qubit_count(rho)
     for p in range(1, n + 1):
         for q in range(p + 1, n + 1):
             perm = swap_index(n, p, q)
@@ -324,7 +323,8 @@ def dicke_state(n: int, excitations: int) -> np.ndarray:
 
 
 def _check_simplex(values, what: str) -> None:
-    if any(v < -1e-12 for v in values) or abs(sum(values) - 1.0) > 1e-12:
+    # written as "not <=" so that NaN and inf fail the tests too
+    if not all(-1e-12 <= v for v in values) or not abs(sum(values) - 1.0) <= 1e-12:
         raise ValueError(f"{what} must be nonnegative and sum to 1, got {values}")
 
 
@@ -332,7 +332,7 @@ def random_pi_state(spec: PIStateSpec) -> np.ndarray:
     """Build the PI density matrix described by ``spec``."""
     n, dim = spec.n, 1 << spec.n
     if spec.method == "twirl":
-        # twirl's own cap fires only after the 2^n x 2^n draw below (248 MB at n = 11)
+        # coupled_basis's cap fires only after the 2^n x 2^n draw below (248 MB at n = 11)
         if n > _TWIRL_MAX_N:
             raise DimensionOverflowError(f"twirl method requires n <= {_TWIRL_MAX_N}")
         if spec.seed is None:
@@ -414,7 +414,7 @@ def sample_counts(record: MeasurementRecord, shots: int, seed: int) -> Measureme
     """Multinomial shot-noise simulation of an exact record (seeded)."""
     if record.is_sampled:
         raise ValueError("record already holds sampled counts")
-    if shots < 1:
+    if json_int(shots, "shots") < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     pvals = np.maximum(record.data, 0.0)
     counts = np.random.default_rng(seed).multinomial(shots, pvals / pvals.sum())
@@ -543,10 +543,7 @@ def project_physical(rho_hat: np.ndarray) -> np.ndarray:
     acts on the spectrum with each eigenvalue counted m_j times.  No
     2^n-sided matrix is twirled or diagonalized.
     """
-    n = qubit_count(rho_hat.shape[0])
-    frame = _frame(n)
-    if rho_hat.shape != frame.matrix.shape:
-        raise DimensionMismatchError(f"matrix of shape {rho_hat.shape} is not 2^n x 2^n")
+    frame = _frame(qubit_count(rho_hat))
     spectra, vectors = [], []
     for total in _copy_sums(frame, rho_hat):  # m_j times each twirled block
         evals, evecs = np.linalg.eigh(total + total.conj().T)
@@ -570,14 +567,16 @@ def project_physical(rho_hat: np.ndarray) -> np.ndarray:
 # ``coupled_basis`` cap).  Below n = 5 the 2^n-sided eigensolves cost less
 # than reading and checking the blocks.
 _BLOCK_METRICS_MIN_N = 5
-# an operator counts as PI when no entry of it differs from the operator
-# rebuilt from its mean copy blocks by more than this
+# an operator counts as PI when no entry of it differs from its twirl, the
+# operator rebuilt from its mean copy blocks, by more than this
 _PI_GATE_TOL = 1e-12
 
 
 def _check_same_dim(rho: np.ndarray, sigma: np.ndarray) -> None:
     if rho.ndim != 2 or rho.shape != sigma.shape or rho.shape[0] != rho.shape[1]:
         raise DimensionMismatchError(f"incompatible shapes {rho.shape} vs {sigma.shape}")
+    if not (np.isfinite(rho).all() and np.isfinite(sigma).all()):
+        raise ValueError("metric inputs must be finite")
 
 
 def _metric_stacks(*mats: np.ndarray) -> tuple[list, np.ndarray | int]:
@@ -586,9 +585,9 @@ def _metric_stacks(*mats: np.ndarray) -> tuple[list, np.ndarray | int]:
     For 2^n-sided PI operators with 5 <= n <= 8, each is the stack of its
     mean copy blocks, zero padded to (sectors, n + 1, n + 1), and block j
     counts m_j times (a column of the m_j).  An operator is PI when it
-    equals U (+)_j (1_(m_j) (x) mean_j) U^T to ``_PI_GATE_TOL`` in every
-    entry.  If n lies outside that range or any operator is not PI,
-    ``mats`` are returned as they are, counted once.
+    equals its ``twirl``, U (+)_j (1_(m_j) (x) mean_j) U^T, to
+    ``_PI_GATE_TOL`` in every entry.  If n lies outside that range or any
+    operator is not PI, ``mats`` are returned as they are, counted once.
     """
     dim = mats[0].shape[0]
     n = dim.bit_length() - 1
@@ -596,11 +595,12 @@ def _metric_stacks(*mats: np.ndarray) -> tuple[list, np.ndarray | int]:
         frame = _frame(n)
         stacks = []
         for mat in mats:
-            stack = np.zeros((len(frame.sectors), n + 1, n + 1), dtype=complex)
-            means = [np.divide(total, count, out=block[:len(total), :len(total)])
-                     for block, total, count in zip(stack, _copy_sums(frame, mat), frame.counts)]
+            means = _mean_blocks(frame, mat)
             if not np.abs(mat - _from_blocks(frame, means)).max() <= _PI_GATE_TOL:  # NaN too
                 break
+            stack = np.zeros((len(means), n + 1, n + 1), dtype=complex)
+            for block, mean in zip(stack, means):
+                block[:len(mean), :len(mean)] = mean
             stacks.append(stack)
         else:
             return stacks, frame.counts

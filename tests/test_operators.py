@@ -289,7 +289,7 @@ def test_pauli_table_and_pauli_operator_invert_each_other(n):
 
 
 def test_pauli_table_rejects_matrices_not_of_side_2_to_the_n():
-    for shape in ((0, 0), (1, 1), (3, 3), (4, 2), (4,), (6, 6)):
+    for shape in ((0, 0), (1, 1), (3, 3), (4, 2), (4,), (6, 6), (2, 2, 2), (8, 4)):
         with pytest.raises(DimensionMismatchError):
             pauli_table(np.ones(shape, dtype=complex))
 

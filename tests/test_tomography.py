@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from pimub import mub, tomography
+from pimub import mub, operators, tomography
 from pimub.errors import (
     DimensionMismatchError,
     DimensionOverflowError,
@@ -231,12 +231,13 @@ def coset_twirl(rho, n):
     return out
 
 
-@pytest.mark.parametrize("n", (5, 6, 7, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_twirl_matches_the_coset_recursion(n):
     dim = 2**n
     rng = np.random.default_rng(60 + n)
     ginibre = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    for mat in (random_density_matrix(dim, seed=n), ginibre, ginibre.real):
+    assert ginibre.T.flags.f_contiguous and not ginibre.T.flags.c_contiguous
+    for mat in (random_density_matrix(dim, seed=n), ginibre, ginibre.real, ginibre.T):
         assert np.abs(twirl(mat) - coset_twirl(mat, n)).max() < 1e-12
 
 
@@ -252,6 +253,29 @@ def test_twirl_is_idempotent_and_caps_n():
     assert np.abs(twirl(rho) - rho).max() < 1e-13
     with pytest.raises(DimensionOverflowError):
         twirl(np.eye(2**9) / 2**9)
+
+
+@pytest.mark.parametrize("shape", ((4,), (2, 2, 2), (3, 3), (8, 4), (1, 1)))
+@pytest.mark.parametrize("operation", (twirl, project_physical, is_permutation_invariant))
+def test_state_operations_need_a_square_matrix_of_side_2_to_the_n(operation, shape):
+    with pytest.raises(DimensionMismatchError):
+        operation(np.ones(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_twirl_reads_no_pauli_coordinates(monkeypatch, n):
+    # count-based guard: the S_n average runs on spin blocks alone
+    calls = []
+
+    def counted(name):
+        return lambda *args, **kwargs: calls.append(name)
+
+    for module in (operators, tomography):
+        for name in ("pauli_table", "pauli_operator"):
+            monkeypatch.setattr(module, name, counted(name))
+    monkeypatch.setattr(np, "bincount", counted("bincount"))
+    twirl(random_density_matrix(2**n, seed=n))
+    assert calls == []
 
 
 # ----------------------------------------------------------------------
@@ -298,6 +322,15 @@ def test_dicke_mixture_validation():
         random_pi_state(PIStateSpec.dicke(2, [0.5, 0.5]))  # needs n+1 weights
     with pytest.raises(ValueError):
         random_pi_state(PIStateSpec.dicke(2, [0.9, 0.2, -0.1]))
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_state_specs_reject_non_finite_probabilities(bad):
+    with pytest.raises(ValueError, match="dicke weights"):
+        random_pi_state(PIStateSpec.dicke(3, [bad, 0, 0, 1]))
+    blocks = [np.eye(3) / 3, np.eye(1)]
+    with pytest.raises(ValueError, match="sector probabilities"):
+        random_pi_state(PIStateSpec.spin_blocks(2, [bad, 1.0], blocks))
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
@@ -472,6 +505,10 @@ def test_sampling_rejects_invalid_input():
     sampled = sample_counts(_exact_record(), shots=10, seed=1)
     with pytest.raises(ValueError):
         sample_counts(sampled, shots=10, seed=1)
+    # a fractional shot count would record frequencies that do not sum to 1
+    for shots in (10.5, 10.0, True, "10"):
+        with pytest.raises(ValueError, match="shots must be an integer"):
+            sample_counts(_exact_record(), shots=shots, seed=1)
 
 
 def test_record_json_round_trip():
@@ -1052,11 +1089,20 @@ def test_metrics_reject_mismatched_dimensions():
         for metric in (fidelity, trace_distance):
             with pytest.raises(DimensionMismatchError):
                 metric(rho, sigma)
+    # one non-finite entry: LAPACK would return zeros or fail without a reason
+    for n, bad in ((3, np.nan), (6, np.nan), (6, np.inf)):
+        rho = random_pi_state(PIStateSpec.twirl(n, seed=n))
+        broken = rho.copy()
+        broken[0, 1] = bad
+        for metric in (fidelity, trace_distance):
+            for pair in ((broken, rho), (rho, broken)):
+                with pytest.raises(ValueError, match="finite"):
+                    metric(*pair)
 
 
 def _sampled_estimate(rho, seed):
     """Unprojected default-mode estimate of ``rho`` from 1000 shots per minimal basis."""
-    f = field(qubit_count(rho.shape[0]))
+    f = field(qubit_count(rho))
     bases = minimal_bases(f)
     fam = build_family(f, bases)
     exact = exact_probabilities(rho, fam, bases)
