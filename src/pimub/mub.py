@@ -195,13 +195,10 @@ def _inverse(mu: FieldElement) -> FieldElement:
 
 
 def _stabilizer_swaps(mu: FieldElement) -> list[tuple[int, int]]:
-    n = mu.field.n
-    return [
-        (p, q)
-        for p in range(1, n + 1)
-        for q in range(p + 1, n + 1)
-        if permute_label(mu, p, q) == mu
-    ]
+    """The qubit swaps (p, q) that fix mu: those where its self-dual coordinates p and q agree."""
+    n, bits = mu.field.n, mu.bits
+    return [(p, q) for p in range(1, n + 1) for q in range(p + 1, n + 1)
+            if (bits >> (p - 1) ^ bits >> (q - 1)) & 1 == 0]
 
 
 def _slope_exponents(field: Field, mu: FieldElement) -> np.ndarray:

@@ -244,14 +244,13 @@ def is_hermitian(mat: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.allclose(mat, mat.conj().T, rtol=0, atol=tol))
 
 
-def is_density_matrix(mat: np.ndarray, herm_tol: float = 1e-12,
-                      trace_tol: float = 1e-12, eig_floor: float = -1e-10) -> bool:
-    """Hermitian, unit trace, and spectrum bounded below by ``eig_floor``."""
+def is_density_matrix(mat: np.ndarray, herm_tol: float = 1e-12, trace_tol: float = 1e-12) -> bool:
+    """Hermitian, unit trace, and no eigenvalue below -1e-10."""
     if not is_hermitian(mat, herm_tol):
         return False
     if abs(np.trace(mat).real - 1.0) > trace_tol or abs(np.trace(mat).imag) > trace_tol:
         return False
-    return bool(np.linalg.eigvalsh(mat).min() >= eig_floor)
+    return bool(np.linalg.eigvalsh(mat).min() >= -1e-10)
 
 
 # ----------------------------------------------------------------------

@@ -151,10 +151,8 @@ def minimal_bases(field: Field) -> list[BasisLabel]:
     return labels
 
 
-def independent_count(field: Field, table: OrbitTable | None = None) -> int:
-    """Number of orbits minus one normalization per measured basis."""
-    if table is None:
-        table = enumerate_orbits(field)
+def independent_count(field: Field, table: OrbitTable) -> int:
+    """Number of orbits of ``table`` minus one normalization per measured basis."""
     return len(table.orbits) - (field.n + 2)
 
 

@@ -13,14 +13,15 @@ The spin blocks are read in one real orthogonal basis per n,
 ``coupled_basis``: qubits coupled one by one with the spin-1/2
 Clebsch-Gordan coefficients, so that every PI operator is
 (+)_j 1_(m_j) (x) rho_j in it.  Every S_n operation on states runs
-there.  ``twirl``, the S_n average, keeps the mean rho_j of the m_j
-diagonal copy blocks of each sector.  The "blocks" states are built there,
+there, on the mean rho_j of the m_j diagonal copy blocks of each sector:
+``twirl``, the S_n average, keeps them, and an operator is PI when its
+twirl moves no entry by more than a tolerance (``is_permutation_invariant``,
+and the metrics' gate at 1e-12).  The "blocks" states are built there,
 and ``project_physical`` diagonalizes only the (2j+1)-sided mean blocks.
 So do ``fidelity`` and ``trace_distance`` for 5 <= n <= 8 when their inputs
-(for the trace distance, their difference) are PI: an operator passes when
-its twirl moves no entry by more than 1e-12.  Anything else, and every
-input below n = 5, where the 2^n-sided eigensolves are the cheaper path, is
-scored on the dense matrices.
+(for the trace distance, their difference) pass that gate.  Anything else,
+and every input below n = 5, where the 2^n-sided eigensolves are the
+cheaper path, is scored on the dense matrices.
 
 A measurement record holds its outcomes as one array indexed by the
 self-dual bits of nu, from simulation (``exact_probabilities``,
@@ -83,8 +84,8 @@ from .mub import (
     label_from_json,
     stabilizer_table,
 )
-from .operators import (pauli_grid, pauli_operator, pauli_table, pi_types, qubit_count,
-                        swap_index, walsh)
+from .operators import (is_density_matrix, pauli_grid, pauli_operator, pauli_table, pi_types,
+                        qubit_count, walsh)
 from .orbits import OrbitTable, expand_probabilities, minimal_bases
 
 _TWIRL_MAX_N = 8
@@ -207,16 +208,12 @@ def _frame(n: int) -> _Frame:
     return _Frame(matrix, sectors, counts, reps, np.cumsum(reps) - reps)
 
 
-def _copy_sums(frame: _Frame, mat: np.ndarray) -> list[np.ndarray]:
-    """For each sector, the sum of the m_j diagonal copy blocks of U^T mat U."""
-    mat = np.ascontiguousarray(mat, dtype=complex)
-    rows = (frame.matrix.T @ mat.view(float)).view(complex)  # U^T mat
-    return [rows[span].reshape(copies.shape) @ copies.T for span, copies in frame.sectors]
-
-
 def _mean_blocks(frame: _Frame, mat: np.ndarray) -> list[np.ndarray]:
     """For each sector, the mean rho_j of the m_j diagonal copy blocks of U^T mat U."""
-    return [total / count for total, count in zip(_copy_sums(frame, mat), frame.counts)]
+    mat = np.ascontiguousarray(mat, dtype=complex)
+    rows = (frame.matrix.T @ mat.view(float)).view(complex)  # U^T mat
+    return [rows[span].reshape(copies.shape) @ copies.T / count
+            for (span, copies), count in zip(frame.sectors, frame.counts)]
 
 
 def _from_blocks(frame: _Frame, blocks) -> np.ndarray:
@@ -226,6 +223,12 @@ def _from_blocks(frame: _Frame, blocks) -> np.ndarray:
     for (span, copies), block in zip(frame.sectors, blocks):
         np.matmul(block, copies, out=right[span].reshape(copies.shape))
     return (frame.matrix @ right.view(float)).view(complex)
+
+
+def _pi_means(frame: _Frame, mat: np.ndarray, tol: float) -> list[np.ndarray] | None:
+    """The mean copy blocks of ``mat``, or None if its twirl moves an entry past ``tol`` (or NaN)."""
+    means = _mean_blocks(frame, mat)
+    return means if np.abs(mat - _from_blocks(frame, means)).max() <= tol else None
 
 
 # ----------------------------------------------------------------------
@@ -247,13 +250,13 @@ def twirl(rho: np.ndarray) -> np.ndarray:
 
 
 def is_permutation_invariant(rho: np.ndarray, tol: float = 1e-10) -> bool:
-    n = qubit_count(rho)
-    for p in range(1, n + 1):
-        for q in range(p + 1, n + 1):
-            perm = swap_index(n, p, q)
-            if np.abs(rho - rho[np.ix_(perm, perm)]).max() > tol:
-                return False
-    return True
+    """Whether ``twirl`` moves no entry of ``rho`` by more than ``tol`` (n <= 8; NaN fails).
+
+    So ``tol`` bounds the distance to the S_n average, as the metrics' gate
+    does.  A transposition moves an entry by at most twice that distance,
+    and the distance is at most n - 1 times the largest such move.
+    """
+    return _pi_means(_frame(qubit_count(rho)), rho, tol) is not None
 
 
 # ----------------------------------------------------------------------
@@ -362,6 +365,8 @@ def random_pi_state(spec: PIStateSpec) -> np.ndarray:
         for block, two_j in zip(blocks, two_js):
             if np.shape(block) != (two_j + 1, two_j + 1):
                 raise ValueError(f"sector 2j={two_j} block must be {two_j + 1}x{two_j + 1}")
+            if not is_density_matrix(np.asarray(block)):
+                raise ValueError(f"sector 2j={two_j} block must be a density matrix")
         # each copy of a sector carries block / count, so every copy weighs the same
         return _from_blocks(_frame(n), [p_j / count * np.asarray(block, dtype=complex)
                                         for p_j, block, count in zip(probs, blocks, basis.counts)])
@@ -545,11 +550,11 @@ def project_physical(rho_hat: np.ndarray) -> np.ndarray:
     """
     frame = _frame(qubit_count(rho_hat))
     spectra, vectors = [], []
-    for total in _copy_sums(frame, rho_hat):  # m_j times each twirled block
-        evals, evecs = np.linalg.eigh(total + total.conj().T)
+    for mean in _mean_blocks(frame, rho_hat):
+        evals, evecs = np.linalg.eigh(mean + mean.conj().T)
         spectra.append(evals)
         vectors.append(evecs)
-    spectrum = np.concatenate(spectra) / (2 * frame.reps)
+    spectrum = np.concatenate(spectra) / 2.0
     weights = _project_to_simplex(spectrum.repeat(frame.reps))[frame.firsts]
     blocks, start = [], 0
     for evecs in vectors:
@@ -584,10 +589,10 @@ def _metric_stacks(*mats: np.ndarray) -> tuple[list, np.ndarray | int]:
 
     For 2^n-sided PI operators with 5 <= n <= 8, each is the stack of its
     mean copy blocks, zero padded to (sectors, n + 1, n + 1), and block j
-    counts m_j times (a column of the m_j).  An operator is PI when it
-    equals its ``twirl``, U (+)_j (1_(m_j) (x) mean_j) U^T, to
-    ``_PI_GATE_TOL`` in every entry.  If n lies outside that range or any
-    operator is not PI, ``mats`` are returned as they are, counted once.
+    counts m_j times (a column of the m_j).  An operator is PI when
+    ``_pi_means`` finds it so at ``_PI_GATE_TOL``.  If n lies outside that
+    range or any operator is not PI, ``mats`` are returned as they are,
+    counted once.
     """
     dim = mats[0].shape[0]
     n = dim.bit_length() - 1
@@ -595,8 +600,8 @@ def _metric_stacks(*mats: np.ndarray) -> tuple[list, np.ndarray | int]:
         frame = _frame(n)
         stacks = []
         for mat in mats:
-            means = _mean_blocks(frame, mat)
-            if not np.abs(mat - _from_blocks(frame, means)).max() <= _PI_GATE_TOL:  # NaN too
+            means = _pi_means(frame, mat, _PI_GATE_TOL)
+            if means is None:
                 break
             stack = np.zeros((len(means), n + 1, n + 1), dtype=complex)
             for block, mean in zip(stack, means):

@@ -1,7 +1,8 @@
 """Shared cached constructions (building a MUB family is the slow step), and
 the oracles that several test files share: the permutation matrix of the
-operator and twirl tests, the phase-space points of a basis, and the
-quality metrics computed on 2^n-sided matrices.
+operator and twirl tests, the transposition test for PI operators, the
+phase-space points of a basis, and the quality metrics computed on
+2^n-sided matrices.
 
 ``src`` goes on ``sys.path`` and on ``PYTHONPATH``, so a bare ``pytest``
 finds the package without an install, and so do the CLI subprocesses the
@@ -23,6 +24,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 import numpy as np  # noqa: E402
 
 from pimub import build_family, enumerate_orbits, make_field  # noqa: E402
+from pimub.operators import swap_index  # noqa: E402
 
 
 @lru_cache(maxsize=None)
@@ -63,6 +65,17 @@ def permutation_matrix(f, perm):
         bits = [(i >> (n - 1 - k)) & 1 for k in range(n)]
         mat[sum(bits[perm[k]] << (n - 1 - k) for k in range(n)), i] = 1.0
     return mat
+
+
+def swap_invariant(rho, tol):
+    """Oracle: whether no transposition of two qubits moves an entry of rho by more than tol."""
+    n = rho.shape[0].bit_length() - 1
+    for p in range(1, n + 1):
+        for q in range(p + 1, n + 1):
+            perm = swap_index(n, p, q)
+            if np.abs(rho - rho[np.ix_(perm, perm)]).max() > tol:
+                return False
+    return True
 
 
 def dense_fidelity(rho, sigma):

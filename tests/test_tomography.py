@@ -55,7 +55,7 @@ from pimub.tomography import (
 from pimub.tomography import _project_to_simplex
 
 from conftest import (dense_fidelity, dense_trace_distance, family, field, orbit_table,
-                      permutation_matrix, stabilizer_points)
+                      permutation_matrix, stabilizer_points, swap_invariant)
 
 
 def projector(fam, label, nu):
@@ -255,6 +255,61 @@ def test_twirl_is_idempotent_and_caps_n():
         twirl(np.eye(2**9) / 2**9)
 
 
+def _pi_test_inputs(n):
+    """PI and non-PI operators of n qubits, far from the margins of tolerances 1e-12 and 1e-10."""
+    dim = 2**n
+    rng = np.random.default_rng(70 + n)
+    pure_dicke = random_pi_state(PIStateSpec.dicke(n, np.eye(n + 1)[n // 2]))
+    pi = [
+        random_pi_state(PIStateSpec.twirl(n, seed=70 + n)),
+        random_pi_state(PIStateSpec.dicke(n, rng.dirichlet(np.ones(n + 1)))),
+        random_pi_state(_random_spin_block_spec(n, seed=70 + n)),
+        pure_dicke,
+        project_physical(_sampled_estimate(pure_dicke, seed=70 + n)),
+    ]
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    others = [random_density_matrix(dim, seed=70 + n), random_pure_state(dim, seed=71 + n),
+              pi[0] + 1e-6 * (g + g.conj().T)]
+    return pi, others
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pi_test_agrees_with_the_swap_oracle(n):
+    pi, others = _pi_test_inputs(n)
+    for tol in (1e-12, 1e-10):
+        for mat in pi:
+            assert is_permutation_invariant(mat, tol) and swap_invariant(mat, tol)
+        for mat in others:  # every one-qubit operator is PI
+            assert is_permutation_invariant(mat, tol) == swap_invariant(mat, tol) == (n == 1)
+
+
+def test_pi_test_rejects_nan_entries():
+    rho = twirl(random_density_matrix(8, seed=3))
+    rho[2, 5] = np.nan
+    assert not is_permutation_invariant(rho)
+    assert not is_permutation_invariant(np.full((4, 4), np.nan))
+
+
+def test_pi_test_caps_n():
+    with pytest.raises(DimensionOverflowError):
+        is_permutation_invariant(np.eye(2**9) / 2**9)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_pi_test_makes_no_swap_gathers(monkeypatch, n):
+    # count-based guard: the PI test reads the twirl, not n(n - 1)/2 swapped copies
+    calls = []
+
+    def counted(*args, _swap_index=swap_index):
+        calls.append(args)
+        return _swap_index(*args)
+
+    for module in (operators, tomography):
+        monkeypatch.setattr(module, "swap_index", counted, raising=False)
+    assert is_permutation_invariant(twirl(random_density_matrix(2**n, seed=n)))
+    assert calls == []
+
+
 @pytest.mark.parametrize("shape", ((4,), (2, 2, 2), (3, 3), (8, 4), (1, 1)))
 @pytest.mark.parametrize("operation", (twirl, project_physical, is_permutation_invariant))
 def test_state_operations_need_a_square_matrix_of_side_2_to_the_n(operation, shape):
@@ -342,6 +397,17 @@ def test_spin_block_states_are_pi_densities(n):
     rho = random_pi_state(PIStateSpec.spin_blocks(n, probs, blocks))
     assert is_density_matrix(rho, herm_tol=1e-12, trace_tol=1e-12)
     assert is_permutation_invariant(rho, tol=1e-12)
+
+
+@pytest.mark.parametrize("blocks, two_j", [
+    ([np.full((3, 3), np.nan), np.eye(1)], 2),
+    ([np.diag([2.0, 0.0, -1.0]), np.eye(1)], 2),  # unit trace, lowest eigenvalue -1
+    ([np.eye(3) / 3 + np.triu(np.full((3, 3), 0.1), 1), np.eye(1)], 2),  # not Hermitian
+    ([np.eye(3) / 3, 2 * np.eye(1)], 0),
+])
+def test_spin_block_states_need_density_matrix_blocks(blocks, two_j):
+    with pytest.raises(ValueError, match=f"sector 2j={two_j} block must be a density matrix"):
+        random_pi_state(PIStateSpec.spin_blocks(2, [0.5, 0.5], blocks))
 
 
 def test_symmetric_sector_point_mass_has_bounded_rank():

@@ -3,15 +3,16 @@
     python tools/compare_cli.py PARENT_SRC CHANGE_SRC [--max-n 8]
 
 Each SRC is a directory holding the ``pimub`` package (a checkout's
-``src``).  The cases are ``orbits --n k`` (JSON and CSV) and, for every n,
-``simulate`` with each state method, exact and sampled, each followed by
-``reconstruct`` in every mode, with and without ``--project``.  A pipeline
-runs within one tree: the change's reconstruct reads the change's records.
-For every case the exit code, stdout and stderr are compared byte for byte.
-Where stdout differs but both sides parse as JSON of the same shape, the
-largest absolute difference between their numbers is reported instead,
-with the JSON path where it sits (e.g. ``at fidelity``).
-Exit status 0 when every case matches byte for byte, else 1.
+``src``).  The cases are ``orbits --n k`` (JSON and CSV), ``verify --n k``
+for k <= 6 and, for every n, ``simulate`` with each state method, exact and
+sampled, each followed by ``reconstruct`` in every mode, with and without
+``--project``.  A pipeline runs within one tree: the change's reconstruct
+reads the change's records.  For every case the exit code, stdout and
+stderr are compared byte for byte.  Where stdout differs but both sides
+parse as JSON of the same shape, the largest absolute difference between
+their numbers is reported instead, with the JSON path where it sits (e.g.
+``at fidelity``).  Exit status 0 when every case matches byte for byte,
+else 1.
 """
 
 from __future__ import annotations
@@ -94,6 +95,11 @@ def main() -> int:
         for n in range(1, args.max_n + 1):
             for extra in ((), ("--csv",)):
                 argv = ["orbits", "--n", str(n), *extra]
+                record(n, " ".join(argv), {side: run(src, argv, tmp) for side, src in trees.items()})
+            # verify's round-trip rows score through the metrics' PI gate; it stops at
+            # n = 6 because verify --n 7 takes ~25 s per side
+            if n <= 6:
+                argv = ["verify", "--n", str(n)]
                 record(n, " ".join(argv), {side: run(src, argv, tmp) for side, src in trees.items()})
             for method in METHODS:
                 for sampling in SAMPLING:
