@@ -9,7 +9,6 @@ from .mub import (
     build_slope_basis,
     build_vertical,
     family_labels,
-    reconstruct_identity_check,
     slope_label,
     swap_covariance_report,
     unbiasedness_deviation,
@@ -23,7 +22,6 @@ from .orbits import (
     expand_probabilities,
     independent_count,
     minimal_bases,
-    s_range,
 )
 from .tomography import (
     MeasurementRecord,
@@ -54,7 +52,6 @@ __all__ = [
     "build_slope_basis",
     "build_vertical",
     "family_labels",
-    "reconstruct_identity_check",
     "slope_label",
     "swap_covariance_report",
     "unbiasedness_deviation",
@@ -70,7 +67,6 @@ __all__ = [
     "expand_probabilities",
     "independent_count",
     "minimal_bases",
-    "s_range",
     "MeasurementRecord",
     "PIStateSpec",
     "exact_probabilities",

@@ -45,10 +45,11 @@ mu.  Both directions of the measurement map read them, with the anchor's
 eigenvalue on each, from ``MubFamily.table``, filled once per family and
 label on first read: ``born_probabilities`` reads the expectations of the
 strings as rows of the state's ``operators.pauli_table`` (one table serves
-every basis), ``pauli_expectations`` recovers them from a distribution,
-and ``family_operator`` sums them over bases into sum p P - identity.
-The family is deterministic for a fixed n: identical labels, vectors and
-exported bytes on every run.
+every basis).  The inverse map reads labels and an array with one
+distribution per row: ``pauli_expectations`` recovers the expectations of
+every basis in one Walsh product, and ``family_operator`` scatters them
+onto their (x, z) rows, giving sum p P - identity.  The family is
+deterministic for a fixed n: identical labels, vectors and exported bytes.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ import numpy as np
 from .errors import MissingBasisError, NotNormalizedError, SchemaError, json_int
 from .gf2n import Field, FieldElement
 from .operators import (pauli_operator, pauli_phase, pauli_types, permute_label, popcounts,
-                        pauli_table, swap_index, walsh)
+                        swap_index, walsh)
 
 
 # ----------------------------------------------------------------------
@@ -384,13 +385,15 @@ def born_probabilities(family: MubFamily, label: BasisLabel, expect: np.ndarray)
     return walsh(family.field.size) @ (eigenvalues * expect[x, z]) / family.field.size
 
 
-def pauli_expectations(family: MubFamily, label: BasisLabel, probs: np.ndarray) -> np.ndarray:
-    """<P_alpha> on the rows of ``MubFamily.table`` from probs indexed by the bits of nu.
+def pauli_expectations(family: MubFamily, labels, probs: np.ndarray) -> np.ndarray:
+    """<P_alpha> on the rows of each basis's ``MubFamily.table``, one row per label.
 
-    The inverse of ``born_probabilities``: the anchor's eigenvalues times the
-    Walsh transform of the distribution.  Row 0, the identity, is its total.
+    Row k of ``probs`` is the distribution of ``labels[k]`` by the bits of nu.
+    The inverse of ``born_probabilities``: the anchors' eigenvalues times the
+    Walsh transforms of the rows.  Column 0, the identity, holds the totals.
     """
-    return family.table(label).eigenvalues * (walsh(family.field.size) @ probs)
+    eigenvalues = np.array([family.table(label).eigenvalues for label in labels])
+    return eigenvalues * (probs @ walsh(family.field.size))
 
 
 _SUM_TOL = 1e-9  # how far a measured distribution may sit off the simplex
@@ -406,18 +409,19 @@ def check_distributions(labels, probs: np.ndarray) -> None:
             raise NotNormalizedError(f"measured basis {label!r} has an entry {low!r} below 0")
 
 
-def family_operator(family: MubFamily, distributions: dict) -> np.ndarray:
-    """sum_(k,nu) p_k(nu) P_(nu,k) - identity, ``distributions`` {label: p by the bits of nu}.
+def family_operator(family: MubFamily, labels, probs: np.ndarray) -> np.ndarray:
+    """sum_(k,nu) p_k(nu) P_(nu,k) - identity, row k of ``probs`` the distribution of ``labels[k]``.
 
-    Each basis adds its ``pauli_expectations`` onto the rows of its
-    stabilizer table.  The identity gets the sum of the totals minus 2^n, not
-    a fixed 1: orbit expansions need not sum to 1 on unmeasured bases.
+    One scatter adds the ``pauli_expectations`` onto the (x, z) rows of the
+    stabilizer tables.  The identity gets the sum of the totals minus 2^n,
+    not a fixed 1: orbit expansions need not sum to 1 on unmeasured bases.
     """
     dim = family.field.size
+    tables = [family.table(label) for label in labels]
+    x = np.concatenate([t.x for t in tables])
+    z = np.concatenate([t.z for t in tables])
     expect = np.zeros((dim, dim))
-    for label, probs in distributions.items():
-        z, x, _, _ = family.table(label)
-        expect[x, z] += pauli_expectations(family, label, probs)
+    np.add.at(expect, (x, z), pauli_expectations(family, labels, probs).ravel())
     expect[0, 0] -= dim
     return pauli_operator(family.field.n, expect)
 
@@ -452,19 +456,6 @@ def completeness_deviation(family: MubFamily) -> float:
         v = family.basis(label)
         total += v @ v.conj().T
     return float(np.abs(total - (len(family.labels())) * np.eye(dim)).max())
-
-
-def reconstruct_identity_check(family: MubFamily, rho: np.ndarray) -> np.ndarray:
-    """Evaluate sum_(k,nu) Tr(rho P_(nu,k)) P_(nu,k) - identity.
-
-    For a valid family this reproduces rho exactly (up to roundoff) for any
-    density matrix: the sum over each basis is a pinching, and the 2^n + 1
-    pinchings of a mutually unbiased family tile the operator space.
-    """
-    expect = pauli_table(rho).real
-    return family_operator(
-        family, {label: born_probabilities(family, label, expect) for label in family.labels()}
-    )
 
 
 def swap_covariance_report(family: MubFamily) -> dict:
@@ -543,17 +534,18 @@ def predicted_swap_escapes(field: Field) -> set[tuple[int, int, str]]:
     Z_pi(alpha) X_pi(mu alpha), which are the slope-mu' monomials exactly
     when mu' pi(alpha) = pi(mu alpha) for every alpha.  pi fixes
     1 = sum theta_i, so alpha = 1 leaves mu' = pi(mu) as the only candidate.
+    Both sides are GF(2)-linear in alpha, so theta_1 .. theta_n decide it.
     The vertical set {X_beta} always maps to itself.  The failures of
     ``swap_covariance_report`` must be exactly these pairs.
     """
-    elems = field.elements()
+    thetas = [field.element(1 << i) for i in range(field.n)]
     escapes = set()
     for p in range(1, field.n + 1):
         for q in range(p + 1, field.n + 1):
-            for mu in elems:
+            for mu in field.elements():
                 image = permute_label(mu, p, q)
                 if any(image * permute_label(a, p, q) != permute_label(mu * a, p, q)
-                       for a in elems):
+                       for a in thetas):
                     escapes.add((p, q, repr(BasisLabel(mu))))
     return escapes
 

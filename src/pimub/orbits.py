@@ -13,8 +13,10 @@ the computational and vertical bases the orbit of nu is its weight class.
 popcounts of the slope bits, of nu and of their XOR, and stores each point's
 orbit id in the integer array ``OrbitTable.ids``, which is all that
 ``expand_probabilities`` reads; an ``Orbit`` keeps only its representative,
-invariants and size.  The tests check the table against a point-by-point
-grouping and against the union-find closure of the transposition action.
+invariants and size.  The expansion reads and returns the distribution
+format of ``mub.family_operator``: labels and one row of probabilities
+each.  The tests check the table against a point-by-point grouping and
+against the union-find closure of the transposition action.
 The key also counts the orbits: each of the C(n + 3, 3) column-type count
 vectors of (mu; nu) is one orbit, those with mu = 0 being the weight
 classes of the computational basis, and the vertical basis adds its n + 1
@@ -129,15 +131,6 @@ def enumerate_orbits(field: Field) -> OrbitTable:
     return OrbitTable(n=n, orbits=tuple(orbits), labels=labels, ids=ids)
 
 
-def s_range(m: int, l: int, n: int) -> list[int]:
-    """Allowed |mu + nu| values for given |mu| = m, |nu| = l: steps of two."""
-    if not (0 <= m <= n and 0 <= l <= n):
-        raise ValueError(f"weights must lie in 0..{n}, got m={m}, l={l}")
-    lo = abs(m - l)
-    hi = min(m + l, 2 * n - m - l, n)
-    return list(range(lo, hi + 1, 2))
-
-
 def minimal_bases(field: Field) -> list[BasisLabel]:
     """The n + 2 measured bases: slope 0, one slope per weight class, vertical.
 
@@ -170,29 +163,35 @@ def closed_form_orbit_count(n: int) -> int:
 # ----------------------------------------------------------------------
 
 def expand_probabilities(
-    distributions: dict,
     table: OrbitTable,
+    labels,
+    probs: np.ndarray,
     mode: str = "representative",
-) -> dict:
+) -> np.ndarray:
     """Propagate measured distributions to every basis of the family.
 
-    ``distributions`` maps each measured ``BasisLabel`` to its probabilities
-    indexed by the bits of nu; they must pass ``mub.check_distributions``.
-    Every orbit must own at least one measured point.  ``mode`` selects what
-    value an orbit carries when several of its points were measured:
-    ``"representative"`` takes the measured point with the smallest label
-    key, ``"average"`` takes the mean.  Returns the same format for every
-    label of ``table.labels``, in that order.
+    Row k of ``probs`` is the distribution of ``labels[k]`` by the bits of
+    nu; the rows must pass ``mub.check_distributions`` and no label may
+    repeat.  Every orbit must own at least one measured point.  ``mode``
+    selects what value an orbit carries when several of its points were
+    measured: ``"representative"`` takes the measured point with the
+    smallest label key, ``"average"`` takes the mean.  Returns the
+    (2^n + 1, 2^n) array of the same format for ``table.labels``.
     """
     if mode not in ("representative", "average"):
         raise ValueError(f"unknown expansion mode: {mode!r}")
 
-    measured = sorted(distributions, key=BasisLabel.sort_key)
     size = 1 << table.n
-    values = np.array([distributions[label] for label in measured], dtype=float).reshape(-1, size)
-    check_distributions(measured, values)
+    rows = np.array([_row(label, size) for label in labels], dtype=np.intp)
     # rows in label-key order, so the flattened points are in label-key order
-    ids = table.ids[[_row(label, size) for label in measured]].ravel()
+    order = np.argsort(rows)
+    measured, rows = [labels[k] for k in order], rows[order]
+    twice = np.flatnonzero(np.diff(rows) == 0)
+    if twice.size:
+        raise ValueError(f"basis {measured[twice[0]]!r} is given more than once")
+    values = np.asarray(probs, dtype=float).reshape(len(labels), size)[order]
+    check_distributions(measured, values)
+    ids = table.ids[rows].ravel()
     values = values.ravel()
 
     hits = np.bincount(ids, minlength=len(table.orbits))
@@ -206,7 +205,7 @@ def expand_probabilities(
         orbit_value = np.bincount(ids, values, minlength=len(table.orbits)) / hits
     else:
         orbit_value = values[np.unique(ids, return_index=True)[1]]
-    return dict(zip(table.labels, orbit_value[table.ids]))
+    return orbit_value[table.ids]
 
 
 # ----------------------------------------------------------------------

@@ -27,15 +27,17 @@ A measurement record holds its outcomes as one array indexed by the
 self-dual bits of nu, from simulation (``exact_probabilities``,
 ``sample_counts``) to inversion; ``record_from_json`` is the one place an
 outcome key is read and range-checked.  Every inversion reads records
-through one gate, ``_distributions``, which stacks them into one array.
+through one gate, ``_distributions``, which returns their labels and one
+array whose row k is the distribution of label k; every mode carries that
+format to the estimate.
 Both directions of the measurement map go through one table per basis of
 the family, ``MubFamily.table``: the 2^n Pauli strings, identity included,
 that the basis diagonalizes, and the anchor's eigenvalue on each.
 Simulation builds the state's table of all 4^n Pauli expectations once
 (``operators.pauli_table``), reads each basis's rows from it and Walsh
 transforms them into Born probabilities (``mub.born_probabilities``).
-Every inversion Walsh transforms distributions back into the same
-expectations (``mub.pauli_expectations``) and assembles the estimate from
+Every inversion Walsh transforms them back into the same expectations in
+one product (``mub.pauli_expectations``) and assembles the estimate from
 them with ``operators.pauli_operator``; no basis is expanded.
 These Pauli coordinates serve the measurement side alone (Born
 probabilities, the fit below and the estimate); states are twirled on
@@ -71,10 +73,11 @@ from .errors import (
     MissingBasisError,
     MissingOrbitError,
     SchemaError,
+    UnsupportedFieldSizeError,
     json_int,
     json_number,
 )
-from .gf2n import Field
+from .gf2n import MAX_N, Field
 from .mub import (
     BasisLabel,
     MubFamily,
@@ -82,10 +85,11 @@ from .mub import (
     check_distributions,
     family_operator,
     label_from_json,
+    pauli_expectations,
     stabilizer_table,
 )
 from .operators import (is_density_matrix, pauli_grid, pauli_operator, pauli_table, pi_types,
-                        qubit_count, walsh)
+                        qubit_count)
 from .orbits import OrbitTable, expand_probabilities, minimal_bases
 
 _TWIRL_MAX_N = 8
@@ -146,6 +150,8 @@ def coupled_basis(n: int) -> CoupledBasis:
     and a sector lists the copies coupled up from j - 1/2 before those
     coupled down from j + 1/2.
     """
+    if n < 1:
+        raise UnsupportedFieldSizeError(f"spin blocks need n >= 1, got n={n}")
     if n > _TWIRL_MAX_N:
         raise DimensionOverflowError(f"spin blocks support n <= {_TWIRL_MAX_N}, got n={n}")
     sectors = {1: np.ones((1, 1, 1))}  # size -> copies as [row, copy, i]
@@ -302,8 +308,10 @@ class PIStateSpec:
 
 def random_density_matrix(dim: int, seed: int, rank: int | None = None) -> np.ndarray:
     """Seeded Ginibre density matrix (full rank unless ``rank`` given)."""
-    rng = np.random.default_rng(seed)
     rank = dim if rank is None else rank
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
+    rng = np.random.default_rng(seed)
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
@@ -332,12 +340,15 @@ def _check_simplex(values, what: str) -> None:
 
 
 def random_pi_state(spec: PIStateSpec) -> np.ndarray:
-    """Build the PI density matrix described by ``spec``."""
-    n, dim = spec.n, 1 << spec.n
+    """Build the PI density matrix described by ``spec`` (1 <= n <= ``gf2n.MAX_N``)."""
+    n = spec.n
+    # both caps fire before any 2^n x 2^n allocation (248 MB at n = 11, 1 GiB at n = 13)
+    if spec.method == "twirl" and n > _TWIRL_MAX_N:
+        raise DimensionOverflowError(f"twirl method requires n <= {_TWIRL_MAX_N}")
+    if not isinstance(n, int) or not 1 <= n <= MAX_N:
+        raise UnsupportedFieldSizeError(f"n must be an integer in 1..{MAX_N}, got {n!r}")
+    dim = 1 << n
     if spec.method == "twirl":
-        # coupled_basis's cap fires only after the 2^n x 2^n draw below (248 MB at n = 11)
-        if n > _TWIRL_MAX_N:
-            raise DimensionOverflowError(f"twirl method requires n <= {_TWIRL_MAX_N}")
         if spec.seed is None:
             raise ValueError("twirl method requires a seed")
         return twirl(random_density_matrix(dim, spec.seed))
@@ -471,10 +482,8 @@ def reconstruct(
 
     if mode == PI_SUBSPACE:
         # one Walsh product for every basis, then one bincount per sum over types
-        basis_tables = [family.table(label) for label in labels]
-        expect = (probs @ walsh(field.size)).ravel()
-        expect *= np.concatenate([t.eigenvalues for t in basis_tables])
-        types = np.concatenate([t.types for t in basis_tables])
+        expect = pauli_expectations(family, labels, probs).ravel()
+        types = np.concatenate([family.table(label).types for label in labels])
         grid = pauli_grid(field.n)
         count = len(grid.counts)
         sums = np.bincount(types, expect, minlength=count)
@@ -484,7 +493,7 @@ def reconstruct(
 
     if table is None:
         raise MissingOrbitError(f"mode {mode!r} expands along orbits and needs an orbit table")
-    return family_operator(family, expand_probabilities(dict(zip(labels, probs)), table, mode))
+    return family_operator(family, table.labels, expand_probabilities(table, labels, probs, mode))
 
 
 def _distributions(records, field: Field) -> tuple[list, np.ndarray]:
@@ -549,6 +558,8 @@ def project_physical(rho_hat: np.ndarray) -> np.ndarray:
     2^n-sided matrix is twirled or diagonalized.
     """
     frame = _frame(qubit_count(rho_hat))
+    if not np.isfinite(rho_hat).all():
+        raise ValueError("project_physical input must be finite")
     spectra, vectors = [], []
     for mean in _mean_blocks(frame, rho_hat):
         evals, evecs = np.linalg.eigh(mean + mean.conj().T)

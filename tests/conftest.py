@@ -1,8 +1,8 @@
 """Shared cached constructions (building a MUB family is the slow step), and
 the oracles that several test files share: the permutation matrix of the
 operator and twirl tests, the transposition test for PI operators, the
-phase-space points of a basis, and the quality metrics computed on
-2^n-sided matrices.
+phase-space points of a basis, the frame identity over a whole family, and
+the quality metrics computed on 2^n-sided matrices.
 
 ``src`` goes on ``sys.path`` and on ``PYTHONPATH``, so a bare ``pytest``
 finds the package without an install, and so do the CLI subprocesses the
@@ -24,7 +24,8 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 import numpy as np  # noqa: E402
 
 from pimub import build_family, enumerate_orbits, make_field  # noqa: E402
-from pimub.operators import swap_index  # noqa: E402
+from pimub.mub import born_probabilities, family_operator  # noqa: E402
+from pimub.operators import pauli_table, swap_index  # noqa: E402
 
 
 @lru_cache(maxsize=None)
@@ -51,6 +52,20 @@ def stabilizer_points(f, label):
     if label.is_vertical:
         return [(f.zero(), a) for a in f.elements()]
     return [(a, label.slope * a) for a in f.elements()]
+
+
+def reconstruct_identity_check(fam, rho):
+    """Oracle: sum_(k,nu) Tr(rho P_(nu,k)) P_(nu,k) - identity over every basis of ``fam``.
+
+    For a valid family this reproduces rho exactly (up to roundoff) for any
+    density matrix: the sum over each basis is a pinching, and the 2^n + 1
+    pinchings of a mutually unbiased family tile the operator space.
+    """
+    expect = pauli_table(rho).real
+    labels = fam.labels()
+    return family_operator(
+        fam, labels, np.array([born_probabilities(fam, label, expect) for label in labels])
+    )
 
 
 def permutation_matrix(f, perm):

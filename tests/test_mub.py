@@ -20,7 +20,6 @@ from pimub.mub import (
     family_to_json,
     label_from_json,
     predicted_swap_escapes,
-    reconstruct_identity_check,
     stabilizer_table,
     swap_covariance_report,
     unbiasedness_deviation,
@@ -30,7 +29,7 @@ from pimub.operators import build_x, build_z, fourier, pauli_phase, permute_labe
 from pimub.orbits import minimal_bases
 from pimub.tomography import random_density_matrix, random_pure_state
 
-from conftest import family, field, stabilizer_points
+from conftest import family, field, reconstruct_identity_check, stabilizer_points
 from reference_data import SLOPE_ANCHOR_EXPONENTS, SLOPE_ANCHOR_SHA256, TWO_QUBIT_BASES
 
 

@@ -1,6 +1,7 @@
 """Label orbits: enumeration vs weight classification, counts, expansion."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from pimub.orbits import (
     orbit_report,
     orbit_table_to_csv,
     orbit_table_to_json,
-    s_range,
 )
 from pimub.tomography import (
     PIStateSpec,
@@ -281,6 +281,15 @@ def test_enumeration_builds_one_label_point_per_orbit(monkeypatch, n):
 # s-range rule
 # ----------------------------------------------------------------------
 
+def s_range(m: int, l: int, n: int) -> list[int]:
+    """Oracle: allowed |mu + nu| values for given |mu| = m, |nu| = l, in steps of two."""
+    if not (0 <= m <= n and 0 <= l <= n):
+        raise ValueError(f"weights must lie in 0..{n}, got m={m}, l={l}")
+    lo = abs(m - l)
+    hi = min(m + l, 2 * n - m - l, n)
+    return list(range(lo, hi + 1, 2))
+
+
 def test_s_range_basics():
     assert s_range(0, 0, 4) == [0]
     assert s_range(1, 1, 2) == [0, 2]
@@ -359,39 +368,65 @@ def test_closed_form_count_disagrees_by_one(n):
 # ----------------------------------------------------------------------
 
 def _distributions(records):
-    """{basis label: probabilities indexed by the bits of nu}."""
-    return {rec.basis: rec.frequencies() for rec in records}
+    """The basis labels, and their probabilities by the bits of nu as rows."""
+    return [rec.basis for rec in records], np.array([rec.frequencies() for rec in records])
 
 
-def _member_expansion(measured, table, mode):
+def _member_expansion(labels, probs, table, mode):
     """Oracle: each orbit's value taken point by point over its sorted members (from ``ids``)."""
-    out = {label: np.full(1 << table.n, np.nan) for label in table.labels}
+    measured = dict(zip(labels, probs))
+    out = np.full((len(table.labels), 1 << table.n), np.nan)
     for orbit in table.orbits:
         points_of = members(table, orbit)
         hits = [measured[m.basis][m.nu.bits] for m in points_of if m.basis in measured]
         value = hits[0] if mode == "representative" else sum(hits) / len(hits)
         for m in points_of:
-            out[m.basis][m.nu.bits] = value
+            out[table.labels.index(m.basis), m.nu.bits] = value
     return out
+
+
+def _sampled_beyond_minimal(n, seed):
+    """Sampled records on the minimal bases and three more, so orbits hold
+    several measured points that disagree."""
+    f = field(n)
+    fam = family(n)
+    rho = random_pi_state(PIStateSpec.twirl(n, seed=seed))
+    bases = minimal_bases(f) + [label for label in fam.labels() if label not in minimal_bases(f)][:3]
+    return [sample_counts(r, shots=500, seed=i)
+            for i, r in enumerate(exact_probabilities(rho, fam, bases))]
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 @pytest.mark.parametrize("mode", ("representative", "average"))
 def test_expansion_matches_the_member_oracle(n, mode):
-    # sampled records on more than the minimal bases, so orbits hold
-    # several measured points that disagree
-    f = field(n)
-    fam = family(n)
-    rho = random_pi_state(PIStateSpec.twirl(n, seed=40 + n))
-    bases = minimal_bases(f) + [label for label in fam.labels() if label not in minimal_bases(f)][:3]
-    records = [sample_counts(r, shots=500, seed=i)
-               for i, r in enumerate(exact_probabilities(rho, fam, bases))]
-    measured = _distributions(records)
-    expanded = expand_probabilities(measured, orbit_table(n), mode=mode)
-    oracle = _member_expansion(measured, orbit_table(n), mode)
-    assert list(expanded) == list(oracle)
-    for label in oracle:
-        assert np.array_equal(expanded[label], oracle[label])
+    labels, probs = _distributions(_sampled_beyond_minimal(n, seed=40 + n))
+    expanded = expand_probabilities(orbit_table(n), labels, probs, mode=mode)
+    oracle = _member_expansion(labels, probs, orbit_table(n), mode)
+    assert expanded.shape == oracle.shape == (2**n + 1, 2**n)
+    assert np.array_equal(expanded, oracle)
+
+
+@pytest.mark.parametrize("n", (2, 3, 5))
+@pytest.mark.parametrize("mode", ("representative", "average"))
+def test_expansion_is_independent_of_the_input_row_order(n, mode):
+    # the representative is the smallest measured label key and the average
+    # sums in label-key order, whatever order the rows come in
+    labels, probs = _distributions(_sampled_beyond_minimal(n, seed=60 + n))
+    expanded = expand_probabilities(orbit_table(n), labels, probs, mode=mode)
+    rng = np.random.default_rng(n)
+    for order in [np.arange(len(labels))[::-1]] + [rng.permutation(len(labels)) for _ in range(5)]:
+        shuffled = expand_probabilities(orbit_table(n), [labels[k] for k in order], probs[order],
+                                        mode=mode)
+        assert np.array_equal(shuffled, expanded)
+
+
+@pytest.mark.parametrize("mode", ("representative", "average"))
+def test_expansion_rejects_a_repeated_label(mode):
+    labels, probs = _distributions(exact_probabilities(np.eye(8, dtype=complex) / 8.0, family(3),
+                                                       minimal_bases(field(3))))
+    with pytest.raises(ValueError, match=re.escape(f"{labels[2]!r} is given more than once")):
+        expand_probabilities(orbit_table(3), labels + labels[2:3], np.vstack([probs, probs[2]]),
+                             mode=mode)
 
 
 def test_expansion_of_maximally_mixed_is_uniform():
@@ -399,9 +434,9 @@ def test_expansion_of_maximally_mixed_is_uniform():
     fam = family(2)
     rho = np.eye(4, dtype=complex) / 4.0
     records = exact_probabilities(rho, fam, minimal_bases(f))
-    expanded = expand_probabilities(_distributions(records), orbit_table(2))
-    assert sum(len(probs) for probs in expanded.values()) == 20
-    assert all(abs(p - 0.25) < 1e-12 for probs in expanded.values() for p in probs)
+    expanded = expand_probabilities(orbit_table(2), *_distributions(records))
+    assert expanded.shape == (5, 4)
+    assert all(abs(p - 0.25) < 1e-12 for p in expanded.ravel())
 
 
 def test_expansion_propagates_across_the_two_qubit_slope_pair():
@@ -409,11 +444,11 @@ def test_expansion_propagates_across_the_two_qubit_slope_pair():
     fam = family(2)
     rho = random_pi_state(PIStateSpec.twirl(2, seed=12))
     records = exact_probabilities(rho, fam, minimal_bases(f))
-    measured = _distributions(records)
-    expanded = expand_probabilities(measured, orbit_table(2))
+    labels, probs = _distributions(records)
+    expanded = expand_probabilities(orbit_table(2), labels, probs)
     theta1, theta2 = f.element(0b01), f.element(0b10)
-    source = measured[BasisLabel(theta1)][theta2.bits]
-    target = expanded[BasisLabel(theta2)][theta1.bits]
+    source = probs[labels.index(BasisLabel(theta1)), theta2.bits]
+    target = expanded[orbit_table(2).labels.index(BasisLabel(theta2)), theta1.bits]
     assert abs(source - target) < 1e-15
 
 
@@ -423,12 +458,12 @@ def test_expansion_agrees_with_direct_probabilities_for_two_qubits():
     table = orbit_table(2)
     for seed in range(5):
         rho = random_pi_state(PIStateSpec.twirl(2, seed=seed))
-        measured = _distributions(exact_probabilities(rho, fam, minimal_bases(f)))
-        expanded = expand_probabilities(measured, table)
-        direct = _distributions(exact_probabilities(rho, fam, fam.labels()))
-        assert list(expanded) == fam.labels()
-        for label, probs in expanded.items():
-            assert np.abs(probs - direct[label]).max() < 1e-10
+        expanded = expand_probabilities(
+            table, *_distributions(exact_probabilities(rho, fam, minimal_bases(f))))
+        direct_labels, direct = _distributions(exact_probabilities(rho, fam, fam.labels()))
+        assert list(table.labels) == direct_labels == fam.labels()
+        for probs, direct_probs in zip(expanded, direct):
+            assert np.abs(probs - direct_probs).max() < 1e-10
 
 
 def test_expansion_deviates_from_direct_probabilities_for_three_qubits():
@@ -442,12 +477,13 @@ def test_expansion_deviates_from_direct_probabilities_for_three_qubits():
     f = field(3)
     fam = family(3)
     rho = random_pi_state(PIStateSpec.twirl(3, seed=0))
-    measured = _distributions(exact_probabilities(rho, fam, minimal_bases(f)))
-    expanded = expand_probabilities(measured, orbit_table(3))
-    direct = _distributions(exact_probabilities(rho, fam, fam.labels()))
-    worst = max(np.abs(probs - direct[label]).max() for label, probs in expanded.items())
+    expanded = expand_probabilities(
+        orbit_table(3), *_distributions(exact_probabilities(rho, fam, minimal_bases(f))))
+    _, direct = _distributions(exact_probabilities(rho, fam, fam.labels()))
+    worst = max(np.abs(probs - direct_probs).max() for probs, direct_probs in zip(expanded, direct))
     assert worst > 1e-3
-    sums = [abs(sum(expanded[label][b] for b in range(8)) - 1.0) for label in fam.labels()]
+    sums = [abs(sum(probs[b] for b in range(8)) - 1.0) for probs in expanded]
+    assert len(sums) == len(fam.labels())
     assert max(sums) > 1e-3
 
 
@@ -455,13 +491,13 @@ def test_expansion_modes_average_vs_representative():
     f = field(2)
     fam = family(2)
     rho = random_pi_state(PIStateSpec.twirl(2, seed=5))
-    measured = _distributions(exact_probabilities(rho, fam, minimal_bases(f)))
-    rep = expand_probabilities(measured, orbit_table(2), mode="representative")
-    avg = expand_probabilities(measured, orbit_table(2), mode="average")
+    labels, probs = _distributions(exact_probabilities(rho, fam, minimal_bases(f)))
+    rep = expand_probabilities(orbit_table(2), labels, probs, mode="representative")
+    avg = expand_probabilities(orbit_table(2), labels, probs, mode="average")
     # exact inputs: both modes agree
-    assert all(np.abs(rep[k] - avg[k]).max() < 1e-12 for k in rep)
+    assert all(np.abs(r - a).max() < 1e-12 for r, a in zip(rep, avg))
     with pytest.raises(ValueError):
-        expand_probabilities(measured, orbit_table(2), mode="median")
+        expand_probabilities(orbit_table(2), labels, probs, mode="median")
 
 
 def test_expansion_per_basis_sums_for_exact_inputs():
@@ -470,10 +506,11 @@ def test_expansion_per_basis_sums_for_exact_inputs():
     f = field(2)
     fam = family(2)
     rho = random_pi_state(PIStateSpec.twirl(2, seed=9))
-    measured = _distributions(exact_probabilities(rho, fam, minimal_bases(f)))
-    expanded = expand_probabilities(measured, orbit_table(2))
-    for label in fam.labels():
-        total = sum(expanded[label][b] for b in range(4))
+    expanded = expand_probabilities(
+        orbit_table(2), *_distributions(exact_probabilities(rho, fam, minimal_bases(f))))
+    assert len(expanded) == len(fam.labels())
+    for probs in expanded:
+        total = sum(probs[b] for b in range(4))
         assert abs(total - 1.0) < 1e-9
 
 
@@ -484,22 +521,20 @@ def test_expansion_missing_orbit_error():
     # drop the vertical basis: its orbits have no slope members
     records = exact_probabilities(rho, fam, minimal_bases(f)[:-1])
     with pytest.raises(MissingOrbitError):
-        expand_probabilities(_distributions(records), orbit_table(2))
+        expand_probabilities(orbit_table(2), *_distributions(records))
     with pytest.raises(MissingOrbitError):
-        expand_probabilities({}, orbit_table(2))
+        expand_probabilities(orbit_table(2), [], np.zeros((0, 4)))
 
 
 def test_expansion_not_normalized_error():
     f = field(2)
     fam = family(2)
     rho = np.eye(4, dtype=complex) / 4.0
-    measured = _distributions(exact_probabilities(rho, fam, minimal_bases(f)))
-    broken = dict(measured)
-    label = BasisLabel(f.zero())
-    broken[label] = broken[label].copy()
-    broken[label][0] += 0.1
+    labels, probs = _distributions(exact_probabilities(rho, fam, minimal_bases(f)))
+    broken = probs.copy()
+    broken[labels.index(BasisLabel(f.zero())), 0] += 0.1
     with pytest.raises(NotNormalizedError):
-        expand_probabilities(broken, orbit_table(2))
+        expand_probabilities(orbit_table(2), labels, broken)
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import collections
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,13 +17,14 @@ from pimub.errors import (
     MissingOrbitError,
     NotNormalizedError,
     SchemaError,
+    UnsupportedFieldSizeError,
 )
 from pimub.mub import (
     BasisLabel,
     MubFamily,
     build_family,
+    family_labels,
     pauli_expectations,
-    reconstruct_identity_check,
 )
 from pimub.operators import (build_x, build_z, is_density_matrix, pauli_grid, pauli_operator,
                              pauli_table, qubit_count, swap_index)
@@ -55,7 +57,8 @@ from pimub.tomography import (
 from pimub.tomography import _project_to_simplex
 
 from conftest import (dense_fidelity, dense_trace_distance, family, field, orbit_table,
-                      permutation_matrix, stabilizer_points, swap_invariant)
+                      permutation_matrix, reconstruct_identity_check, stabilizer_points,
+                      swap_invariant)
 
 
 def projector(fam, label, nu):
@@ -192,6 +195,12 @@ def test_twirled_states_are_copy_block_diagonal_in_the_coupled_basis(n):
 def test_coupled_basis_caps_n():
     with pytest.raises(DimensionOverflowError):
         coupled_basis(9)
+
+
+@pytest.mark.parametrize("n", (0, -1))
+def test_coupled_basis_needs_a_qubit(n):
+    with pytest.raises(UnsupportedFieldSizeError, match=f"got n={n}"):
+        coupled_basis(n)
 
 
 # ----------------------------------------------------------------------
@@ -348,6 +357,37 @@ def test_twirl_spec_cap_fires_before_the_state_is_drawn():
     # a 2^30 x 2^30 draw cannot be allocated, so only the early cap raises this
     with pytest.raises(DimensionOverflowError):
         random_pi_state(PIStateSpec.twirl(30, seed=0))
+
+
+@pytest.mark.parametrize("spec", (
+    PIStateSpec.twirl(0, seed=0),
+    PIStateSpec.dicke(0, [1.0]),
+    PIStateSpec.spin_blocks(0, [1.0], [np.eye(1)]),
+    PIStateSpec.dicke(-1, []),
+    PIStateSpec.dicke(13, [1.0] + [0.0] * 13),  # 1 GiB if it were built
+), ids=("twirl-0", "dicke-0", "blocks-0", "dicke-neg", "dicke-13"))
+def test_state_generators_reject_unsupported_n(monkeypatch, spec):
+    def refuse(*args, **kwargs):
+        raise AssertionError("state allocated")
+
+    monkeypatch.setattr(tomography, "random_density_matrix", refuse)
+    monkeypatch.setattr(tomography, "dicke_state", refuse)
+    with pytest.raises(UnsupportedFieldSizeError, match=f"got {spec.n}"):
+        random_pi_state(spec)
+
+
+@pytest.mark.parametrize("n", (9, 10))
+def test_dicke_states_run_past_the_spin_block_cap(n):
+    rho = random_pi_state(PIStateSpec.dicke(n, np.eye(n + 1)[2]))
+    vec = dicke_state(n, 2)
+    assert np.abs(rho - np.outer(vec, vec.conj())).max() < 1e-15
+    assert abs(np.trace(rho) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("rank", (0, -1))
+def test_random_density_matrix_needs_a_positive_rank(rank):
+    with pytest.raises(ValueError, match="rank must be >= 1"):
+        random_density_matrix(4, seed=1, rank=rank)
 
 
 def test_twirl_state_is_reproducible():
@@ -620,6 +660,18 @@ def test_reconstruct_requires_the_minimal_bases():
 
 
 @pytest.mark.parametrize("mode", ("representative", "average"))
+def test_orbit_modes_need_the_full_family(mode):
+    # the expansion reaches every basis, so a partial family names the first one it lacks
+    f = field(3)
+    partial = build_family(f, minimal_bases(f))
+    records = exact_probabilities(random_pi_state(PIStateSpec.twirl(3, seed=36)), partial,
+                                  minimal_bases(f))
+    outside = next(label for label in family_labels(f) if label not in minimal_bases(f))
+    with pytest.raises(MissingBasisError, match=re.escape(f"{outside!r} is not in the family")):
+        reconstruct(records, orbit_table(3), partial, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ("representative", "average"))
 def test_orbit_modes_name_a_missing_orbit_table(mode):
     f = field(2)
     records = exact_probabilities(random_pi_state(PIStateSpec.twirl(2, seed=3)), family(2),
@@ -667,7 +719,7 @@ def test_stabilizer_expectations_match_direct_traces(n):
     rho = random_density_matrix(f.size, seed=50 + n)
     for rec in exact_probabilities(rho, fam, fam.labels()):
         probs = np.array([rec.data[bits] for bits in range(f.size)])
-        values = pauli_expectations(fam, rec.basis, probs)
+        values = pauli_expectations(fam, [rec.basis], probs[None])[0]
         for (alpha, beta), value in zip(stabilizer_points(f, rec.basis), values):
             phase = (-1j) ** (alpha.bits & beta.bits).bit_count()
             direct = (phase * np.trace(rho @ build_z(alpha) @ build_x(beta))).real
@@ -787,7 +839,8 @@ def looped_pi_subspace_fit(records, fam):
     sums, hits = np.zeros(count), np.zeros(count)
     for record in records:
         types = mub.stabilizer_table(f, record.basis).types
-        np.add.at(sums, types, pauli_expectations(fam, record.basis, record.frequencies()))
+        np.add.at(sums, types,
+                  pauli_expectations(fam, [record.basis], record.frequencies()[None])[0])
         np.add.at(hits, types, 1)
     coords = np.divide(sums, hits, out=np.zeros(count), where=hits > 0)
     return pauli_operator(f.n, coords[pauli_grid(f.n).types])
@@ -850,15 +903,12 @@ def _dense_orbit_sum(records, table, fam, mode):
     """Oracle: sum_(k,nu) p_(nu,k) P_(nu,k) - identity over the expanded
     orbit values, with every family basis expanded to a dense matrix."""
     f = fam.field
-    measured = {
-        rec.basis: np.array([rec.frequencies()[bits] for bits in range(f.size)])
-        for rec in records
-    }
-    expanded = expand_probabilities(measured, table, mode=mode)
+    measured = np.array([[rec.frequencies()[bits] for bits in range(f.size)] for rec in records])
+    expanded = expand_probabilities(table, [rec.basis for rec in records], measured, mode=mode)
     rho = -np.eye(f.size, dtype=complex)
     for label in fam.labels():
         v = fam.basis(label)
-        probs = expanded[label][[f.bits_from_index(i) for i in range(f.size)]]
+        probs = expanded[table.labels.index(label)][[f.bits_from_index(i) for i in range(f.size)]]
         rho += (v * probs) @ v.conj().T
     return rho, expanded
 
@@ -876,8 +926,8 @@ def test_orbit_modes_match_dense_projector_sum(n, mode):
     for records in (exact, sampled):
         dense, expanded = _dense_orbit_sum(records, table, fam, mode)
         assert np.abs(reconstruct(records, table, fam, mode=mode) - dense).max() <= 1e-12
-        totals = {label: probs.sum() for label, probs in expanded.items()}
-        worst_total = max(worst_total, max(abs(t - 1.0) for t in totals.values()))
+        totals = [probs.sum() for probs in expanded]
+        worst_total = max(worst_total, max(abs(t - 1.0) for t in totals))
     # the representative expansion need not sum to one on unmeasured bases,
     # so the identity coefficient is not a fixed 2^n + 1 - 2^n
     if mode == "representative" and n >= 3:
@@ -1096,6 +1146,15 @@ def test_projection_diagonalizes_only_spin_blocks(monkeypatch, n):
     project_physical(rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n)))
     assert sorted(sides, reverse=True) == [int(2 * j) + 1 for j in spin_values(n)]
     assert max(sides) <= n + 1
+
+
+@pytest.mark.parametrize("n", (3, 6))
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_projection_rejects_non_finite_input(n, bad):
+    rho = twirl(random_density_matrix(2**n, seed=n))
+    rho[1, 2] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        project_physical(rho)
 
 
 def test_projection_caps_n_and_rejects_non_square_input():

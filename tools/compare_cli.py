@@ -3,10 +3,11 @@
     python tools/compare_cli.py PARENT_SRC CHANGE_SRC [--max-n 8]
 
 Each SRC is a directory holding the ``pimub`` package (a checkout's
-``src``).  The cases are ``orbits --n k`` (JSON and CSV), ``verify --n k``
-for k <= 6 and, for every n, ``simulate`` with each state method, exact and
-sampled, each followed by ``reconstruct`` in every mode, with and without
-``--project``.  A pipeline runs within one tree: the change's reconstruct
+``src``).  The cases are, for every n up to ``--max-n``, ``field --n k
+--verify``, ``orbits --n k`` (JSON and CSV), ``mubs --n k`` for k <= 5,
+``verify --n k`` for k <= 6, and ``simulate`` with each state method, exact
+and sampled, each followed by ``reconstruct`` in every mode, with and
+without ``--project``.  A pipeline runs within one tree: the change's reconstruct
 reads the change's records.  For every case the exit code, stdout and
 stderr are compared byte for byte.  Where stdout differs but both sides
 parse as JSON of the same shape, the largest absolute difference between
@@ -93,13 +94,14 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         for n in range(1, args.max_n + 1):
-            for extra in ((), ("--csv",)):
-                argv = ["orbits", "--n", str(n), *extra]
-                record(n, " ".join(argv), {side: run(src, argv, tmp) for side, src in trees.items()})
-            # verify's round-trip rows score through the metrics' PI gate; it stops at
-            # n = 6 because verify --n 7 takes ~25 s per side
-            if n <= 6:
-                argv = ["verify", "--n", str(n)]
+            # mubs stops at n = 5 (2.5 MB of JSON, ~0.6 s per side) and verify at n = 6,
+            # because verify --n 7 takes ~25 s per side; verify's round-trip rows
+            # score through the metrics' PI gate
+            cases = [["field", "--n", str(n), "--verify"], ["orbits", "--n", str(n)],
+                     ["orbits", "--n", str(n), "--csv"]]
+            cases += [["mubs", "--n", str(n)]] if n <= 5 else []
+            cases += [["verify", "--n", str(n)]] if n <= 6 else []
+            for argv in cases:
                 record(n, " ".join(argv), {side: run(src, argv, tmp) for side, src in trees.items()})
             for method in METHODS:
                 for sampling in SAMPLING:
