@@ -16,8 +16,10 @@ SLOPE_ANCHOR_EXPONENTS: the exponents k of every proper slope anchor,
 family (joint eigenbasis by eigh, then the same three-rule gauge), which
 was within 1.2e-12 of i^k / sqrt(2^n) entrywise for n <= 6.  One row per
 slope mu with self-dual bits 1 .. 2^n - 1, entries by computational index.
-SLOPE_ANCHOR_SHA256 holds, for n = 5 and 6, the sha256 of those rows packed
-as uint8, row-major.
+SLOPE_ANCHOR_SHA256 holds, for n = 5 .. 8, the sha256 of those rows packed
+as uint8, row-major.  The n = 7 and 8 digests were recorded from the
+per-slope closed-form gauge (integer exponents, stable lexsort in rule 3)
+that preceded the batched one.
 
 ORBIT_EXPORT_SHA256: for n = 1 .. 8, the sha256 of the bytes of
 `pimub orbits --n n`: its JSON stdout, its `--csv` stdout and its stderr
@@ -129,6 +131,8 @@ SLOPE_ANCHOR_EXPONENTS = {
 SLOPE_ANCHOR_SHA256 = {
     5: "9f1c1213c606421fb90afccb0dac4a107b42630cf16853185ef4231bc6f85ea3",
     6: "f0500736f3017414dc9c9d4c784e44105dfba6dab31ff1b982f90057ec8af378",
+    7: "2627b4291ebdeb65791ce64ae192b4b4263b0ce08c08c6540fd675c2552d4025",
+    8: "41a35d37c39d28c841b4c7676f6d54b25be1ca9484a4676049560361da13a6bb",
 }
 
 ORBIT_EXPORT_SHA256 = {

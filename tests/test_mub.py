@@ -175,7 +175,7 @@ def _anchor_exponents(fam):
     return np.array(rows, dtype=np.uint8)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_slope_labelling_matches_frozen_reference(n):
     # the anchor, and so the nu labelling of every slope basis, is the one
     # the earlier eigensolver construction chose
@@ -297,7 +297,7 @@ def test_anchor_eigenvalues_belong_to_their_family():
     assert not first.flags.writeable
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_partial_family_holds_the_full_family_anchors(n):
     f = field(n)
     labels = minimal_bases(f)
