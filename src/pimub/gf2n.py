@@ -205,6 +205,13 @@ class Field:
         if sorted(sd_to_poly) != list(range(self.size)):
             raise AssertionError("self-dual basis does not span the field")
 
+        # basis_products[i][j]: self-dual bits of theta_(i+1) theta_(j+1); the
+        # product is bilinear, so these n^2 entries give every multiplication matrix
+        self.basis_products = tuple(
+            tuple(self._poly_to_sd[self._mul_poly(a, b)] for b in self.selfdual_basis)
+            for a in self.selfdual_basis
+        )
+
         # bit_reversal[b] reverses the n-bit string b: self-dual bits <-> index
         reversal = [0] * self.size
         for b in range(1, self.size):

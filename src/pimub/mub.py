@@ -31,9 +31,32 @@ Which shift is the anchor |0, mu> is fixed by a deterministic gauge:
    the overall phase so that component 0 is real and positive.
 
 Every candidate is i^k / sqrt(2^n) exactly, so the gauge runs on the
-integer exponents k.  Candidate X_j c has eigenvalue (-1)^|a & j| i^Q(b)
-on the monomial with computational masks (a, b), so rule 2 is one sign
-table.
+integer exponents k, for all the slopes of a family in one pass.  The
+multiplication matrix of mu is GF(2)-linear in mu, so every slope's matrix
+is an XOR of the field's n^2 basis products, and G is that of mu^-1, found
+as the alpha with mu alpha = 1.  No field product is made per slope.
+
+Rule 2 is one Walsh transform.  Candidate X_j c has eigenvalue
+(-1)^|a & j| i^Q(b) on the monomial with computational masks (a, b),
+b = mu a.  Mod 2, Q(b) = tr(mu^-1 b^2) = tr(mu a^2), so Q(b) is even
+exactly on the Hermitian monomials (and a = 0), where the eigenvalue is
++-1, and odd elsewhere, where it is +-i.  With v_a = Re i^Q(mu a), the sum
+(W v)_j = sum_a (-1)^|a & j| v_a of the real parts of candidate j's
+eigenvalues is 2 (+1 count) - H + 1 over the H Hermitian monomials with
+a != 0.  A fast Walsh-Hadamard transform gives W v for every j in
+O(n 2^n).
+
+Rule 3 is one n-bit key.  With the phase fixed, component i of candidate
+X_j c is Q(i + j) - Q(j) = Q(i) + 2 <Gj, i> mod 4.  Two candidates j != j'
+first differ at the least i with <G(j + j'), i> = 1; that linear form is
+nonzero because G is invertible, so its least such i is a unit index 2^t.
+The unit indices, t = 0 first, therefore decide the order.  At each i the
+two values Q(i) and Q(i) + 2 differ in the real part when Q(i) is even and
+in the imaginary part when it is odd; the smaller (re, im) pair is the one
+that is i^2 = -1 or i^3 = -i, so the preferred bit is
+<Gj, i> = [Q(i) mod 4 in {0, 1}].  The winner is the candidate whose
+misses of the preferred bits at the 2^t, read as a binary number with
+t = 0 the most significant bit, are least: no component array is sorted.
 
 A family stores each basis by its column 0; ``MubFamily.basis`` expands it
 for the structural checks and the JSON export only.  ``build_family`` builds
@@ -147,7 +170,7 @@ def stabilizer_table(field: Field, label: BasisLabel) -> StabilizerTable:
     if label.is_vertical:
         z, x = np.zeros_like(alpha), alpha
     else:
-        z, x = alpha, _times(_multiplication_matrix(label.slope), alpha)
+        z, x = alpha, _span(_multiplication_rows(field, [label.slope.index]))[0, alpha]
     z, x = z.astype(np.int16), x.astype(np.int16)
     table = StabilizerTable(z, x, pauli_types(field.n, z, x).astype(np.int16))
     for arr in table:
@@ -169,91 +192,106 @@ def _xor_table(dim: int) -> np.ndarray:
     return out
 
 
-def _coordinates(n: int) -> np.ndarray:
-    """Row i: the self-dual coordinates (n_1 .. n_n) of the element at index i."""
-    return np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1) & 1
+def _multiplication_rows(field: Field, indices) -> np.ndarray:
+    """Row s, column t: the index of mu e_t, for mu the element at ``indices[s]``, e_t at 2^t.
+
+    These are the rows of the multiplication matrix of mu in index bits.  It
+    is GF(2)-linear in mu, so the field's n^2 ``basis_products`` give every
+    row with no field product.
+    """
+    reversal = np.array(field.bit_reversal)
+    products = reversal[np.array(field.basis_products)[::-1, ::-1]]  # index of e_k e_t
+    indices = np.asarray(indices, dtype=np.int64)
+    rows = np.zeros((len(indices), field.n), dtype=np.int64)
+    for k in range(field.n):
+        rows ^= (indices[:, None] >> k & 1) * products[k]
+    return rows
 
 
-def _multiplication_matrix(mu: FieldElement) -> np.ndarray:
-    """M[i, j] = tr(mu theta_i theta_j), so coords(alpha) @ M = coords(mu alpha) mod 2."""
-    field = mu.field
-    return np.array([(mu * field.element(1 << i)).coeffs() for i in range(field.n)])
+def _span(rows: np.ndarray) -> np.ndarray:
+    """out[s, j]: the XOR of rows[s, t] over the set bits t of j, the linear map on every index."""
+    out = np.zeros((len(rows), 1), dtype=rows.dtype)
+    for t in range(rows.shape[1]):
+        out = np.concatenate([out, out ^ rows[:, t:t + 1]], axis=1)
+    return out
 
 
-def _times(mult: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Indices of mu alpha for the alpha at ``index``, ``mult`` the multiplication matrix of mu."""
-    n = len(mult)
-    return (_coordinates(n)[index] @ mult % 2) @ (1 << np.arange(n - 1, -1, -1))
+def _walsh_rows(v: np.ndarray) -> np.ndarray:
+    """v @ walsh(2^n) for every row of v, by butterflies: O(n 2^n) per row, no 4^n matrix."""
+    count, dim = v.shape
+    half = 1
+    while half < dim:
+        v = v.reshape(count, dim // (2 * half), 2, half)
+        v = np.concatenate([v[:, :, :1] + v[:, :, 1:], v[:, :, :1] - v[:, :, 1:]], axis=2)
+        half *= 2
+    return v.reshape(count, dim)
 
 
-def _inverse(mu: FieldElement) -> FieldElement:
-    """mu^-1 = mu^(2^n - 2), the product of mu^(2^k) for k = 1 .. n - 1."""
-    inv, power = mu.field.one(), mu
-    for _ in range(mu.field.n - 1):
-        power = power.square()
-        inv = inv * power
-    return inv
+def _slope_exponents(field: Field, slopes) -> np.ndarray:
+    """Exponents k of the anchors |0, mu> = i^k / sqrt(2^n), one row per slope mu != 0.
 
-
-def _stabilizer_swaps(mu: FieldElement) -> list[tuple[int, int]]:
-    """The qubit swaps (p, q) that fix mu: those where its self-dual coordinates p and q agree."""
-    n, bits = mu.field.n, mu.bits
-    return [(p, q) for p in range(1, n + 1) for q in range(p + 1, n + 1)
-            if (bits >> (p - 1) ^ bits >> (q - 1)) & 1 == 0]
-
-
-def _slope_exponents(field: Field, mu: FieldElement) -> np.ndarray:
-    """Exponents k of the anchor |0, mu> = i^k / sqrt(2^n) for mu != 0, by index.
-
-    Candidate j is X_j c, column j of the closed form (module docstring); the
-    gauge rules pick one and fix its phase.
+    Candidate j is X_j c, column j of the closed form; the gauge rules pick
+    one and fix its phase (module docstring).  Every slope is handled at
+    once on integer arrays of its own 2^n indices.
     """
     n, dim = field.n, field.size
-    coords = _coordinates(n)
-    gram = _multiplication_matrix(_inverse(mu))
-    quad = np.einsum("ki,ij,kj->k", coords, gram, coords) % 4
-    candidates = np.arange(dim)
+    count = len(slopes)
+    times = _span(_multiplication_rows(field, [mu.index for mu in slopes]))  # index of mu a
+    # G is the multiplication matrix of mu^-1, where mu^-1 mu = 1 has every coordinate 1
+    gram = _span(_multiplication_rows(field, np.argmax(times == dim - 1, axis=1)))
+    # Q(j + 2^t) = Q(j) + 2 <Gj, 2^t> + Q(2^t) mod 4 for j < 2^t
+    quad = np.zeros((count, 1), dtype=np.int64)
+    for t in range(n):
+        diagonal = gram[:, 1 << t, None] >> t & 1
+        quad = np.concatenate([quad, (quad + 2 * (gram[:, :1 << t] >> t & 1) + diagonal) % 4],
+                              axis=1)
 
     # 1) keep candidates fixed (up to phase) by every slope-stabilizing swap.
     #    The swap pi is linear on indices, so pi X_j c = X_(pi j) pi c, and
     #    X_j c is fixed iff X_s pi c is proportional to c, s = j + pi j; s is
-    #    0 when j's bits p and q agree and both bits otherwise
-    invariant = np.ones(dim, dtype=bool)
-    for p, q in _stabilizer_swaps(mu):
-        perm = swap_index(n, p, q)
-        holds = []
-        for s in (0, 1 << (n - p) | 1 << (n - q)):
-            ratio = (quad[perm ^ s] - quad) % 4
-            holds.append((ratio == ratio[0]).all())
-        invariant &= np.where(perm == np.arange(dim), *holds)
-    if invariant.any():
-        candidates = candidates[invariant]
+    #    0 when j's bits p and q agree and both bits otherwise.  The swap
+    #    fixes mu when mu's self-dual coordinates p and q agree
+    bits = np.array([mu.bits for mu in slopes], dtype=np.int64)
+    invariant = np.ones((count, dim), dtype=bool)
+    for p in range(1, n + 1):
+        for q in range(p + 1, n + 1):
+            fixes = np.flatnonzero((bits >> (p - 1) ^ bits >> (q - 1)) & 1 == 0)
+            perm = swap_index(n, p, q)
+            sub = quad[fixes]
+            holds = []
+            for s in (0, 1 << (n - p) | 1 << (n - q)):
+                ratio = (sub[:, perm ^ s] - sub) % 4
+                holds.append((ratio == ratio[:, :1]).all(axis=1, keepdims=True))
+            invariant[fixes] &= np.where(perm == np.arange(dim), *holds)
+    candidates = invariant | ~invariant.any(axis=1, keepdims=True)
 
-    # 2) prefer eigenvalue +1 on the Hermitian monomials Z_a X_b of the slope
-    #    set, alpha != 0 with tr(mu alpha^2) = sum_i alpha_i tr(mu theta_i^2) = 0
-    mult = _multiplication_matrix(mu)
-    hermitian = coords @ np.diag(mult) % 2 == 0
-    hermitian[0] = False
-    a = np.flatnonzero(hermitian)
-    b = _times(mult, a)
-    eigen = quad[b][:, None] + 2 * popcounts(dim)[a[:, None] & candidates]
-    scores = (eigen % 4 == 0).sum(axis=0)
-    candidates = candidates[scores == scores.max()]
+    # 2) prefer eigenvalue +1 on the Hermitian monomials: one Walsh transform
+    #    of Re i^Q(mu a) scores every candidate (module docstring)
+    scores = _walsh_rows(_PHASES.real[np.take_along_axis(quad, times, axis=1)])
+    scores = np.where(candidates, scores, -np.inf)
+    candidates &= scores == scores.max(axis=1, keepdims=True)
 
-    # 3) smallest (re, im) component sequence once component 0 is made real
-    fixed = (quad[candidates[:, None] ^ np.arange(dim)] - quad[candidates, None]) % 4
-    keys = _PHASES[fixed].view(float)  # row: re, im of each component
-    return fixed[np.lexsort(keys.T[::-1])[0]]
+    # 3) smallest (re, im) component sequence once component 0 is made real:
+    #    the unit indices 2^t decide, t = 0 first, and the smaller value at 2^t
+    #    has <Gj, 2^t> = [Q(2^t) in {0, 1}] (module docstring).  So the winner's
+    #    mismatches against that target, read from t = 0, form the least number
+    units = 1 << np.arange(n)
+    target = (quad[:, units] < 2) @ units
+    mismatch = np.array(field.bit_reversal)[gram ^ target[:, None]]  # bit t moved to n - 1 - t
+    best = np.where(candidates, mismatch, dim).argmin(axis=1)[:, None]
+    return (np.take_along_axis(quad, best ^ np.arange(dim), axis=1)
+            - np.take_along_axis(quad, best, axis=1)) % 4
 
 
-def _slope_anchor(field: Field, mu: FieldElement) -> np.ndarray:
-    if mu.bits == 0:
-        anchor = np.zeros(field.size, dtype=complex)
-        anchor[0] = 1.0
-    else:
-        anchor = _PHASES[_slope_exponents(field, mu)] / np.sqrt(field.size)
-    anchor.flags.writeable = False
-    return anchor
+def _slope_anchors(field: Field, slopes) -> np.ndarray:
+    """Read-only anchors |0, mu>, one row per slope: the unit vector e_0 for mu = 0."""
+    proper = np.array([mu.bits != 0 for mu in slopes], dtype=bool)
+    anchors = np.zeros((len(slopes), field.size), dtype=complex)
+    anchors[:, 0] = 1.0
+    anchors[proper] = _PHASES[_slope_exponents(field, [mu for mu in slopes if mu.bits])]
+    anchors[proper] /= np.sqrt(field.size)
+    anchors.flags.writeable = False
+    return anchors
 
 
 def _vertical_anchor(field: Field) -> np.ndarray:
@@ -281,7 +319,7 @@ def build_slope_basis(field: Field, mu: FieldElement) -> np.ndarray:
     covariance X_beta |nu, mu> = |nu + beta, mu> is exact by construction.
     For mu = 0 this is exactly the computational basis.
     """
-    return _expand(_slope_anchor(field, mu), vertical=False)
+    return _expand(_slope_anchors(field, [mu])[0], vertical=False)
 
 
 def build_vertical(field: Field) -> np.ndarray:
@@ -354,11 +392,11 @@ def build_family(field: Field, labels=None) -> MubFamily:
     the same arrays as the full one for the labels it has, at the cost of
     those labels alone.  Families compare by identity (``MubFamily``).
     """
-    bases = {
-        label: _vertical_anchor(field) if label.is_vertical
-        else _slope_anchor(field, label.slope)
-        for label in (family_labels(field) if labels is None else labels)
-    }
+    labels = family_labels(field) if labels is None else list(labels)
+    slopes = [label for label in labels if not label.is_vertical]
+    anchors = dict(zip(slopes, _slope_anchors(field, [label.slope for label in slopes])))
+    bases = {label: _vertical_anchor(field) if label.is_vertical else anchors[label]
+             for label in labels}
     return MubFamily(field=field, bases=bases)
 
 

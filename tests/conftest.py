@@ -1,8 +1,8 @@
 """Shared cached constructions (building a MUB family is the slow step), and
-the oracles that several test files share: the permutation matrix of the
-operator and twirl tests, the transposition test for PI operators, the
-phase-space points of a basis, the frame identity over a whole family, and
-the quality metrics computed on 2^n-sided matrices.
+the oracles that several test files share: the per-slope anchor gauge, the
+permutation matrix of the operator and twirl tests, the transposition test
+for PI operators, the phase-space points of a basis, the frame identity over
+a whole family, and the quality metrics computed on 2^n-sided matrices.
 
 ``src`` goes on ``sys.path`` and on ``PYTHONPATH``, so a bare ``pytest``
 finds the package without an install, and so do the CLI subprocesses the
@@ -25,7 +25,7 @@ import numpy as np  # noqa: E402
 
 from pimub import build_family, enumerate_orbits, make_field  # noqa: E402
 from pimub.mub import born_probabilities, family_operator  # noqa: E402
-from pimub.operators import pauli_table, swap_index  # noqa: E402
+from pimub.operators import pauli_table, popcounts, swap_index  # noqa: E402
 
 
 @lru_cache(maxsize=None)
@@ -41,6 +41,74 @@ def family(n):
 @lru_cache(maxsize=None)
 def orbit_table(n):
     return enumerate_orbits(field(n))
+
+
+def _coordinates(n):
+    """Row i: the self-dual coordinates (n_1 .. n_n) of the element at index i."""
+    return np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1) & 1
+
+
+def _multiplication_matrix(mu):
+    """M[i, j] = tr(mu theta_i theta_j), so coords(alpha) @ M = coords(mu alpha) mod 2."""
+    f = mu.field
+    return np.array([(mu * f.element(1 << i)).coeffs() for i in range(f.n)])
+
+
+def _inverse(mu):
+    """mu^-1 = mu^(2^n - 2), the product of mu^(2^k) for k = 1 .. n - 1."""
+    inv, power = mu.field.one(), mu
+    for _ in range(mu.field.n - 1):
+        power = power.square()
+        inv = inv * power
+    return inv
+
+
+def _stabilizer_swaps(mu):
+    """The qubit swaps (p, q) that fix mu: those where its self-dual coordinates p and q agree."""
+    n, bits = mu.field.n, mu.bits
+    return [(p, q) for p in range(1, n + 1) for q in range(p + 1, n + 1)
+            if (bits >> (p - 1) ^ bits >> (q - 1)) & 1 == 0]
+
+
+def per_slope_exponents(f, mu):
+    """Oracle: the anchor exponents of one slope mu != 0, the gauge rules taken literally.
+
+    Field products for the Gram and multiplication matrices, each rule on a
+    (candidates x 2^n) array, and a stable lexsort of the phase-fixed
+    (re, im) components for rule 3.
+    """
+    n, dim = f.n, f.size
+    coords = _coordinates(n)
+    gram = _multiplication_matrix(_inverse(mu))
+    quad = np.einsum("ki,ij,kj->k", coords, gram, coords) % 4
+    candidates = np.arange(dim)
+
+    # 1) candidates fixed (up to phase) by every slope-stabilizing swap, if any
+    invariant = np.ones(dim, dtype=bool)
+    for p, q in _stabilizer_swaps(mu):
+        perm = swap_index(n, p, q)
+        holds = []
+        for s in (0, 1 << (n - p) | 1 << (n - q)):
+            ratio = (quad[perm ^ s] - quad) % 4
+            holds.append((ratio == ratio[0]).all())
+        invariant &= np.where(perm == np.arange(dim), *holds)
+    if invariant.any():
+        candidates = candidates[invariant]
+
+    # 2) most +1 eigenvalues on the Hermitian monomials, tr(mu alpha^2) = 0
+    mult = _multiplication_matrix(mu)
+    hermitian = coords @ np.diag(mult) % 2 == 0
+    hermitian[0] = False
+    a = np.flatnonzero(hermitian)
+    b = (coords[a] @ mult % 2) @ (1 << np.arange(n - 1, -1, -1))
+    eigen = quad[b][:, None] + 2 * popcounts(dim)[a[:, None] & candidates]
+    scores = (eigen % 4 == 0).sum(axis=0)
+    candidates = candidates[scores == scores.max()]
+
+    # 3) smallest (re, im) component sequence once component 0 is made real
+    fixed = (quad[candidates[:, None] ^ np.arange(dim)] - quad[candidates, None]) % 4
+    keys = np.array([1.0, 1.0j, -1.0, -1.0j])[fixed].view(float)  # row: re, im of each component
+    return fixed[np.lexsort(keys.T[::-1])[0]]
 
 
 def stabilizer_points(f, label):

@@ -131,6 +131,16 @@ def test_mul_axioms_random_triples():
         assert (a * f.zero()).bits == 0
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_basis_products_are_the_products_of_the_selfdual_basis(n):
+    f = field(n)
+    for i in range(n):
+        for j in range(n):
+            theta = f.element(1 << i) * f.element(1 << j)
+            assert f.basis_products[i][j] == theta.bits
+            assert schoolbook_mul(f.selfdual_basis[i], f.selfdual_basis[j], f.poly) == theta.poly
+
+
 def test_gf8_random_products_against_oracle():
     f = field(3)
     rng = np.random.default_rng(7)

@@ -20,6 +20,7 @@ from pimub.mub import (
     family_to_json,
     label_from_json,
     predicted_swap_escapes,
+    _slope_exponents,
     stabilizer_table,
     swap_covariance_report,
     unbiasedness_deviation,
@@ -29,7 +30,8 @@ from pimub.operators import build_x, build_z, fourier, pauli_phase, permute_labe
 from pimub.orbits import minimal_bases
 from pimub.tomography import random_density_matrix, random_pure_state
 
-from conftest import family, field, reconstruct_identity_check, stabilizer_points
+from conftest import (family, field, per_slope_exponents, reconstruct_identity_check,
+                      stabilizer_points)
 from reference_data import SLOPE_ANCHOR_EXPONENTS, SLOPE_ANCHOR_SHA256, TWO_QUBIT_BASES
 
 
@@ -184,6 +186,45 @@ def test_slope_labelling_matches_frozen_reference(n):
         assert rows.tolist() == SLOPE_ANCHOR_EXPONENTS[n]
     else:
         assert hashlib.sha256(rows.tobytes()).hexdigest() == SLOPE_ANCHOR_SHA256[n]
+
+
+# every proper slope up to n = 8, the minimal-basis slopes at n = 9 and 10, and
+# at n = 11 and 12 three slopes fixed by a few, about half and all of the swaps
+_ORACLE_SLOPES = {
+    **{n: range(1, 1 << n) for n in range(1, 9)},
+    **{n: [(1 << m) - 1 for m in range(1, n + 1)] for n in (9, 10)},
+    11: [0b1, 0b10101010101, 0b11111111111],
+    12: [0b1, 0b101010101010, 0b111111111111],
+}
+
+
+@pytest.mark.parametrize("n", sorted(_ORACLE_SLOPES))
+def test_batched_gauge_matches_the_per_slope_oracle(n):
+    f = field(n)
+    slopes = [f.element(bits) for bits in _ORACLE_SLOPES[n]]
+    rows = _slope_exponents(f, slopes)
+    assert rows.shape == (len(slopes), f.size)
+    for mu, row in zip(slopes, rows):
+        assert np.array_equal(row, per_slope_exponents(f, mu)), mu
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+@pytest.mark.parametrize("pick", ["empty", "slope 0 and vertical", "shuffled"])
+def test_family_anchors_do_not_depend_on_the_label_list(n, pick):
+    f = field(n)
+    full = family(n)
+    everything = full.labels()
+    labels = {
+        "empty": [],
+        "slope 0 and vertical": [BasisLabel(f.zero()), vertical_label()],
+        "shuffled": [everything[i] for i in np.random.default_rng(n).permutation(len(everything))],
+    }[pick]
+    partial = build_family(f, labels)
+    assert partial.labels() == labels
+    for label in labels:
+        assert np.array_equal(partial.anchor(label), full.anchor(label))
+        assert not partial.anchor(label).flags.writeable
+    assert _slope_exponents(f, []).shape == (0, f.size)
 
 
 def test_family_stores_column_zero_of_the_built_bases():
@@ -344,6 +385,17 @@ def test_a_stabilizer_table_costs_order_n_field_products(monkeypatch):
         calls.clear()
         stabilizer_table(f, BasisLabel(f.element(bits)))
         assert len(calls) <= f.n  # one per row of the multiplication matrix, not 2^n
+
+
+def test_a_family_build_makes_no_field_product(monkeypatch):
+    # the multiplication matrices are XORs of the field's basis products
+    def refuse(a, b):
+        raise AssertionError("field product while building a family")
+
+    monkeypatch.setattr(FieldElement, "__mul__", refuse)
+    for n in (1, 4, 6):
+        build_family(field(n))
+        stabilizer_table(field(n), BasisLabel(field(n).element(1)))
 
 
 # ----------------------------------------------------------------------
