@@ -45,7 +45,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import MissingOrbitError
+from .errors import MissingOrbitError, SchemaError
 from .gf2n import Field, FieldElement
 from .mub import BasisLabel, check_distributions, family_labels, vertical_label
 from .operators import popcounts
@@ -171,8 +171,8 @@ def expand_probabilities(
     """Propagate measured distributions to every basis of the family.
 
     Row k of ``probs`` is the distribution of ``labels[k]`` by the bits of
-    nu; the rows must pass ``mub.check_distributions`` and no label may
-    repeat.  Every orbit must own at least one measured point.  ``mode``
+    nu, so its shape must be (len(labels), 2^n) (else ``SchemaError``); the
+    rows must pass ``mub.check_distributions`` and no label may repeat.  Every orbit must own at least one measured point.  ``mode``
     selects what value an orbit carries when several of its points were
     measured: ``"representative"`` takes the measured point with the
     smallest label key, ``"average"`` takes the mean.  Returns the
@@ -182,6 +182,10 @@ def expand_probabilities(
         raise ValueError(f"unknown expansion mode: {mode!r}")
 
     size = 1 << table.n
+    values = np.asarray(probs, dtype=float)
+    if values.shape != (len(labels), size):
+        raise SchemaError(f"distributions have shape {values.shape}, expected "
+                          f"{(len(labels), size)}: one row of 2^n per label")
     rows = np.array([_row(label, size) for label in labels], dtype=np.intp)
     # rows in label-key order, so the flattened points are in label-key order
     order = np.argsort(rows)
@@ -189,7 +193,7 @@ def expand_probabilities(
     twice = np.flatnonzero(np.diff(rows) == 0)
     if twice.size:
         raise ValueError(f"basis {measured[twice[0]]!r} is given more than once")
-    values = np.asarray(probs, dtype=float).reshape(len(labels), size)[order]
+    values = values[order]
     check_distributions(measured, values)
     ids = table.ids[rows].ravel()
     values = values.ravel()

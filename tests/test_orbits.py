@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pimub import orbits
-from pimub.errors import MissingOrbitError, NotNormalizedError
+from pimub.errors import MissingOrbitError, NotNormalizedError, SchemaError
 from pimub.mub import BasisLabel, family_labels, vertical_label
 from pimub.operators import permute_label
 from pimub.orbits import (
@@ -524,6 +524,18 @@ def test_expansion_missing_orbit_error():
         expand_probabilities(orbit_table(2), *_distributions(records))
     with pytest.raises(MissingOrbitError):
         expand_probabilities(orbit_table(2), [], np.zeros((0, 4)))
+
+
+def test_expansion_rejects_a_stack_of_the_wrong_shape():
+    # the maximally mixed state, so a reshaped stack would pass the
+    # normalization check; the full n = 2 family has 5 bases of 4 outcomes
+    f = field(2)
+    rho = np.eye(4, dtype=complex) / 4.0
+    minimal, minimal_probs = _distributions(exact_probabilities(rho, family(2), minimal_bases(f)))
+    labels, probs = _distributions(exact_probabilities(rho, family(2), family(2).labels()))
+    for given, stack in ((minimal, minimal_probs.ravel()), (labels, probs.T)):
+        with pytest.raises(SchemaError, match=re.escape(f"expected {(len(given), 4)}")):
+            expand_probabilities(orbit_table(2), given, stack)
 
 
 def test_expansion_not_normalized_error():

@@ -12,8 +12,10 @@ reads the change's records.  For every case the exit code, stdout and
 stderr are compared byte for byte.  Where stdout differs but both sides
 parse as JSON of the same shape, the largest absolute difference between
 their numbers is reported instead, with the JSON path where it sits (e.g.
-``at fidelity``).  Exit status 0 when every case matches byte for byte,
-else 1.
+``at fidelity``).  Where stdout is text on both sides (``verify``) and the
+two texts match once every number is masked, it is the largest difference
+between their numbers, with the line where it sits.  Exit status 0 when
+every case matches byte for byte, else 1.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -59,6 +62,29 @@ def deviation(a, b, path: str = "") -> tuple[float, str]:
     return 0.0 if a == b else float("inf"), path
 
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def text_deviation(a: str, b: str) -> tuple[float, str]:
+    """Largest |x - y| over the numbers of two texts, and the line that holds it.
+
+    The deviation is inf, at the first such line, where the texts differ
+    once their numbers are masked, or where their line counts differ.
+    """
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    if len(lines_a) != len(lines_b):
+        return float("inf"), ""
+    worst = (0.0, "")
+    for k, (x, y) in enumerate(zip(lines_a, lines_b), 1):
+        where = f"line {k}: {x.strip()[:60]}"
+        if NUMBER.sub("#", x) != NUMBER.sub("#", y):
+            return float("inf"), where
+        for u, v in zip(NUMBER.findall(x), NUMBER.findall(y)):
+            if abs(float(u) - float(v)) > worst[0]:
+                worst = (abs(float(u) - float(v)), where)
+    return worst
+
+
 def compare(name: str, parent: tuple, change: tuple) -> tuple[bool, float]:
     """(byte-identical, numeric deviation of stdout); prints one line per case."""
     if parent == change:
@@ -69,7 +95,8 @@ def compare(name: str, parent: tuple, change: tuple) -> tuple[bool, float]:
         try:
             dev, where = deviation(json.loads(parent[1]), json.loads(change[1]))
         except ValueError:
-            pass
+            dev, where = text_deviation(parent[1].decode(errors="replace"),
+                                        change[1].decode(errors="replace"))
     print(f"DIFF  {name}  exit {parent[0]}/{change[0]}, "
           f"stderr {'same' if parent[2] == change[2] else 'differs'}, stdout deviation {dev:.3g}"
           + (f" at {where}" if where and dev > 0 else ""))
