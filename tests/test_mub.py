@@ -180,7 +180,8 @@ def _anchor_exponents(fam):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_slope_labelling_matches_frozen_reference(n):
     # the anchor, and so the nu labelling of every slope basis, is the one
-    # the earlier eigensolver construction chose
+    # the earlier eigensolver construction chose (n <= 6) and the per-slope
+    # gauge chose (n = 7, 8)
     rows = _anchor_exponents(family(n))
     if n in SLOPE_ANCHOR_EXPONENTS:
         assert rows.tolist() == SLOPE_ANCHOR_EXPONENTS[n]
@@ -189,7 +190,7 @@ def test_slope_labelling_matches_frozen_reference(n):
 
 
 # every proper slope up to n = 8, the minimal-basis slopes at n = 9 and 10, and
-# at n = 11 and 12 three slopes fixed by a few, about half and all of the swaps
+# at n = 11 and 12 the slopes of weight 1, of alternating bits and of all ones
 _ORACLE_SLOPES = {
     **{n: range(1, 1 << n) for n in range(1, 9)},
     **{n: [(1 << m) - 1 for m in range(1, n + 1)] for n in (9, 10)},
