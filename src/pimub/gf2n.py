@@ -10,6 +10,13 @@ Field elements are handled in two coordinate systems:
   public representation (:attr:`FieldElement.bits`), because it identifies
   field elements with n-bit strings, one bit per qubit.
 
+The trace is GF(2)-linear, so tr(x) is the parity of x & tau, where bit i of
+tau is tr(t^i) for the polynomial basis 1, t, .., t^(n-1): n traces, found
+by squaring, give all 2^n.  The trace form tr(xy) is then x^T H y with the
+Hankel bit matrix H_ij = tr(t^(i+j)), so the self-dual basis is found on
+bit masks with no field product, and the coordinate tables are built by
+doubling, one XOR per entry.  Construction makes O(n^2) field products.
+
 Irreducible polynomials used (lowest-weight conventional choices, verified
 at construction time):
 
@@ -95,8 +102,19 @@ def is_irreducible(p: int) -> bool:
 # Self-dual basis construction
 # ----------------------------------------------------------------------
 
-def _selfdual_basis(n: int, poly: int, trace) -> tuple[int, ...]:
-    """Orthonormalize the trace form tr(xy) by symmetric congruence reduction.
+def _xor_span(gens) -> list[int]:
+    """Entry b: the XOR of gens[i] over the set bits i of b, for every b < 2^len(gens).
+
+    Built by doubling: one XOR per entry, none per bit.
+    """
+    out = [0]
+    for g in gens:
+        out += [v ^ g for v in out]
+    return out
+
+
+def _selfdual_basis(n: int, form) -> tuple[int, ...]:
+    """Orthonormalize the trace form ``form(x, y) = tr(xy)`` by symmetric congruence reduction.
 
     The trace form is symmetric, nondegenerate and non-alternating (the
     quadratic value tr(x^2) = tr(x) is a nonzero linear functional), so an
@@ -109,9 +127,6 @@ def _selfdual_basis(n: int, poly: int, trace) -> tuple[int, ...]:
     is by increasing coefficient mask, which makes the result deterministic.
     """
 
-    def form(x: int, y: int) -> int:
-        return trace(_poly_mod(_poly_mul(x, y), poly))
-
     def complement_basis(accepted: list[int]) -> list[int]:
         # Gaussian elimination: basis of {u : form(u, r) = 0 for all accepted r}.
         gens = [1 << j for j in range(n)]
@@ -123,30 +138,16 @@ def _selfdual_basis(n: int, poly: int, trace) -> tuple[int, ...]:
                 gens = cold + [g ^ pivot for g in hot[1:]]
         return sorted(gens)
 
-    def span(gens: list[int]):
-        for mask in range(1, 1 << len(gens)):
-            v = 0
-            for j, g in enumerate(gens):
-                if mask >> j & 1:
-                    v ^= g
-            yield v
-
     basis: list[int] = []
     while len(basis) < n:
-        pending = complement_basis(basis)
-        unit = next((v for v in span(pending) if form(v, v) == 1), None)
+        vectors = _xor_span(complement_basis(basis))[1:]
+        unit = next((v for v in vectors if form(v, v) == 1), None)
         if unit is not None:
             basis.append(unit)
             continue
         # Residual form alternating: find a hyperbolic pair and repair.
-        pair = next(
-            (u1, u2)
-            for u1 in span(pending)
-            for u2 in span(pending)
-            if form(u1, u2) == 1
-        )
+        u1, u2 = next((u1, u2) for u1 in vectors for u2 in vectors if form(u1, u2) == 1)
         w = basis.pop()
-        u1, u2 = pair
         basis.extend([w ^ u1, w ^ u2, w ^ u1 ^ u2])
     return tuple(basis)
 
@@ -173,30 +174,29 @@ class Field:
         if not is_irreducible(self.poly):
             raise AssertionError(f"polynomial table entry for n={n} is reducible")
 
-        # Trace of every element in polynomial coordinates: tr(x) = sum x^(2^i).
-        trace_table = []
-        for x in range(self.size):
-            t, y = x, x
+        # The trace is GF(2)-linear, so tr(x) is the parity of x & tau, where
+        # bit i of tau is tr(t^i) = sum_k t^(i 2^k): n(n - 1) field products
+        tau = 0
+        for i in range(n):
+            t = y = 1 << i
             for _ in range(n - 1):
                 y = self._mul_poly(y, y)
                 t ^= y
             if t not in (0, 1):
                 raise AssertionError("trace landed outside the base field")
-            trace_table.append(t)
-        self._trace_poly = tuple(trace_table)
+            tau |= t << i
+        self._trace_poly = tuple(_xor_span([tau >> i & 1 for i in range(n)]))
 
-        self.selfdual_basis = _selfdual_basis(n, self.poly, self.trace_poly)
+        # tr(xy) = x^T H y with the Hankel bit matrix H_ij = tr(t^(i+j)), so
+        # the trace form is a parity of bit masks: no field product
+        traces = [(_poly_mod(1 << k, self.poly) & tau).bit_count() & 1 for k in range(2 * n - 1)]
+        hankel = _xor_span([sum(traces[i + j] << j for j in range(n)) for i in range(n)])
+        self.selfdual_basis = _selfdual_basis(n, lambda x, y: (hankel[x] & y).bit_count() & 1)
         if not self.selfdual_gram_identity():
             raise AssertionError("self-dual basis failed the Gram identity")
 
         # Coordinate conversion tables (self-dual bits <-> polynomial mask).
-        sd_to_poly = []
-        for bits in range(self.size):
-            x = 0
-            for i in range(n):
-                if bits >> i & 1:
-                    x ^= self.selfdual_basis[i]
-            sd_to_poly.append(x)
+        sd_to_poly = _xor_span(self.selfdual_basis)
         self._sd_to_poly = tuple(sd_to_poly)
         poly_to_sd = [0] * self.size
         for bits, x in enumerate(sd_to_poly):
@@ -213,10 +213,7 @@ class Field:
         )
 
         # bit_reversal[b] reverses the n-bit string b: self-dual bits <-> index
-        reversal = [0] * self.size
-        for b in range(1, self.size):
-            reversal[b] = reversal[b >> 1] >> 1 | (b & 1) << (n - 1)
-        self.bit_reversal = tuple(reversal)
+        self.bit_reversal = tuple(_xor_span([1 << (n - 1 - i) for i in range(n)]))
 
     # -- raw polynomial-coordinate helpers ------------------------------
 

@@ -36,6 +36,23 @@ multiplication matrix of mu is GF(2)-linear in mu, so every slope's matrix
 is an XOR of the field's n^2 basis products, and G is that of mu^-1, found
 as the alpha with mu alpha = 1.  No field product is made per slope.
 
+Rule 1 reads two rows of G per swap.  A qubit swap pi fixes mu when mu's
+coordinates on its two qubits agree; it is linear on indices, so
+pi X_j c = X_(pi j) pi c, and X_j c is fixed up to phase iff X_s pi c is
+proportional to c, s = j + pi j.  That is, f(a) = Q(pi a + s) - Q(a) mod 4
+must be constant.  Q is a Z_4 quadratic form, Q(a + b) = Q(a) + Q(b) +
+2 <Ga, b>, and so is f - f(0).  A form like that is constant iff it is
+constant on 0, on the units 2^t and on the pairs 2^t + 2^u, because those
+values fix its diagonal and its bilinear part.  With Q(2^t) = G_tt, f - f(0)
+is G_(pi t, pi t) - G_tt + 2 (Gs)_(pi t) at 2^t, and on the pairs the
+bilinear part changes by 2 (G_(pi t, pi u) - G_tu).  A difference of two bits
+plus an even number is 0 mod 4 only if both vanish, so f is constant iff pi
+fixes G and Gs = 0; G is invertible, so s = 0.  Hence X_j c is fixed iff pi
+fixes G and j.  If every swap that fixes mu fixes G, the candidates kept
+are the j that every such swap fixes: with m the index of mu, those are
+0, m, its complement and 2^n - 1.  Otherwise no candidate is fixed and rule
+1 keeps them all.  From n = 3 to 12 that is every slope but mu = 1.
+
 Rule 2 is one Walsh transform.  Candidate X_j c has eigenvalue
 (-1)^|a & j| i^Q(b) on the monomial with computational masks (a, b),
 b = mu a.  Mod 2, Q(b) = tr(mu^-1 b^2) = tr(mu a^2), so Q(b) is even
@@ -236,34 +253,31 @@ def _slope_exponents(field: Field, slopes) -> np.ndarray:
     """
     n, dim = field.n, field.size
     count = len(slopes)
-    times = _span(_multiplication_rows(field, [mu.index for mu in slopes]))  # index of mu a
+    indices = np.array([mu.index for mu in slopes], dtype=np.int64)
+    times = _span(_multiplication_rows(field, indices))  # index of mu a
     # G is the multiplication matrix of mu^-1, where mu^-1 mu = 1 has every coordinate 1
     gram = _span(_multiplication_rows(field, np.argmax(times == dim - 1, axis=1)))
     # Q(j + 2^t) = Q(j) + 2 <Gj, 2^t> + Q(2^t) mod 4 for j < 2^t
     quad = np.zeros((count, 1), dtype=np.int64)
     for t in range(n):
         diagonal = gram[:, 1 << t, None] >> t & 1
-        quad = np.concatenate([quad, (quad + 2 * (gram[:, :1 << t] >> t & 1) + diagonal) % 4],
+        quad = np.concatenate([quad, (quad + 2 * (gram[:, :1 << t] >> t & 1) + diagonal) & 3],
                               axis=1)
 
-    # 1) keep candidates fixed (up to phase) by every slope-stabilizing swap.
-    #    The swap pi is linear on indices, so pi X_j c = X_(pi j) pi c, and
-    #    X_j c is fixed iff X_s pi c is proportional to c, s = j + pi j; s is
-    #    0 when j's bits p and q agree and both bits otherwise.  The swap
-    #    fixes mu when mu's self-dual coordinates p and q agree
-    bits = np.array([mu.bits for mu in slopes], dtype=np.int64)
-    invariant = np.ones((count, dim), dtype=bool)
-    for p in range(1, n + 1):
-        for q in range(p + 1, n + 1):
-            fixes = np.flatnonzero((bits >> (p - 1) ^ bits >> (q - 1)) & 1 == 0)
-            perm = swap_index(n, p, q)
-            sub = quad[fixes]
-            holds = []
-            for s in (0, 1 << (n - p) | 1 << (n - q)):
-                ratio = (sub[:, perm ^ s] - sub) % 4
-                holds.append((ratio == ratio[:, :1]).all(axis=1, keepdims=True))
-            invariant[fixes] &= np.where(perm == np.arange(dim), *holds)
-    candidates = invariant | ~invariant.any(axis=1, keepdims=True)
+    # 1) keep candidates fixed (up to phase) by every slope-stabilizing swap,
+    #    if any are.  A swap fixes X_j c iff it fixes j and G (module
+    #    docstring), and it fixes mu iff mu's index m agrees on its two bits.
+    #    So if all of those swaps fix G, the j they all fix are 0, m, its
+    #    complement and 2^n - 1; if one moves G, no j is fixed
+    x, y = np.triu_indices(n, 1)  # the index bits of each qubit swap
+    fixes = (indices[:, None] >> x ^ indices[:, None] >> y) & 1 == 0
+    row_x, row_y = gram[:, 1 << x], gram[:, 1 << y]  # rows x and y of G, per slope and swap
+    differ = (row_x >> x ^ row_x >> y) & 1
+    keeps = ~(fixes & (row_x ^ differ << x ^ differ << y != row_y)).any(axis=1)
+    fixed = np.stack([np.zeros_like(indices), indices, indices ^ (dim - 1),
+                      np.full_like(indices, dim - 1)], axis=1)
+    candidates = np.repeat(~keeps[:, None], dim, axis=1)
+    candidates[np.flatnonzero(keeps)[:, None], fixed[keeps]] = True
 
     # 2) prefer eigenvalue +1 on the Hermitian monomials: one Walsh transform
     #    of Re i^Q(mu a) scores every candidate (module docstring)
@@ -280,7 +294,7 @@ def _slope_exponents(field: Field, slopes) -> np.ndarray:
     mismatch = np.array(field.bit_reversal)[gram ^ target[:, None]]  # bit t moved to n - 1 - t
     best = np.where(candidates, mismatch, dim).argmin(axis=1)[:, None]
     return (np.take_along_axis(quad, best ^ np.arange(dim), axis=1)
-            - np.take_along_axis(quad, best, axis=1)) % 4
+            - np.take_along_axis(quad, best, axis=1)) & 3
 
 
 def _slope_anchors(field: Field, slopes) -> np.ndarray:

@@ -17,6 +17,7 @@ flipping it would dress Z_alpha with a stray (-1)^|alpha|.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -265,13 +266,24 @@ def matrix_to_json(mat: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
+    """The matrix of ``matrix_to_json``, else ``SchemaError``.
+
+    Every entry must be an [re, im] pair of JSON numbers: no bool, string or
+    null, which numpy would convert.  The types are scanned once and the
+    values read by one array conversion.
+    """
     try:
         dim = json_int(obj["dim"], "dim")
         entries = obj["entries"]
-        if dim < 1 or len(entries) != dim * dim:
-            raise ValueError(f"{len(entries)} entries for dim={dim}")
-        flat = np.array([complex(json_number(re, "entry"), json_number(im, "entry"))
-                         for re, im in entries])
-    except (KeyError, TypeError, ValueError) as exc:
+        if type(entries) is not list or dim < 1 or len(entries) != dim * dim:
+            raise ValueError(f"expected a list of dim^2 entries for dim={dim}")
+        if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+            raise ValueError("every entry must be an [re, im] pair")
+        values = list(chain.from_iterable(entries))
+        if not set(map(type, values)) <= {int, float}:
+            for value in values:
+                json_number(value, "entry")  # raises on the first non-number
+        flat = np.array(values, dtype=float).view(complex)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed matrix JSON: {exc}") from exc
     return flat.reshape(dim, dim)

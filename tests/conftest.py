@@ -1,5 +1,6 @@
 """Shared cached constructions (building a MUB family is the slow step), and
-the oracles that several test files share: the per-slope anchor gauge, the
+the oracles that several test files share: the field's per-element trace and
+per-bit coordinate tables, the per-slope anchor gauge, the
 permutation matrix of the operator and twirl tests, the transposition test
 for PI operators, the phase-space points of a basis, the frame identity over
 a whole family, and the quality metrics computed on 2^n-sided matrices.
@@ -24,6 +25,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 import numpy as np  # noqa: E402
 
 from pimub import build_family, enumerate_orbits, make_field  # noqa: E402
+from pimub.gf2n import _selfdual_basis  # noqa: E402
 from pimub.mub import born_probabilities, family_operator  # noqa: E402
 from pimub.operators import pauli_table, popcounts, swap_index  # noqa: E402
 
@@ -41,6 +43,40 @@ def family(n):
 @lru_cache(maxsize=None)
 def orbit_table(n):
     return enumerate_orbits(field(n))
+
+
+def squaring_traces(f):
+    """Oracle: tr(x) = x + x^2 + ... + x^(2^(n-1)) for every x in polynomial coordinates.
+
+    n - 1 field squarings per element, with a check that each lands in GF(2).
+    """
+    traces = []
+    for x in range(f.size):
+        t = y = x
+        for _ in range(f.n - 1):
+            y = f._mul_poly(y, y)
+            t ^= y
+        assert t in (0, 1)
+        traces.append(t)
+    return tuple(traces)
+
+
+def product_selfdual_basis(f):
+    """Oracle: the self-dual basis search run on tr(xy) from a field product per pair."""
+    traces = squaring_traces(f)
+    return _selfdual_basis(f.n, lambda x, y: traces[f._mul_poly(x, y)])
+
+
+def per_bit_selfdual_to_poly(f):
+    """Oracle: entry b is the XOR of the basis masks theta_(i+1) over the set bits i of b."""
+    table = []
+    for bits in range(f.size):
+        x = 0
+        for i in range(f.n):
+            if bits >> i & 1:
+                x ^= f.selfdual_basis[i]
+        table.append(x)
+    return tuple(table)
 
 
 def _coordinates(n):
@@ -70,6 +106,31 @@ def _stabilizer_swaps(mu):
             if (bits >> (p - 1) ^ bits >> (q - 1)) & 1 == 0]
 
 
+def _quadratic_form(mu):
+    """Q(kappa) = kappa^T G kappa mod 4 on every index, G from field products."""
+    coords = _coordinates(mu.field.n)
+    gram = _multiplication_matrix(_inverse(mu))
+    return np.einsum("ki,ij,kj->k", coords, gram, coords) % 4
+
+
+def per_slope_invariant(f, mu):
+    """Oracle: rule 1 taken literally, whether every swap that fixes mu fixes X_j c up to phase.
+
+    One (2^n)-entry comparison of Q(pi j + s) - Q(j) per swap pi and shift s.
+    """
+    n, dim = f.n, f.size
+    quad = _quadratic_form(mu)
+    invariant = np.ones(dim, dtype=bool)
+    for p, q in _stabilizer_swaps(mu):
+        perm = swap_index(n, p, q)
+        holds = []
+        for s in (0, 1 << (n - p) | 1 << (n - q)):
+            ratio = (quad[perm ^ s] - quad) % 4
+            holds.append((ratio == ratio[0]).all())
+        invariant &= np.where(perm == np.arange(dim), *holds)
+    return invariant
+
+
 def per_slope_exponents(f, mu):
     """Oracle: the anchor exponents of one slope mu != 0, the gauge rules taken literally.
 
@@ -79,19 +140,11 @@ def per_slope_exponents(f, mu):
     """
     n, dim = f.n, f.size
     coords = _coordinates(n)
-    gram = _multiplication_matrix(_inverse(mu))
-    quad = np.einsum("ki,ij,kj->k", coords, gram, coords) % 4
+    quad = _quadratic_form(mu)
     candidates = np.arange(dim)
 
     # 1) candidates fixed (up to phase) by every slope-stabilizing swap, if any
-    invariant = np.ones(dim, dtype=bool)
-    for p, q in _stabilizer_swaps(mu):
-        perm = swap_index(n, p, q)
-        holds = []
-        for s in (0, 1 << (n - p) | 1 << (n - q)):
-            ratio = (quad[perm ^ s] - quad) % 4
-            holds.append((ratio == ratio[0]).all())
-        invariant &= np.where(perm == np.arange(dim), *holds)
+    invariant = per_slope_invariant(f, mu)
     if invariant.any():
         candidates = candidates[invariant]
 

@@ -393,18 +393,26 @@ def test_reconstruct_rejects_non_integer_fields_as_json(tmp_path, bad):
     assert "must be an integer" in err["message"]
 
 
+_PURE = matrix_to_json(np.diag([1.0, 0.0, 0.0, 0.0]))
+# state JSON and the fragment of the schema error it must raise.  The bool and
+# string entries would read as the valid entry [1.0, 0.0] if numpy converted them
 _BAD_STATES = {
-    "non-hermitian": np.eye(4) / 4 + 0.3 * np.eye(4, k=1),
-    "negative": np.diag([0.75, 0.5, 0.25, -0.5]),
-    "trace": np.eye(4) * 0.35,
+    "non-hermitian": (matrix_to_json(np.eye(4) / 4 + 0.3 * np.eye(4, k=1)), "state is not"),
+    "negative": (matrix_to_json(np.diag([0.75, 0.5, 0.25, -0.5])), "state is not"),
+    "trace": (matrix_to_json(np.eye(4) * 0.35), "state is not"),
+    **{name: ({**_PURE, "entries": [entry] + _PURE["entries"][1:]}, "malformed matrix JSON")
+       for name, entry in (("bool-entry", [True, 0.0]), ("string-entry", ["1", 0.0]),
+                           ("null-entry", [None, 0.0]), ("short-entry", [1.0]),
+                           ("long-entry", [1.0, 0.0, 0.0]), ("non-list-entry", 1.0))},
 }
 
 
 @pytest.mark.parametrize("where", ("simulate", "reconstruct", "truth"))
 @pytest.mark.parametrize("bad", list(_BAD_STATES))
 def test_state_files_must_hold_density_matrices(tmp_path, capsys, where, bad):
+    obj, message = _BAD_STATES[bad]
     state, records = tmp_path / "state.json", tmp_path / "records.json"
-    state.write_text(json.dumps(matrix_to_json(_BAD_STATES[bad])))
+    state.write_text(json.dumps(obj))
     if where == "simulate":
         argv = ["simulate", "--n", "2", "--seed", "1", "--exact", "--state", str(state),
                 "--out", str(records)]
@@ -415,12 +423,14 @@ def test_state_files_must_hold_density_matrices(tmp_path, capsys, where, bad):
             argv += ["--state", str(state)]
         else:
             payload = json.loads(records.read_text())
-            payload["truth"] = matrix_to_json(_BAD_STATES[bad])
+            payload["truth"] = obj
             records.write_text(json.dumps(payload))
     assert run_cli(*argv) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "schema"
+    err = json.loads(lines[0])
+    assert err["error"] == "schema"
+    assert message in err["message"]
 
 
 def test_simulate_rejects_a_state_asymmetric_beyond_the_tolerance(tmp_path, capsys):

@@ -14,7 +14,7 @@ from pimub.gf2n import (
     make_field,
 )
 
-from conftest import field
+from conftest import field, per_bit_selfdual_to_poly, product_selfdual_basis, squaring_traces
 
 
 # ---------------------------------------------------------------------
@@ -69,6 +69,17 @@ def test_selfdual_basis_spans(n):
     f = field(n)
     # the 2^n XOR combinations of the basis masks hit every element
     assert sorted(f._sd_to_poly) == list(range(f.size))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_field_tables_match_the_per_element_oracles(n):
+    # the parity trace, the bit-mask trace form and the doubled coordinate
+    # table give what squaring every element and expanding every bit give
+    f = field(n)
+    assert f._trace_poly == squaring_traces(f)
+    assert f.selfdual_basis == product_selfdual_basis(f)
+    assert f._sd_to_poly == per_bit_selfdual_to_poly(f)
+    assert all(f._poly_to_sd[x] == bits for bits, x in enumerate(f._sd_to_poly))
 
 
 def test_gf4_matches_the_worked_example():
@@ -168,7 +179,7 @@ def test_gf4_trace_values():
     assert theta1.trace() == 1  # theta + theta^2
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_trace_linearity_and_frobenius(n):
     f = field(n)
     elems = f.elements()
@@ -187,7 +198,7 @@ def test_trace_linearity_and_frobenius(n):
         assert (a + b).square() == a.square() + b.square()
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_trace_balance(n):
     f = field(n)
     zeros = sum(1 for a in f.elements() if a.trace() == 0)

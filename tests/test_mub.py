@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pimub.errors import MissingBasisError, SchemaError
-from pimub.gf2n import FieldElement, make_field
+from pimub.gf2n import Field, FieldElement, make_field
 from pimub.mub import (
     BasisLabel,
     MubFamily,
@@ -30,8 +30,8 @@ from pimub.operators import build_x, build_z, fourier, pauli_phase, permute_labe
 from pimub.orbits import minimal_bases
 from pimub.tomography import random_density_matrix, random_pure_state
 
-from conftest import (family, field, per_slope_exponents, reconstruct_identity_check,
-                      stabilizer_points)
+from conftest import (family, field, per_slope_exponents, per_slope_invariant,
+                      reconstruct_identity_check, stabilizer_points)
 from reference_data import SLOPE_ANCHOR_EXPONENTS, SLOPE_ANCHOR_SHA256, TWO_QUBIT_BASES
 
 
@@ -190,12 +190,14 @@ def test_slope_labelling_matches_frozen_reference(n):
 
 
 # every proper slope up to n = 8, the minimal-basis slopes at n = 9 and 10, and
-# at n = 11 and 12 the slopes of weight 1, of alternating bits and of all ones
+# at n = 11 and 12 the slopes of weight 1, of alternating bits and of all ones,
+# and slopes fixed by the swaps among the last qubits, which a mask of 64 swaps
+# would drop at n = 12
 _ORACLE_SLOPES = {
     **{n: range(1, 1 << n) for n in range(1, 9)},
     **{n: [(1 << m) - 1 for m in range(1, n + 1)] for n in (9, 10)},
-    11: [0b1, 0b10101010101, 0b11111111111],
-    12: [0b1, 0b101010101010, 0b111111111111],
+    11: [0b1, 0b10101010101, 0b11000000000, 0b00111111111, 0b11111111111],
+    12: [0b1, 0b101010101010, 0b111000000000, 0b000111111111, 0b111111111111],
 }
 
 
@@ -207,6 +209,20 @@ def test_batched_gauge_matches_the_per_slope_oracle(n):
     assert rows.shape == (len(slopes), f.size)
     for mu, row in zip(slopes, rows):
         assert np.array_equal(row, per_slope_exponents(f, mu)), mu
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 11, 12])
+def test_rule_one_keeps_only_indices_that_the_swaps_fix(n):
+    # a swap fixes X_j c iff it fixes j and c, so the candidates that rule 1
+    # finds by comparing all 2^n components are none, or the j on which every
+    # swap fixing mu acts trivially: 0, m, its complement and 2^n - 1 for m the
+    # index of mu.  From n = 3 on only the slope mu = 1 keeps any
+    f = field(n)
+    for bits in range(1, f.size) if n <= 6 else _ORACLE_SLOPES[n]:
+        mu = f.element(bits)
+        kept = set(np.flatnonzero(per_slope_invariant(f, mu)).tolist())
+        assert bool(kept) == (n <= 2 or mu == f.one())
+        assert kept in (set(), {0, mu.index, mu.index ^ (f.size - 1), f.size - 1})
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])
@@ -386,6 +402,23 @@ def test_a_stabilizer_table_costs_order_n_field_products(monkeypatch):
         calls.clear()
         stabilizer_table(f, BasisLabel(f.element(bits)))
         assert len(calls) <= f.n  # one per row of the multiplication matrix, not 2^n
+
+
+def test_a_field_costs_order_n_squared_field_products(monkeypatch):
+    # the trace of the n powers t^i, the Gram check and the basis products;
+    # the trace table and the coordinate tables come from bit masks
+    calls = []
+    multiply = Field._mul_poly
+
+    def counted(self, a, b):
+        calls.append(1)
+        return multiply(self, a, b)
+
+    monkeypatch.setattr(Field, "_mul_poly", counted)
+    for n in (1, 6, 12):
+        calls.clear()
+        Field(n)  # what make_field(n) builds
+        assert len(calls) <= 3 * n * n  # not 2^n (n - 1)
 
 
 def test_a_family_build_makes_no_field_product(monkeypatch):

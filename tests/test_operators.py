@@ -361,6 +361,9 @@ def test_matrix_json_rejects_malformed():
         matrix_from_json({"entries": []})
     with pytest.raises(SchemaError):
         matrix_from_json({"dim": -1, "entries": [[1.0, 0.0]]})
+    for entries in ([[1.0]], [[1.0, 0.0, 0.0]], [1.0], "ab", [[10**400, 0.0]]):
+        with pytest.raises(SchemaError):
+            matrix_from_json({"dim": 1, "entries": entries})
 
 
 @pytest.mark.parametrize("obj", (
@@ -370,6 +373,8 @@ def test_matrix_json_rejects_malformed():
     {"dim": True, "entries": [[1.0, 0.0]]},
     {"dim": 1, "entries": [[True, 0.0]]},
     {"dim": 1, "entries": [[1.0, False]]},
+    {"dim": 1, "entries": [["1", 0.0]]},
+    {"dim": 1, "entries": [[None, 0.0]]},
 ))
 def test_matrix_json_accepts_only_json_numbers(obj):
     assert matrix_from_json({"dim": 1, "entries": [[1, 0.0]]}).tolist() == [[1 + 0j]]
