@@ -200,6 +200,8 @@ def stabilizer_table(field: Field, label: BasisLabel) -> StabilizerTable:
 # ----------------------------------------------------------------------
 
 _PHASES = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^k for k mod 4
+# Re i^k; rule 2's scores are integers in [-2^n, 2^n], which int16 holds for n <= 14
+_REAL_PHASES = np.array([1, 0, -1, 0], dtype=np.int16)
 
 
 @lru_cache(maxsize=None)
@@ -234,14 +236,18 @@ def _span(rows: np.ndarray) -> np.ndarray:
 
 
 def _walsh_rows(v: np.ndarray) -> np.ndarray:
-    """v @ walsh(2^n) for every row of v, by butterflies: O(n 2^n) per row, no 4^n matrix."""
+    """v @ walsh(2^n) for every row of v, by butterflies in place: O(n 2^n) per row, no 4^n
+    matrix."""
     count, dim = v.shape
     half = 1
     while half < dim:
-        v = v.reshape(count, dim // (2 * half), 2, half)
-        v = np.concatenate([v[:, :, :1] + v[:, :, 1:], v[:, :, :1] - v[:, :, 1:]], axis=2)
+        pairs = v.reshape(count, dim // (2 * half), 2, half)
+        low, high = pairs[:, :, 0], pairs[:, :, 1]
+        low += high  # a + b
+        high *= -2
+        high += low  # a + b - 2b = a - b
         half *= 2
-    return v.reshape(count, dim)
+    return v
 
 
 def _slope_exponents(field: Field, slopes) -> np.ndarray:
@@ -281,8 +287,8 @@ def _slope_exponents(field: Field, slopes) -> np.ndarray:
 
     # 2) prefer eigenvalue +1 on the Hermitian monomials: one Walsh transform
     #    of Re i^Q(mu a) scores every candidate (module docstring)
-    scores = _walsh_rows(_PHASES.real[np.take_along_axis(quad, times, axis=1)])
-    scores = np.where(candidates, scores, -np.inf)
+    scores = _walsh_rows(_REAL_PHASES[np.take_along_axis(quad, times, axis=1)])
+    scores = np.where(candidates, scores, -dim - 1)
     candidates &= scores == scores.max(axis=1, keepdims=True)
 
     # 3) smallest (re, im) component sequence once component 0 is made real:
@@ -467,6 +473,8 @@ def family_operator(family: MubFamily, labels, probs: np.ndarray) -> np.ndarray:
     One scatter adds the ``pauli_expectations`` onto the (x, z) rows of the
     stabilizer tables.  The identity gets the sum of the totals minus 2^n,
     not a fixed 1: orbit expansions need not sum to 1 on unmeasured bases.
+    That sum is taken pairwise over ``probs``, not over the Walsh totals,
+    whose rounding errors would add up across the 2^n + 1 bases.
     """
     dim = family.field.size
     tables = [family.table(label) for label in labels]
@@ -474,7 +482,7 @@ def family_operator(family: MubFamily, labels, probs: np.ndarray) -> np.ndarray:
     z = np.concatenate([t.z for t in tables])
     expect = np.zeros((dim, dim))
     np.add.at(expect, (x, z), pauli_expectations(family, labels, probs).ravel())
-    expect[0, 0] -= dim
+    expect[0, 0] = np.ravel(probs).sum() - dim
     return pauli_operator(family.field.n, expect)
 
 

@@ -12,16 +12,23 @@ physical PI set.
 The spin blocks are read in one real orthogonal basis per n,
 ``coupled_basis``: qubits coupled one by one with the spin-1/2
 Clebsch-Gordan coefficients, so that every PI operator is
-(+)_j 1_(m_j) (x) rho_j in it.  Every S_n operation on states runs
-there, on the mean rho_j of the m_j diagonal copy blocks of each sector:
-``twirl``, the S_n average, keeps them, and an operator is PI when its
-twirl moves no entry by more than a tolerance (``is_permutation_invariant``,
-and the metrics' gate at 1e-12).  The "blocks" states are built there,
-and ``project_physical`` diagonalizes only the (2j+1)-sided mean blocks.
-So do ``fidelity`` and ``trace_distance`` for 5 <= n <= 8 when their inputs
-(for the trace distance, their difference) pass that gate.  Anything else,
-and every input below n = 5, where the 2^n-sided eigensolves are the
-cheaper path, is scored on the dense matrices.
+(+)_j 1_(m_j) (x) rho_j in it.  No S_n operation multiplies by it, though.
+A qubit permutation moves the entry (r, s) of a 2^n-sided matrix to
+(pi r, pi s), so the orbits of entries are the C(n + 3, 3) classes of
+(|r & s|, |r|, |s|), as many as the entries of the spin blocks, and every
+S_n operation runs on one table of those classes per n (``_classes``).
+``twirl``, the S_n average, replaces each entry by the mean of its class,
+and an operator is PI when its twirl moves no entry by more than a
+tolerance (``is_permutation_invariant``, and the metrics' gate at 1e-12).
+Each coupled-basis unit 1_(m_j) (x) |m><m'| is PI, so constant on every
+class, and its values there, read once from ``coupled_basis``, form one
+real square map between the class sums and the mean rho_j of the m_j
+diagonal copy blocks of each sector.  The "blocks" states are built
+through it, and ``project_physical`` diagonalizes only the (2j+1)-sided
+mean blocks.  So do ``fidelity`` and ``trace_distance`` for 5 <= n <= 8
+when their inputs (for the trace distance, their difference) pass that
+gate.  Anything else, and every input below n = 5, where the 2^n-sided
+eigensolves are the cheaper path, is scored on the dense matrices.
 
 A measurement record holds its outcomes as one array indexed by the
 self-dual bits of nu, from simulation (``exact_probabilities``,
@@ -89,7 +96,7 @@ from .mub import (
     stabilizer_table,
 )
 from .operators import (is_density_matrix, pauli_grid, pauli_operator, pauli_table, pi_types,
-                        qubit_count)
+                        popcounts, qubit_count)
 from .orbits import OrbitTable, expand_probabilities, minimal_bases
 
 _TWIRL_MAX_N = 8
@@ -177,64 +184,118 @@ def coupled_basis(n: int) -> CoupledBasis:
     return CoupledBasis(matrix, sizes, tuple(sectors[d].shape[1] for d in sizes))
 
 
-class _Frame(NamedTuple):
-    """``coupled_basis`` with the columns of each sector in (m, copy) order.
+class _Classes(NamedTuple):
+    """The orbits of S_n on the entries (r, s) of a 2^n-sided matrix, and the spin blocks on them.
 
-    ``sectors`` holds one (span, copies) pair per sector: the slice of its
-    columns, and their transpose as a complex (2j + 1, m_j 2^n) array, entry
-    [i, c 2^n + r] = <r|j, m_i; copy c>.  Rows ``span`` of a 2^n x 2^n array,
-    reshaped alike, meet ``copies`` in one 2-d product per sector.  ``counts``
-    holds m_j for each sector as a column, ``reps`` m_j for each position of
-    the concatenated block spectra, and ``firsts`` where each eigenvalue starts
+    A qubit permutation permutes the bit pairs (r_i, s_i), so the orbit of
+    (r, s) is fixed by |r & s|, |r| and |s|: C(n + 3, 3) classes, as many as
+    spin-block entries.  ``keys[r, s]`` is the class of each entry, ``pairs``
+    the class of each float of a complex matrix's real view (2 key + 0 for
+    the real part, + 1 for the imaginary part), and ``sizes`` the number of
+    entries of each class, as a column.
+
+    Block entry b is (j, m, m') in sector order, row by row within a block.
+    Its unit U (1_(m_j) (x) |m><m'|) U^T is real and PI, so constant on each
+    class: ``units[k, b]`` is its value there.  The mean copy blocks of a
+    matrix are then ``reads`` (the transpose of ``units`` over m_j) times its
+    class sums, and a block list becomes a matrix as ``units`` times its
+    entries, gathered by ``keys``.  ``sectors`` holds each sector's slice of
+    b and its block side 2j + 1, and ``padded`` the place of each b in the
+    blocks zero padded to a (sectors, n + 1, n + 1) stack.  ``counts`` holds
+    m_j for each sector as a column, ``reps`` m_j for each position of the
+    concatenated block spectra, and ``firsts`` where each eigenvalue starts
     once repeated m_j times.
     """
 
-    matrix: np.ndarray
+    keys: np.ndarray
+    pairs: np.ndarray
+    sizes: np.ndarray
+    units: np.ndarray
+    reads: np.ndarray
     sectors: list
+    padded: np.ndarray
     counts: np.ndarray
     reps: np.ndarray
     firsts: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def _frame(n: int) -> _Frame:
+def _classes(n: int) -> _Classes:
     basis = coupled_basis(n)
-    spans, order, start = [], [], 0
+    dim, side = 1 << n, n + 1
+    # class ids of the possible (|r & s|, |r|, |s|) in lexicographic order
+    both, ones_r, ones_s = np.ogrid[:side, :side, :side]
+    valid = (both <= ones_r) & (both <= ones_s) & (ones_r + ones_s - both <= n)
+    ids = np.full(valid.shape, -1)
+    ids[valid] = np.arange(np.count_nonzero(valid))
+    pop = popcounts(dim)
+    index = np.arange(dim)
+    keys = ids.ravel()[(pop[index[:, None] & index] * side + pop[:, None]) * side + pop]
+    pairs = (2 * keys[..., None] + np.arange(2)).ravel()
+    # one representative per class: r the low |r| bits, s its low |r & s| bits and the next ones
+    both, ones_r, ones_s = np.nonzero(valid)
+    rows = basis.matrix[(1 << ones_r) - 1]
+    cols = basis.matrix[(1 << both) - 1 | ((1 << (ones_s - both)) - 1) << ones_r]
+    units, start = [], 0
     for size, count in zip(basis.sizes, basis.counts):
-        spans.append(slice(start, start + size * count))
-        order.append(start + np.arange(size * count).reshape(count, size).T.ravel())
-        start += size * count
-    matrix = basis.matrix[:, np.concatenate(order)]
-    sectors = [(span, matrix[:, span].T.reshape(size, -1).astype(complex))
-               for span, size in zip(spans, basis.sizes)]
+        span = slice(start, start + size * count)
+        copies_r = rows[:, span].reshape(-1, count, size)
+        copies_s = cols[:, span].reshape(-1, count, size)
+        units.append((copies_r.swapaxes(1, 2) @ copies_s).reshape(len(rows), -1))
+        start = span.stop
+    units = np.concatenate(units, axis=1)
+    entries = np.square(basis.sizes)
+    reads = units.T / np.repeat(basis.counts, entries)[:, None]
+    bounds = np.concatenate([[0], np.cumsum(entries)])
+    sectors = [(slice(lo, hi), size) for lo, hi, size in zip(bounds, bounds[1:], basis.sizes)]
+    padded = np.concatenate([(t * side + np.arange(size)[:, None]) * side + np.arange(size)
+                             for t, size in enumerate(basis.sizes)], axis=None)
     counts = np.array(basis.counts, dtype=float)[:, None]
-    for arr in (matrix, counts, *(copies for _, copies in sectors)):
-        arr.flags.writeable = False
+    sizes = np.bincount(keys.ravel())[:, None].astype(float)
     reps = np.repeat(basis.counts, basis.sizes)
-    return _Frame(matrix, sectors, counts, reps, np.cumsum(reps) - reps)
+    firsts = np.cumsum(reps) - reps
+    for arr in (keys, pairs, sizes, units, reads, padded, counts, reps, firsts):
+        arr.flags.writeable = False
+    return _Classes(keys, pairs, sizes, units, reads, sectors, padded, counts, reps, firsts)
 
 
-def _mean_blocks(frame: _Frame, mat: np.ndarray) -> list[np.ndarray]:
+def _class_sums(classes: _Classes, mat: np.ndarray) -> np.ndarray:
+    """The sum of ``mat`` over each class, as (real, imaginary) rows."""
+    flat = np.ascontiguousarray(mat, dtype=complex).view(float).ravel()
+    return np.bincount(classes.pairs, flat, minlength=2 * len(classes.sizes)).reshape(-1, 2)
+
+
+def _class_means(classes: _Classes, sums: np.ndarray) -> np.ndarray:
+    """The complex mean of each class from its ``_class_sums``."""
+    return (sums / classes.sizes).view(complex).ravel()
+
+
+def _mean_blocks(classes: _Classes, mat: np.ndarray) -> list[np.ndarray]:
     """For each sector, the mean rho_j of the m_j diagonal copy blocks of U^T mat U."""
-    mat = np.ascontiguousarray(mat, dtype=complex)
-    rows = (frame.matrix.T @ mat.view(float)).view(complex)  # U^T mat
-    return [rows[span].reshape(copies.shape) @ copies.T / count
-            for (span, copies), count in zip(frame.sectors, frame.counts)]
+    entries = (classes.reads @ _class_sums(classes, mat)).view(complex).ravel()
+    return [entries[span].reshape(size, size) for span, size in classes.sectors]
 
 
-def _from_blocks(frame: _Frame, blocks) -> np.ndarray:
+def _from_blocks(classes: _Classes, blocks) -> np.ndarray:
     """U (+)_j (1_(m_j) (x) blocks[j]) U^T for one (2j+1)-sided block per sector."""
-    dim = frame.matrix.shape[0]
-    right = np.empty((dim, dim), dtype=complex)  # the block sum times U^T
-    for (span, copies), block in zip(frame.sectors, blocks):
-        np.matmul(block, copies, out=right[span].reshape(copies.shape))
-    return (frame.matrix @ right.view(float)).view(complex)
+    entries = np.concatenate([np.ravel(block) for block in blocks], dtype=complex)
+    values = (classes.units @ entries.view(float).reshape(-1, 2)).view(complex).ravel()
+    return values[classes.keys]
 
 
-def _pi_means(frame: _Frame, mat: np.ndarray, tol: float) -> list[np.ndarray] | None:
-    """The mean copy blocks of ``mat``, or None if its twirl moves an entry past ``tol`` (or NaN)."""
-    means = _mean_blocks(frame, mat)
-    return means if np.abs(mat - _from_blocks(frame, means)).max() <= tol else None
+def _pi_means(classes: _Classes, mat: np.ndarray, tol: float) -> np.ndarray | None:
+    """The mean copy blocks of ``mat`` zero padded to a (sectors, n + 1, n + 1) stack.
+
+    None if its twirl moves an entry past ``tol`` (or NaN).
+    """
+    sums = _class_sums(classes, mat)
+    moved = _class_means(classes, sums)[classes.keys]
+    if not np.abs(np.subtract(mat, moved, out=moved)).max() <= tol:
+        return None
+    side = classes.sectors[0][1]
+    stack = np.zeros((len(classes.sectors), side, side), dtype=complex)
+    stack.ravel()[classes.padded] = (classes.reads @ sums).view(complex).ravel()
+    return stack
 
 
 # ----------------------------------------------------------------------
@@ -244,15 +305,15 @@ def _pi_means(frame: _Frame, mat: np.ndarray, tol: float) -> list[np.ndarray] | 
 def twirl(rho: np.ndarray) -> np.ndarray:
     """Exact average of U_pi rho U_pi^dag over the full symmetric group (n <= 8).
 
-    In the coupled basis U (``coupled_basis``) the permutations act on the
-    copy index of each spin sector alone, irreducibly, so by Schur's lemma
-    the average is U (+)_j (1_(m_j) (x) rho_j) U^T with rho_j the mean of the
-    m_j diagonal copy blocks of U^T rho U: every off-diagonal copy block and
-    every block between sectors averages to zero.  Any square matrix of side
-    2^n is accepted, Hermitian or not, and no 4^n Pauli table is formed.
+    A permutation moves entry (r, s) to (pi r, pi s), so the group average
+    replaces each entry by the mean of its orbit, the class of
+    (|r & s|, |r|, |s|) (``_classes``): one sum per class and one gather.
+    Any square matrix of side 2^n is accepted, Hermitian or not, and no
+    4^n Pauli table or coupled-basis product is formed.  A NaN entry stays
+    within its own class.
     """
-    frame = _frame(qubit_count(rho))
-    return _from_blocks(frame, _mean_blocks(frame, rho))
+    classes = _classes(qubit_count(rho))
+    return _class_means(classes, _class_sums(classes, rho))[classes.keys]
 
 
 def is_permutation_invariant(rho: np.ndarray, tol: float = 1e-10) -> bool:
@@ -262,7 +323,7 @@ def is_permutation_invariant(rho: np.ndarray, tol: float = 1e-10) -> bool:
     does.  A transposition moves an entry by at most twice that distance,
     and the distance is at most n - 1 times the largest such move.
     """
-    return _pi_means(_frame(qubit_count(rho)), rho, tol) is not None
+    return _pi_means(_classes(qubit_count(rho)), rho, tol) is not None
 
 
 # ----------------------------------------------------------------------
@@ -379,7 +440,7 @@ def random_pi_state(spec: PIStateSpec) -> np.ndarray:
             if not is_density_matrix(np.asarray(block)):
                 raise ValueError(f"sector 2j={two_j} block must be a density matrix")
         # each copy of a sector carries block / count, so every copy weighs the same
-        return _from_blocks(_frame(n), [p_j / count * np.asarray(block, dtype=complex)
+        return _from_blocks(_classes(n), [p_j / count * np.asarray(block, dtype=complex)
                                         for p_j, block, count in zip(probs, blocks, basis.counts)])
     raise ValueError(f"unknown PI state method: {spec.method!r}")
 
@@ -551,28 +612,29 @@ def project_physical(rho_hat: np.ndarray) -> np.ndarray:
     In the coupled basis U (``coupled_basis``) a PI operator reads
     (+)_j 1_(m_j) (x) rho_j.  The twirl, the orthogonal projector onto such
     operators, sets each rho_j to the mean of the m_j diagonal copy blocks of
-    U^T rho_hat U, and the nearest PI state is the nearest state to the
-    twirled estimate.  Each mean block is made Hermitian and diagonalized,
-    and one simplex step (Smolin, Gambetta & Smith, PRL 108, 070502 (2012))
-    acts on the spectrum with each eigenvalue counted m_j times.  No
-    2^n-sided matrix is twirled or diagonalized.
+    U^T rho_hat U, read from the class sums of rho_hat (``_classes``), and
+    the nearest PI state is the nearest state to the twirled estimate.  Each
+    mean block is made Hermitian and diagonalized, and one simplex step
+    (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)) acts on the spectrum
+    with each eigenvalue counted m_j times.  No 2^n-sided matrix is
+    twirled, diagonalized or multiplied.
     """
-    frame = _frame(qubit_count(rho_hat))
+    classes = _classes(qubit_count(rho_hat))
     if not np.isfinite(rho_hat).all():
         raise ValueError("project_physical input must be finite")
     spectra, vectors = [], []
-    for mean in _mean_blocks(frame, rho_hat):
+    for mean in _mean_blocks(classes, rho_hat):
         evals, evecs = np.linalg.eigh(mean + mean.conj().T)
         spectra.append(evals)
         vectors.append(evecs)
     spectrum = np.concatenate(spectra) / 2.0
-    weights = _project_to_simplex(spectrum.repeat(frame.reps))[frame.firsts]
+    weights = _project_to_simplex(spectrum.repeat(classes.reps))[classes.firsts]
     blocks, start = [], 0
     for evecs in vectors:
         stop = start + len(evecs)
         blocks.append((evecs * weights[start:stop]) @ evecs.conj().T)
         start = stop
-    return _from_blocks(frame, blocks)
+    return _from_blocks(classes, blocks)
 
 
 # ----------------------------------------------------------------------
@@ -580,11 +642,12 @@ def project_physical(rho_hat: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 # The metrics score PI pairs on spin blocks for 5 <= n <= _TWIRL_MAX_N (the
-# ``coupled_basis`` cap).  Below n = 5 the 2^n-sided eigensolves cost less
-# than reading and checking the blocks.
+# ``coupled_basis`` cap).  At n = 3 the 2^n-sided eigensolves cost less than
+# reading and checking the blocks; at n = 4 the blocks win the fidelity and
+# lose the trace distance, and the dense path keeps its exact results there.
 _BLOCK_METRICS_MIN_N = 5
 # an operator counts as PI when no entry of it differs from its twirl, the
-# operator rebuilt from its mean copy blocks, by more than this
+# mean of its class, by more than this
 _PI_GATE_TOL = 1e-12
 
 
@@ -608,18 +671,15 @@ def _metric_stacks(*mats: np.ndarray) -> tuple[list, np.ndarray | int]:
     dim = mats[0].shape[0]
     n = dim.bit_length() - 1
     if _BLOCK_METRICS_MIN_N <= n <= _TWIRL_MAX_N and dim == 1 << n:
-        frame = _frame(n)
+        classes = _classes(n)
         stacks = []
         for mat in mats:
-            means = _pi_means(frame, mat, _PI_GATE_TOL)
-            if means is None:
+            stack = _pi_means(classes, mat, _PI_GATE_TOL)
+            if stack is None:
                 break
-            stack = np.zeros((len(means), n + 1, n + 1), dtype=complex)
-            for block, mean in zip(stack, means):
-                block[:len(mean), :len(mean)] = mean
             stacks.append(stack)
         else:
-            return stacks, frame.counts
+            return stacks, classes.counts
     return list(mats), 1
 
 

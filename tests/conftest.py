@@ -2,7 +2,8 @@
 the oracles that several test files share: the field's per-element trace and
 per-bit coordinate tables, the per-slope anchor gauge, the
 permutation matrix of the operator and twirl tests, the transposition test
-for PI operators, the phase-space points of a basis, the frame identity over
+for PI operators, the spin blocks read and written by products with the
+coupled basis, the phase-space points of a basis, the frame identity over
 a whole family, and the quality metrics computed on 2^n-sided matrices.
 
 ``src`` goes on ``sys.path`` and on ``PYTHONPATH``, so a bare ``pytest``
@@ -28,6 +29,7 @@ from pimub import build_family, enumerate_orbits, make_field  # noqa: E402
 from pimub.gf2n import _selfdual_basis  # noqa: E402
 from pimub.mub import born_probabilities, family_operator  # noqa: E402
 from pimub.operators import pauli_table, popcounts, swap_index  # noqa: E402
+from pimub.tomography import coupled_basis  # noqa: E402
 
 
 @lru_cache(maxsize=None)
@@ -212,6 +214,31 @@ def swap_invariant(rho, tol):
             if np.abs(rho - rho[np.ix_(perm, perm)]).max() > tol:
                 return False
     return True
+
+
+def coupled_mean_blocks(mat):
+    """Oracle: for each sector, the mean of the m_j diagonal copy blocks of U^T mat U."""
+    u, sizes, counts = coupled_basis(mat.shape[0].bit_length() - 1)
+    rotated = u.T @ mat @ u
+    blocks, start = [], 0
+    for size, count in zip(sizes, counts):
+        copies = [slice(start + c * size, start + (c + 1) * size) for c in range(count)]
+        blocks.append(sum(rotated[copy, copy] for copy in copies) / count)
+        start += size * count
+    return blocks
+
+
+def coupled_from_blocks(n, blocks):
+    """Oracle: U (+)_j (1_(m_j) (x) blocks[j]) U^T, the block sum built as a 2^n-sided matrix."""
+    u, sizes, counts = coupled_basis(n)
+    inner = np.zeros((2**n, 2**n), dtype=complex)
+    start = 0
+    for size, count, block in zip(sizes, counts, blocks):
+        for c in range(count):
+            copy = slice(start + c * size, start + (c + 1) * size)
+            inner[copy, copy] = block
+        start += size * count
+    return u @ inner @ u.T
 
 
 def dense_fidelity(rho, sigma):

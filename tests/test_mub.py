@@ -1,6 +1,7 @@
 """MUB family: eigenstructure, unbiasedness, covariance, determinism."""
 
 import hashlib
+import math
 import re
 
 import numpy as np
@@ -17,20 +18,22 @@ from pimub.mub import (
     build_vertical,
     completeness_deviation,
     family_labels,
+    family_operator,
     family_to_json,
     label_from_json,
     predicted_swap_escapes,
     _slope_exponents,
+    _walsh_rows,
     stabilizer_table,
     swap_covariance_report,
     unbiasedness_deviation,
     vertical_label,
 )
 from pimub.operators import build_x, build_z, fourier, pauli_phase, permute_label, walsh
-from pimub.orbits import minimal_bases
-from pimub.tomography import random_density_matrix, random_pure_state
+from pimub.orbits import expand_probabilities, minimal_bases
+from pimub.tomography import exact_probabilities, random_density_matrix, random_pure_state
 
-from conftest import (family, field, per_slope_exponents, per_slope_invariant,
+from conftest import (family, field, orbit_table, per_slope_exponents, per_slope_invariant,
                       reconstruct_identity_check, stabilizer_points)
 from reference_data import SLOPE_ANCHOR_EXPONENTS, SLOPE_ANCHOR_SHA256, TWO_QUBIT_BASES
 
@@ -187,6 +190,39 @@ def test_slope_labelling_matches_frozen_reference(n):
         assert rows.tolist() == SLOPE_ANCHOR_EXPONENTS[n]
     else:
         assert hashlib.sha256(rows.tobytes()).hexdigest() == SLOPE_ANCHOR_SHA256[n]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_integer_walsh_rows_match_the_walsh_product(n):
+    rng = np.random.default_rng(n)
+    rows = rng.integers(-1, 2, size=(5, 2**n)).astype(np.int16)
+    assert np.array_equal(_walsh_rows(rows.copy()), rows @ walsh(2**n).astype(int))
+
+
+def test_integer_walsh_rows_reach_the_score_bounds_at_twelve_qubits():
+    # rule 2's scores lie in [-2^n, 2^n]; int16 holds both ends at n = 12
+    rows = np.ones((2, 4096), dtype=np.int16)
+    rows[1] = -1
+    scores = _walsh_rows(rows)
+    assert scores.dtype == np.int16
+    assert scores[:, 0].tolist() == [4096, -4096] and not scores[:, 1:].any()
+
+
+@pytest.mark.parametrize("n", (7, 8))
+@pytest.mark.parametrize("mode", ("representative", "average"))
+def test_family_operator_trace_is_the_pairwise_total(n, mode):
+    # the identity coefficient, the trace, is the total of the expanded
+    # distributions less 2^n, within an ulp; a sum of the 2^n + 1 Walsh
+    # totals missed it by up to 11 ulps on these states
+    labels = minimal_bases(field(n))
+    table = orbit_table(n)
+    for seed in (1, 2, n):
+        rho = random_density_matrix(2**n, seed=seed)
+        probs = np.array([r.data for r in exact_probabilities(rho, family(n), labels)])
+        expanded = expand_probabilities(table, labels, probs, mode=mode)
+        trace = np.trace(family_operator(family(n), table.labels, expanded)).real
+        exact = math.fsum(expanded.ravel().tolist()) - 2**n
+        assert abs(trace - exact) <= np.spacing(2.0**n + 1)
 
 
 # every proper slope up to n = 8, the minimal-basis slopes at n = 9 and 10, and

@@ -54,11 +54,11 @@ from pimub.tomography import (
     twirl,
     unmeasured_pi_types,
 )
-from pimub.tomography import _project_to_simplex
+from pimub.tomography import _classes, _from_blocks, _mean_blocks, _project_to_simplex
 
-from conftest import (dense_fidelity, dense_trace_distance, family, field, orbit_table,
-                      permutation_matrix, reconstruct_identity_check, stabilizer_points,
-                      swap_invariant)
+from conftest import (coupled_from_blocks, coupled_mean_blocks, dense_fidelity,
+                      dense_trace_distance, family, field, orbit_table, permutation_matrix,
+                      reconstruct_identity_check, stabilizer_points, swap_invariant)
 
 
 def projector(fam, label, nu):
@@ -264,6 +264,58 @@ def test_twirl_is_idempotent_and_caps_n():
         twirl(np.eye(2**9) / 2**9)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_entry_classes_are_the_orbits_and_count_the_pi_parameters(n):
+    classes = _classes(n)
+    count = independent_parameter_count(n) + 1
+    assert count == math.comb(n + 3, 3) == len(classes.sizes)
+    assert classes.units.shape == classes.reads.shape == (count, count)
+    assert classes.sizes.sum() == 4**n
+    # the class of (r, s) is invariant under every transposition and fixed by (|r & s|, |r|, |s|)
+    for p, q in itertools.combinations(range(1, n + 1), 2):
+        perm = swap_index(n, p, q)
+        assert np.array_equal(classes.keys[np.ix_(perm, perm)], classes.keys)
+    index = np.arange(2**n)
+    ones = np.array([i.bit_count() for i in index])
+    both = np.array([[(r & s).bit_count() for s in index] for r in index])
+    triples = np.stack(np.broadcast_arrays(both, ones[:, None], ones), axis=-1).reshape(-1, 3)
+    assert len(np.unique(triples, axis=0)) == count
+    assert len(np.unique(np.column_stack([triples, classes.keys.ravel()]), axis=0)) == count
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_class_twirl_matches_the_coupled_basis_products(n):
+    ginibre = random_density_matrix(2**n, seed=100 + n)
+    classes = _classes(n)
+    for mat in (ginibre, twirl(ginibre)):
+        blocks = coupled_mean_blocks(mat)
+        for block, expected in zip(_mean_blocks(classes, mat), blocks, strict=True):
+            assert np.abs(block - expected).max() <= 1e-15
+        rebuilt = coupled_from_blocks(n, blocks)
+        assert np.abs(_from_blocks(classes, blocks) - rebuilt).max() <= 1e-15
+        assert np.abs(twirl(mat) - rebuilt).max() <= 1e-15
+        assert swap_invariant(twirl(mat), 1e-15)
+    assert swap_invariant(ginibre, 1e-3) == (n == 1)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_class_twirl_is_idempotent(n):
+    rho = twirl(random_density_matrix(2**n, seed=110 + n))
+    assert np.abs(twirl(rho) - rho).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", (2, 5, 8))
+def test_twirl_keeps_a_nan_entry_within_its_class(n):
+    rho = random_density_matrix(2**n, seed=120 + n)
+    rho[1, 2**n - 2] = np.nan
+    keys = _classes(n).keys
+    assert np.array_equal(np.isnan(twirl(rho)), keys == keys[1, 2**n - 2])
+    assert not is_permutation_invariant(rho)
+    for metric in (fidelity, trace_distance):
+        with pytest.raises(ValueError, match="finite"):
+            metric(rho, twirl(random_density_matrix(2**n, seed=n)))
+
+
 def _pi_test_inputs(n):
     """PI and non-PI operators of n qubits, far from the margins of tolerances 1e-12 and 1e-10."""
     dim = 2**n
@@ -337,7 +389,6 @@ def test_twirl_reads_no_pauli_coordinates(monkeypatch, n):
     for module in (operators, tomography):
         for name in ("pauli_table", "pauli_operator"):
             monkeypatch.setattr(module, name, counted(name))
-    monkeypatch.setattr(np, "bincount", counted("bincount"))
     twirl(random_density_matrix(2**n, seed=n))
     assert calls == []
 
