@@ -83,12 +83,13 @@ are a function of bit masks (``stabilizer_table``): z is the index of
 alpha and x that of mu alpha, one product by the multiplication matrix of
 mu.  Both directions of the measurement map read them, with the anchor's
 eigenvalue on each, from ``MubFamily.table``, filled once per family and
-label on first read: ``born_probabilities`` reads the expectations of the
-strings as rows of the state's ``operators.pauli_table`` (one table serves
-every basis).  The inverse map reads labels and an array with one
-distribution per row: ``pauli_expectations`` recovers the expectations of
-every basis in one Walsh product, and ``family_operator`` scatters them
-onto their (x, z) rows, giving sum p P - identity.  The family is
+label on first read.  Both read labels and an array with one row per
+label: ``born_probabilities`` reads the expectations of every basis's
+strings from the state's ``operators.pauli_table`` (one table serves every
+basis) and Walsh transforms them in one stacked product, and
+``pauli_expectations`` recovers them from the distributions in one Walsh
+product; ``family_operator`` scatters them onto their (x, z) rows, giving
+sum p P - identity.  The family is
 deterministic for a fixed n: identical labels, vectors and exported bytes.
 """
 
@@ -432,15 +433,18 @@ def build_family(field: Field, labels=None) -> MubFamily:
 # anchor's eigenvalue on P_alpha: the Walsh transform over the ray maps
 # distributions to expectations and back.
 
-def born_probabilities(family: MubFamily, label: BasisLabel, expect: np.ndarray) -> np.ndarray:
-    """Tr(rho |nu, label><nu, label|) for every nu, indexed by the self-dual bits of nu.
+def born_probabilities(family: MubFamily, labels, expect: np.ndarray) -> np.ndarray:
+    """Tr(rho |nu, label><nu, label|), row k for ``labels[k]`` and column nu by the bits of nu.
 
     ``expect`` is the state's table of Pauli expectations
-    (``operators.pauli_table``); the basis reads the rows of its
-    ``MubFamily.table`` from it, so one table serves every basis.
+    (``operators.pauli_table``); each basis reads the rows of its
+    ``MubFamily.table`` from it, so one table serves every basis.  The
+    Walsh transforms run as one stacked product over the labels, a column
+    per label, so each row has the bits of a product with that row alone.
     """
-    z, x, _, eigenvalues = family.table(label)
-    return walsh(family.field.size) @ (eigenvalues * expect[x, z]) / family.field.size
+    dim = family.field.size
+    stack = np.array([t.eigenvalues * expect[t.x, t.z] for t in map(family.table, labels)])
+    return (walsh(dim) @ stack.reshape(-1, dim, 1)).reshape(-1, dim) / dim
 
 
 def pauli_expectations(family: MubFamily, labels, probs: np.ndarray) -> np.ndarray:

@@ -25,7 +25,8 @@ class, and its values there, read once from ``coupled_basis``, form one
 real square map between the class sums and the mean rho_j of the m_j
 diagonal copy blocks of each sector.  The "blocks" states are built
 through it, and ``project_physical`` diagonalizes only the (2j+1)-sided
-mean blocks.  So do ``fidelity`` and ``trace_distance`` for 5 <= n <= 8
+mean blocks, all in one stacked eigensolve.  So do ``fidelity`` and
+``trace_distance`` for 5 <= n <= 8
 when their inputs (for the trace distance, their difference) pass that
 gate.  Anything else, and every input below n = 5, where the 2^n-sided
 eigensolves are the cheaper path, is scored on the dense matrices.
@@ -41,14 +42,17 @@ Both directions of the measurement map go through one table per basis of
 the family, ``MubFamily.table``: the 2^n Pauli strings, identity included,
 that the basis diagonalizes, and the anchor's eigenvalue on each.
 Simulation builds the state's table of all 4^n Pauli expectations once
-(``operators.pauli_table``), reads each basis's rows from it and Walsh
-transforms them into Born probabilities (``mub.born_probabilities``).
-Every inversion Walsh transforms them back into the same expectations in
-one product (``mub.pauli_expectations``) and assembles the estimate from
-them with ``operators.pauli_operator``; no basis is expanded.
-These Pauli coordinates serve the measurement side alone (Born
-probabilities, the fit below and the estimate); states are twirled on
-their spin blocks.
+(``operators.pauli_table``), reads every basis's rows from it and Walsh
+transforms them into Born probabilities in one stacked product
+(``mub.born_probabilities``).  Every inversion Walsh transforms them back
+into the same expectations in one product (``mub.pauli_expectations``); no
+basis is expanded.  The PI-subspace fit below leaves one coordinate per
+Pauli type, and a type sum S_t is PI, so constant on each entry class:
+the class table holds 2^-n S_t on every class (``V``), and the estimate
+is ``V`` times the coordinates, gathered by class, with no 4^n array but
+the estimate itself.  The orbit modes, and n > 8, where no class table
+exists, assemble the estimate from the Pauli expectations with
+``operators.pauli_operator``.  States are twirled on their entry classes.
 
 The default inversion is least squares on the PI operator subspace.  Each
 measured basis is the joint eigenbasis of 2^n - 1 Pauli monomials, so its
@@ -67,6 +71,7 @@ to zero (see ``unmeasured_pi_types``).  The paper's orbit expansion
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -95,8 +100,8 @@ from .mub import (
     pauli_expectations,
     stabilizer_table,
 )
-from .operators import (is_density_matrix, pauli_grid, pauli_operator, pauli_table, pi_types,
-                        popcounts, qubit_count)
+from .operators import (is_density_matrix, pauli_grid, pauli_operator, pauli_phase, pauli_table,
+                        pauli_types, pi_types, popcounts, qubit_count)
 from .orbits import OrbitTable, expand_probabilities, minimal_bases
 
 _TWIRL_MAX_N = 8
@@ -199,12 +204,21 @@ class _Classes(NamedTuple):
     class: ``units[k, b]`` is its value there.  The mean copy blocks of a
     matrix are then ``reads`` (the transpose of ``units`` over m_j) times its
     class sums, and a block list becomes a matrix as ``units`` times its
-    entries, gathered by ``keys``.  ``sectors`` holds each sector's slice of
-    b and its block side 2j + 1, and ``padded`` the place of each b in the
-    blocks zero padded to a (sectors, n + 1, n + 1) stack.  ``counts`` holds
-    m_j for each sector as a column, ``reps`` m_j for each position of the
-    concatenated block spectra, and ``firsts`` where each eigenvalue starts
-    once repeated m_j times.
+    entries, gathered by ``keys``.  A Pauli type sum S_t (``pi_types``) is PI
+    too: ``V[k, t]`` is the entry of 2^-n S_t on class k, so the operator
+    with type coordinates c is ``V`` c gathered by ``keys``, and its blocks
+    are ``reads`` diag(``sizes``) ``V`` c.
+
+    ``sectors`` holds each sector's slice of b and its block side 2j + 1,
+    and ``padded`` the place of each b in the blocks zero padded to a
+    (sectors, n + 1, n + 1) stack.  In that stack ``spare`` is the place of
+    each diagonal entry past its block, and ``kept`` the place of each block
+    eigenvalue in the (sectors, n + 1) eigenvalues of the stack once the
+    spare diagonal is padded above every block eigenvalue.  ``spread``
+    lists those places with block j's repeated m_j times, the 2^n
+    eigenvalues of the operator, and ``firsts`` where each block
+    eigenvalue's repeats start in it.  ``counts`` holds m_j for each sector
+    as a column.
     """
 
     keys: np.ndarray
@@ -212,11 +226,14 @@ class _Classes(NamedTuple):
     sizes: np.ndarray
     units: np.ndarray
     reads: np.ndarray
+    V: np.ndarray
     sectors: list
     padded: np.ndarray
-    counts: np.ndarray
-    reps: np.ndarray
+    spare: np.ndarray
+    kept: np.ndarray
+    spread: np.ndarray
     firsts: np.ndarray
+    counts: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -234,8 +251,9 @@ def _classes(n: int) -> _Classes:
     pairs = (2 * keys[..., None] + np.arange(2)).ravel()
     # one representative per class: r the low |r| bits, s its low |r & s| bits and the next ones
     both, ones_r, ones_s = np.nonzero(valid)
-    rows = basis.matrix[(1 << ones_r) - 1]
-    cols = basis.matrix[(1 << both) - 1 | ((1 << (ones_s - both)) - 1) << ones_r]
+    r = (1 << ones_r) - 1
+    s = (1 << both) - 1 | ((1 << (ones_s - both)) - 1) << ones_r
+    rows, cols = basis.matrix[r], basis.matrix[s]
     units, start = [], 0
     for size, count in zip(basis.sizes, basis.counts):
         span = slice(start, start + size * count)
@@ -246,17 +264,30 @@ def _classes(n: int) -> _Classes:
     units = np.concatenate(units, axis=1)
     entries = np.square(basis.sizes)
     reads = units.T / np.repeat(basis.counts, entries)[:, None]
+    # entry (r, s) of a string (-i)^|z & x| Z_z X_x is (-i)^|z & x| (-1)^|z & r| for x = r ^ s,
+    # summed per type over the 2^n masks z
+    count = len(r)
+    x = (r ^ s)[:, None]
+    values = pauli_phase(n, index, x) * (1 - 2 * (pop[index & r[:, None]] & 1))
+    cells = (np.arange(count)[:, None] * count + pauli_types(n, index, x)).ravel()
+    V = (np.bincount(cells, values.real.ravel(), count * count)
+         + 1j * np.bincount(cells, values.imag.ravel(), count * count)).reshape(count, count) / dim
     bounds = np.concatenate([[0], np.cumsum(entries)])
     sectors = [(slice(lo, hi), size) for lo, hi, size in zip(bounds, bounds[1:], basis.sizes)]
     padded = np.concatenate([(t * side + np.arange(size)[:, None]) * side + np.arange(size)
                              for t, size in enumerate(basis.sizes)], axis=None)
+    spare = np.concatenate([t * side * side + np.arange(size, side) * (side + 1)
+                            for t, size in enumerate(basis.sizes)])
+    kept = np.concatenate([t * side + np.arange(size) for t, size in enumerate(basis.sizes)])
     counts = np.array(basis.counts, dtype=float)[:, None]
     sizes = np.bincount(keys.ravel())[:, None].astype(float)
     reps = np.repeat(basis.counts, basis.sizes)
+    spread = kept.repeat(reps)
     firsts = np.cumsum(reps) - reps
-    for arr in (keys, pairs, sizes, units, reads, padded, counts, reps, firsts):
+    for arr in (keys, pairs, sizes, units, reads, V, padded, spare, kept, spread, firsts, counts):
         arr.flags.writeable = False
-    return _Classes(keys, pairs, sizes, units, reads, sectors, padded, counts, reps, firsts)
+    return _Classes(keys, pairs, sizes, units, reads, V, sectors, padded, spare, kept, spread,
+                    firsts, counts)
 
 
 def _class_sums(classes: _Classes, mat: np.ndarray) -> np.ndarray:
@@ -270,17 +301,23 @@ def _class_means(classes: _Classes, sums: np.ndarray) -> np.ndarray:
     return (sums / classes.sizes).view(complex).ravel()
 
 
-def _mean_blocks(classes: _Classes, mat: np.ndarray) -> list[np.ndarray]:
-    """For each sector, the mean rho_j of the m_j diagonal copy blocks of U^T mat U."""
-    entries = (classes.reads @ _class_sums(classes, mat)).view(complex).ravel()
-    return [entries[span].reshape(size, size) for span, size in classes.sectors]
+def _mean_stack(classes: _Classes, sums: np.ndarray) -> np.ndarray:
+    """The mean copy blocks rho_j of a matrix with ``_class_sums`` ``sums``, zero padded to a
+    (sectors, n + 1, n + 1) stack."""
+    side = classes.sectors[0][1]
+    stack = np.zeros((len(classes.sectors), side, side), dtype=complex)
+    stack.ravel()[classes.padded] = (classes.reads @ sums).view(complex).ravel()
+    return stack
 
 
-def _from_blocks(classes: _Classes, blocks) -> np.ndarray:
-    """U (+)_j (1_(m_j) (x) blocks[j]) U^T for one (2j+1)-sided block per sector."""
-    entries = np.concatenate([np.ravel(block) for block in blocks], dtype=complex)
+def _from_entries(classes: _Classes, entries: np.ndarray) -> np.ndarray:
+    """U (+)_j (1_(m_j) (x) rho_j) U^T from the complex entries of the rho_j, block after block."""
     values = (classes.units @ entries.view(float).reshape(-1, 2)).view(complex).ravel()
     return values[classes.keys]
+
+
+def _adjoint(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().swapaxes(-1, -2)
 
 
 def _pi_means(classes: _Classes, mat: np.ndarray, tol: float) -> np.ndarray | None:
@@ -292,10 +329,7 @@ def _pi_means(classes: _Classes, mat: np.ndarray, tol: float) -> np.ndarray | No
     moved = _class_means(classes, sums)[classes.keys]
     if not np.abs(np.subtract(mat, moved, out=moved)).max() <= tol:
         return None
-    side = classes.sectors[0][1]
-    stack = np.zeros((len(classes.sectors), side, side), dtype=complex)
-    stack.ravel()[classes.padded] = (classes.reads @ sums).view(complex).ravel()
-    return stack
+    return _mean_stack(classes, sums)
 
 
 # ----------------------------------------------------------------------
@@ -403,8 +437,9 @@ def _check_simplex(values, what: str) -> None:
 def random_pi_state(spec: PIStateSpec) -> np.ndarray:
     """Build the PI density matrix described by ``spec`` (1 <= n <= ``gf2n.MAX_N``)."""
     n = spec.n
-    # both caps fire before any 2^n x 2^n allocation (248 MB at n = 11, 1 GiB at n = 13)
-    if spec.method == "twirl" and n > _TWIRL_MAX_N:
+    # both caps fire before any 2^n x 2^n allocation (248 MB at n = 11, 1 GiB at n = 13);
+    # the twirl cap compares n only once it is known to be an int
+    if isinstance(n, int) and spec.method == "twirl" and n > _TWIRL_MAX_N:
         raise DimensionOverflowError(f"twirl method requires n <= {_TWIRL_MAX_N}")
     if not isinstance(n, int) or not 1 <= n <= MAX_N:
         raise UnsupportedFieldSizeError(f"n must be an integer in 1..{MAX_N}, got {n!r}")
@@ -440,8 +475,9 @@ def random_pi_state(spec: PIStateSpec) -> np.ndarray:
             if not is_density_matrix(np.asarray(block)):
                 raise ValueError(f"sector 2j={two_j} block must be a density matrix")
         # each copy of a sector carries block / count, so every copy weighs the same
-        return _from_blocks(_classes(n), [p_j / count * np.asarray(block, dtype=complex)
-                                        for p_j, block, count in zip(probs, blocks, basis.counts)])
+        entries = [p_j / count * np.ravel(block)
+                   for p_j, block, count in zip(probs, blocks, basis.counts)]
+        return _from_entries(_classes(n), np.concatenate(entries, dtype=complex))
     raise ValueError(f"unknown PI state method: {spec.method!r}")
 
 
@@ -474,17 +510,16 @@ class MeasurementRecord:
 def exact_probabilities(rho: np.ndarray, family: MubFamily, bases) -> list[MeasurementRecord]:
     """Born probabilities Tr(rho P_(nu,k)) for each requested basis.
 
-    They come through the basis's stabilizer table (``mub.born_probabilities``):
+    They come through each basis's stabilizer table (``mub.born_probabilities``):
     the expectations of the 2^n - 1 Pauli strings it diagonalizes, Walsh
     transformed over the ray, the inverse of ``mub.pauli_expectations``.
-    The state's ``pauli_table`` is built once and read by every basis.
+    The state's ``pauli_table`` is built once, and one stacked Walsh product
+    serves every basis; record k holds row k of it.
     """
-    n = family.field.n
-    expect = pauli_table(rho).real
-    return [
-        MeasurementRecord(n=n, basis=label, data=born_probabilities(family, label, expect))
-        for label in bases
-    ]
+    labels = list(bases)
+    probs = born_probabilities(family, labels, pauli_table(rho).real)
+    return [MeasurementRecord(n=family.field.n, basis=label, data=row)
+            for label, row in zip(labels, probs)]
 
 
 def sample_counts(record: MeasurementRecord, shots: int, seed: int) -> MeasurementRecord:
@@ -534,41 +569,56 @@ def reconstruct(
 
     No physicality projection is applied here.
     """
-    field = family.field
+    field, n = family.field, family.field.n
     labels, probs = _distributions(records, field)
     present = set(labels)
-    missing = [b for b in minimal_bases(field) if b not in present]
-    if missing:
+    if not _required_bases(field) <= present:
+        missing = [b for b in minimal_bases(field) if b not in present]
         raise MissingBasisError(f"records missing required bases: {missing}")
 
     if mode == PI_SUBSPACE:
         # one Walsh product for every basis, then one bincount per sum over types
         expect = pauli_expectations(family, labels, probs).ravel()
         types = np.concatenate([family.table(label).types for label in labels])
-        grid = pauli_grid(field.n)
-        count = len(grid.counts)
+        count = math.comb(n + 3, 3)
         sums = np.bincount(types, expect, minlength=count)
         hits = np.bincount(types, minlength=count)
         coords = np.divide(sums, hits, out=np.zeros(count), where=hits > 0)
-        return pauli_operator(field.n, coords[grid.types])
+        if n > _TWIRL_MAX_N:  # past the class table, through the 4^n Pauli coordinates
+            return pauli_operator(n, coords[pauli_grid(n).types])
+        classes = _classes(n)
+        return (classes.V @ coords)[classes.keys]
 
     if table is None:
         raise MissingOrbitError(f"mode {mode!r} expands along orbits and needs an orbit table")
     return family_operator(family, table.labels, expand_probabilities(table, labels, probs, mode))
 
 
+@lru_cache(maxsize=None)
+def _required_bases(field: Field) -> frozenset:
+    return frozenset(minimal_bases(field))
+
+
 def _distributions(records, field: Field) -> tuple[list, np.ndarray]:
-    """The one record gate: the basis labels, and their probabilities by the bits of nu as rows."""
+    """The one record gate: the basis labels, and their probabilities by the bits of nu as rows.
+
+    The outcome arrays are stacked in one conversion and divided by a column
+    of shots (1 for an exact record), which gives the bits of
+    ``MeasurementRecord.frequencies``.
+    """
     labels = [record.basis for record in records]
-    probs = np.zeros((len(labels), field.size))
-    for row, record in zip(probs, records):
-        if np.shape(record.data) != row.shape:
+    shape = (field.size,)
+    for record in records:
+        if np.shape(record.data) != shape:
             raise SchemaError(f"record of basis {record.basis!r} has outcome shape "
-                              f"{np.shape(record.data)}, expected {row.shape} for n={field.n}")
-        row[:] = record.frequencies()
+                              f"{np.shape(record.data)}, expected {shape} for n={field.n}")
     if len(set(labels)) < len(labels):
         twice = next(label for i, label in enumerate(labels) if label in labels[:i])
         raise SchemaError(f"basis {twice!r} is recorded more than once")
+    data = np.array([record.data for record in records], dtype=float).reshape(-1, field.size)
+    shots = np.array([1 if record.shots is None else record.shots for record in records],
+                     dtype=float)
+    probs = data / shots[:, None]
     check_distributions(labels, probs)
     return labels, probs
 
@@ -596,14 +646,23 @@ def unmeasured_pi_types(field: Field, bases) -> list[tuple[int, int, int]]:
 
 
 def _project_to_simplex(values: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex."""
-    desc = np.sort(values)[::-1]
+    """Euclidean projection of a real vector onto the probability simplex.
+
+    Adding a constant to every entry does not move the projection, and an
+    entry more than 1 below the largest gets weight 0 and no say in the
+    threshold.  So the entries are shifted to a largest of 0 and cut at -1
+    first: k = 1 always qualifies and no partial sum overflows, and a vector
+    of entries near 1e300 keeps its unit weight instead of losing the 1 to
+    rounding.
+    """
+    shifted = np.maximum(values - values.max(), -1.0)
+    desc = np.sort(shifted)[::-1]
     css = np.cumsum(desc)
     ks = np.arange(1, len(values) + 1)
     valid = desc - (css - 1.0) / ks > 0
     k = int(ks[valid][-1])
     theta = (css[k - 1] - 1.0) / k
-    return np.maximum(values - theta, 0.0)
+    return np.maximum(shifted - theta, 0.0)
 
 
 def project_physical(rho_hat: np.ndarray) -> np.ndarray:
@@ -613,28 +672,30 @@ def project_physical(rho_hat: np.ndarray) -> np.ndarray:
     (+)_j 1_(m_j) (x) rho_j.  The twirl, the orthogonal projector onto such
     operators, sets each rho_j to the mean of the m_j diagonal copy blocks of
     U^T rho_hat U, read from the class sums of rho_hat (``_classes``), and
-    the nearest PI state is the nearest state to the twirled estimate.  Each
-    mean block is made Hermitian and diagonalized, and one simplex step
-    (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)) acts on the spectrum
-    with each eigenvalue counted m_j times.  No 2^n-sided matrix is
-    twirled, diagonalized or multiplied.
+    the nearest PI state is the nearest state to the twirled estimate.  The
+    mean blocks are made Hermitian in one (sectors, n + 1, n + 1) stack,
+    whose diagonal past each smaller block is padded above every block
+    eigenvalue, so one ``eigh`` call diagonalizes every block and lists its
+    spectrum first.  One simplex step (Smolin, Gambetta & Smith, PRL 108,
+    070502 (2012)) acts on the block spectra with each eigenvalue counted
+    m_j times, and one batched product rebuilds every block.  No 2^n-sided
+    matrix is twirled, diagonalized or multiplied.
     """
     classes = _classes(qubit_count(rho_hat))
     if not np.isfinite(rho_hat).all():
         raise ValueError("project_physical input must be finite")
-    spectra, vectors = [], []
-    for mean in _mean_blocks(classes, rho_hat):
-        evals, evecs = np.linalg.eigh(mean + mean.conj().T)
-        spectra.append(evals)
-        vectors.append(evecs)
-    spectrum = np.concatenate(spectra) / 2.0
-    weights = _project_to_simplex(spectrum.repeat(classes.reps))[classes.firsts]
-    blocks, start = [], 0
-    for evecs in vectors:
-        stop = start + len(evecs)
-        blocks.append((evecs * weights[start:stop]) @ evecs.conj().T)
-        start = stop
-    return _from_blocks(classes, blocks)
+    stack = _mean_stack(classes, _class_sums(classes, rho_hat))
+    herm = stack + _adjoint(stack)
+    # Gershgorin: no eigenvalue of a block exceeds its side times sqrt 2 times its largest
+    # |re| or |im|, so the pad sorts after every block eigenvalue; min() keeps it finite
+    largest = float(np.abs(herm.view(float)).max())
+    herm.ravel()[classes.spare] = min(2.0 * herm.shape[-1] * largest + 1.0, sys.float_info.max)
+    evals, evecs = np.linalg.eigh(herm)
+    weights = np.zeros(evals.shape)
+    weights.ravel()[classes.kept] = _project_to_simplex(evals.ravel()[classes.spread] / 2.0)[
+        classes.firsts]
+    blocks = (evecs * weights[:, None, :]) @ _adjoint(evecs)
+    return _from_entries(classes, blocks.ravel()[classes.padded])
 
 
 # ----------------------------------------------------------------------
@@ -681,10 +742,6 @@ def _metric_stacks(*mats: np.ndarray) -> tuple[list, np.ndarray | int]:
         else:
             return stacks, classes.counts
     return list(mats), 1
-
-
-def _adjoint(stack: np.ndarray) -> np.ndarray:
-    return stack.conj().swapaxes(-1, -2)
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -3,8 +3,10 @@ the oracles that several test files share: the field's per-element trace and
 per-bit coordinate tables, the per-slope anchor gauge, the
 permutation matrix of the operator and twirl tests, the transposition test
 for PI operators, the spin blocks read and written by products with the
-coupled basis, the phase-space points of a basis, the frame identity over
-a whole family, and the quality metrics computed on 2^n-sided matrices.
+coupled basis, the physicality projection one sector at a time, the
+phase-space points of a basis, the Born probabilities one basis at a time,
+the frame identity over a whole family, and the quality metrics computed on
+2^n-sided matrices.
 
 ``src`` goes on ``sys.path`` and on ``PYTHONPATH``, so a bare ``pytest``
 finds the package without an install, and so do the CLI subprocesses the
@@ -28,8 +30,8 @@ import numpy as np  # noqa: E402
 from pimub import build_family, enumerate_orbits, make_field  # noqa: E402
 from pimub.gf2n import _selfdual_basis  # noqa: E402
 from pimub.mub import born_probabilities, family_operator  # noqa: E402
-from pimub.operators import pauli_table, popcounts, swap_index  # noqa: E402
-from pimub.tomography import coupled_basis  # noqa: E402
+from pimub.operators import pauli_table, popcounts, swap_index, walsh  # noqa: E402
+from pimub.tomography import _project_to_simplex, coupled_basis  # noqa: E402
 
 
 @lru_cache(maxsize=None)
@@ -177,6 +179,15 @@ def stabilizer_points(f, label):
     return [(a, label.slope * a) for a in f.elements()]
 
 
+def looped_born_probabilities(fam, labels, expect):
+    """Oracle: the Born probabilities of each basis in ``labels`` from its own Walsh product."""
+    rows = []
+    for label in labels:
+        z, x, _, eigenvalues = fam.table(label)
+        rows.append(walsh(fam.field.size) @ (eigenvalues * expect[x, z]) / fam.field.size)
+    return np.array(rows)
+
+
 def reconstruct_identity_check(fam, rho):
     """Oracle: sum_(k,nu) Tr(rho P_(nu,k)) P_(nu,k) - identity over every basis of ``fam``.
 
@@ -184,11 +195,8 @@ def reconstruct_identity_check(fam, rho):
     density matrix: the sum over each basis is a pinching, and the 2^n + 1
     pinchings of a mutually unbiased family tile the operator space.
     """
-    expect = pauli_table(rho).real
     labels = fam.labels()
-    return family_operator(
-        fam, labels, np.array([born_probabilities(fam, label, expect) for label in labels])
-    )
+    return family_operator(fam, labels, born_probabilities(fam, labels, pauli_table(rho).real))
 
 
 def permutation_matrix(f, perm):
@@ -239,6 +247,26 @@ def coupled_from_blocks(n, blocks):
             inner[copy, copy] = block
         start += size * count
     return u @ inner @ u.T
+
+
+def looped_projection(rho_hat):
+    """Oracle: the nearest PI state, one eigensolve per sector on the U-product blocks.
+
+    Each mean block is made Hermitian and diagonalized on its own, and one
+    simplex step acts on the spectra with each eigenvalue counted m_j times.
+    """
+    n = rho_hat.shape[0].bit_length() - 1
+    counts = coupled_basis(n).counts
+    solved = [np.linalg.eigh(block + block.conj().T) for block in coupled_mean_blocks(rho_hat)]
+    spectrum = np.concatenate([evals for evals, _ in solved]) / 2.0
+    reps = np.repeat(counts, [len(evals) for evals, _ in solved])
+    weights = _project_to_simplex(spectrum.repeat(reps))[np.cumsum(reps) - reps]
+    blocks, start = [], 0
+    for _, evecs in solved:
+        stop = start + len(evecs)
+        blocks.append((evecs * weights[start:stop]) @ evecs.conj().T)
+        start = stop
+    return coupled_from_blocks(n, blocks)
 
 
 def dense_fidelity(rho, sigma):

@@ -4,6 +4,7 @@ import collections
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,10 +55,12 @@ from pimub.tomography import (
     twirl,
     unmeasured_pi_types,
 )
-from pimub.tomography import _classes, _from_blocks, _mean_blocks, _project_to_simplex
+from pimub.tomography import (_class_sums, _classes, _distributions, _from_entries, _mean_stack,
+                              _project_to_simplex)
 
 from conftest import (coupled_from_blocks, coupled_mean_blocks, dense_fidelity,
-                      dense_trace_distance, family, field, orbit_table, permutation_matrix,
+                      dense_trace_distance, family, field, looped_born_probabilities,
+                      looped_projection, orbit_table, permutation_matrix,
                       reconstruct_identity_check, stabilizer_points, swap_invariant)
 
 
@@ -269,7 +272,7 @@ def test_entry_classes_are_the_orbits_and_count_the_pi_parameters(n):
     classes = _classes(n)
     count = independent_parameter_count(n) + 1
     assert count == math.comb(n + 3, 3) == len(classes.sizes)
-    assert classes.units.shape == classes.reads.shape == (count, count)
+    assert classes.units.shape == classes.reads.shape == classes.V.shape == (count, count)
     assert classes.sizes.sum() == 4**n
     # the class of (r, s) is invariant under every transposition and fixed by (|r & s|, |r|, |s|)
     for p, q in itertools.combinations(range(1, n + 1), 2):
@@ -284,15 +287,41 @@ def test_entry_classes_are_the_orbits_and_count_the_pi_parameters(n):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
+def test_type_map_matches_the_pauli_assembly(n):
+    classes = _classes(n)
+    coords = np.random.default_rng(130 + n).uniform(-1.0, 1.0, size=len(classes.sizes))
+    values = classes.V @ coords
+    # every entry of V is a sum of phases over 2^n, so exact, and the rational sums are exact
+    assert np.array_equal(np.round(classes.V * 2**n), classes.V * 2**n)
+    terms = [Fraction(c) for c in coords]
+    exact = [complex(*(float(sum(Fraction(a) * c for a, c in zip(part, terms)))
+                       for part in (row.real, row.imag)))
+             for row in classes.V]
+    assert np.abs(values - exact).max() <= 2e-16
+    # the Walsh assembly's own rounding reaches 1.3e-15 at n = 8
+    assembled = values[classes.keys]
+    assert np.abs(assembled - pauli_operator(n, coords[pauli_grid(n).types])).max() <= 2e-15
+    # T_n = reads diag(sizes) V maps type coordinates to the spin blocks
+    entries = classes.reads @ (classes.sizes * classes.V) @ coords
+    for (span, size), block in zip(classes.sectors, coupled_mean_blocks(assembled), strict=True):
+        assert np.abs(entries[span].reshape(size, size) - block).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", range(1, 9))
 def test_class_twirl_matches_the_coupled_basis_products(n):
     ginibre = random_density_matrix(2**n, seed=100 + n)
     classes = _classes(n)
     for mat in (ginibre, twirl(ginibre)):
         blocks = coupled_mean_blocks(mat)
-        for block, expected in zip(_mean_blocks(classes, mat), blocks, strict=True):
-            assert np.abs(block - expected).max() <= 1e-15
+        stack = _mean_stack(classes, _class_sums(classes, mat))
+        assert stack.shape == (len(blocks), n + 1, n + 1)
+        for padded, expected in zip(stack, blocks, strict=True):
+            side = len(expected)
+            assert np.abs(padded[:side, :side] - expected).max() <= 1e-15
+            assert not padded[side:].any() and not padded[:, side:].any()
         rebuilt = coupled_from_blocks(n, blocks)
-        assert np.abs(_from_blocks(classes, blocks) - rebuilt).max() <= 1e-15
+        entries = np.concatenate([block.ravel() for block in blocks])
+        assert np.abs(_from_entries(classes, entries) - rebuilt).max() <= 1e-15
         assert np.abs(twirl(mat) - rebuilt).max() <= 1e-15
         assert swap_invariant(twirl(mat), 1e-15)
     assert swap_invariant(ginibre, 1e-3) == (n == 1)
@@ -416,14 +445,21 @@ def test_twirl_spec_cap_fires_before_the_state_is_drawn():
     PIStateSpec.spin_blocks(0, [1.0], [np.eye(1)]),
     PIStateSpec.dicke(-1, []),
     PIStateSpec.dicke(13, [1.0] + [0.0] * 13),  # 1 GiB if it were built
-), ids=("twirl-0", "dicke-0", "blocks-0", "dicke-neg", "dicke-13"))
+    PIStateSpec.twirl("6", seed=1),
+    PIStateSpec.twirl(None, seed=1),
+    PIStateSpec.dicke("6", [1.0] + [0.0] * 6),
+    PIStateSpec.dicke(None, [1.0]),
+    PIStateSpec.spin_blocks("6", [1.0], [np.eye(1)]),
+    PIStateSpec.spin_blocks(None, [1.0], [np.eye(1)]),
+), ids=("twirl-0", "dicke-0", "blocks-0", "dicke-neg", "dicke-13", "twirl-str", "twirl-none",
+        "dicke-str", "dicke-none", "blocks-str", "blocks-none"))
 def test_state_generators_reject_unsupported_n(monkeypatch, spec):
     def refuse(*args, **kwargs):
         raise AssertionError("state allocated")
 
     monkeypatch.setattr(tomography, "random_density_matrix", refuse)
     monkeypatch.setattr(tomography, "dicke_state", refuse)
-    with pytest.raises(UnsupportedFieldSizeError, match=f"got {spec.n}"):
+    with pytest.raises(UnsupportedFieldSizeError, match=re.escape(f"got {spec.n!r}")):
         random_pi_state(spec)
 
 
@@ -909,6 +945,50 @@ def test_pi_subspace_fit_matches_the_per_basis_loop(n):
         assert np.abs(estimate - looped_pi_subspace_fit(records, fam)).max() < 1e-14
 
 
+def test_pi_subspace_fit_past_the_class_table():
+    # n = 9 has no class table, so the estimate is assembled from the Pauli coordinates
+    f = field(9)
+    fam = build_family(f, minimal_bases(f))
+    rho = random_pi_state(PIStateSpec.dicke(9, np.eye(10)[3]))
+    records = exact_probabilities(rho, fam, minimal_bases(f))
+    assert np.abs(reconstruct(records, None, fam) - looped_pi_subspace_fit(records, fam)).max() \
+        < 1e-14
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pi_subspace_reconstruct_reads_no_pauli_coordinates(monkeypatch, n):
+    # count-based guard: the estimate is the type map times the coordinates, so no 4^n table
+    f = field(n)
+    fam = family(n)
+    rho = random_pi_state(PIStateSpec.twirl(n, seed=n))
+    records = exact_probabilities(rho, fam, minimal_bases(f))
+    expected = looped_pi_subspace_fit(records, fam)
+    calls = []
+
+    def counted(name):
+        return lambda *args, **kwargs: calls.append(name)
+
+    for module in (operators, mub, tomography):
+        for name in ("pauli_table", "pauli_operator", "pauli_grid"):
+            monkeypatch.setattr(module, name, counted(name), raising=False)
+    estimate = reconstruct(records, None, fam)
+    assert calls == []
+    assert np.abs(estimate - expected).max() < 1e-14
+
+
+@pytest.mark.parametrize("n", (1, 4, 6))
+def test_stacked_record_gate_matches_the_row_loop(n):
+    f = field(n)
+    fam = family(n)
+    exact = exact_probabilities(random_density_matrix(f.size, seed=170 + n), fam, fam.labels())
+    shots = (7, 1000, 10**6 + 3)
+    records = [sample_counts(r, shots=shots[i % 3], seed=i) if i % 2 else r
+               for i, r in enumerate(exact)]
+    labels, probs = _distributions(records, f)
+    assert labels == [r.basis for r in records]
+    assert np.array_equal(probs, np.array([r.frequencies() for r in records]))
+
+
 def test_unmeasured_types_get_zero_coordinates():
     f = field(5)
     rho = random_pi_state(PIStateSpec.twirl(5, seed=3))
@@ -1027,18 +1107,36 @@ def test_anchor_eigenvalues_are_computed_once_per_label(monkeypatch):
 
 
 def test_exact_probabilities_build_one_pauli_table_per_state(monkeypatch):
-    calls = []
-    table = tomography.pauli_table
+    # and one Walsh product for all bases
+    calls, walshes = [], []
+    table, walsh = tomography.pauli_table, mub.walsh
 
     def counted(rho):
         calls.append(rho.shape)
         return table(rho)
 
+    def counted_walsh(dim):
+        walshes.append(dim)
+        return walsh(dim)
+
     monkeypatch.setattr(tomography, "pauli_table", counted)
+    monkeypatch.setattr(mub, "walsh", counted_walsh)
     f = field(6)
     records = exact_probabilities(random_density_matrix(f.size, seed=6), family(6), minimal_bases(f))
-    assert len(records) == 8
+    assert [record.basis for record in records] == minimal_bases(f)
     assert calls == [(64, 64)]
+    assert walshes == [64]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stacked_born_probabilities_match_the_per_label_products(n):
+    fam = family(n)
+    labels = fam.labels()
+    expect = pauli_table(random_density_matrix(2**n, seed=140 + n)).real
+    stacked = mub.born_probabilities(fam, labels, expect)
+    assert stacked.shape == (len(labels), 2**n)
+    assert np.array_equal(stacked, looped_born_probabilities(fam, labels, expect))
+    assert mub.born_probabilities(fam, [], expect).shape == (0, 2**n)
 
 
 def test_reconstruct_rejects_unknown_mode_and_unnormalized_records():
@@ -1180,12 +1278,14 @@ def test_block_projection_matches_the_dense_projection(n):
 
 @pytest.mark.parametrize("n", (3, 6, 8))
 def test_projection_diagonalizes_only_spin_blocks(monkeypatch, n):
-    # count-based guard: no 2^n-sided eigensolve and no twirl
-    sides = []
+    # count-based guard: no 2^n-sided eigensolve and no twirl.  The blocks are solved in one
+    # eigh call on a (sectors, n + 1, n + 1) stack, each block of side 2j + 1 followed by a
+    # diagonal pad above its eigenvalues, so the solved blocks are the spin blocks.
+    stacks = []
     eigh = np.linalg.eigh
 
     def counted(mat, *args, **kwargs):
-        sides.append(mat.shape[-1])
+        stacks.append(np.array(mat))
         return eigh(mat, *args, **kwargs)
 
     def refuse(rho):
@@ -1195,8 +1295,61 @@ def test_projection_diagonalizes_only_spin_blocks(monkeypatch, n):
     monkeypatch.setattr(tomography, "twirl", refuse)
     rng = np.random.default_rng(n)
     project_physical(rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n)))
-    assert sorted(sides, reverse=True) == [int(2 * j) + 1 for j in spin_values(n)]
-    assert max(sides) <= n + 1
+    sizes = [int(2 * j) + 1 for j in spin_values(n)]
+    assert len(stacks) == 1 and stacks[0].shape == (len(sizes), n + 1, n + 1)
+    for mat, size in zip(stacks[0], sizes):
+        pad = np.diag(mat)[size:]
+        assert not mat[:size, size:].any() and not mat[size:, :size].any()
+        assert np.array_equal(mat[size:, size:], np.diag(pad))
+        assert (pad.imag == 0).all() and np.isfinite(pad).all()
+        assert (pad.real > np.linalg.eigvalsh(mat[:size, :size]).max()).all()
+
+
+def _projection_inputs(n):
+    """Inputs for the stacked projection: general, rank-deficient and degenerate, by name."""
+    dim = 2**n
+    rng = np.random.default_rng(150 + n)
+    ginibre = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    basis = coupled_basis(n)
+    # per sector, a block with eigenvalues 0, a negative one and a repeated pair
+    blocks = []
+    for size in basis.sizes:
+        g = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        unitary = np.linalg.qr(g)[0]
+        evals = np.resize([0.0, -0.3, 0.4, 0.4, 0.1], size)
+        blocks.append((unitary * evals) @ unitary.conj().T)
+    singlet = [np.zeros((size, size)) for size in basis.sizes]
+    singlet[-1] = np.eye(basis.sizes[-1]) / basis.sizes[-1] / basis.counts[-1]
+    return {
+        "ginibre": ginibre,
+        "rank-1": random_pure_state(dim, seed=150 + n),
+        "rank-2 twirled": twirl(random_density_matrix(dim, seed=150 + n, rank=2)),
+        "degenerate blocks": coupled_from_blocks(n, blocks),
+        "lowest sector only": coupled_from_blocks(n, singlet),
+        "scaled by 1e300": 1e300 * (ginibre + ginibre.conj().T),
+        "zero": np.zeros((dim, dim)),
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stacked_projection_matches_the_per_sector_loop(n):
+    for name, mat in _projection_inputs(n).items():
+        out = project_physical(mat)
+        assert np.abs(out - looped_projection(mat)).max() <= 1e-14, name
+        assert is_density_matrix(out, herm_tol=1e-14, trace_tol=1e-13), name
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_projection_pad_stays_finite_for_huge_entries(n):
+    # A Dicke mixture's symmetric block is diag(weights).  Scaled so that the Hermitized block
+    # reaches 0.8 of the largest float, twice its Gershgorin bound overflows, so the pad is
+    # capped; past n = 3 the class sums of such an input overflow first.  The projection is
+    # the Dicke projector of the top weight.
+    weights = np.arange(1.0, n + 2) / np.arange(1.0, n + 2).sum()
+    scale = 0.4 * np.finfo(float).max / weights.max()
+    out = project_physical(scale * random_pi_state(PIStateSpec.dicke(n, weights)))
+    top = dicke_state(n, n)
+    assert np.abs(out - np.outer(top, top.conj())).max() <= 1e-14
 
 
 @pytest.mark.parametrize("n", (3, 6))
