@@ -111,6 +111,19 @@ def pauli_types(n: int, z: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _type_lookup(n)[pop[x & ~z], pop[x & z], pop[z & ~x]]
 
 
+@lru_cache(maxsize=None)
+def type_grid(n: int) -> np.ndarray:
+    """Read-only intp [x, z] = ``pauli_types(n, z, x)``, the one S_n key of pairs of n-bit masks.
+
+    Qubit permutations move the bit pairs (x_i, z_i) of a Pauli string and of a
+    matrix entry (r, s) = (x, z) alike, so it also numbers the orbits of entries.
+    """
+    masks = np.arange(1 << n)
+    out = pauli_types(n, masks[None, :], masks[:, None])
+    out.flags.writeable = False
+    return out
+
+
 def qubit_count(mat: np.ndarray) -> int:
     """n for a 2-d square array of side 2^n with n >= 1, else ``DimensionMismatchError``."""
     shape = np.shape(mat)
@@ -123,16 +136,13 @@ def qubit_count(mat: np.ndarray) -> int:
 class PauliGrid(NamedTuple):
     """Every Pauli string on n qubits, entry [x, z] for X mask x and Z mask z.
 
-    ``types`` (int16) is the position in ``pi_types`` and ``counts`` the
-    number of strings of each type.  ``phase`` is (-i)^|z & x|, symmetric in
-    x and z, and ``conj_phase`` its conjugate.  ``index`` is the flat gather
+    ``phase`` is (-i)^|z & x|, symmetric in x and z, and ``conj_phase`` its
+    conjugate (the types are ``type_grid``).  ``index`` is the flat gather
     index r * 2^n + (r ^ x) at [r, x]: it reads diagonal x of a matrix, the
     entries rho[r, r ^ x], into column x, and reads column x back into
     diagonal x of a [r, x] array.
     """
 
-    types: np.ndarray
-    counts: np.ndarray
     phase: np.ndarray
     conj_phase: np.ndarray
     index: np.ndarray
@@ -143,12 +153,9 @@ def pauli_grid(n: int) -> PauliGrid:
     """Read-only ``PauliGrid`` of n qubits, built once per n."""
     dim = 1 << n
     masks = np.arange(dim)
-    z, x = masks[None, :], masks[:, None]
-    types = pauli_types(n, z, x).astype(np.int16)
-    phase = pauli_phase(n, z, x)
+    phase = pauli_phase(n, masks[None, :], masks[:, None])
     rows = masks[:, None]
-    grid = PauliGrid(types, np.bincount(types.ravel()), phase, phase.conj(),
-                     rows * dim + (rows ^ masks))
+    grid = PauliGrid(phase, phase.conj(), rows * dim + (rows ^ masks))
     for arr in grid:
         arr.flags.writeable = False
     return grid

@@ -3,15 +3,14 @@
 A label point is a pair (nu, basis).  Transpositions act on both labels by
 the field-level swap map kappa -> kappa + eps tr(eps kappa), which is the
 coordinate swap of the self-dual bit vector; the computational (slope 0) and
-vertical bases are themselves fixed, so only nu moves there.  The orbits are
-therefore weight classes.  On a proper slope, S_n permutes the columns of
-the 2 x n bit matrix (mu; nu) together, so an orbit is fixed by the counts
-of its four column types, and (|mu|, |nu|, |mu + nu|) determine those counts:
-c11 = (|mu| + |nu| - |mu + nu|) / 2, c10 = |mu| - c11, c01 = |nu| - c11.  On
-the computational and vertical bases the orbit of nu is its weight class.
-``enumerate_orbits`` computes that key for every label point at once, from
-popcounts of the slope bits, of nu and of their XOR, and stores each point's
-orbit id in the integer array ``OrbitTable.ids``, which is all that
+vertical bases are themselves fixed, so only nu moves there, and its orbit
+is its weight class.  On a proper slope, S_n permutes the columns of the
+2 x n bit matrix (mu; nu) together, so an orbit is fixed by the counts c10,
+c11 and c01 of the columns (1; 0), (1; 1) and (0; 1): the Pauli type of X
+mask mu and Z mask nu, which (|mu|, |nu|, |mu + nu|) also determine.
+``enumerate_orbits`` keys the slope points by ``operators.type_grid`` and
+the vertical points by weight, and stores each point's orbit id in the
+integer array ``OrbitTable.ids``, which is all that
 ``expand_probabilities`` reads; an ``Orbit`` keeps only its representative,
 invariants and size.  The expansion reads and returns the distribution
 format of ``mub.family_operator``: labels and one row of probabilities
@@ -41,6 +40,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -48,7 +48,7 @@ import numpy as np
 from .errors import MissingOrbitError, SchemaError
 from .gf2n import Field, FieldElement
 from .mub import BasisLabel, check_distributions, family_labels, vertical_label
-from .operators import popcounts
+from .operators import popcounts, type_grid
 
 
 @dataclass(frozen=True)
@@ -101,19 +101,15 @@ def _kind(basis: BasisLabel) -> str:
 def enumerate_orbits(field: Field) -> OrbitTable:
     """Label points grouped into orbits by their weight key, on integer arrays.
 
-    Row mu of ``keys`` holds (|mu|, |nu|, |mu + nu|) for every nu, packed in
-    base n + 1; on row 0, the computational basis, that is a function of |nu|
-    alone, and the vertical row holds |nu| offset past every slope key.
+    Row mu of ``keys`` is row mu of ``operators.type_grid``, the column-type
+    counts of (mu; nu) for every nu; on row 0, the computational basis, that
+    is a function of |nu| alone, and the vertical row holds |nu| offset past
+    the C(n + 3, 3) slope keys.
     Orbit ids follow first appearance in row-major (label-key) order, so
     each orbit's representative is its smallest member.
     """
     n, size = field.n, field.size
-    base = n + 1
-    pop = popcounts(size)
-    mu, nu = np.arange(size)[:, None], np.arange(size)
-    keys = np.empty((size + 1, size), dtype=np.int64)
-    keys[:size] = (pop[mu] * base + pop[nu]) * base + pop[mu ^ nu]
-    keys[size] = base**3 + pop
+    keys = np.vstack([type_grid(n), math.comb(n + 3, 3) + popcounts(size)])
     _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True,
                                           return_counts=True)
     order = np.argsort(first)  # orbit id -> position in the sorted keys

@@ -15,8 +15,9 @@ Clebsch-Gordan coefficients, so that every PI operator is
 (+)_j 1_(m_j) (x) rho_j in it.  No S_n operation multiplies by it, though.
 A qubit permutation moves the entry (r, s) of a 2^n-sided matrix to
 (pi r, pi s), so the orbits of entries are the C(n + 3, 3) classes of
-(|r & s|, |r|, |s|), as many as the entries of the spin blocks, and every
-S_n operation runs on one table of those classes per n (``_classes``).
+(|r & ~s|, |r & s|, |s & ~r|), the Pauli types (``operators.type_grid``),
+as many as the entries of the spin blocks, and every S_n operation runs on
+that one key per n, with the spin-block maps on it held in ``_classes``.
 ``twirl``, the S_n average, replaces each entry by the mean of its class,
 and an operator is PI when its twirl moves no entry by more than a
 tolerance (``is_permutation_invariant``, and the metrics' gate at 1e-12).
@@ -48,11 +49,9 @@ transforms them into Born probabilities in one stacked product
 into the same expectations in one product (``mub.pauli_expectations``); no
 basis is expanded.  The PI-subspace fit below leaves one coordinate per
 Pauli type, and a type sum S_t is PI, so constant on each entry class:
-the class table holds 2^-n S_t on every class (``V``), and the estimate
-is ``V`` times the coordinates, gathered by class, with no 4^n array but
-the estimate itself.  The orbit modes, and n > 8, where no class table
-exists, assemble the estimate from the Pauli expectations with
-``operators.pauli_operator``.  States are twirled on their entry classes.
+``_type_map`` holds 2^-n S_t on every class at every n, and the estimate
+is that map times the coordinates, gathered by class, with no 4^n array
+but the estimate itself; the orbit modes use ``operators.pauli_operator``.
 
 The default inversion is least squares on the PI operator subspace.  Each
 measured basis is the joint eigenbasis of 2^n - 1 Pauli monomials, so its
@@ -100,8 +99,8 @@ from .mub import (
     pauli_expectations,
     stabilizer_table,
 )
-from .operators import (is_density_matrix, pauli_grid, pauli_operator, pauli_phase, pauli_table,
-                        pauli_types, pi_types, popcounts, qubit_count)
+from .operators import (is_density_matrix, pauli_phase, pauli_table, pauli_types, pi_types,
+                        qubit_count, type_grid, walsh)
 from .orbits import OrbitTable, expand_probabilities, minimal_bases
 
 _TWIRL_MAX_N = 8
@@ -193,32 +192,28 @@ class _Classes(NamedTuple):
     """The orbits of S_n on the entries (r, s) of a 2^n-sided matrix, and the spin blocks on them.
 
     A qubit permutation permutes the bit pairs (r_i, s_i), so the orbit of
-    (r, s) is fixed by |r & s|, |r| and |s|: C(n + 3, 3) classes, as many as
-    spin-block entries.  ``keys[r, s]`` is the class of each entry, ``pairs``
-    the class of each float of a complex matrix's real view (2 key + 0 for
-    the real part, + 1 for the imaginary part), and ``sizes`` the number of
-    entries of each class, as a column.
+    (r, s) is fixed by its Pauli type: C(n + 3, 3) classes, as many as
+    spin-block entries.  ``keys`` is ``operators.type_grid(n)``, the class
+    of each entry, ``pairs`` the class of each float of a complex matrix's
+    real view (2 key + 0 for the real part, + 1 for the imaginary part), and
+    ``sizes`` the number of entries of each class, as a column.
 
     Block entry b is (j, m, m') in sector order, row by row within a block.
     Its unit U (1_(m_j) (x) |m><m'|) U^T is real and PI, so constant on each
     class: ``units[k, b]`` is its value there.  The mean copy blocks of a
     matrix are then ``reads`` (the transpose of ``units`` over m_j) times its
     class sums, and a block list becomes a matrix as ``units`` times its
-    entries, gathered by ``keys``.  A Pauli type sum S_t (``pi_types``) is PI
-    too: ``V[k, t]`` is the entry of 2^-n S_t on class k, so the operator
-    with type coordinates c is ``V`` c gathered by ``keys``, and its blocks
-    are ``reads`` diag(``sizes``) ``V`` c.
+    entries, gathered by ``keys``.
 
-    ``sectors`` holds each sector's slice of b and its block side 2j + 1,
-    and ``padded`` the place of each b in the blocks zero padded to a
-    (sectors, n + 1, n + 1) stack.  In that stack ``spare`` is the place of
-    each diagonal entry past its block, and ``kept`` the place of each block
-    eigenvalue in the (sectors, n + 1) eigenvalues of the stack once the
-    spare diagonal is padded above every block eigenvalue.  ``spread``
-    lists those places with block j's repeated m_j times, the 2^n
-    eigenvalues of the operator, and ``firsts`` where each block
-    eigenvalue's repeats start in it.  ``counts`` holds m_j for each sector
-    as a column.
+    ``shape`` is that of the blocks zero padded to a (sectors, n + 1, n + 1)
+    stack, and ``padded`` the place of each b in it.  In that stack
+    ``spare`` is the place of each diagonal entry past its block, and
+    ``kept`` the place of each block eigenvalue in the (sectors, n + 1)
+    eigenvalues of the stack once the spare diagonal is padded above every
+    block eigenvalue.  ``spread`` lists those places with block j's repeated
+    m_j times, the 2^n eigenvalues of the operator, and ``firsts`` where
+    each block eigenvalue's repeats start in it.  ``counts`` holds m_j for
+    each sector as a column.
     """
 
     keys: np.ndarray
@@ -226,8 +221,7 @@ class _Classes(NamedTuple):
     sizes: np.ndarray
     units: np.ndarray
     reads: np.ndarray
-    V: np.ndarray
-    sectors: list
+    shape: tuple
     padded: np.ndarray
     spare: np.ndarray
     kept: np.ndarray
@@ -236,23 +230,19 @@ class _Classes(NamedTuple):
     counts: np.ndarray
 
 
+def _representatives(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per class (k_X, k_Y, k_Z), r = the low k_X + k_Y bits; s = their low k_Y and k_Z above."""
+    kx, ky, kz = np.array(pi_types(n)).T
+    return (1 << (kx + ky)) - 1, (1 << ky) - 1 | ((1 << kz) - 1) << (kx + ky)
+
+
 @lru_cache(maxsize=None)
 def _classes(n: int) -> _Classes:
     basis = coupled_basis(n)
-    dim, side = 1 << n, n + 1
-    # class ids of the possible (|r & s|, |r|, |s|) in lexicographic order
-    both, ones_r, ones_s = np.ogrid[:side, :side, :side]
-    valid = (both <= ones_r) & (both <= ones_s) & (ones_r + ones_s - both <= n)
-    ids = np.full(valid.shape, -1)
-    ids[valid] = np.arange(np.count_nonzero(valid))
-    pop = popcounts(dim)
-    index = np.arange(dim)
-    keys = ids.ravel()[(pop[index[:, None] & index] * side + pop[:, None]) * side + pop]
+    side = n + 1
+    keys = type_grid(n)
     pairs = (2 * keys[..., None] + np.arange(2)).ravel()
-    # one representative per class: r the low |r| bits, s its low |r & s| bits and the next ones
-    both, ones_r, ones_s = np.nonzero(valid)
-    r = (1 << ones_r) - 1
-    s = (1 << both) - 1 | ((1 << (ones_s - both)) - 1) << ones_r
+    r, s = _representatives(n)
     rows, cols = basis.matrix[r], basis.matrix[s]
     units, start = [], 0
     for size, count in zip(basis.sizes, basis.counts):
@@ -262,18 +252,7 @@ def _classes(n: int) -> _Classes:
         units.append((copies_r.swapaxes(1, 2) @ copies_s).reshape(len(rows), -1))
         start = span.stop
     units = np.concatenate(units, axis=1)
-    entries = np.square(basis.sizes)
-    reads = units.T / np.repeat(basis.counts, entries)[:, None]
-    # entry (r, s) of a string (-i)^|z & x| Z_z X_x is (-i)^|z & x| (-1)^|z & r| for x = r ^ s,
-    # summed per type over the 2^n masks z
-    count = len(r)
-    x = (r ^ s)[:, None]
-    values = pauli_phase(n, index, x) * (1 - 2 * (pop[index & r[:, None]] & 1))
-    cells = (np.arange(count)[:, None] * count + pauli_types(n, index, x)).ravel()
-    V = (np.bincount(cells, values.real.ravel(), count * count)
-         + 1j * np.bincount(cells, values.imag.ravel(), count * count)).reshape(count, count) / dim
-    bounds = np.concatenate([[0], np.cumsum(entries)])
-    sectors = [(slice(lo, hi), size) for lo, hi, size in zip(bounds, bounds[1:], basis.sizes)]
+    reads = units.T / np.repeat(basis.counts, np.square(basis.sizes))[:, None]
     padded = np.concatenate([(t * side + np.arange(size)[:, None]) * side + np.arange(size)
                              for t, size in enumerate(basis.sizes)], axis=None)
     spare = np.concatenate([t * side * side + np.arange(size, side) * (side + 1)
@@ -284,10 +263,29 @@ def _classes(n: int) -> _Classes:
     reps = np.repeat(basis.counts, basis.sizes)
     spread = kept.repeat(reps)
     firsts = np.cumsum(reps) - reps
-    for arr in (keys, pairs, sizes, units, reads, V, padded, spare, kept, spread, firsts, counts):
+    for arr in (pairs, sizes, units, reads, padded, spare, kept, spread, firsts, counts):
         arr.flags.writeable = False
-    return _Classes(keys, pairs, sizes, units, reads, V, sectors, padded, spare, kept, spread,
-                    firsts, counts)
+    return _Classes(keys, pairs, sizes, units, reads, (len(basis.sizes), side, side), padded,
+                    spare, kept, spread, firsts, counts)
+
+
+@lru_cache(maxsize=None)
+def _type_map(n: int) -> np.ndarray:
+    """Read-only V[k, t], the entry of the PI operator 2^-n S_t on class k, for every n.
+
+    Entry (r, s) of a string (-i)^|z & x| Z_z X_x is (-i)^|z & x| (-1)^|z & r|
+    for x = r ^ s; row k sums those by type over the 2^n masks z.
+    """
+    dim = 1 << n
+    r, s = _representatives(n)
+    count, index = len(r), np.arange(dim)
+    x = (r ^ s)[:, None]
+    values = pauli_phase(n, index, x) * walsh(dim)[r]
+    cells = (np.arange(count)[:, None] * count + pauli_types(n, index, x)).ravel()
+    V = (np.bincount(cells, values.real.ravel(), count * count)
+         + 1j * np.bincount(cells, values.imag.ravel(), count * count)).reshape(count, count) / dim
+    V.flags.writeable = False
+    return V
 
 
 def _class_sums(classes: _Classes, mat: np.ndarray) -> np.ndarray:
@@ -304,8 +302,7 @@ def _class_means(classes: _Classes, sums: np.ndarray) -> np.ndarray:
 def _mean_stack(classes: _Classes, sums: np.ndarray) -> np.ndarray:
     """The mean copy blocks rho_j of a matrix with ``_class_sums`` ``sums``, zero padded to a
     (sectors, n + 1, n + 1) stack."""
-    side = classes.sectors[0][1]
-    stack = np.zeros((len(classes.sectors), side, side), dtype=complex)
+    stack = np.zeros(classes.shape, dtype=complex)
     stack.ravel()[classes.padded] = (classes.reads @ sums).view(complex).ravel()
     return stack
 
@@ -340,8 +337,8 @@ def twirl(rho: np.ndarray) -> np.ndarray:
     """Exact average of U_pi rho U_pi^dag over the full symmetric group (n <= 8).
 
     A permutation moves entry (r, s) to (pi r, pi s), so the group average
-    replaces each entry by the mean of its orbit, the class of
-    (|r & s|, |r|, |s|) (``_classes``): one sum per class and one gather.
+    replaces each entry by the mean of its orbit, its class in
+    ``type_grid``: one sum per class and one gather.
     Any square matrix of side 2^n is accepted, Hermitian or not, and no
     4^n Pauli table or coupled-basis product is formed.  A NaN entry stays
     within its own class.
@@ -514,8 +511,11 @@ def exact_probabilities(rho: np.ndarray, family: MubFamily, bases) -> list[Measu
     the expectations of the 2^n - 1 Pauli strings it diagonalizes, Walsh
     transformed over the ray, the inverse of ``mub.pauli_expectations``.
     The state's ``pauli_table`` is built once, and one stacked Walsh product
-    serves every basis; record k holds row k of it.
+    serves every basis; record k holds row k of it.  A ``rho`` of another n
+    raises ``DimensionMismatchError``.
     """
+    if qubit_count(rho) != family.field.n:
+        raise DimensionMismatchError(f"state of shape {np.shape(rho)} is not of n={family.field.n}")
     labels = list(bases)
     probs = born_probabilities(family, labels, pauli_table(rho).real)
     return [MeasurementRecord(n=family.field.n, basis=label, data=row)
@@ -584,10 +584,7 @@ def reconstruct(
         sums = np.bincount(types, expect, minlength=count)
         hits = np.bincount(types, minlength=count)
         coords = np.divide(sums, hits, out=np.zeros(count), where=hits > 0)
-        if n > _TWIRL_MAX_N:  # past the class table, through the 4^n Pauli coordinates
-            return pauli_operator(n, coords[pauli_grid(n).types])
-        classes = _classes(n)
-        return (classes.V @ coords)[classes.keys]
+        return (_type_map(n) @ coords)[type_grid(n)]
 
     if table is None:
         raise MissingOrbitError(f"mode {mode!r} expands along orbits and needs an orbit table")

@@ -14,8 +14,9 @@ from pimub.gf2n import make_field
 from pimub.mub import build_family
 from pimub.operators import matrix_from_json, matrix_to_json
 from pimub.orbits import enumerate_orbits, minimal_bases
-from pimub.tomography import (PIStateSpec, project_physical, random_density_matrix,
-                              random_pi_state, reconstruct, record_from_json)
+from pimub.tomography import (PIStateSpec, exact_probabilities, project_physical,
+                              random_density_matrix, random_pi_state, reconstruct,
+                              record_from_json, record_to_json)
 
 from conftest import dense_fidelity, dense_trace_distance
 from reference_data import ORBIT_EXPORT_SHA256
@@ -197,6 +198,22 @@ def test_default_report_state_is_the_full_family_estimate(tmp_path, n):
     records = [record_from_json(f, obj) for obj in json.loads(rec.read_text())["records"]]
     full = project_physical(reconstruct(records, enumerate_orbits(f), build_family(f)))
     assert json.loads(rep.read_text())["state"] == matrix_to_json(full)
+
+
+def test_reconstruct_past_the_spin_block_cap(tmp_path):
+    # n = 9 has no spin-block table, and the PI-subspace estimate takes the same path as below it
+    n = 9
+    f = make_field(n)
+    bases = minimal_bases(f)
+    fam = build_family(f, bases)
+    weights = np.random.default_rng(9).dirichlet(np.ones(n + 1))
+    records = exact_probabilities(random_pi_state(PIStateSpec.dicke(n, weights)), fam, bases)
+    rec = tmp_path / "records.json"
+    rep = tmp_path / "report.json"
+    rec.write_text(json.dumps({"n": n, "records": [record_to_json(r) for r in records]}))
+    assert run_cli("reconstruct", "--records", str(rec), "--out", str(rep)) == 0
+    state = matrix_from_json(json.loads(rep.read_text())["state"])
+    assert np.abs(state - reconstruct(records, None, fam)).max() <= 1e-13
 
 
 def test_sampled_pipeline_with_projection(tmp_path):

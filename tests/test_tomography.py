@@ -27,8 +27,8 @@ from pimub.mub import (
     family_labels,
     pauli_expectations,
 )
-from pimub.operators import (build_x, build_z, is_density_matrix, pauli_grid, pauli_operator,
-                             pauli_table, qubit_count, swap_index)
+from pimub.operators import (build_x, build_z, is_density_matrix, pauli_operator, pauli_table,
+                             qubit_count, swap_index, type_grid)
 from pimub.orbits import LabelPoint, expand_probabilities, minimal_bases
 from pimub.tomography import (
     RECONSTRUCT_MODES,
@@ -56,7 +56,7 @@ from pimub.tomography import (
     unmeasured_pi_types,
 )
 from pimub.tomography import (_class_sums, _classes, _distributions, _from_entries, _mean_stack,
-                              _project_to_simplex)
+                              _project_to_simplex, _representatives, _type_map)
 
 from conftest import (coupled_from_blocks, coupled_mean_blocks, dense_fidelity,
                       dense_trace_distance, family, field, looped_born_probabilities,
@@ -272,7 +272,7 @@ def test_entry_classes_are_the_orbits_and_count_the_pi_parameters(n):
     classes = _classes(n)
     count = independent_parameter_count(n) + 1
     assert count == math.comb(n + 3, 3) == len(classes.sizes)
-    assert classes.units.shape == classes.reads.shape == classes.V.shape == (count, count)
+    assert classes.units.shape == classes.reads.shape == _type_map(n).shape == (count, count)
     assert classes.sizes.sum() == 4**n
     # the class of (r, s) is invariant under every transposition and fixed by (|r & s|, |r|, |s|)
     for p, q in itertools.combinations(range(1, n + 1), 2):
@@ -287,24 +287,44 @@ def test_entry_classes_are_the_orbits_and_count_the_pi_parameters(n):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
+def test_type_grid_is_the_s_n_key_and_the_representatives_read_it(n):
+    grid = type_grid(n)
+    assert grid.dtype == np.intp and not grid.flags.writeable and type_grid(n) is grid
+    for p, q in itertools.combinations(range(1, n + 1), 2):
+        perm = swap_index(n, p, q)
+        assert np.array_equal(grid[np.ix_(perm, perm)], grid)
+    r, s = _representatives(n)
+    assert np.array_equal(grid[r, s], np.arange(len(pi_types(n))))
+    # class k is the Pauli type (|r & ~s|, |r & s|, |s & ~r|) of its entries
+    for k, (kx, ky, kz) in enumerate(pi_types(n)):
+        a, b = (int(v) for v in np.argwhere(grid == k)[-1])
+        assert ((a & ~b).bit_count(), (a & b).bit_count(), (b & ~a).bit_count()) == (kx, ky, kz)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
 def test_type_map_matches_the_pauli_assembly(n):
-    classes = _classes(n)
-    coords = np.random.default_rng(130 + n).uniform(-1.0, 1.0, size=len(classes.sizes))
-    values = classes.V @ coords
+    V = _type_map(n)
+    coords = np.random.default_rng(130 + n).uniform(-1.0, 1.0, size=len(pi_types(n)))
+    values = V @ coords
     # every entry of V is a sum of phases over 2^n, so exact, and the rational sums are exact
-    assert np.array_equal(np.round(classes.V * 2**n), classes.V * 2**n)
+    assert np.array_equal(np.round(V * 2**n), V * 2**n)
     terms = [Fraction(c) for c in coords]
     exact = [complex(*(float(sum(Fraction(a) * c for a, c in zip(part, terms)))
                        for part in (row.real, row.imag)))
-             for row in classes.V]
+             for row in V]
     assert np.abs(values - exact).max() <= 2e-16
     # the Walsh assembly's own rounding reaches 1.3e-15 at n = 8
-    assembled = values[classes.keys]
-    assert np.abs(assembled - pauli_operator(n, coords[pauli_grid(n).types])).max() <= 2e-15
+    assembled = values[type_grid(n)]
+    assert np.abs(assembled - pauli_operator(n, coords[type_grid(n)])).max() <= 2e-15
+    if n > 8:
+        return
     # T_n = reads diag(sizes) V maps type coordinates to the spin blocks
-    entries = classes.reads @ (classes.sizes * classes.V) @ coords
-    for (span, size), block in zip(classes.sectors, coupled_mean_blocks(assembled), strict=True):
-        assert np.abs(entries[span].reshape(size, size) - block).max() <= 1e-14
+    classes = _classes(n)
+    entries = classes.reads @ (classes.sizes * V) @ coords
+    sizes = coupled_basis(n).sizes
+    spans = np.split(entries, np.cumsum(np.square(sizes))[:-1])
+    for span, size, block in zip(spans, sizes, coupled_mean_blocks(assembled), strict=True):
+        assert np.abs(span.reshape(size, size) - block).max() <= 1e-14
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -417,7 +437,7 @@ def test_twirl_reads_no_pauli_coordinates(monkeypatch, n):
 
     for module in (operators, tomography):
         for name in ("pauli_table", "pauli_operator"):
-            monkeypatch.setattr(module, name, counted(name))
+            monkeypatch.setattr(module, name, counted(name), raising=False)
     twirl(random_density_matrix(2**n, seed=n))
     assert calls == []
 
@@ -827,6 +847,15 @@ def test_exact_probabilities_match_dense_projectors(n):
             assert abs(rec.data[nu.bits] - direct) <= 1e-12
 
 
+@pytest.mark.parametrize("dim", (4, 16))
+def test_exact_probabilities_reject_a_state_of_another_n(dim):
+    # a 16-sided state used to give n = 3 records that sum to 1 and are wrong,
+    # and a 4-sided one a bare IndexError
+    f = field(3)
+    with pytest.raises(DimensionMismatchError, match="n=3"):
+        exact_probabilities(random_density_matrix(dim, seed=dim), family(3), minimal_bases(f))
+
+
 def test_out_of_range_record_key_is_rejected():
     # an outcome key exists only in JSON; past it, a record of another
     # length (or of another n) is the same fault
@@ -930,7 +959,7 @@ def looped_pi_subspace_fit(records, fam):
                   pauli_expectations(fam, [record.basis], record.frequencies()[None])[0])
         np.add.at(hits, types, 1)
     coords = np.divide(sums, hits, out=np.zeros(count), where=hits > 0)
-    return pauli_operator(f.n, coords[pauli_grid(f.n).types])
+    return pauli_operator(f.n, coords[type_grid(f.n)])
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -946,7 +975,7 @@ def test_pi_subspace_fit_matches_the_per_basis_loop(n):
 
 
 def test_pi_subspace_fit_past_the_class_table():
-    # n = 9 has no class table, so the estimate is assembled from the Pauli coordinates
+    # n = 9 has no spin-block table, but the type map covers it
     f = field(9)
     fam = build_family(f, minimal_bases(f))
     rho = random_pi_state(PIStateSpec.dicke(9, np.eye(10)[3]))
@@ -955,12 +984,17 @@ def test_pi_subspace_fit_past_the_class_table():
         < 1e-14
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 11))
 def test_pi_subspace_reconstruct_reads_no_pauli_coordinates(monkeypatch, n):
     # count-based guard: the estimate is the type map times the coordinates, so no 4^n table
     f = field(n)
-    fam = family(n)
-    rho = random_pi_state(PIStateSpec.twirl(n, seed=n))
+    if n <= 8:
+        fam = family(n)
+        rho = random_pi_state(PIStateSpec.twirl(n, seed=n))
+    else:  # past the twirl cap, a Dicke mixture on the minimal bases
+        fam = build_family(f, minimal_bases(f))
+        rho = random_pi_state(PIStateSpec.dicke(n, np.random.default_rng(n).dirichlet(
+            np.ones(n + 1))))
     records = exact_probabilities(rho, fam, minimal_bases(f))
     expected = looped_pi_subspace_fit(records, fam)
     calls = []
@@ -995,10 +1029,10 @@ def test_unmeasured_types_get_zero_coordinates():
     estimate = reconstruct(exact_probabilities(rho, family(5), minimal_bases(f)), orbit_table(5),
                            family(5))
     table = pauli_table(estimate)
-    grid = pauli_grid(5)
+    grid = type_grid(5)
     for t in unmeasured_pi_types(f, minimal_bases(f)):
-        assert np.abs(table[grid.types == pi_types(5).index(t)]).max() < 1e-14
-        assert np.abs(pauli_table(rho)[grid.types == pi_types(5).index(t)]).max() > 1e-6
+        assert np.abs(table[grid == pi_types(5).index(t)]).max() < 1e-14
+        assert np.abs(pauli_table(rho)[grid == pi_types(5).index(t)]).max() > 1e-6
 
 
 def test_full_family_recovers_five_qubit_pi_states():
