@@ -105,15 +105,15 @@ def enumerate_orbits(field: Field) -> OrbitTable:
     counts of (mu; nu) for every nu; on row 0, the computational basis, that
     is a function of |nu| alone, and the vertical row holds |nu| offset past
     the C(n + 3, 3) slope keys.
-    Orbit ids follow first appearance in row-major (label-key) order, so
-    each orbit's representative is its smallest member.
+    Every key up to the largest occurs; orbit ids follow first appearance in
+    row-major (label-key) order, so each orbit's representative is its smallest member.
     """
     n, size = field.n, field.size
-    keys = np.vstack([type_grid(n), math.comb(n + 3, 3) + popcounts(size)])
-    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True,
-                                          return_counts=True)
-    order = np.argsort(first)  # orbit id -> position in the sorted keys
-    ids = np.argsort(order)[inverse].reshape(size + 1, size)
+    keys = np.vstack([type_grid(n), math.comb(n + 3, 3) + popcounts(size)]).ravel()
+    first, counts = np.full(keys.max() + 1, keys.size), np.bincount(keys)
+    np.minimum.at(first, keys, np.arange(keys.size))
+    order = np.argsort(first)  # orbit id -> key, by first appearance
+    ids = np.argsort(order)[keys].reshape(size + 1, size)
     ids.flags.writeable = False
 
     labels = tuple(family_labels(field))

@@ -9,10 +9,11 @@ MUB family exactly or with multinomial shot noise, inverts measured
 probabilities back to a density matrix, and projects noisy estimates to the
 physical PI set.
 
-The spin blocks are read in one real orthogonal basis per n,
-``coupled_basis``: qubits coupled one by one with the spin-1/2
-Clebsch-Gordan coefficients, so that every PI operator is
-(+)_j 1_(m_j) (x) rho_j in it.  No S_n operation multiplies by it, though.
+The spin blocks rho_j are read in one convention: |0> is spin up, each
+spin-j copy |j, c, m> runs over m = j .. -j, and its phases are the
+standard ones (J_+ and J_- have nonnegative entries), so a PI operator is
+sum_j sum_c rho_j on the m_j copies, whichever orthonormal copies are
+taken.  No S_n operation builds a basis of copies, though.
 A qubit permutation moves the entry (r, s) of a 2^n-sided matrix to
 (pi r, pi s), so the orbits of entries are the C(n + 3, 3) classes of
 (|r & ~s|, |r & s|, |s & ~r|), the Pauli types (``operators.type_grid``),
@@ -21,13 +22,13 @@ that one key per n, with the spin-block maps on it held in ``_classes``.
 ``twirl``, the S_n average, replaces each entry by the mean of its class,
 and an operator is PI when its twirl moves no entry by more than a
 tolerance (``is_permutation_invariant``, and the metrics' gate at 1e-12).
-Each coupled-basis unit 1_(m_j) (x) |m><m'| is PI, so constant on every
-class, and its values there, read once from ``coupled_basis``, form one
-real square map between the class sums and the mean rho_j of the m_j
-diagonal copy blocks of each sector.  The "blocks" states are built
-through it, and ``project_physical`` diagonalizes only the (2j+1)-sided
-mean blocks, all in one stacked eigensolve.  So do ``fidelity`` and
-``trace_distance`` for 5 <= n <= 8
+Each unit sum_c |j, c, m><j, c, m'| is PI, so constant on every class,
+and its values there, in closed form from one Dicke copy followed by
+singlets (``_units``), form one real square map between the class sums
+and the mean rho_j of the m_j diagonal copy blocks of each sector.  The
+"blocks" states are built through it, and ``project_physical``
+diagonalizes only the (2j+1)-sided mean blocks, all in one stacked
+eigensolve.  So do ``fidelity`` and ``trace_distance`` for 5 <= n <= 8
 when their inputs (for the trace distance, their difference) pass that
 gate.  Anything else, and every input below n = 5, where the 2^n-sided
 eigensolves are the cheaper path, is scored on the dense matrices.
@@ -134,58 +135,10 @@ def independent_parameter_count(n: int) -> int:
     return sum((int(2 * j) + 1) ** 2 for j in spin_values(n)) - 1
 
 
-class CoupledBasis(NamedTuple):
-    """The coupled spin basis of n qubits, sectors in ``spin_values`` order.
-
-    ``matrix`` is real orthogonal.  Its columns run sector by sector, within
-    a sector copy by copy, and within a copy over |j, m> for m = j .. -j.
-    ``sizes`` holds 2j + 1 and ``counts`` the multiplicity of each sector.
-    """
-
-    matrix: np.ndarray
-    sizes: tuple
-    counts: tuple
-
-
-@lru_cache(maxsize=None)
-def coupled_basis(n: int) -> CoupledBasis:
-    """Read-only ``CoupledBasis``: qubits 1 .. n coupled in sequence, |0> as spin up.
-
-    Each step couples a spin-j copy, d = 2j + 1 columns |i> (m = j - i), to
-    one more qubit, the next less significant bit, with the spin-1/2
-    Clebsch-Gordan coefficients.  Column i of the new copies reads
-
-        j + 1/2:   sqrt((d - i) / d) |i>|0>     + sqrt(i / d) |i - 1>|1>
-        j - 1/2:  -sqrt((i + 1) / d) |i + 1>|0> + sqrt((d - 1 - i) / d) |i>|1>
-
-    and a sector lists the copies coupled up from j - 1/2 before those
-    coupled down from j + 1/2.
-    """
-    if n < 1:
-        raise UnsupportedFieldSizeError(f"spin blocks need n >= 1, got n={n}")
-    if n > _TWIRL_MAX_N:
-        raise DimensionOverflowError(f"spin blocks support n <= {_TWIRL_MAX_N}, got n={n}")
-    sectors = {1: np.ones((1, 1, 1))}  # size -> copies as [row, copy, i]
-    for _ in range(n):
-        grown: dict[int, list] = {}
-        for d, old in sorted(sectors.items()):
-            i = np.arange(d)
-            up = np.zeros((old.shape[0], 2, old.shape[1], d + 1))
-            up[:, 0, :, :d] = old * np.sqrt((d - i) / d)
-            up[:, 1, :, 1:] = old * np.sqrt((i + 1) / d)
-            grown.setdefault(d + 1, []).append(up)
-            if d > 1:
-                down = np.empty((old.shape[0], 2, old.shape[1], d - 1))
-                down[:, 0] = old[..., 1:] * -np.sqrt(i[1:] / d)
-                down[:, 1] = old[..., :-1] * np.sqrt((d - 1 - i[:-1]) / d)
-                grown.setdefault(d - 1, []).append(down)
-        sectors = {d: np.concatenate([c.reshape(2 * c.shape[0], c.shape[2], d) for c in parts],
-                                     axis=1)
-                   for d, parts in grown.items()}
-    sizes = tuple(sorted(sectors, reverse=True))
-    matrix = np.concatenate([sectors[d].reshape(1 << n, -1) for d in sizes], axis=1)
-    matrix.flags.writeable = False
-    return CoupledBasis(matrix, sizes, tuple(sectors[d].shape[1] for d in sizes))
+def _sectors(n: int) -> tuple[tuple, tuple]:
+    """The sides 2j + 1 and the multiplicities m_j of the spin sectors, in ``spin_values`` order."""
+    return (tuple(int(2 * j) + 1 for j in spin_values(n)),
+            tuple(multiplicity(n, j) for j in spin_values(n)))
 
 
 class _Classes(NamedTuple):
@@ -198,12 +151,13 @@ class _Classes(NamedTuple):
     real view (2 key + 0 for the real part, + 1 for the imaginary part), and
     ``sizes`` the number of entries of each class, as a column.
 
-    Block entry b is (j, m, m') in sector order, row by row within a block.
-    Its unit U (1_(m_j) (x) |m><m'|) U^T is real and PI, so constant on each
-    class: ``units[k, b]`` is its value there.  The mean copy blocks of a
-    matrix are then ``reads`` (the transpose of ``units`` over m_j) times its
-    class sums, and a block list becomes a matrix as ``units`` times its
-    entries, gathered by ``keys``.
+    Block entry b is (j, m, m') in sector order, row by row within a block,
+    in the block convention of the module docstring.  Its unit
+    sum_c |j, c, m><j, c, m'| is real and PI, so constant on each class:
+    ``units[k, b]`` is its value there (``_units``).  The mean copy blocks
+    of a matrix are then ``reads`` (the transpose of ``units`` over m_j)
+    times its class sums, and a block list becomes a matrix as ``units``
+    times its entries, gathered by ``keys``.
 
     ``shape`` is that of the blocks zero padded to a (sectors, n + 1, n + 1)
     stack, and ``padded`` the place of each b in it.  In that stack
@@ -236,36 +190,74 @@ def _representatives(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (1 << (kx + ky)) - 1, (1 << ky) - 1 | ((1 << kz) - 1) << (kx + ky)
 
 
+def _units(n: int) -> np.ndarray:
+    """``units[k, b]``, the value on class k of the spin-block unit b, in closed form.
+
+    The unit of block entry (j, m, m') is sum_c |j, c, m><j, c, m'| over the
+    m_j copies, which is m_j times the twirl of |v_m><v_m'| for any one
+    spin-j copy v in the standard phases.  Take v as the Dicke states on 2j
+    qubits, w = j - m of them |1>, followed by P = n/2 - j singlets
+    (|01> - |10>) / sqrt 2.  A singlet's bit pairs carry the types {I, Y}
+    (entry 1/2) or {X, Z} (entry -1/2), so class k = (k_X, k_Y, k_Z, k_I),
+    of N_k = n! / (k_X! k_Y! k_Z! k_I!) entries, meets only w = k_X + k_Y - P
+    and w' = k_Y + k_Z - P, where the unit reads
+
+        m_j / (N_k sqrt(C(2j, w) C(2j, w'))) sum_q (-1)^(P - q) C(P, q)
+            (2j)! / ((k_X - P + q)! (k_Y - q)! (k_Z - P + q)! (k_I - q)!)
+
+    over the q of the singlets of types {I, Y}.  The multinomials are exact
+    in int64 for every n <= ``gf2n.MAX_N``, and no 2^n-sided array is built.
+    """
+    kx, ky, kz = np.array(pi_types(n)).T
+    ki = n - kx - ky - kz
+    factorials = np.array([math.factorial(i) for i in range(n + 1)])
+
+    def multinomial(*parts):
+        # (sum of parts)! / (product of part!), 0 where a part is negative
+        parts = np.array(parts)
+        ok = (parts >= 0).all(axis=0)
+        return np.where(ok, factorials[parts.sum(axis=0)]
+                        // factorials[np.where(ok, parts, 0)].prod(axis=0), 0)
+
+    entries = multinomial(kx, ky, kz, ki)
+    units = []
+    for size, count in zip(*_sectors(n)):
+        two_j, p = size - 1, (n + 1 - size) // 2
+        sums = sum((-1) ** (p - q) * math.comb(p, q)
+                   * multinomial(kx - p + q, ky - q, kz - p + q, ki - q) for q in range(p + 1))
+        # a nonzero sum has a term with every part >= 0, so 0 <= w, w' <= 2j there
+        k = np.nonzero(sums)[0]
+        w, w2 = kx[k] + ky[k] - p, ky[k] + kz[k] - p
+        block = np.zeros((len(kx), size, size))
+        block[k, w, w2] = count * sums[k] / (entries[k] * np.sqrt(
+            multinomial(w, two_j - w) * multinomial(w2, two_j - w2)))
+        units.append(block.reshape(len(kx), -1))
+    return np.concatenate(units, axis=1)
+
+
 @lru_cache(maxsize=None)
 def _classes(n: int) -> _Classes:
-    basis = coupled_basis(n)
+    if n > _TWIRL_MAX_N:
+        raise DimensionOverflowError(f"spin blocks support n <= {_TWIRL_MAX_N}, got n={n}")
+    block_sizes, block_counts = _sectors(n)
     side = n + 1
     keys = type_grid(n)
     pairs = (2 * keys[..., None] + np.arange(2)).ravel()
-    r, s = _representatives(n)
-    rows, cols = basis.matrix[r], basis.matrix[s]
-    units, start = [], 0
-    for size, count in zip(basis.sizes, basis.counts):
-        span = slice(start, start + size * count)
-        copies_r = rows[:, span].reshape(-1, count, size)
-        copies_s = cols[:, span].reshape(-1, count, size)
-        units.append((copies_r.swapaxes(1, 2) @ copies_s).reshape(len(rows), -1))
-        start = span.stop
-    units = np.concatenate(units, axis=1)
-    reads = units.T / np.repeat(basis.counts, np.square(basis.sizes))[:, None]
+    units = _units(n)
+    reads = units.T / np.repeat(block_counts, np.square(block_sizes))[:, None]
     padded = np.concatenate([(t * side + np.arange(size)[:, None]) * side + np.arange(size)
-                             for t, size in enumerate(basis.sizes)], axis=None)
+                             for t, size in enumerate(block_sizes)], axis=None)
     spare = np.concatenate([t * side * side + np.arange(size, side) * (side + 1)
-                            for t, size in enumerate(basis.sizes)])
-    kept = np.concatenate([t * side + np.arange(size) for t, size in enumerate(basis.sizes)])
-    counts = np.array(basis.counts, dtype=float)[:, None]
+                            for t, size in enumerate(block_sizes)])
+    kept = np.concatenate([t * side + np.arange(size) for t, size in enumerate(block_sizes)])
+    counts = np.array(block_counts, dtype=float)[:, None]
     sizes = np.bincount(keys.ravel())[:, None].astype(float)
-    reps = np.repeat(basis.counts, basis.sizes)
+    reps = np.repeat(block_counts, block_sizes)
     spread = kept.repeat(reps)
     firsts = np.cumsum(reps) - reps
     for arr in (pairs, sizes, units, reads, padded, spare, kept, spread, firsts, counts):
         arr.flags.writeable = False
-    return _Classes(keys, pairs, sizes, units, reads, (len(basis.sizes), side, side), padded,
+    return _Classes(keys, pairs, sizes, units, reads, (len(block_sizes), side, side), padded,
                     spare, kept, spread, firsts, counts)
 
 
@@ -308,7 +300,7 @@ def _mean_stack(classes: _Classes, sums: np.ndarray) -> np.ndarray:
 
 
 def _from_entries(classes: _Classes, entries: np.ndarray) -> np.ndarray:
-    """U (+)_j (1_(m_j) (x) rho_j) U^T from the complex entries of the rho_j, block after block."""
+    """The 2^n-sided sum_j sum_c rho_j from the complex entries of the rho_j, block after block."""
     values = (classes.units @ entries.view(float).reshape(-1, 2)).view(complex).ravel()
     return values[classes.keys]
 
@@ -340,7 +332,7 @@ def twirl(rho: np.ndarray) -> np.ndarray:
     replaces each entry by the mean of its orbit, its class in
     ``type_grid``: one sum per class and one gather.
     Any square matrix of side 2^n is accepted, Hermitian or not, and no
-    4^n Pauli table or coupled-basis product is formed.  A NaN entry stays
+    4^n Pauli table or basis of spin copies is formed.  A NaN entry stays
     within its own class.
     """
     classes = _classes(qubit_count(rho))
@@ -369,8 +361,9 @@ class PIStateSpec:
     method "dicke":  mixture of Dicke projectors with given weights
                      (one weight per excitation number 0..n).
     method "blocks": explicit spin-block densities rho_j with sector
-                     probabilities p_j, each spread evenly over the copies
-                     of its sector in ``coupled_basis`` (n <= 8).
+                     probabilities p_j, each spread evenly over the m_j
+                     copies of its sector, in the block convention of the
+                     module docstring (n <= 8).
     """
 
     n: int
@@ -457,8 +450,9 @@ def random_pi_state(spec: PIStateSpec) -> np.ndarray:
                 rho += w * np.outer(vec, vec.conj())
         return rho
     if spec.method == "blocks":
-        basis = coupled_basis(n)
-        two_js = [size - 1 for size in basis.sizes]
+        classes = _classes(n)
+        sides, copies = _sectors(n)
+        two_js = [size - 1 for size in sides]
         probs, blocks = spec.block_probs, spec.blocks
         if probs is None or blocks is None or len(probs) != len(two_js) or len(blocks) != len(two_js):
             raise ValueError(
@@ -473,8 +467,8 @@ def random_pi_state(spec: PIStateSpec) -> np.ndarray:
                 raise ValueError(f"sector 2j={two_j} block must be a density matrix")
         # each copy of a sector carries block / count, so every copy weighs the same
         entries = [p_j / count * np.ravel(block)
-                   for p_j, block, count in zip(probs, blocks, basis.counts)]
-        return _from_entries(_classes(n), np.concatenate(entries, dtype=complex))
+                   for p_j, block, count in zip(probs, blocks, copies)]
+        return _from_entries(classes, np.concatenate(entries, dtype=complex))
     raise ValueError(f"unknown PI state method: {spec.method!r}")
 
 
@@ -567,8 +561,11 @@ def reconstruct(
     only for n <= 2.  These modes need the orbit table (else
     ``MissingOrbitError``) and the full family.
 
-    No physicality projection is applied here.
+    No physicality projection is applied here.  Any other ``mode`` raises
+    ``ValueError`` before a record is read.
     """
+    if mode not in RECONSTRUCT_MODES:
+        raise ValueError(f"unknown reconstruct mode {mode!r}, expected one of {RECONSTRUCT_MODES}")
     field, n = family.field, family.field.n
     labels, probs = _distributions(records, field)
     present = set(labels)
@@ -663,13 +660,13 @@ def _project_to_simplex(values: np.ndarray) -> np.ndarray:
 
 
 def project_physical(rho_hat: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest PI density matrix, projected block by block in the coupled basis.
+    """Frobenius-nearest PI density matrix, projected spin block by spin block.
 
-    In the coupled basis U (``coupled_basis``) a PI operator reads
-    (+)_j 1_(m_j) (x) rho_j.  The twirl, the orthogonal projector onto such
-    operators, sets each rho_j to the mean of the m_j diagonal copy blocks of
-    U^T rho_hat U, read from the class sums of rho_hat (``_classes``), and
-    the nearest PI state is the nearest state to the twirled estimate.  The
+    A PI operator is sum_j sum_c rho_j on the m_j spin-j copies, in the
+    block convention of the module docstring.  The twirl, the orthogonal
+    projector onto such operators, sets each rho_j to the mean of the m_j
+    diagonal copy blocks of rho_hat, read from its class sums
+    (``_classes``), and the nearest PI state is the nearest state to the twirled estimate.  The
     mean blocks are made Hermitian in one (sectors, n + 1, n + 1) stack,
     whose diagonal past each smaller block is padded above every block
     eigenvalue, so one ``eigh`` call diagonalizes every block and lists its
@@ -700,7 +697,7 @@ def project_physical(rho_hat: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 # The metrics score PI pairs on spin blocks for 5 <= n <= _TWIRL_MAX_N (the
-# ``coupled_basis`` cap).  At n = 3 the 2^n-sided eigensolves cost less than
+# cap of ``_classes``).  At n = 3 the 2^n-sided eigensolves cost less than
 # reading and checking the blocks; at n = 4 the blocks win the fidelity and
 # lose the trace distance, and the dense path keeps its exact results there.
 _BLOCK_METRICS_MIN_N = 5

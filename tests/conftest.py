@@ -1,9 +1,9 @@
 """Shared cached constructions (building a MUB family is the slow step), and
 the oracles that several test files share: the field's per-element trace and
-per-bit coordinate tables, the per-slope anchor gauge, the
-permutation matrix of the operator and twirl tests, the transposition test
-for PI operators, the spin blocks read and written by products with the
-coupled basis, the physicality projection one sector at a time, the
+per-bit coordinate tables, the per-slope anchor gauge, the permutation
+matrix of the operator and twirl tests, the transposition test for PI
+operators, the coupled spin basis and the spin blocks read and written by
+products with it, the physicality projection one sector at a time, the
 phase-space points of a basis, the Born probabilities one basis at a time,
 the frame identity over a whole family, and the quality metrics computed on
 2^n-sided matrices.
@@ -17,6 +17,7 @@ import os
 import sys
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 if _SRC not in sys.path:
@@ -31,7 +32,9 @@ from pimub import build_family, enumerate_orbits, make_field  # noqa: E402
 from pimub.gf2n import _selfdual_basis  # noqa: E402
 from pimub.mub import born_probabilities, family_operator  # noqa: E402
 from pimub.operators import pauli_table, popcounts, swap_index, walsh  # noqa: E402
-from pimub.tomography import _project_to_simplex, coupled_basis  # noqa: E402
+from pimub.errors import DimensionOverflowError, UnsupportedFieldSizeError  # noqa: E402
+from pimub.tomography import (_TWIRL_MAX_N, _project_to_simplex,  # noqa: E402
+                              _representatives)
 
 
 @lru_cache(maxsize=None)
@@ -222,6 +225,76 @@ def swap_invariant(rho, tol):
             if np.abs(rho - rho[np.ix_(perm, perm)]).max() > tol:
                 return False
     return True
+
+
+class CoupledBasis(NamedTuple):
+    """The coupled spin basis of n qubits, sectors in ``spin_values`` order.
+
+    ``matrix`` is real orthogonal.  Its columns run sector by sector, within
+    a sector copy by copy, and within a copy over |j, m> for m = j .. -j.
+    ``sizes`` holds 2j + 1 and ``counts`` the multiplicity of each sector.
+    """
+
+    matrix: np.ndarray
+    sizes: tuple
+    counts: tuple
+
+
+@lru_cache(maxsize=None)
+def coupled_basis(n):
+    """Oracle: read-only ``CoupledBasis``, qubits 1 .. n coupled in sequence, |0> as spin up.
+
+    Each step couples a spin-j copy, d = 2j + 1 columns |i> (m = j - i), to
+    one more qubit, the next less significant bit, with the spin-1/2
+    Clebsch-Gordan coefficients.  Column i of the new copies reads
+
+        j + 1/2:   sqrt((d - i) / d) |i>|0>     + sqrt(i / d) |i - 1>|1>
+        j - 1/2:  -sqrt((i + 1) / d) |i + 1>|0> + sqrt((d - 1 - i) / d) |i>|1>
+
+    and a sector lists the copies coupled up from j - 1/2 before those
+    coupled down from j + 1/2.  Every copy is in the standard phases, so the
+    products with it are the U-product oracle of the spin-block maps.
+    """
+    if n < 1:
+        raise UnsupportedFieldSizeError(f"spin blocks need n >= 1, got n={n}")
+    if n > _TWIRL_MAX_N:
+        raise DimensionOverflowError(f"spin blocks support n <= {_TWIRL_MAX_N}, got n={n}")
+    sectors = {1: np.ones((1, 1, 1))}  # size -> copies as [row, copy, i]
+    for _ in range(n):
+        grown = {}
+        for d, old in sorted(sectors.items()):
+            i = np.arange(d)
+            up = np.zeros((old.shape[0], 2, old.shape[1], d + 1))
+            up[:, 0, :, :d] = old * np.sqrt((d - i) / d)
+            up[:, 1, :, 1:] = old * np.sqrt((i + 1) / d)
+            grown.setdefault(d + 1, []).append(up)
+            if d > 1:
+                down = np.empty((old.shape[0], 2, old.shape[1], d - 1))
+                down[:, 0] = old[..., 1:] * -np.sqrt(i[1:] / d)
+                down[:, 1] = old[..., :-1] * np.sqrt((d - 1 - i[:-1]) / d)
+                grown.setdefault(d - 1, []).append(down)
+        sectors = {d: np.concatenate([c.reshape(2 * c.shape[0], c.shape[2], d) for c in parts],
+                                     axis=1)
+                   for d, parts in grown.items()}
+    sizes = tuple(sorted(sectors, reverse=True))
+    matrix = np.concatenate([sectors[d].reshape(1 << n, -1) for d in sizes], axis=1)
+    matrix.flags.writeable = False
+    return CoupledBasis(matrix, sizes, tuple(sectors[d].shape[1] for d in sizes))
+
+
+def coupled_units(n):
+    """Oracle: units[k, b], the entry of U (1_(m_j) (x) |m><m'|) U^T at class k's
+    representative, from the copy columns of U at its two masks."""
+    u, sizes, counts = coupled_basis(n)
+    r, s = _representatives(n)
+    units, start = [], 0
+    for size, count in zip(sizes, counts):
+        span = slice(start, start + size * count)
+        copies_r = u[r, span].reshape(-1, count, size)
+        copies_s = u[s, span].reshape(-1, count, size)
+        units.append((copies_r.swapaxes(1, 2) @ copies_s).reshape(len(r), -1))
+        start = span.stop
+    return np.concatenate(units, axis=1)
 
 
 def coupled_mean_blocks(mat):

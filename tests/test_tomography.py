@@ -34,7 +34,6 @@ from pimub.tomography import (
     RECONSTRUCT_MODES,
     MeasurementRecord,
     PIStateSpec,
-    coupled_basis,
     dicke_state,
     exact_probabilities,
     fidelity,
@@ -58,10 +57,11 @@ from pimub.tomography import (
 from pimub.tomography import (_class_sums, _classes, _distributions, _from_entries, _mean_stack,
                               _project_to_simplex, _representatives, _type_map)
 
-from conftest import (coupled_from_blocks, coupled_mean_blocks, dense_fidelity,
-                      dense_trace_distance, family, field, looped_born_probabilities,
-                      looped_projection, orbit_table, permutation_matrix,
-                      reconstruct_identity_check, stabilizer_points, swap_invariant)
+from conftest import (coupled_basis, coupled_from_blocks, coupled_mean_blocks, coupled_units,
+                      dense_fidelity, dense_trace_distance, family, field,
+                      looped_born_probabilities, looped_projection, orbit_table,
+                      permutation_matrix, reconstruct_identity_check, stabilizer_points,
+                      swap_invariant)
 
 
 def projector(fam, label, nu):
@@ -327,10 +327,24 @@ def test_type_map_matches_the_pauli_assembly(n):
         assert np.abs(span.reshape(size, size) - block).max() <= 1e-14
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_closed_form_units_are_orthogonal_with_norms_m_j(n):
+    # Tr(B_b^T B_b') over the 2^n-sided units is m_j delta_(b, b'): class k holds N_k entries
+    units = tomography._units(n)
+    entries = np.array([math.factorial(n) // math.prod(map(math.factorial, (*t, n - sum(t))))
+                        for t in pi_types(n)])
+    m_j = np.concatenate([np.full((int(2 * j) + 1) ** 2, multiplicity(n, j))
+                          for j in spin_values(n)])
+    assert units.shape == (math.comb(n + 3, 3), len(m_j))
+    gram = units.T @ (entries[:, None] * units)
+    assert np.abs(gram - np.diag(m_j)).max() <= 1e-15 * m_j.max()
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_class_twirl_matches_the_coupled_basis_products(n):
     ginibre = random_density_matrix(2**n, seed=100 + n)
     classes = _classes(n)
+    assert np.abs(classes.units - coupled_units(n)).max() <= 1e-15
     for mat in (ginibre, twirl(ginibre)):
         blocks = coupled_mean_blocks(mat)
         stack = _mean_stack(classes, _class_sums(classes, mat))
@@ -1182,6 +1196,16 @@ def test_reconstruct_rejects_unknown_mode_and_unnormalized_records():
     records[1].data[0] += 0.1
     with pytest.raises(NotNormalizedError):
         reconstruct(records, orbit_table(2), fam)
+
+
+def test_reconstruct_names_the_modes_before_reading_records():
+    fam = family(2)
+    records = exact_probabilities(np.eye(4, dtype=complex) / 4.0, fam, minimal_bases(field(2)))
+    with pytest.raises(ValueError, match="unknown reconstruct mode 'foo'.*pi-subspace"):
+        reconstruct(records, None, fam, mode="foo")
+    records[1].data[0] += 0.1
+    with pytest.raises(ValueError, match="unknown reconstruct mode 'foo'.*average"):
+        reconstruct(records, orbit_table(2), fam, mode="foo")
 
 
 def test_estimators_never_hash_label_points(monkeypatch):

@@ -14,8 +14,10 @@ parse as JSON of the same shape, the largest absolute difference between
 their numbers is reported instead, with the JSON path where it sits (e.g.
 ``at fidelity``).  Where stdout is text on both sides (``verify``) and the
 two texts match once every number is masked, it is the largest difference
-between their numbers, with the line where it sits.  Exit status 0 when
-every case matches byte for byte, else 1.
+between their numbers, with the line where it sits.  The summary gives the
+largest deviation by n and by kind of case (field, orbits, mubs, verify,
+simulate per state method, reconstruct), 0 where every case of it is
+byte-identical.  Exit status 0 when every case matches byte for byte, else 1.
 """
 
 from __future__ import annotations
@@ -111,13 +113,16 @@ def main() -> int:
     args = parser.parse_args()
     trees = {"parent": str(Path(args.parent).resolve()), "change": str(Path(args.change).resolve())}
     worst: dict[int, float] = {}
+    by_kind = dict.fromkeys(["field", "orbits", "mubs", "verify",
+                             *(f"simulate {m}" for m in METHODS), "reconstruct"], 0.0)
     identical = True
 
-    def record(n: int, name: str, outputs: dict) -> None:
+    def record(n: int, kind: str, name: str, outputs: dict) -> None:
         nonlocal identical
         same, dev = compare(name, outputs["parent"], outputs["change"])
         identical &= same
         worst[n] = max(worst.get(n, 0.0), dev)
+        by_kind[kind] = max(by_kind[kind], dev)
 
     with tempfile.TemporaryDirectory() as tmp:
         for n in range(1, args.max_n + 1):
@@ -129,25 +134,28 @@ def main() -> int:
             cases += [["mubs", "--n", str(n)]] if n <= 5 else []
             cases += [["verify", "--n", str(n)]] if n <= 6 else []
             for argv in cases:
-                record(n, " ".join(argv), {side: run(src, argv, tmp) for side, src in trees.items()})
+                record(n, argv[0], " ".join(argv),
+                       {side: run(src, argv, tmp) for side, src in trees.items()})
             for method in METHODS:
                 for sampling in SAMPLING:
                     argv = ["simulate", "--n", str(n), "--seed", str(n), "--method", method,
                             *sampling]
                     outputs = {side: run(src, argv, tmp) for side, src in trees.items()}
-                    record(n, " ".join(argv), outputs)
+                    record(n, f"simulate {method}", " ".join(argv), outputs)
                     for side, (_, stdout, _) in outputs.items():
                         Path(tmp, f"{side}.json").write_bytes(stdout)
                     for mode in MODES:
                         for project in ((), ("--project",)):
                             tail = ["--mode", mode, *project]
-                            record(n, " ".join(argv + ["| reconstruct", *tail]), {
+                            record(n, "reconstruct", " ".join(argv + ["| reconstruct", *tail]), {
                                 side: run(src, ["reconstruct", "--records", f"{side}.json", *tail],
                                           tmp)
                                 for side, src in trees.items()
                             })
     print("largest stdout deviation by n: "
           + ", ".join(f"{n}: {dev:.3g}" for n, dev in sorted(worst.items())))
+    print("largest stdout deviation by kind: "
+          + ", ".join(f"{kind}: {dev:.3g}" for kind, dev in by_kind.items()))
     print("all cases byte-identical" if identical else "some cases differ")
     return 0 if identical else 1
 
