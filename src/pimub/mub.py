@@ -104,8 +104,7 @@ import numpy as np
 
 from .errors import MissingBasisError, NotNormalizedError, SchemaError, json_int
 from .gf2n import Field, FieldElement
-from .operators import (pauli_operator, pauli_phase, pauli_types, permute_label, popcounts,
-                        swap_index, walsh)
+from .operators import pauli_operator, pauli_phase, pauli_types, permute_label, swap_index, walsh
 
 
 # ----------------------------------------------------------------------
@@ -392,14 +391,14 @@ class MubFamily:
         P_alpha |anchor> = lambda_alpha |anchor>, and entry r of the left side is
         (-i)^|z & x| (-1)^|z & r| anchor[r ^ x], so lambda_alpha is that over
         anchor[r] at any r where the anchor is nonzero: O(2^n), not a 4^n moment.
+        Every anchor (i^k / 2^(n/2), e_0 or the uniform vector) is nonzero at
+        r = 0, where the sign is 1.
         """
         entry = self.tables.get(label)
         if entry is None:
             anchor = self.anchor(label)
             z, x, types = stabilizer_table(self.field, label)
-            r = int(np.argmax(np.abs(anchor)))
-            signs = 1 - 2 * (popcounts(self.field.size)[z & r] & 1)
-            ratio = pauli_phase(self.field.n, z, x) * signs * anchor[r ^ x] / anchor[r]
+            ratio = pauli_phase(self.field.n, z, x) * anchor[x] / anchor[0]
             eigenvalues = ratio.real.copy()
             eigenvalues.flags.writeable = False
             entry = self.tables[label] = BasisTable(z, x, types, eigenvalues)

@@ -168,7 +168,9 @@ def expand_probabilities(
 
     Row k of ``probs`` is the distribution of ``labels[k]`` by the bits of
     nu, so its shape must be (len(labels), 2^n) (else ``SchemaError``); the
-    rows must pass ``mub.check_distributions`` and no label may repeat.  Every orbit must own at least one measured point.  ``mode``
+    rows must pass ``mub.check_distributions`` and no label may repeat.  A
+    slope label of another n raises ``SchemaError`` before any row is read.
+    Every orbit must own at least one measured point.  ``mode``
     selects what value an orbit carries when several of its points were
     measured: ``"representative"`` takes the measured point with the
     smallest label key, ``"average"`` takes the mean.  Returns the
@@ -182,6 +184,10 @@ def expand_probabilities(
     if values.shape != (len(labels), size):
         raise SchemaError(f"distributions have shape {values.shape}, expected "
                           f"{(len(labels), size)}: one row of 2^n per label")
+    for label in labels:
+        if not label.is_vertical and label.slope.field.n != table.n:
+            raise SchemaError(f"basis {label!r} is a slope of n={label.slope.field.n}, "
+                              f"not of the table's n={table.n}")
     rows = np.array([_row(label, size) for label in labels], dtype=np.intp)
     # rows in label-key order, so the flattened points are in label-key order
     order = np.argsort(rows)

@@ -50,9 +50,10 @@ transforms them into Born probabilities in one stacked product
 into the same expectations in one product (``mub.pauli_expectations``); no
 basis is expanded.  The PI-subspace fit below leaves one coordinate per
 Pauli type, and a type sum S_t is PI, so constant on each entry class:
-``_type_map`` holds 2^-n S_t on every class at every n, and the estimate
-is that map times the coordinates, gathered by class, with no 4^n array
-but the estimate itself; the orbit modes use ``operators.pauli_operator``.
+``_type_map`` holds 2^-n S_t on every class at every n, in closed form
+from the types alone, and the estimate is that map times the coordinates,
+gathered by class, with no 4^n array but the estimate itself; the orbit
+modes use ``operators.pauli_operator``.
 
 The default inversion is least squares on the PI operator subspace.  Each
 measured basis is the joint eigenbasis of 2^n - 1 Pauli monomials, so its
@@ -84,6 +85,7 @@ from .errors import (
     InvalidSpinError,
     MissingBasisError,
     MissingOrbitError,
+    NotNormalizedError,
     SchemaError,
     UnsupportedFieldSizeError,
     json_int,
@@ -100,8 +102,7 @@ from .mub import (
     pauli_expectations,
     stabilizer_table,
 )
-from .operators import (is_density_matrix, pauli_phase, pauli_table, pauli_types, pi_types,
-                        qubit_count, type_grid, walsh)
+from .operators import is_density_matrix, pauli_table, pi_types, qubit_count, type_grid
 from .orbits import OrbitTable, expand_probabilities, minimal_bases
 
 _TWIRL_MAX_N = 8
@@ -184,10 +185,13 @@ class _Classes(NamedTuple):
     counts: np.ndarray
 
 
-def _representatives(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per class (k_X, k_Y, k_Z), r = the low k_X + k_Y bits; s = their low k_Y and k_Z above."""
-    kx, ky, kz = np.array(pi_types(n)).T
-    return (1 << (kx + ky)) - 1, (1 << ky) - 1 | ((1 << kz) - 1) << (kx + ky)
+def _multinomial(*parts) -> np.ndarray:
+    """(sum of parts)! / prod(part!) elementwise, 0 where a part is negative (int64, exact)."""
+    parts = np.array(np.broadcast_arrays(*parts))
+    ok = (parts >= 0).all(axis=0)
+    parts = np.where(ok, parts, 0)
+    factorials = np.cumprod([1, *range(1, parts.sum(axis=0).max() + 1)])
+    return np.where(ok, factorials[parts.sum(axis=0)] // factorials[parts].prod(axis=0), 0)
 
 
 def _units(n: int) -> np.ndarray:
@@ -208,29 +212,19 @@ def _units(n: int) -> np.ndarray:
     over the q of the singlets of types {I, Y}.  The multinomials are exact
     in int64 for every n <= ``gf2n.MAX_N``, and no 2^n-sided array is built.
     """
-    kx, ky, kz = np.array(pi_types(n)).T
-    ki = n - kx - ky - kz
-    factorials = np.array([math.factorial(i) for i in range(n + 1)])
-
-    def multinomial(*parts):
-        # (sum of parts)! / (product of part!), 0 where a part is negative
-        parts = np.array(parts)
-        ok = (parts >= 0).all(axis=0)
-        return np.where(ok, factorials[parts.sum(axis=0)]
-                        // factorials[np.where(ok, parts, 0)].prod(axis=0), 0)
-
-    entries = multinomial(kx, ky, kz, ki)
+    kx, ky, kz, ki = np.array([(*t, n - sum(t)) for t in pi_types(n)]).T
+    entries = _multinomial(kx, ky, kz, ki)
     units = []
     for size, count in zip(*_sectors(n)):
         two_j, p = size - 1, (n + 1 - size) // 2
         sums = sum((-1) ** (p - q) * math.comb(p, q)
-                   * multinomial(kx - p + q, ky - q, kz - p + q, ki - q) for q in range(p + 1))
+                   * _multinomial(kx - p + q, ky - q, kz - p + q, ki - q) for q in range(p + 1))
         # a nonzero sum has a term with every part >= 0, so 0 <= w, w' <= 2j there
         k = np.nonzero(sums)[0]
         w, w2 = kx[k] + ky[k] - p, ky[k] + kz[k] - p
         block = np.zeros((len(kx), size, size))
         block[k, w, w2] = count * sums[k] / (entries[k] * np.sqrt(
-            multinomial(w, two_j - w) * multinomial(w2, two_j - w2)))
+            _multinomial(w, two_j - w) * _multinomial(w2, two_j - w2)))
         units.append(block.reshape(len(kx), -1))
     return np.concatenate(units, axis=1)
 
@@ -251,7 +245,8 @@ def _classes(n: int) -> _Classes:
                             for t, size in enumerate(block_sizes)])
     kept = np.concatenate([t * side + np.arange(size) for t, size in enumerate(block_sizes)])
     counts = np.array(block_counts, dtype=float)[:, None]
-    sizes = np.bincount(keys.ravel())[:, None].astype(float)
+    types = np.array([(*t, n - sum(t)) for t in pi_types(n)]).T
+    sizes = _multinomial(*types)[:, None].astype(float)
     reps = np.repeat(block_counts, block_sizes)
     spread = kept.repeat(reps)
     firsts = np.cumsum(reps) - reps
@@ -265,17 +260,20 @@ def _classes(n: int) -> _Classes:
 def _type_map(n: int) -> np.ndarray:
     """Read-only V[k, t], the entry of the PI operator 2^-n S_t on class k, for every n.
 
-    Entry (r, s) of a string (-i)^|z & x| Z_z X_x is (-i)^|z & x| (-1)^|z & r|
-    for x = r ^ s; row k sums those by type over the 2^n masks z.
+    A string (-i)^|z & x| Z_z X_x meets entry (r, s) only at x = r ^ s, where it
+    reads (-i)^|z & x| (-1)^|z & r|: a Y factor gives i on the k_X bits and -i on
+    the k_Z bits, a Z factor -1 on the k_Y bits and 1 on the k_I bits.  So V[k, t]
+    is 2^-n i^t_Y K(k_X, k_Z; t_Y) K(k_I, k_Y; t_Z) if t_X + t_Y = k_X + k_Z, else
+    0, with K(p, q; m) = [y^m] (1 + y)^p (1 - y)^q exact in int64.
     """
-    dim = 1 << n
-    r, s = _representatives(n)
-    count, index = len(r), np.arange(dim)
-    x = (r ^ s)[:, None]
-    values = pauli_phase(n, index, x) * walsh(dim)[r]
-    cells = (np.arange(count)[:, None] * count + pauli_types(n, index, x)).ravel()
-    V = (np.bincount(cells, values.real.ravel(), count * count)
-         + 1j * np.bincount(cells, values.imag.ravel(), count * count)).reshape(count, count) / dim
+    kx, ky, kz, ki = np.array([(*t, n - sum(t)) for t in pi_types(n)]).T
+    p, q, m, b = np.ogrid[:n + 1, :n + 1, :n + 1, :n + 1]
+    krawtchouk = ((-1) ** b * _multinomial(b, q - b) * _multinomial(m - b, p - m + b)).sum(axis=-1)
+    counts = krawtchouk[kx[:, None], kz[:, None], ky] * krawtchouk[ki[:, None], ky[:, None], kz]
+    # i^t_Y from a table of its integer (real, imaginary) parts, so no zero of V is signed
+    real, imag = np.array([[1, 0, -1, 0], [0, 1, 0, -1]])[:, None, ky % 4] * np.where(
+        kx[:, None] + kz[:, None] == kx + ky, counts, 0)
+    V = (real + 1j * imag) / (1 << n)
     V.flags.writeable = False
     return V
 
@@ -517,13 +515,22 @@ def exact_probabilities(rho: np.ndarray, family: MubFamily, bases) -> list[Measu
 
 
 def sample_counts(record: MeasurementRecord, shots: int, seed: int) -> MeasurementRecord:
-    """Multinomial shot-noise simulation of an exact record (seeded)."""
+    """Multinomial shot-noise simulation of an exact record (seeded).
+
+    The negative entries are clipped to 0, and the rest must have a finite
+    positive sum (else ``NotNormalizedError``); they are scaled to sum to 1.
+    """
     if record.is_sampled:
         raise ValueError("record already holds sampled counts")
     if json_int(shots, "shots") < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     pvals = np.maximum(record.data, 0.0)
-    counts = np.random.default_rng(seed).multinomial(shots, pvals / pvals.sum())
+    total = pvals.sum()
+    # written "not <" so that NaN fails the test too
+    if not 0.0 < total < np.inf:
+        raise NotNormalizedError(f"record of basis {record.basis!r} has no finite positive mass "
+                                 f"to sample: its clipped entries sum to {float(total)}")
+    counts = np.random.default_rng(seed).multinomial(shots, pvals / total)
     return MeasurementRecord(n=record.n, basis=record.basis, data=counts, shots=shots)
 
 

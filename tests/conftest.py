@@ -2,8 +2,9 @@
 the oracles that several test files share: the field's per-element trace and
 per-bit coordinate tables, the per-slope anchor gauge, the permutation
 matrix of the operator and twirl tests, the transposition test for PI
-operators, the coupled spin basis and the spin blocks read and written by
-products with it, the physicality projection one sector at a time, the
+operators, one representative entry per entry class and the phase-sum
+type map at it, the coupled spin basis and the spin blocks read and written
+by products with it, the physicality projection one sector at a time, the
 phase-space points of a basis, the Born probabilities one basis at a time,
 the frame identity over a whole family, and the quality metrics computed on
 2^n-sided matrices.
@@ -31,10 +32,10 @@ import numpy as np  # noqa: E402
 from pimub import build_family, enumerate_orbits, make_field  # noqa: E402
 from pimub.gf2n import _selfdual_basis  # noqa: E402
 from pimub.mub import born_probabilities, family_operator  # noqa: E402
-from pimub.operators import pauli_table, popcounts, swap_index, walsh  # noqa: E402
+from pimub.operators import (pauli_phase, pauli_table, pauli_types, pi_types,  # noqa: E402
+                             popcounts, swap_index, walsh)
 from pimub.errors import DimensionOverflowError, UnsupportedFieldSizeError  # noqa: E402
-from pimub.tomography import (_TWIRL_MAX_N, _project_to_simplex,  # noqa: E402
-                              _representatives)
+from pimub.tomography import _TWIRL_MAX_N, _project_to_simplex  # noqa: E402
 
 
 @lru_cache(maxsize=None)
@@ -280,6 +281,29 @@ def coupled_basis(n):
     matrix = np.concatenate([sectors[d].reshape(1 << n, -1) for d in sizes], axis=1)
     matrix.flags.writeable = False
     return CoupledBasis(matrix, sizes, tuple(sectors[d].shape[1] for d in sizes))
+
+
+def _representatives(n):
+    """Per class (k_X, k_Y, k_Z), r = the low k_X + k_Y bits; s = their low k_Y and k_Z above."""
+    kx, ky, kz = np.array(pi_types(n)).T
+    return (1 << (kx + ky)) - 1, (1 << ky) - 1 | ((1 << kz) - 1) << (kx + ky)
+
+
+def phase_sum_type_map(n):
+    """Oracle: V[k, t], the entry of 2^-n S_t at class k's representative, as a phase sum.
+
+    Entry (r, s) of a string (-i)^|z & x| Z_z X_x is (-i)^|z & x| (-1)^|z & r|
+    for x = r ^ s; row k sums those by type over the 2^n masks z.
+    """
+    dim = 1 << n
+    r, s = _representatives(n)
+    count, index = len(r), np.arange(dim)
+    x = (r ^ s)[:, None]
+    values = pauli_phase(n, index, x) * walsh(dim)[r]
+    cells = (np.arange(count)[:, None] * count + pauli_types(n, index, x)).ravel()
+    V = (np.bincount(cells, values.real.ravel(), count * count)
+         + 1j * np.bincount(cells, values.imag.ravel(), count * count)).reshape(count, count) / dim
+    return V
 
 
 def coupled_units(n):

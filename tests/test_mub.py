@@ -342,6 +342,8 @@ def test_basis_tables_match_the_point_and_moment_oracles(n):
     f = field(n)
     fam = family(n)
     for label in fam.labels():
+        # the table reads the eigenvalues at index 0 of the anchor
+        assert fam.anchor(label)[0] != 0
         z, x, _, eigenvalues = fam.table(label)
         points = stabilizer_points(f, label)
         assert z.tolist() == [a.index for a, _ in points]

@@ -4,6 +4,7 @@ import collections
 import itertools
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -55,13 +56,13 @@ from pimub.tomography import (
     unmeasured_pi_types,
 )
 from pimub.tomography import (_class_sums, _classes, _distributions, _from_entries, _mean_stack,
-                              _project_to_simplex, _representatives, _type_map)
+                              _project_to_simplex, _type_map)
 
-from conftest import (coupled_basis, coupled_from_blocks, coupled_mean_blocks, coupled_units,
-                      dense_fidelity, dense_trace_distance, family, field,
+from conftest import (_representatives, coupled_basis, coupled_from_blocks, coupled_mean_blocks,
+                      coupled_units, dense_fidelity, dense_trace_distance, family, field,
                       looped_born_probabilities, looped_projection, orbit_table,
-                      permutation_matrix, reconstruct_identity_check, stabilizer_points,
-                      swap_invariant)
+                      permutation_matrix, phase_sum_type_map, reconstruct_identity_check,
+                      stabilizer_points, swap_invariant)
 
 
 def projector(fam, label, nu):
@@ -327,12 +328,52 @@ def test_type_map_matches_the_pauli_assembly(n):
         assert np.abs(span.reshape(size, size) - block).max() <= 1e-14
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_closed_form_type_map_is_the_phase_sum(n):
+    assert np.array_equal(_type_map(n), phase_sum_type_map(n))
+
+
+def _type_counts(n):
+    # N_t = n! / (t_X! t_Y! t_Z! t_I!), the strings of type t and the entries of class t
+    return np.array([math.factorial(n) // math.prod(map(math.factorial, (*t, n - sum(t))))
+                     for t in pi_types(n)])
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_closed_form_type_map_is_orthogonal_with_norms_n_t(n):
+    # Tr((2^-n S_t)^dag 2^-n S_t') = N_t delta_(t, t') / 2^n, a sum over the N_k entries of class k
+    V = _type_map(n)
+    sizes = _type_counts(n)
+    assert V.shape == (len(sizes), len(sizes)) and not V.flags.writeable and _type_map(n) is V
+    gram = V.conj().T @ (sizes[:, None] * V)
+    assert np.abs(gram - np.diag(sizes / 2**n)).max() <= 1e-15 * sizes.max() / 2**n
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_class_sizes_count_the_entries_of_each_class(n):
+    sizes = _classes(n).sizes
+    assert np.array_equal(sizes, np.bincount(type_grid(n).ravel())[:, None])
+    assert np.array_equal(sizes.ravel(), _type_counts(n))
+
+
+def test_cold_type_map_builds_no_2_to_the_n_sided_table():
+    # the phase sum held a 455 x 4096 phase table and walsh(4096), a 285 MiB peak at n = 12
+    operators.walsh.cache_clear()
+    _type_map.cache_clear()
+    tracemalloc.start()
+    try:
+        _type_map(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_closed_form_units_are_orthogonal_with_norms_m_j(n):
     # Tr(B_b^T B_b') over the 2^n-sided units is m_j delta_(b, b'): class k holds N_k entries
     units = tomography._units(n)
-    entries = np.array([math.factorial(n) // math.prod(map(math.factorial, (*t, n - sum(t))))
-                        for t in pi_types(n)])
+    entries = _type_counts(n)
     m_j = np.concatenate([np.full((int(2 * j) + 1) ** 2, multiplicity(n, j))
                           for j in spin_values(n)])
     assert units.shape == (math.comb(n + 3, 3), len(m_j))
@@ -736,6 +777,17 @@ def test_sampling_rejects_invalid_input():
     for shots in (10.5, 10.0, True, "10"):
         with pytest.raises(ValueError, match="shots must be an integer"):
             sample_counts(_exact_record(), shots=shots, seed=1)
+
+
+@pytest.mark.parametrize("value", (0.0, np.nan, np.inf))
+def test_sampling_needs_a_finite_positive_mass(value):
+    record = _exact_record()
+    data = np.zeros_like(record.data)
+    data[1] = value
+    empty = MeasurementRecord(n=record.n, basis=record.basis, data=data)
+    # the suite turns warnings into errors, so numpy's RuntimeWarning of 0 / 0 would fail this
+    with pytest.raises(NotNormalizedError, match="no finite positive mass"):
+        sample_counts(empty, shots=10, seed=1)
 
 
 def test_record_json_round_trip():

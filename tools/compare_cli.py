@@ -7,8 +7,11 @@ Each SRC is a directory holding the ``pimub`` package (a checkout's
 --verify``, ``orbits --n k`` (JSON and CSV), ``mubs --n k`` for k <= 5,
 ``verify --n k`` for k <= 6, and ``simulate`` with each state method, exact
 and sampled, each followed by ``reconstruct`` in every mode, with and
-without ``--project``.  A pipeline runs within one tree: the change's reconstruct
-reads the change's records.  For every case the exit code, stdout and
+without ``--project``.  One case past the spin-block cap always runs too:
+each tree writes exact n = 9 Dicke-mixture records with its own library
+(``RECORDS_N9``, one ``python -c``) and runs ``reconstruct`` on them.  A
+pipeline runs within one tree: the change's reconstruct reads the change's
+records.  For every case the exit code, stdout and
 stderr are compared byte for byte.  Where stdout differs but both sides
 parse as JSON of the same shape, the largest absolute difference between
 their numbers is reported instead, with the JSON path where it sits (e.g.
@@ -34,12 +37,25 @@ from pathlib import Path
 METHODS = ("twirl", "dicke", "blocks")
 SAMPLING = (("--exact",), ("--shots", "1000"))
 MODES = ("pi-subspace", "representative", "average")
+# exact records of a seeded n = 9 Dicke mixture on the minimal bases, as JSON on stdout
+RECORDS_N9 = """
+import json, sys
+import numpy as np
+from pimub import PIStateSpec, build_family, exact_probabilities, make_field, minimal_bases
+from pimub.tomography import random_pi_state, record_to_json
+n = 9
+f = make_field(n)
+bases = minimal_bases(f)
+rho = random_pi_state(PIStateSpec.dicke(n, np.random.default_rng(n).dirichlet(np.ones(n + 1))))
+records = exact_probabilities(rho, build_family(f, bases), bases)
+json.dump({"n": n, "records": [record_to_json(r) for r in records]}, sys.stdout)
+"""
 
 
-def run(src: str, argv: list[str], cwd: str) -> tuple[int, bytes, bytes]:
+def run(src: str, argv: list[str], cwd: str,
+        command=("-m", "pimub.cli")) -> tuple[int, bytes, bytes]:
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-m", "pimub.cli", *argv], cwd=cwd, env=env,
-                          capture_output=True)
+    proc = subprocess.run([sys.executable, *command, *argv], cwd=cwd, env=env, capture_output=True)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -152,6 +168,14 @@ def main() -> int:
                                           tmp)
                                 for side, src in trees.items()
                             })
+        outputs = {side: run(src, [], tmp, ("-c", RECORDS_N9)) for side, src in trees.items()}
+        record(9, "simulate dicke", "python -c RECORDS_N9", outputs)
+        for side, (_, stdout, _) in outputs.items():
+            Path(tmp, f"{side}.json").write_bytes(stdout)
+        record(9, "reconstruct", "python -c RECORDS_N9 | reconstruct", {
+            side: run(src, ["reconstruct", "--records", f"{side}.json"], tmp)
+            for side, src in trees.items()
+        })
     print("largest stdout deviation by n: "
           + ", ".join(f"{n}: {dev:.3g}" for n, dev in sorted(worst.items())))
     print("largest stdout deviation by kind: "
