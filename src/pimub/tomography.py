@@ -3,8 +3,10 @@
 A permutationally invariant (PI) n-qubit state decomposes over total-spin
 sectors j = j_min .. n/2 as a direct sum of spin blocks rho_j tensored with
 maximally mixed multiplicity factors; its free real parameter count is
-sum_j (2j+1)^2 - 1.  This module generates such states (exact twirl, Dicke
-mixtures, explicit spin blocks), simulates von Neumann measurements in the
+sum_j (2j+1)^2 - 1.  This module generates such states (the S_n twirl of a
+seeded Ginibre state, drawn as one Bartlett factor per spin sector from
+C(n + 3, 3) random numbers, chi-square diagonals then normals; Dicke
+mixtures; explicit spin blocks), simulates von Neumann measurements in the
 MUB family exactly or with multinomial shot noise, inverts measured
 probabilities back to a density matrix, and projects noisy estimates to the
 physical PI set.
@@ -169,6 +171,13 @@ class _Classes(NamedTuple):
     m_j times, the 2^n eigenvalues of the operator, and ``firsts`` where
     each block eigenvalue's repeats start in it.  ``counts`` holds m_j for
     each sector as a column.
+
+    The "twirl" state draws a lower-triangular factor per sector into that
+    stack.  ``factor`` holds the places, in the stack's real view, of the
+    real diagonal entries and then of the (real, imaginary) pairs of the
+    strictly-lower entries, sector after sector and row by row; ``dof`` the
+    chi-square degrees of freedom 2 (m_j 2^n - i) of diagonal entry i, and
+    ``weights`` 1 / m_j for each block entry b.
     """
 
     keys: np.ndarray
@@ -183,6 +192,9 @@ class _Classes(NamedTuple):
     spread: np.ndarray
     firsts: np.ndarray
     counts: np.ndarray
+    factor: np.ndarray
+    dof: np.ndarray
+    weights: np.ndarray
 
 
 def _multinomial(*parts) -> np.ndarray:
@@ -238,22 +250,29 @@ def _classes(n: int) -> _Classes:
     keys = type_grid(n)
     pairs = (2 * keys[..., None] + np.arange(2)).ravel()
     units = _units(n)
-    reads = units.T / np.repeat(block_counts, np.square(block_sizes))[:, None]
+    copies = np.repeat(block_counts, np.square(block_sizes))
+    reads = units.T / copies[:, None]
+    weights = 1.0 / copies
     padded = np.concatenate([(t * side + np.arange(size)[:, None]) * side + np.arange(size)
                              for t, size in enumerate(block_sizes)], axis=None)
     spare = np.concatenate([t * side * side + np.arange(size, side) * (side + 1)
                             for t, size in enumerate(block_sizes)])
     kept = np.concatenate([t * side + np.arange(size) for t, size in enumerate(block_sizes)])
+    row, col = padded // side % side, padded % side
+    factor = np.concatenate([2 * padded[row == col],
+                             (2 * padded[row > col, None] + [0, 1]).ravel()])
+    dof = 2.0 * ((np.array(block_counts) << n)[padded // (side * side)] - row)[row == col]
     counts = np.array(block_counts, dtype=float)[:, None]
     types = np.array([(*t, n - sum(t)) for t in pi_types(n)]).T
     sizes = _multinomial(*types)[:, None].astype(float)
     reps = np.repeat(block_counts, block_sizes)
     spread = kept.repeat(reps)
     firsts = np.cumsum(reps) - reps
-    for arr in (pairs, sizes, units, reads, padded, spare, kept, spread, firsts, counts):
+    for arr in (pairs, sizes, units, reads, padded, spare, kept, spread, firsts, counts, factor,
+                dof, weights):
         arr.flags.writeable = False
     return _Classes(keys, pairs, sizes, units, reads, (len(block_sizes), side, side), padded,
-                    spare, kept, spread, firsts, counts)
+                    spare, kept, spread, firsts, counts, factor, dof, weights)
 
 
 @lru_cache(maxsize=None)
@@ -355,7 +374,10 @@ def is_permutation_invariant(rho: np.ndarray, tol: float = 1e-10) -> bool:
 class PIStateSpec:
     """Recipe for a PI test state.
 
-    method "twirl":  seeded random full-rank state averaged over S_n.
+    method "twirl":  seeded random full-rank state averaged over S_n, of
+                     the law of twirl(G G^dag) / tr(G G^dag) for a complex
+                     Ginibre G, drawn on its spin blocks (``random_pi_state``;
+                     n <= 8).
     method "dicke":  mixture of Dicke projectors with given weights
                      (one weight per excitation number 0..n).
     method "blocks": explicit spin-block densities rho_j with sector
@@ -422,20 +444,49 @@ def _check_simplex(values, what: str) -> None:
         raise ValueError(f"{what} must be nonnegative and sum to 1, got {values}")
 
 
+def _check_seed(seed) -> None:
+    """``ValueError`` unless ``seed`` is a nonnegative int or numpy integer (a bool is neither)."""
+    if not (type(seed) is int or isinstance(seed, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def random_pi_state(spec: PIStateSpec) -> np.ndarray:
-    """Build the PI density matrix described by ``spec`` (1 <= n <= ``gf2n.MAX_N``)."""
+    """Build the PI density matrix described by ``spec`` (1 <= n <= ``gf2n.MAX_N``).
+
+    The "twirl" state has the law of the S_n twirl of a Ginibre state,
+    twirl(G G^dag) / tr(G G^dag) for a 2^n-sided complex Gaussian G, but it
+    is drawn on the spin blocks.  The twirl keeps the mean of the m_j diagonal
+    copy blocks of each sector, and those blocks of G G^dag are independent
+    complex Wishart(2j + 1, 2^n), so the sum is Wishart(2j + 1, m_j 2^n):
+    by the Bartlett decomposition (Goodman, Ann. Math. Stat. 34, 152
+    (1963)) it is L_j L_j^dag, with L_j lower triangular, its diagonal
+    entry i the root of a chi-square of 2 (m_j 2^n - i) degrees of freedom,
+    and each strictly-lower entry a + ib with a, b standard normal.  Every
+    copy block of the state is L_j L_j^dag / m_j over sum_t ||L_t||_F^2.
+    One ``default_rng(seed)`` makes one ``chisquare`` call for every
+    diagonal entry and then one ``standard_normal`` call for every (a, b)
+    pair, sector after sector and row by row, so C(n + 3, 3) random numbers
+    make the state.  The seed must be a nonnegative integer (``ValueError``
+    otherwise), and n > 8 raises ``DimensionOverflowError``, the cap of
+    ``_classes``.
+    """
     n = spec.n
-    # both caps fire before any 2^n x 2^n allocation (248 MB at n = 11, 1 GiB at n = 13);
-    # the twirl cap compares n only once it is known to be an int
-    if isinstance(n, int) and spec.method == "twirl" and n > _TWIRL_MAX_N:
-        raise DimensionOverflowError(f"twirl method requires n <= {_TWIRL_MAX_N}")
-    if not isinstance(n, int) or not 1 <= n <= MAX_N:
+    # the other methods stop here before any 2^n x 2^n allocation (1 GiB at n = 13); an int
+    # n > 8 of the twirl method meets the cap of ``_classes`` (DimensionOverflowError)
+    if not isinstance(n, int) or n < 1 or (n > MAX_N and spec.method != "twirl"):
         raise UnsupportedFieldSizeError(f"n must be an integer in 1..{MAX_N}, got {n!r}")
-    dim = 1 << n
     if spec.method == "twirl":
-        if spec.seed is None:
-            raise ValueError("twirl method requires a seed")
-        return twirl(random_density_matrix(dim, spec.seed))
+        _check_seed(spec.seed)
+        classes = _classes(n)
+        rng = np.random.default_rng(spec.seed)
+        values = np.concatenate([np.sqrt(rng.chisquare(classes.dof)),
+                                 rng.standard_normal(len(classes.factor) - len(classes.dof))])
+        factors = np.zeros(classes.shape, dtype=complex)
+        factors.view(float).ravel()[classes.factor] = values
+        sums = (factors @ _adjoint(factors)).ravel()[classes.padded]
+        # values @ values is sum_t ||L_t||_F^2, the trace of the twirled Wishart matrix
+        return _from_entries(classes, sums * (classes.weights / (values @ values)))
+    dim = 1 << n
     if spec.method == "dicke":
         weights = spec.weights
         if weights is None or len(weights) != n + 1:
@@ -519,7 +570,9 @@ def sample_counts(record: MeasurementRecord, shots: int, seed: int) -> Measureme
 
     The negative entries are clipped to 0, and the rest must have a finite
     positive sum (else ``NotNormalizedError``); they are scaled to sum to 1.
+    The seed must be a nonnegative int or numpy integer (else ``ValueError``).
     """
+    _check_seed(seed)
     if record.is_sampled:
         raise ValueError("record already holds sampled counts")
     if json_int(shots, "shots") < 1:
@@ -605,7 +658,8 @@ def _distributions(records, field: Field) -> tuple[list, np.ndarray]:
 
     The outcome arrays are stacked in one conversion and divided by a column
     of shots (1 for an exact record), which gives the bits of
-    ``MeasurementRecord.frequencies``.
+    ``MeasurementRecord.frequencies``.  A record of another size, a slope
+    label of another n and a basis recorded twice raise ``SchemaError``.
     """
     labels = [record.basis for record in records]
     shape = (field.size,)
@@ -613,6 +667,10 @@ def _distributions(records, field: Field) -> tuple[list, np.ndarray]:
         if np.shape(record.data) != shape:
             raise SchemaError(f"record of basis {record.basis!r} has outcome shape "
                               f"{np.shape(record.data)}, expected {shape} for n={field.n}")
+        slope = record.basis.slope
+        if slope is not None and slope.field.n != field.n:
+            raise SchemaError(f"basis {record.basis!r} is a slope of n={slope.field.n}, "
+                              f"not of the family's n={field.n}")
     if len(set(labels)) < len(labels):
         twice = next(label for i, label in enumerate(labels) if label in labels[:i])
         raise SchemaError(f"basis {twice!r} is recorded more than once")

@@ -4,7 +4,8 @@ per-bit coordinate tables, the per-slope anchor gauge, the permutation
 matrix of the operator and twirl tests, the transposition test for PI
 operators, one representative entry per entry class and the phase-sum
 type map at it, the coupled spin basis and the spin blocks read and written
-by products with it, the physicality projection one sector at a time, the
+by products with it, the dense Ginibre twirl that fixes the law of the
+"twirl" states, the physicality projection one sector at a time, the
 phase-space points of a basis, the Born probabilities one basis at a time,
 the frame identity over a whole family, and the quality metrics computed on
 2^n-sided matrices.
@@ -35,7 +36,8 @@ from pimub.mub import born_probabilities, family_operator  # noqa: E402
 from pimub.operators import (pauli_phase, pauli_table, pauli_types, pi_types,  # noqa: E402
                              popcounts, swap_index, walsh)
 from pimub.errors import DimensionOverflowError, UnsupportedFieldSizeError  # noqa: E402
-from pimub.tomography import _TWIRL_MAX_N, _project_to_simplex  # noqa: E402
+from pimub.tomography import (_TWIRL_MAX_N, _project_to_simplex,  # noqa: E402
+                              random_density_matrix, twirl)
 
 
 @lru_cache(maxsize=None)
@@ -344,6 +346,15 @@ def coupled_from_blocks(n, blocks):
             inner[copy, copy] = block
         start += size * count
     return u @ inner @ u.T
+
+
+def ginibre_twirl_state(n, seed):
+    """Oracle: the S_n twirl of a seeded 2^n-sided Ginibre density matrix.
+
+    Its law is the law of the "twirl" states of ``random_pi_state``, which
+    draw only the spin blocks.
+    """
+    return twirl(random_density_matrix(1 << n, seed))
 
 
 def looped_projection(rho_hat):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pimub import orbits
-from pimub.errors import MissingBasisError, MissingOrbitError, NotNormalizedError, SchemaError
+from pimub.errors import MissingOrbitError, NotNormalizedError, SchemaError
 from pimub.mub import BasisLabel, family_labels, vertical_label
 from pimub.operators import permute_label
 from pimub.orbits import (
@@ -22,12 +22,10 @@ from pimub.orbits import (
     orbit_table_to_json,
 )
 from pimub.tomography import (
-    MeasurementRecord,
     PIStateSpec,
     exact_probabilities,
     independent_parameter_count,
     random_pi_state,
-    reconstruct,
     sample_counts,
 )
 
@@ -562,13 +560,8 @@ def test_expansion_rejects_a_slope_of_another_field():
         with pytest.raises(SchemaError, match=message):
             expand_probabilities(orbit_table(2), [*labels, BasisLabel(field(3).element(bits))],
                                  np.vstack([probs, np.full(4, 0.25)]))
-    alien = MeasurementRecord(n=2, basis=BasisLabel(field(3).element(2)), data=records[0].data)
-    for mode in ("representative", "average"):
-        with pytest.raises(SchemaError, match=message):
-            reconstruct([*records, alien], orbit_table(2), family(2), mode=mode)
-    # the PI-subspace fit reads every label's stabilizer table from the family
-    with pytest.raises(MissingBasisError, match=re.escape("(slope=2) is not in the family")):
-        reconstruct([*records, alien], None, family(2))
+    # ``reconstruct`` rejects such a record in its record gate, in every mode
+    # (``test_every_mode_rejects_a_slope_of_another_field``)
 
 
 # ----------------------------------------------------------------------

@@ -60,9 +60,9 @@ from pimub.tomography import (_class_sums, _classes, _distributions, _from_entri
 
 from conftest import (_representatives, coupled_basis, coupled_from_blocks, coupled_mean_blocks,
                       coupled_units, dense_fidelity, dense_trace_distance, family, field,
-                      looped_born_probabilities, looped_projection, orbit_table,
-                      permutation_matrix, phase_sum_type_map, reconstruct_identity_check,
-                      stabilizer_points, swap_invariant)
+                      ginibre_twirl_state, looped_born_probabilities, looped_projection,
+                      orbit_table, permutation_matrix, phase_sum_type_map,
+                      reconstruct_identity_check, stabilizer_points, swap_invariant)
 
 
 def projector(fam, label, nu):
@@ -558,6 +558,73 @@ def test_twirl_state_is_reproducible():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_twirl_states_are_seeded_pi_densities(n):
+    seeds = (0, 1, 7, 2**40)
+    states = [random_pi_state(PIStateSpec.twirl(n, seed)) for seed in seeds]
+    for seed, rho in zip(seeds, states):
+        assert is_density_matrix(rho)
+        assert is_permutation_invariant(rho, tol=1e-15)
+        assert random_pi_state(PIStateSpec.twirl(n, seed)).tobytes() == rho.tobytes()
+    for a, b in itertools.combinations(states, 2):
+        assert np.abs(a - b).max() > 1e-6
+
+
+def _sector_probabilities_and_purity(n, rho):
+    """tr(P_j rho) for each spin sector, in ``spin_values`` order, then tr(rho^2)."""
+    u, sizes, counts = coupled_basis(n)
+    diagonal = (u * (rho @ u)).sum(axis=0).real
+    starts = np.cumsum([0, *(size * count for size, count in zip(sizes, counts))])[:-1]
+    return [*np.add.reduceat(diagonal, starts), np.vdot(rho, rho).real]
+
+
+@pytest.mark.parametrize("n, draws", ((4, 4000), (6, 2000)))
+def test_twirl_states_follow_the_ginibre_twirl_law(n, draws):
+    # the mean and the variance of each sector probability and of the purity, against the
+    # dense oracle at other seeds, within 4 standard errors read from the oracle's own sample
+    oracle = np.array([_sector_probabilities_and_purity(n, ginibre_twirl_state(n, 10**6 + k))
+                       for k in range(draws)])
+    drawn = np.array([_sector_probabilities_and_purity(n, random_pi_state(PIStateSpec.twirl(n, k)))
+                      for k in range(draws)])
+    mean, var = oracle.mean(axis=0), oracle.var(axis=0)
+    fourth = ((oracle - mean) ** 4).mean(axis=0)
+    assert np.all(np.abs(drawn.mean(axis=0) - mean) <= 4 * np.sqrt(2 * var / draws))
+    assert np.all(np.abs(drawn.var(axis=0) - var) <= 4 * np.sqrt(2 * (fourth - var**2) / draws))
+
+
+def test_twirl_states_draw_no_dense_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense draw")
+
+    monkeypatch.setattr(tomography, "random_density_matrix", refuse)
+    monkeypatch.setattr(tomography, "twirl", refuse)
+    for n in (1, 6, 8):
+        assert is_density_matrix(random_pi_state(PIStateSpec.twirl(n, seed=n)))
+
+
+@pytest.mark.parametrize("seed", (1.5, "3", True, -1, None),
+                         ids=("float", "str", "bool", "negative", "none"))
+def test_state_and_sampling_seeds_must_be_nonnegative_integers(monkeypatch, seed):
+    def refuse(*args, **kwargs):
+        raise AssertionError("generator made")
+
+    record = _exact_record()
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    with pytest.raises(ValueError, match=re.escape(f"seed must be a nonnegative integer, "
+                                                   f"got {seed!r}")):
+        random_pi_state(PIStateSpec.twirl(3, seed))
+    with pytest.raises(ValueError, match=re.escape(f"got {seed!r}")):
+        sample_counts(record, 10, seed)
+
+
+def test_numpy_integer_seeds_draw_as_python_ints():
+    for seed in (np.int64(5), np.uint32(5), np.int8(5)):
+        assert np.array_equal(random_pi_state(PIStateSpec.twirl(3, seed)),
+                              random_pi_state(PIStateSpec.twirl(3, 5)))
+        assert np.array_equal(sample_counts(_exact_record(), 100, seed).data,
+                              sample_counts(_exact_record(), 100, 5).data)
+
+
 def test_dicke_point_mass_is_the_ground_projector():
     rho = random_pi_state(PIStateSpec.dicke(3, [1, 0, 0, 0]))
     expected = np.zeros((8, 8), dtype=complex)
@@ -830,6 +897,24 @@ def test_reconstruct_requires_the_minimal_bases():
     records = exact_probabilities(rho, fam, minimal_bases(f)[:-1])
     with pytest.raises(MissingBasisError):
         reconstruct(records, orbit_table(2), fam)
+
+
+@pytest.mark.parametrize("mode", RECONSTRUCT_MODES)
+def test_every_mode_rejects_a_slope_of_another_field(mode, monkeypatch):
+    # bits 2 of an n = 3 slope would read as the n = 2 slope 2, which the family holds
+    f = field(2)
+    records = exact_probabilities(random_pi_state(PIStateSpec.twirl(2, 1)), family(2),
+                                  minimal_bases(f))
+    alien = MeasurementRecord(n=2, basis=BasisLabel(field(3).element(2)), data=records[0].data)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("table read")
+
+    monkeypatch.setattr(tomography, "expand_probabilities", refuse)
+    with pytest.raises(SchemaError, match=re.escape("is a slope of n=3, not of the family's n=2")):
+        reconstruct([*records, alien], orbit_table(2), family(2), mode=mode)
+    with pytest.raises(MissingBasisError):
+        reconstruct(records[1:], orbit_table(2), family(2), mode=mode)
 
 
 @pytest.mark.parametrize("mode", ("representative", "average"))

@@ -11,7 +11,10 @@ without ``--project``.  One case past the spin-block cap always runs too:
 each tree writes exact n = 9 Dicke-mixture records with its own library
 (``RECORDS_N9``, one ``python -c``) and runs ``reconstruct`` on them.  A
 pipeline runs within one tree: the change's reconstruct reads the change's
-records.  For every case the exit code, stdout and
+records.  Where the two trees' records differ, each ``reconstruct`` case
+also runs in both trees on the parent's records, so a change of the
+records does not hide a change of ``reconstruct`` itself; where they are
+byte-identical nothing more runs.  For every case the exit code, stdout and
 stderr are compared byte for byte.  Where stdout differs but both sides
 parse as JSON of the same shape, the largest absolute difference between
 their numbers is reported instead, with the JSON path where it sits (e.g.
@@ -19,8 +22,9 @@ their numbers is reported instead, with the JSON path where it sits (e.g.
 two texts match once every number is masked, it is the largest difference
 between their numbers, with the line where it sits.  The summary gives the
 largest deviation by n and by kind of case (field, orbits, mubs, verify,
-simulate per state method, reconstruct), 0 where every case of it is
-byte-identical.  Exit status 0 when every case matches byte for byte, else 1.
+simulate per state method, reconstruct, reconstruct of the parent's
+records), 0 where every case of it is byte-identical.  Exit status 0 when
+every case matches byte for byte, else 1.
 """
 
 from __future__ import annotations
@@ -130,7 +134,8 @@ def main() -> int:
     trees = {"parent": str(Path(args.parent).resolve()), "change": str(Path(args.change).resolve())}
     worst: dict[int, float] = {}
     by_kind = dict.fromkeys(["field", "orbits", "mubs", "verify",
-                             *(f"simulate {m}" for m in METHODS), "reconstruct"], 0.0)
+                             *(f"simulate {m}" for m in METHODS), "reconstruct",
+                             "reconstruct of parent's records"], 0.0)
     identical = True
 
     def record(n: int, kind: str, name: str, outputs: dict) -> None:
@@ -139,6 +144,22 @@ def main() -> int:
         identical &= same
         worst[n] = max(worst.get(n, 0.0), dev)
         by_kind[kind] = max(by_kind[kind], dev)
+
+    def reconstructs(n: int, name: str, outputs: dict, tails) -> None:
+        """Each tree reconstructs its own records, and both the parent's where they differ."""
+        for side, (_, stdout, _) in outputs.items():
+            Path(tmp, f"{side}.json").write_bytes(stdout)
+        # (kind of case, whose records each tree reads: None for its own)
+        sources = [("reconstruct", None)]
+        if outputs["parent"][1] != outputs["change"][1]:
+            sources.append(("reconstruct of parent's records", "parent"))
+        for tail in tails:
+            for kind, reader in sources:
+                record(n, kind, " ".join([name, "|", kind, *tail]), {
+                    side: run(src, ["reconstruct", "--records", f"{reader or side}.json", *tail],
+                              tmp)
+                    for side, src in trees.items()
+                })
 
     with tempfile.TemporaryDirectory() as tmp:
         for n in range(1, args.max_n + 1):
@@ -158,24 +179,12 @@ def main() -> int:
                             *sampling]
                     outputs = {side: run(src, argv, tmp) for side, src in trees.items()}
                     record(n, f"simulate {method}", " ".join(argv), outputs)
-                    for side, (_, stdout, _) in outputs.items():
-                        Path(tmp, f"{side}.json").write_bytes(stdout)
-                    for mode in MODES:
-                        for project in ((), ("--project",)):
-                            tail = ["--mode", mode, *project]
-                            record(n, "reconstruct", " ".join(argv + ["| reconstruct", *tail]), {
-                                side: run(src, ["reconstruct", "--records", f"{side}.json", *tail],
-                                          tmp)
-                                for side, src in trees.items()
-                            })
+                    reconstructs(n, " ".join(argv), outputs,
+                                 [["--mode", mode, *project] for mode in MODES
+                                  for project in ((), ("--project",))])
         outputs = {side: run(src, [], tmp, ("-c", RECORDS_N9)) for side, src in trees.items()}
         record(9, "simulate dicke", "python -c RECORDS_N9", outputs)
-        for side, (_, stdout, _) in outputs.items():
-            Path(tmp, f"{side}.json").write_bytes(stdout)
-        record(9, "reconstruct", "python -c RECORDS_N9 | reconstruct", {
-            side: run(src, ["reconstruct", "--records", f"{side}.json"], tmp)
-            for side, src in trees.items()
-        })
+        reconstructs(9, "python -c RECORDS_N9", outputs, [[]])
     print("largest stdout deviation by n: "
           + ", ".join(f"{n}: {dev:.3g}" for n, dev in sorted(worst.items())))
     print("largest stdout deviation by kind: "
