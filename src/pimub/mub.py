@@ -81,15 +81,19 @@ the whole family or only the labels a caller reads, such as the n + 2
 minimal bases of a measurement.  The Pauli strings a basis diagonalizes
 are a function of bit masks (``stabilizer_table``): z is the index of
 alpha and x that of mu alpha, one product by the multiplication matrix of
-mu.  Both directions of the measurement map read them, with the anchor's
-eigenvalue on each, from ``MubFamily.table``, filled once per family and
-label on first read.  Both read labels and an array with one row per
-label: ``born_probabilities`` reads the expectations of every basis's
-strings from the state's ``operators.pauli_table`` (one table serves every
-basis) and Walsh transforms them in one stacked product, and
-``pauli_expectations`` recovers them from the distributions in one Walsh
-product; ``family_operator`` scatters them onto their (x, z) rows, giving
-sum p P - identity.  The family is
+mu.  ``MubFamily.table`` holds them with the anchor's eigenvalue on each,
+filled once per family and label on first read.  A measurement repeats
+one label tuple, such as the n + 2 minimal bases, trial after trial, so
+``MubFamily.plan`` stacks the tables of a tuple once per family: the flat
+place x 2^n + z of every row, the eigenvalues and the Pauli types.  Both
+directions of the measurement map read labels and an array with one row
+per label, through that plan: ``born_probabilities`` reads the
+expectations of every basis's strings from the state's
+``operators.pauli_table`` in one gather (one table serves every basis) and
+Walsh transforms them in one stacked product, and ``pauli_expectations``
+recovers them from the distributions in one Walsh product;
+``family_operator`` adds them onto their (x, z) places in one
+``np.bincount``, giving sum p P - identity.  The family is
 deterministic for a fixed n: identical labels, vectors and exported bytes.
 """
 
@@ -116,6 +120,14 @@ class BasisLabel:
     """Either a slope basis (field element mu) or the vertical basis."""
 
     slope: FieldElement | None = None
+
+    def __post_init__(self) -> None:
+        # label tuples key the measurement plans and the record gate on every call, so each
+        # label keeps the hash the generated method would compute
+        object.__setattr__(self, "_hash", hash((self.slope,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_vertical(self) -> bool:
@@ -147,6 +159,18 @@ def slope_label(mu: FieldElement) -> BasisLabel:
 def family_labels(field: Field) -> list[BasisLabel]:
     """All 2^n + 1 labels: slopes ordered by bits, then the vertical basis."""
     return [BasisLabel(field.element(b)) for b in range(field.size)] + [BasisLabel(None)]
+
+
+def foreign_slope(field: Field, label: BasisLabel) -> str | None:
+    """What is wrong with ``label`` if it is a slope of another n than ``field``'s, else None.
+
+    The repr of a label shows only its slope's bits, which may name a label of
+    ``field`` too, so the message names both n.
+    """
+    slope = label.slope
+    if slope is None or slope.field.n == field.n:
+        return None
+    return f"basis {label!r} is a slope of n={slope.field.n}, not of the family's n={field.n}"
 
 
 def label_from_json(field: Field, obj) -> BasisLabel:
@@ -356,6 +380,23 @@ class BasisTable(NamedTuple):
     eigenvalues: np.ndarray
 
 
+class MeasurementPlan(NamedTuple):
+    """The ``MubFamily.table`` rows of a label tuple, stacked once for both directions of the map.
+
+    Row k belongs to label k.  ``index`` is x 2^n + z, the flat place of each
+    row's string in a 2^n-sided [x, z] table such as ``operators.pauli_table``,
+    ``eigenvalues`` the anchor's eigenvalue on it, and ``types`` the rows'
+    Pauli types, flattened label after label.
+    """
+
+    index: np.ndarray  # (k, 2^n) intp
+    eigenvalues: np.ndarray  # (k, 2^n)
+    types: np.ndarray  # (k 2^n,) intp
+
+
+_PLAN_CACHE_SIZE = 8  # label tuples whose plans a family keeps, the oldest dropped first
+
+
 @dataclass(frozen=True, eq=False)
 class MubFamily:
     """A labeled family of bases (immutable once built): all 2^n + 1, or some of them.
@@ -365,13 +406,15 @@ class MubFamily:
     ``build_family``) is the same type with fewer entries in ``bases``;
     asking it for a basis it lacks raises ``MissingBasisError``.  Families
     compare by identity, so a partial family is unequal to the full one.
-    ``tables`` caches ``table`` by label, filled on first read; the
-    constructor does not take it, so every family starts with an empty cache.
+    ``tables`` caches ``table`` by label and ``plans`` caches ``plan`` by
+    label tuple, both filled on first read; the constructor takes neither,
+    so every family starts with empty caches.
     """
 
     field: Field
     bases: dict  # BasisLabel -> read-only (dim,) anchor column
     tables: dict = dataclasses.field(default_factory=dict, init=False, compare=False, repr=False)
+    plans: dict = dataclasses.field(default_factory=dict, init=False, compare=False, repr=False)
 
     def labels(self) -> list[BasisLabel]:
         return list(self.bases)
@@ -380,7 +423,8 @@ class MubFamily:
         try:
             return self.bases[label]
         except KeyError:
-            raise MissingBasisError(f"basis {label!r} is not in the family") from None
+            raise MissingBasisError(foreign_slope(self.field, label)
+                                    or f"basis {label!r} is not in the family") from None
 
     def basis(self, label: BasisLabel) -> np.ndarray:
         return _expand(self.anchor(label), label.is_vertical)
@@ -402,6 +446,29 @@ class MubFamily:
             eigenvalues = ratio.real.copy()
             eigenvalues.flags.writeable = False
             entry = self.tables[label] = BasisTable(z, x, types, eigenvalues)
+        return entry
+
+    def plan(self, labels) -> MeasurementPlan:
+        """Read-only ``MeasurementPlan`` of ``labels``, stacked from their tables on the first read.
+
+        The family keeps the plans of the last ``_PLAN_CACHE_SIZE`` label tuples built.
+        """
+        key = tuple(labels)
+        entry = self.plans.get(key)
+        if entry is None:
+            tables = [self.table(label) for label in key]
+            dim = self.field.size
+            rows = (len(key), dim)
+            index = np.array([t.x for t in tables], dtype=np.intp).reshape(rows) * dim
+            index += np.array([t.z for t in tables], dtype=np.intp).reshape(rows)
+            eigenvalues = np.array([t.eigenvalues for t in tables]).reshape(rows)
+            types = np.array([t.types for t in tables], dtype=np.intp).ravel()
+            entry = MeasurementPlan(index, eigenvalues, types)
+            for arr in entry:
+                arr.flags.writeable = False
+            if len(self.plans) >= _PLAN_CACHE_SIZE:
+                del self.plans[next(iter(self.plans))]
+            self.plans[key] = entry
         return entry
 
 
@@ -435,14 +502,15 @@ def build_family(field: Field, labels=None) -> MubFamily:
 def born_probabilities(family: MubFamily, labels, expect: np.ndarray) -> np.ndarray:
     """Tr(rho |nu, label><nu, label|), row k for ``labels[k]`` and column nu by the bits of nu.
 
-    ``expect`` is the state's table of Pauli expectations
-    (``operators.pauli_table``); each basis reads the rows of its
-    ``MubFamily.table`` from it, so one table serves every basis.  The
-    Walsh transforms run as one stacked product over the labels, a column
-    per label, so each row has the bits of a product with that row alone.
+    ``expect`` is the state's [x, z] table of Pauli expectations
+    (``operators.pauli_table``); one gather through the ``MubFamily.plan``
+    of ``labels`` reads every basis's rows from it.  The Walsh transforms
+    run as one stacked product over the labels, a column per label, so
+    each row has the bits of a product with that row alone.
     """
     dim = family.field.size
-    stack = np.array([t.eigenvalues * expect[t.x, t.z] for t in map(family.table, labels)])
+    plan = family.plan(labels)
+    stack = plan.eigenvalues * np.take(expect, plan.index)
     return (walsh(dim) @ stack.reshape(-1, dim, 1)).reshape(-1, dim) / dim
 
 
@@ -450,11 +518,11 @@ def pauli_expectations(family: MubFamily, labels, probs: np.ndarray) -> np.ndarr
     """<P_alpha> on the rows of each basis's ``MubFamily.table``, one row per label.
 
     Row k of ``probs`` is the distribution of ``labels[k]`` by the bits of nu.
-    The inverse of ``born_probabilities``: the anchors' eigenvalues times the
-    Walsh transforms of the rows.  Column 0, the identity, holds the totals.
+    The inverse of ``born_probabilities``: the anchors' eigenvalues, from the
+    ``MubFamily.plan`` of ``labels``, times the Walsh transforms of the rows.
+    Column 0, the identity, holds the totals.
     """
-    eigenvalues = np.array([family.table(label).eigenvalues for label in labels])
-    return eigenvalues * (probs @ walsh(family.field.size))
+    return family.plan(labels).eigenvalues * (probs @ walsh(family.field.size))
 
 
 _SUM_TOL = 1e-9  # how far a measured distribution may sit off the simplex
@@ -462,8 +530,12 @@ _SUM_TOL = 1e-9  # how far a measured distribution may sit off the simplex
 
 def check_distributions(labels, probs: np.ndarray) -> None:
     """Raise ``NotNormalizedError`` unless each row sums to 1 with no entry below 0, within 1e-9."""
-    # row i is the distribution of labels[i]; a NaN or infinite entry fails the sum test
-    for label, total, low in zip(labels, probs.sum(axis=1).tolist(), probs.min(axis=1).tolist()):
+    # row i is the distribution of labels[i]; a NaN or infinite entry fails the sum test.
+    # Two reductions pass valid rows, and only a failure is looked for row by row
+    totals = probs.sum(axis=1)
+    if np.abs(totals - 1.0).max(initial=0.0) <= _SUM_TOL and probs.min(initial=0.0) >= -_SUM_TOL:
+        return
+    for label, total, low in zip(labels, totals.tolist(), probs.min(axis=1).tolist()):
         if not abs(total - 1.0) <= _SUM_TOL:
             raise NotNormalizedError(f"measured basis {label!r} sums to {total!r}, expected 1")
         if low < -_SUM_TOL:
@@ -473,18 +545,17 @@ def check_distributions(labels, probs: np.ndarray) -> None:
 def family_operator(family: MubFamily, labels, probs: np.ndarray) -> np.ndarray:
     """sum_(k,nu) p_k(nu) P_(nu,k) - identity, row k of ``probs`` the distribution of ``labels[k]``.
 
-    One scatter adds the ``pauli_expectations`` onto the (x, z) rows of the
-    stabilizer tables.  The identity gets the sum of the totals minus 2^n,
-    not a fixed 1: orbit expansions need not sum to 1 on unmeasured bases.
-    That sum is taken pairwise over ``probs``, not over the Walsh totals,
-    whose rounding errors would add up across the 2^n + 1 bases.
+    One ``np.bincount`` adds the ``pauli_expectations`` onto the flat (x, z)
+    places of the ``MubFamily.plan`` of ``labels``, in row order.  The
+    identity gets the sum of the totals minus 2^n, not a fixed 1: orbit
+    expansions need not sum to 1 on unmeasured bases.  That sum is taken
+    pairwise over ``probs``, not over the Walsh totals, whose rounding
+    errors would add up across the 2^n + 1 bases.
     """
     dim = family.field.size
-    tables = [family.table(label) for label in labels]
-    x = np.concatenate([t.x for t in tables])
-    z = np.concatenate([t.z for t in tables])
-    expect = np.zeros((dim, dim))
-    np.add.at(expect, (x, z), pauli_expectations(family, labels, probs).ravel())
+    values = pauli_expectations(family, labels, probs)
+    expect = np.bincount(family.plan(labels).index.ravel(), values.ravel(), minlength=dim * dim)
+    expect = expect.reshape(dim, dim)
     expect[0, 0] = np.ravel(probs).sum() - dim
     return pauli_operator(family.field.n, expect)
 

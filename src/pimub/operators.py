@@ -117,11 +117,19 @@ def type_grid(n: int) -> np.ndarray:
 
     Qubit permutations move the bit pairs (x_i, z_i) of a Pauli string and of a
     matrix entry (r, s) = (x, z) alike, so it also numbers the orbits of entries.
+    The grid grows one qubit at a time as the code k_X (n+1)^2 + k_Y (n+1) + k_Z:
+    a new leading qubit with bits (x, z) adds one I, Z, X or Y to the type of
+    the rest, so each quadrant of the m-qubit codes is the (m - 1)-qubit codes
+    plus a constant.  One gather turns the codes into positions.
     """
-    masks = np.arange(1 << n)
-    out = pauli_types(n, masks[None, :], masks[:, None])
-    out.flags.writeable = False
-    return out
+    side = n + 1
+    step = np.array([[0, 1], [side * side, side]], dtype=np.int16)  # [x, z]: I, Z, X, Y
+    codes = np.zeros((1, 1), dtype=np.int16)  # (n + 1)^3 <= 2197 codes fit int16
+    for _ in range(n):
+        codes = (step[:, None, :, None] + codes[None, :, None, :]).reshape(2 * len(codes), -1)
+    grid = _type_lookup(n).ravel()[codes]
+    grid.flags.writeable = False
+    return grid
 
 
 def qubit_count(mat: np.ndarray) -> int:

@@ -41,17 +41,23 @@ self-dual bits of nu, from simulation (``exact_probabilities``,
 outcome key is read and range-checked.  Every inversion reads records
 through one gate, ``_distributions``, which returns their labels and one
 array whose row k is the distribution of label k; every mode carries that
-format to the estimate.
+format to the estimate.  The gate's checks on the labels alone (a slope of
+another n, a basis recorded twice, a minimal basis missing) are decided
+once per label tuple (``_label_gate``), and raised in the order of a scan
+of the records.
 Both directions of the measurement map go through one table per basis of
 the family, ``MubFamily.table``: the 2^n Pauli strings, identity included,
-that the basis diagonalizes, and the anchor's eigenvalue on each.
-Simulation builds the state's table of all 4^n Pauli expectations once
-(``operators.pauli_table``), reads every basis's rows from it and Walsh
-transforms them into Born probabilities in one stacked product
-(``mub.born_probabilities``).  Every inversion Walsh transforms them back
-into the same expectations in one product (``mub.pauli_expectations``); no
-basis is expanded.  The PI-subspace fit below leaves one coordinate per
-Pauli type, and a type sum S_t is PI, so constant on each entry class:
+that the basis diagonalizes, and the anchor's eigenvalue on each.  A label
+tuple's tables are stacked once per family, ``MubFamily.plan``, which every
+trial on the same bases reuses.  Simulation builds the state's table of
+all 4^n Pauli expectations once (``operators.pauli_table``), reads every
+basis's rows from it in one gather and Walsh transforms them into Born
+probabilities in one stacked product (``mub.born_probabilities``).  Every
+inversion Walsh transforms them back into the same expectations in one
+product (``mub.pauli_expectations``); no basis is expanded.  The
+PI-subspace fit below bins them by the plan's types, leaving one
+coordinate per Pauli type, and a type sum S_t is PI, so constant on each
+entry class:
 ``_type_map`` holds 2^-n S_t on every class at every n, in closed form
 from the types alone, and the estimate is that map times the coordinates,
 gathered by class, with no 4^n array but the estimate itself; the orbit
@@ -77,6 +83,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -100,6 +107,7 @@ from .mub import (
     born_probabilities,
     check_distributions,
     family_operator,
+    foreign_slope,
     label_from_json,
     pauli_expectations,
     stabilizer_table,
@@ -628,15 +636,11 @@ def reconstruct(
         raise ValueError(f"unknown reconstruct mode {mode!r}, expected one of {RECONSTRUCT_MODES}")
     field, n = family.field, family.field.n
     labels, probs = _distributions(records, field)
-    present = set(labels)
-    if not _required_bases(field) <= present:
-        missing = [b for b in minimal_bases(field) if b not in present]
-        raise MissingBasisError(f"records missing required bases: {missing}")
 
     if mode == PI_SUBSPACE:
         # one Walsh product for every basis, then one bincount per sum over types
         expect = pauli_expectations(family, labels, probs).ravel()
-        types = np.concatenate([family.table(label).types for label in labels])
+        types = family.plan(labels).types
         count = math.comb(n + 3, 3)
         sums = np.bincount(types, expect, minlength=count)
         hits = np.bincount(types, minlength=count)
@@ -648,9 +652,32 @@ def reconstruct(
     return family_operator(family, table.labels, expand_probabilities(table, labels, probs, mode))
 
 
-@lru_cache(maxsize=None)
-def _required_bases(field: Field) -> frozenset:
-    return frozenset(minimal_bases(field))
+class _LabelGate(NamedTuple):
+    """The record gate's verdict on a label tuple: the checks that read the labels alone.
+
+    The records before ``stop`` have their shapes checked before ``schema``
+    is raised, the order in which a record-by-record scan meets the faults.
+    """
+
+    stop: int  # one past the first slope of another n, else the record count
+    schema: str | None  # SchemaError: a slope of another n, or a basis recorded twice
+    missing: str | None  # MissingBasisError: minimal bases that no record holds
+
+
+@lru_cache(maxsize=64)
+def _label_gate(field: Field, labels: tuple) -> _LabelGate:
+    """The ``_LabelGate`` of records of ``field`` with ``labels``, once per label tuple."""
+    for i, label in enumerate(labels):
+        foreign = foreign_slope(field, label)
+        if foreign is not None:
+            return _LabelGate(i + 1, foreign, None)
+    stop = len(labels)
+    present = set(labels)
+    if len(present) < stop:
+        twice = next(label for i, label in enumerate(labels) if label in labels[:i])
+        return _LabelGate(stop, f"basis {twice!r} is recorded more than once", None)
+    missing = [b for b in minimal_bases(field) if b not in present]
+    return _LabelGate(stop, None, f"records missing required bases: {missing}" if missing else None)
 
 
 def _distributions(records, field: Field) -> tuple[list, np.ndarray]:
@@ -659,26 +686,27 @@ def _distributions(records, field: Field) -> tuple[list, np.ndarray]:
     The outcome arrays are stacked in one conversion and divided by a column
     of shots (1 for an exact record), which gives the bits of
     ``MeasurementRecord.frequencies``.  A record of another size, a slope
-    label of another n and a basis recorded twice raise ``SchemaError``.
+    label of another n and a basis recorded twice raise ``SchemaError``,
+    and records that miss a minimal basis ``MissingBasisError``, after every
+    other check.  The checks on the labels alone are decided once per
+    label tuple (``_label_gate``); a failed one raises on every call.
     """
     labels = [record.basis for record in records]
+    gate = _label_gate(field, tuple(labels))
     shape = (field.size,)
-    for record in records:
+    for record in islice(records, gate.stop):
         if np.shape(record.data) != shape:
             raise SchemaError(f"record of basis {record.basis!r} has outcome shape "
                               f"{np.shape(record.data)}, expected {shape} for n={field.n}")
-        slope = record.basis.slope
-        if slope is not None and slope.field.n != field.n:
-            raise SchemaError(f"basis {record.basis!r} is a slope of n={slope.field.n}, "
-                              f"not of the family's n={field.n}")
-    if len(set(labels)) < len(labels):
-        twice = next(label for i, label in enumerate(labels) if label in labels[:i])
-        raise SchemaError(f"basis {twice!r} is recorded more than once")
+    if gate.schema is not None:
+        raise SchemaError(gate.schema)
     data = np.array([record.data for record in records], dtype=float).reshape(-1, field.size)
     shots = np.array([1 if record.shots is None else record.shots for record in records],
                      dtype=float)
     probs = data / shots[:, None]
     check_distributions(labels, probs)
+    if gate.missing is not None:
+        raise MissingBasisError(gate.missing)
     return labels, probs
 
 

@@ -7,8 +7,8 @@ type map at it, the coupled spin basis and the spin blocks read and written
 by products with it, the dense Ginibre twirl that fixes the law of the
 "twirl" states, the physicality projection one sector at a time, the
 phase-space points of a basis, the Born probabilities one basis at a time,
-the frame identity over a whole family, and the quality metrics computed on
-2^n-sided matrices.
+the frame identity over a whole family, the record gate as a scan of the
+records one by one, and the quality metrics computed on 2^n-sided matrices.
 
 ``src`` goes on ``sys.path`` and on ``PYTHONPATH``, so a bare ``pytest``
 finds the package without an install, and so do the CLI subprocesses the
@@ -35,7 +35,9 @@ from pimub.gf2n import _selfdual_basis  # noqa: E402
 from pimub.mub import born_probabilities, family_operator  # noqa: E402
 from pimub.operators import (pauli_phase, pauli_table, pauli_types, pi_types,  # noqa: E402
                              popcounts, swap_index, walsh)
-from pimub.errors import DimensionOverflowError, UnsupportedFieldSizeError  # noqa: E402
+from pimub.errors import (DimensionOverflowError, MissingBasisError,  # noqa: E402
+                          NotNormalizedError, SchemaError, UnsupportedFieldSizeError)
+from pimub.orbits import minimal_bases  # noqa: E402
 from pimub.tomography import (_TWIRL_MAX_N, _project_to_simplex,  # noqa: E402
                               random_density_matrix, twirl)
 
@@ -192,6 +194,41 @@ def looped_born_probabilities(fam, labels, expect):
         z, x, _, eigenvalues = fam.table(label)
         rows.append(walsh(fam.field.size) @ (eigenvalues * expect[x, z]) / fam.field.size)
     return np.array(rows)
+
+
+def looped_record_gate(records, f):
+    """Oracle: the record gate as a scan of the records, row by row, with no cached verdict.
+
+    In order: each record's outcome shape and then its slope's n, record by
+    record; a basis recorded twice; each row's sum and then its least entry,
+    row by row; the minimal bases.  Raises the first fault, as
+    ``tomography.reconstruct`` must.
+    """
+    labels = [record.basis for record in records]
+    shape = (f.size,)
+    for record in records:
+        if np.shape(record.data) != shape:
+            raise SchemaError(f"record of basis {record.basis!r} has outcome shape "
+                              f"{np.shape(record.data)}, expected {shape} for n={f.n}")
+        slope = record.basis.slope
+        if slope is not None and slope.field.n != f.n:
+            raise SchemaError(f"basis {record.basis!r} is a slope of n={slope.field.n}, "
+                              f"not of the family's n={f.n}")
+    if len(set(labels)) < len(labels):
+        twice = next(label for i, label in enumerate(labels) if label in labels[:i])
+        raise SchemaError(f"basis {twice!r} is recorded more than once")
+    for record in records:
+        row = np.asarray(record.data, dtype=float) / (1 if record.shots is None else record.shots)
+        total, low = float(row.sum()), float(row.min())
+        if not abs(total - 1.0) <= 1e-9:
+            raise NotNormalizedError(f"measured basis {record.basis!r} sums to {total!r}, "
+                                     f"expected 1")
+        if low < -1e-9:
+            raise NotNormalizedError(f"measured basis {record.basis!r} has an entry {low!r} "
+                                     f"below 0")
+    missing = [b for b in minimal_bases(f) if b not in set(labels)]
+    if missing:
+        raise MissingBasisError(f"records missing required bases: {missing}")
 
 
 def reconstruct_identity_check(fam, rho):

@@ -1,6 +1,9 @@
 """MUB family: eigenstructure, unbiasedness, covariance, determinism."""
 
+import copy
+import dataclasses
 import hashlib
+import itertools
 import math
 import re
 
@@ -9,10 +12,12 @@ import pytest
 
 from pimub.errors import MissingBasisError, SchemaError
 from pimub.gf2n import Field, FieldElement, make_field
+from pimub import mub
 from pimub.mub import (
     BasisLabel,
     MubFamily,
     basis_to_json,
+    born_probabilities,
     build_family,
     build_slope_basis,
     build_vertical,
@@ -21,6 +26,7 @@ from pimub.mub import (
     family_operator,
     family_to_json,
     label_from_json,
+    pauli_expectations,
     predicted_swap_escapes,
     _slope_exponents,
     _walsh_rows,
@@ -29,7 +35,8 @@ from pimub.mub import (
     unbiasedness_deviation,
     vertical_label,
 )
-from pimub.operators import build_x, build_z, fourier, pauli_phase, permute_label, walsh
+from pimub.operators import (build_x, build_z, fourier, pauli_phase, pauli_table, permute_label,
+                             walsh)
 from pimub.orbits import expand_probabilities, minimal_bases
 from pimub.tomography import exact_probabilities, random_density_matrix, random_pure_state
 
@@ -48,6 +55,16 @@ def test_family_has_all_labels(n):
     assert len(labels) == 2**n + 1
     assert len(set(labels)) == 2**n + 1
     assert labels[-1].is_vertical
+
+
+def test_labels_keep_the_hash_of_their_slope():
+    # the hash is stored at construction, equal to the generated one, so sets and
+    # dicts of labels keep their order and a copy hashes alike
+    f = field(3)
+    for label in family_labels(f):
+        assert hash(label) == hash((label.slope,))
+        assert hash(copy.deepcopy(label)) == hash(label) and copy.deepcopy(label) == label
+        assert hash(dataclasses.replace(label)) == hash(label)
 
 
 def test_label_json_round_trip():
@@ -414,6 +431,70 @@ def test_partial_family_names_a_basis_it_lacks():
         with pytest.raises(MissingBasisError, match=re.escape(repr(absent))):
             read(absent)
     assert partial.tables == {}
+
+
+def test_a_label_of_another_field_is_named_with_both_sizes():
+    # its repr shows only the slope's bits, which the family may hold at its own n
+    fam = build_family(field(2))
+    foreign = BasisLabel(field(3).element(2))
+    assert BasisLabel(field(2).element(2)) in fam.bases
+    message = re.escape("basis BasisLabel(slope=2) is a slope of n=3, not of the family's n=2")
+    expect = pauli_table(np.eye(4, dtype=complex) / 4.0).real
+    reads = (fam.anchor, fam.basis, fam.table, lambda label: fam.plan([label]),
+             lambda label: born_probabilities(fam, [label], expect),
+             lambda label: pauli_expectations(fam, [label], np.full((1, 4), 0.25)))
+    for read in reads:
+        with pytest.raises(MissingBasisError, match=message):
+            read(foreign)
+    assert fam.tables == {} and fam.plans == {}
+    # a label of the family's n that it lacks keeps the short message
+    partial = build_family(field(2), [vertical_label()])
+    with pytest.raises(MissingBasisError, match=r"BasisLabel\(slope=2\) is not in the family$"):
+        partial.table(BasisLabel(field(2).element(2)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_plan_stacks_the_table_rows_of_its_labels(n):
+    fam = family(n)
+    dim = fam.field.size
+    minimal = minimal_bases(fam.field)
+    extra = [label for label in fam.labels() if label not in minimal][:3]
+    shuffled = [minimal[i] for i in np.random.default_rng(n).permutation(len(minimal))]
+    for labels in (minimal, shuffled, minimal + extra, fam.labels(), []):
+        plan = fam.plan(labels)
+        assert plan.index.shape == plan.eigenvalues.shape == (len(labels), dim)
+        assert plan.index.dtype == plan.types.dtype == np.intp
+        assert plan.types.shape == (len(labels) * dim,)
+        for k, label in enumerate(labels):
+            z, x, types, eigenvalues = fam.table(label)
+            assert np.array_equal(plan.index[k], x.astype(np.intp) * dim + z)
+            assert plan.eigenvalues[k].tobytes() == eigenvalues.tobytes()
+            assert np.array_equal(plan.types[k * dim:(k + 1) * dim], types)
+        assert not any(arr.flags.writeable for arr in plan)
+        assert fam.plan(tuple(labels)) is plan
+
+
+def test_families_built_from_the_same_labels_keep_their_own_plans():
+    f = field(3)
+    labels = minimal_bases(f)
+    first, second = build_family(f, labels), build_family(f, labels)
+    plan = first.plan(labels)
+    assert second.plans == {}
+    other = second.plan(labels)
+    assert other is not plan and first.plan(labels) is plan
+    assert all(np.array_equal(a, b) for a, b in zip(plan, other))
+    with pytest.raises(TypeError):
+        MubFamily(f, first.bases, plans={})
+
+
+def test_plan_cache_keeps_a_bounded_number_of_label_tuples():
+    fam = build_family(field(3))
+    for labels in itertools.combinations(fam.labels(), 3):  # 84 label tuples
+        plan = fam.plan(labels)
+        assert len(fam.plans) <= mub._PLAN_CACHE_SIZE
+        assert fam.plan(list(labels)) is plan
+    assert len(fam.plans) == mub._PLAN_CACHE_SIZE
+    assert len(fam.tables) == len(fam.labels())
 
 
 def test_family_constructor_takes_no_eigenvalues():

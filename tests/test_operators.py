@@ -17,6 +17,7 @@ from pimub.operators import (
     pauli_grid,
     pauli_operator,
     pauli_table,
+    pauli_types,
     pi_types,
     permute_label,
     swap_index,
@@ -310,6 +311,17 @@ def test_pauli_grid_counts_and_phases(n):
     assert np.array_equal(grid.conj_phase, grid.phase.conj())
     assert not any(arr.flags.writeable for arr in grid)
     assert pauli_grid(n) is grid
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_type_grid_grown_by_qubits_is_the_pauli_type_of_every_mask_pair(n):
+    grid = type_grid.__wrapped__(n)  # a fresh build, kept out of the cache (32 MB at n = 11)
+    assert grid.dtype == np.intp and not grid.flags.writeable
+    assert grid.shape == (2**n, 2**n)
+    masks = np.arange(2**n)
+    for start in range(0, 2**n, 256):  # the oracle's int64 temporaries, 256 rows at a time
+        rows = masks[start:start + 256]
+        assert np.array_equal(grid[rows], pauli_types(n, masks[None, :], rows[:, None]))
 
 
 @pytest.mark.parametrize("n", range(1, 5))

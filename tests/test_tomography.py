@@ -18,6 +18,7 @@ from pimub.errors import (
     MissingBasisError,
     MissingOrbitError,
     NotNormalizedError,
+    PimubError,
     SchemaError,
     UnsupportedFieldSizeError,
 )
@@ -61,7 +62,7 @@ from pimub.tomography import (_class_sums, _classes, _distributions, _from_entri
 from conftest import (_representatives, coupled_basis, coupled_from_blocks, coupled_mean_blocks,
                       coupled_units, dense_fidelity, dense_trace_distance, family, field,
                       ginibre_twirl_state, looped_born_probabilities, looped_projection,
-                      orbit_table, permutation_matrix, phase_sum_type_map,
+                      looped_record_gate, orbit_table, permutation_matrix, phase_sum_type_map,
                       reconstruct_identity_check, stabilizer_points, swap_invariant)
 
 
@@ -1415,6 +1416,88 @@ def test_omitted_outcome_reads_as_zero(mode):
     assert records[1].data[low] == 0.0
     omitted = reconstruct(records, orbit_table(3), family(3), mode=mode)
     assert np.array_equal(omitted, explicit)
+
+
+_FAULTS = ("shape", "foreign", "twice", "missing", "nan", "negative", "sum")
+
+
+def _with_fault(records, fault, i):
+    """A copy of ``records`` with one fault at record i; no record is changed in place."""
+    records = list(records)
+    record = records[i]
+    scale = record.shots or 1
+    data = np.array(record.data, dtype=float)
+    if fault == "shape":
+        data = data[:-1]
+    elif fault == "nan":
+        data[0] = np.nan
+    elif fault == "negative":
+        data[0] -= 0.5 * scale
+        data[1] += 0.5 * scale
+    elif fault == "sum":
+        data[0] += 0.1 * scale
+    basis = BasisLabel(field(2).element(2)) if fault == "foreign" else record.basis
+    records[i] = MeasurementRecord(record.n, basis, data, record.shots)
+    if fault == "twice":
+        records.append(records[i])
+    elif fault == "missing":
+        del records[i]
+    return records
+
+
+def _raised(call):
+    """(type, message) of the package error ``call`` raises, None if it returns."""
+    try:
+        call()
+    except PimubError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("sampled", (False, True))
+def test_record_gate_raises_the_fault_a_record_scan_meets_first(sampled):
+    # every single fault at every record, and every pair of faults at records 1 and 3, in
+    # both orders; each call twice, as a failed label verdict never becomes a pass
+    records, _, _ = _three_qubit_records()
+    if sampled:
+        records = [sample_counts(r, shots=1000, seed=i) for i, r in enumerate(records)]
+    f, fam, table = field(3), family(3), orbit_table(3)
+    cases = [[(fault, i)] for fault in _FAULTS for i in range(len(records))]
+    cases += [[(a, i), (b, j)] for a in _FAULTS for b in _FAULTS for i, j in ((1, 3), (3, 1))]
+    for faults in cases:
+        faulty = records
+        for fault, i in faults:
+            faulty = _with_fault(faulty, fault, i)
+        expected = _raised(lambda: looped_record_gate(faulty, f))
+        assert expected is not None, faults
+        for mode in RECONSTRUCT_MODES:
+            for _ in range(2):
+                assert _raised(lambda: reconstruct(faulty, table, fam, mode=mode)) == expected
+
+
+def test_a_warm_label_tuple_reads_no_basis_table(monkeypatch):
+    # the plan of a label tuple serves every later trial on the same labels
+    f = field(6)
+    fam = build_family(f, minimal_bases(f))
+    rho = random_pi_state(PIStateSpec.twirl(6, seed=41))
+
+    def trial(bases):
+        exact = exact_probabilities(rho, fam, bases)
+        sampled = [sample_counts(r, shots=1000, seed=i) for i, r in enumerate(exact)]
+        return reconstruct(sampled, None, fam)
+
+    warm = trial(minimal_bases(f))
+    reads = []
+    read = MubFamily.table
+
+    def counted(self, label):
+        reads.append(label)
+        return read(self, label)
+
+    monkeypatch.setattr(MubFamily, "table", counted)
+    assert np.array_equal(trial(minimal_bases(f)), warm)  # equal labels, new objects
+    assert reads == []
+    assert len(fam.plans) == 1
 
 
 # ----------------------------------------------------------------------

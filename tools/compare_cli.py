@@ -9,7 +9,11 @@ Each SRC is a directory holding the ``pimub`` package (a checkout's
 and sampled, each followed by ``reconstruct`` in every mode, with and
 without ``--project``.  One case past the spin-block cap always runs too:
 each tree writes exact n = 9 Dicke-mixture records with its own library
-(``RECORDS_N9``, one ``python -c``) and runs ``reconstruct`` on them.  A
+(``RECORDS_N9``, one ``python -c``) and runs ``reconstruct`` on them.  For
+every n, each tree also reverses the order of the records of its last
+``simulate`` case (``REVERSED``, one ``python -c``) and reconstructs them,
+so the bases reach ``reconstruct`` in another order than ``simulate``
+wrote them.  A
 pipeline runs within one tree: the change's reconstruct reads the change's
 records.  Where the two trees' records differ, each ``reconstruct`` case
 also runs in both trees on the parent's records, so a change of the
@@ -53,6 +57,14 @@ bases = minimal_bases(f)
 rho = random_pi_state(PIStateSpec.dicke(n, np.random.default_rng(n).dirichlet(np.ones(n + 1))))
 records = exact_probabilities(rho, build_family(f, bases), bases)
 json.dump({"n": n, "records": [record_to_json(r) for r in records]}, sys.stdout)
+"""
+# the records file named by argv[1] with its records, so its bases, in reverse order
+REVERSED = """
+import json, sys
+with open(sys.argv[1]) as handle:
+    payload = json.load(handle)
+payload["records"].reverse()
+json.dump(payload, sys.stdout)
 """
 
 
@@ -182,6 +194,11 @@ def main() -> int:
                     reconstructs(n, " ".join(argv), outputs,
                                  [["--mode", mode, *project] for mode in MODES
                                   for project in ((), ("--project",))])
+            # the last simulate's records, each tree's own, with the bases reversed
+            outputs = {side: run(src, [f"{side}.json"], tmp, ("-c", REVERSED))
+                       for side, src in trees.items()}
+            record(n, f"simulate {METHODS[-1]}", f"python -c REVERSED n={n}", outputs)
+            reconstructs(n, f"python -c REVERSED n={n}", outputs, [[]])
         outputs = {side: run(src, [], tmp, ("-c", RECORDS_N9)) for side, src in trees.items()}
         record(9, "simulate dicke", "python -c RECORDS_N9", outputs)
         reconstructs(9, "python -c RECORDS_N9", outputs, [[]])
