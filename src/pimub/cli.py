@@ -29,6 +29,7 @@ from .gf2n import MAX_N, is_irreducible, make_field
 from .mub import (
     build_family,
     completeness_deviation,
+    family_operator,
     family_to_json,
     predicted_swap_escapes,
     swap_covariance_report,
@@ -48,6 +49,7 @@ from .operators import (
 from .orbits import (
     closed_form_orbit_count,
     enumerate_orbits,
+    expand_probabilities,
     independent_count,
     minimal_bases,
     orbit_report,
@@ -55,8 +57,6 @@ from .orbits import (
     orbit_table_to_json,
 )
 from .tomography import (
-    PI_SUBSPACE,
-    RECONSTRUCT_MODES,
     PIStateSpec,
     exact_probabilities,
     fidelity,
@@ -188,16 +188,17 @@ def cmd_reconstruct(args) -> int:
     try:
         n = json_int(payload["n"], "n")
         record_objs = payload["records"]
+        if not isinstance(record_objs, list):
+            raise TypeError(f"'records' must be a list, got {type(record_objs).__name__}")
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed records file: {exc}") from exc
     field = make_field(n)
     records = [record_from_json(field, obj) for obj in record_objs]
-    # the PI-subspace fit reads only the recorded bases; the orbit modes all
-    recorded = [rec.basis for rec in records] if args.mode == PI_SUBSPACE else None
-    family = build_family(field, recorded)
+    # the fit reads only the recorded bases
+    family = build_family(field, [rec.basis for rec in records])
     table = enumerate_orbits(field)
 
-    rho_hat = reconstruct(records, table, family, mode=args.mode)
+    rho_hat = reconstruct(records, table, family)
     if args.project:
         rho_hat = project_physical(rho_hat)
 
@@ -330,20 +331,21 @@ def _verify_rows(n: int, tolerance: float | None) -> list[tuple[str, bool | None
     ]
 
     bases = minimal_bases(field)
-    worst_round = dict.fromkeys(("representative", PI_SUBSPACE), 0.0)
+    worst_orbit = worst_fit = 0.0
     for seed in range(3):
         rho = random_pi_state(PIStateSpec.twirl(n, seed))
         recs = exact_probabilities(rho, family, bases)
-        for mode in worst_round:
-            rho_hat = reconstruct(recs, table, family, mode=mode)
-            worst_round[mode] = max(worst_round[mode], trace_distance(rho, rho_hat))
+        # the paper's orbit expansion, summed over the family: exact only for n <= 2
+        expanded = expand_probabilities(table, bases, np.array([rec.data for rec in recs]))
+        rho_orbit = family_operator(family, table.labels, expanded)
+        worst_orbit = max(worst_orbit, trace_distance(rho, rho_orbit))
+        worst_fit = max(worst_fit, trace_distance(rho, reconstruct(recs, table, family)))
     unmeasured = unmeasured_pi_types(field, bases)
     rows += [
-        ("tomography: minimal-basis exact round trip",
-         worst_round["representative"] <= round_trip,
-         f"orbit expansion, max trace distance {worst_round['representative']:.2e}"),
-        ("tomography: PI-subspace exact round trip", worst_round[PI_SUBSPACE] <= round_trip,
-         f"max trace distance {worst_round[PI_SUBSPACE]:.2e}; "
+        ("tomography: minimal-basis exact round trip", worst_orbit <= round_trip,
+         f"orbit expansion, max trace distance {worst_orbit:.2e}"),
+        ("tomography: PI-subspace exact round trip", worst_fit <= round_trip,
+         f"max trace distance {worst_fit:.2e}; "
          + (f"unmeasured Pauli types (kX, kY, kZ) {unmeasured}" if unmeasured
             else "bases informationally complete for PI states")),
     ]
@@ -407,11 +409,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="invert a records file")
     p.add_argument("--records", required=True, help="records file from simulate")
     p.add_argument("--state", help="truth state file for fidelity metrics")
-    p.add_argument(
-        "--mode", choices=RECONSTRUCT_MODES, default=PI_SUBSPACE,
-        help="least squares on the PI operator subspace, or the orbit expansion "
-             "(representative | average)",
-    )
     p.add_argument("--project", action="store_true", help="project onto physical PI states")
     p.add_argument("--out", help="output path (stdout if omitted)")
     p.set_defaults(func=cmd_reconstruct, max_n=None)

@@ -49,7 +49,7 @@ class DimensionMismatchError(PimubError):
 
 
 class MissingOrbitError(PimubError):
-    """An orbit expansion has no orbit table, or an orbit no measured representative."""
+    """An orbit of an orbit expansion has no measured representative."""
 
     code = "missing-orbit"
 

@@ -14,8 +14,9 @@ integer array ``OrbitTable.ids``, which is all that
 ``expand_probabilities`` reads; an ``Orbit`` keeps only its representative,
 invariants and size.  The expansion reads and returns the distribution
 format of ``mub.family_operator``: labels and one row of probabilities
-each.  The tests check the table against a point-by-point grouping and
-against the union-find closure of the transposition action.
+each, which that function sums into the estimate ``pimub verify`` checks.
+The tests check the table against a point-by-point grouping and against
+the union-find closure of the transposition action.
 The key also counts the orbits: each of the C(n + 3, 3) column-type count
 vectors of (mu; nu) is one orbit, those with mu = 0 being the weight
 classes of the computational basis, and the vertical basis adds its n + 1
@@ -32,7 +33,8 @@ pi fixes 1 = sum theta_i, pi would be that automorphism, a power of
 Frobenius.  Those form a cyclic group of order n, which cannot hold every
 transposition once n >= 3; ``swap_covariance_report`` lists the conjugations
 that leave the family.  So the expansion is exact only for n <= 2, and
-``tomography.reconstruct`` by default fits the PI operator subspace instead.
+``tomography.reconstruct`` fits the PI operator subspace instead; the
+expansion is left as the check of ``pimub verify``.
 This module is purely combinatorial.
 """
 
@@ -158,27 +160,19 @@ def closed_form_orbit_count(n: int) -> int:
 # Probability expansion along orbits
 # ----------------------------------------------------------------------
 
-def expand_probabilities(
-    table: OrbitTable,
-    labels,
-    probs: np.ndarray,
-    mode: str = "representative",
-) -> np.ndarray:
+def expand_probabilities(table: OrbitTable, labels, probs: np.ndarray) -> np.ndarray:
     """Propagate measured distributions to every basis of the family.
 
     Row k of ``probs`` is the distribution of ``labels[k]`` by the bits of
     nu, so its shape must be (len(labels), 2^n) (else ``SchemaError``); the
     rows must pass ``mub.check_distributions`` and no label may repeat.  A
     slope label of another n raises ``SchemaError`` before any row is read.
-    Every orbit must own at least one measured point.  ``mode``
-    selects what value an orbit carries when several of its points were
-    measured: ``"representative"`` takes the measured point with the
-    smallest label key, ``"average"`` takes the mean.  Returns the
-    (2^n + 1, 2^n) array of the same format for ``table.labels``.
+    Every orbit must own at least one measured point (else
+    ``MissingOrbitError``).  An orbit measured at several points carries
+    the one with the smallest label key, the paper's representative.
+    Returns the (2^n + 1, 2^n) array of the same format for
+    ``table.labels``.
     """
-    if mode not in ("representative", "average"):
-        raise ValueError(f"unknown expansion mode: {mode!r}")
-
     size = 1 << table.n
     values = np.asarray(probs, dtype=float)
     if values.shape != (len(labels), size):
@@ -207,10 +201,7 @@ def expand_probabilities(
             f"orbit {orbit.orbit_id} (invariants {orbit.invariants}) "
             "has no measured representative"
         )
-    if mode == "average":
-        orbit_value = np.bincount(ids, values, minlength=len(table.orbits)) / hits
-    else:
-        orbit_value = values[np.unique(ids, return_index=True)[1]]
+    orbit_value = values[np.unique(ids, return_index=True)[1]]
     return orbit_value[table.ids]
 
 

@@ -38,10 +38,10 @@ eigensolves are the cheaper path, is scored on the dense matrices.
 A measurement record holds its outcomes as one array indexed by the
 self-dual bits of nu, from simulation (``exact_probabilities``,
 ``sample_counts``) to inversion; ``record_from_json`` is the one place an
-outcome key is read and range-checked.  Every inversion reads records
+outcome key is read and range-checked.  The inversion reads records
 through one gate, ``_distributions``, which returns their labels and one
-array whose row k is the distribution of label k; every mode carries that
-format to the estimate.  The gate's checks on the labels alone (a slope of
+array whose row k is the distribution of label k; the estimate reads that
+format.  The gate's checks on the labels alone (a slope of
 another n, a basis recorded twice, a minimal basis missing) are decided
 once per label tuple (``_label_gate``), and raised in the order of a scan
 of the records.
@@ -52,7 +52,7 @@ tuple's tables are stacked once per family, ``MubFamily.plan``, which every
 trial on the same bases reuses.  Simulation builds the state's table of
 all 4^n Pauli expectations once (``operators.pauli_table``), reads every
 basis's rows from it in one gather and Walsh transforms them into Born
-probabilities in one stacked product (``mub.born_probabilities``).  Every
+probabilities in one stacked product (``mub.born_probabilities``).  The
 inversion Walsh transforms them back into the same expectations in one
 product (``mub.pauli_expectations``); no basis is expanded.  The
 PI-subspace fit below bins them by the plan's types, leaving one
@@ -60,10 +60,9 @@ coordinate per Pauli type, and a type sum S_t is PI, so constant on each
 entry class:
 ``_type_map`` holds 2^-n S_t on every class at every n, in closed form
 from the types alone, and the estimate is that map times the coordinates,
-gathered by class, with no 4^n array but the estimate itself; the orbit
-modes use ``operators.pauli_operator``.
+gathered by class, with no 4^n array but the estimate itself.
 
-The default inversion is least squares on the PI operator subspace.  Each
+The inversion is least squares on the PI operator subspace.  Each
 measured basis is the joint eigenbasis of 2^n - 1 Pauli monomials, so its
 distribution gives their expectations, and for a PI state the expectation
 of a Pauli string depends only on its type (k_X, k_Y, k_Z).  The fit is the
@@ -72,9 +71,9 @@ Walsh product and one ``np.bincount`` per sum.  With the n + 2 minimal
 bases it is exact for n <= 4.  At n = 5 the bases carry no monomial of the types
 (1, 4, 0) and (4, 1, 0), so the measurement is not informationally complete
 for PI states in this field presentation, and those two coordinates are set
-to zero (see ``unmeasured_pi_types``).  The paper's orbit expansion
-(``orbits.expand_probabilities``) stays available as the modes
-"representative" and "average"; it is exact only for n <= 2.
+to zero (see ``unmeasured_pi_types``).  It is the one estimator: the
+paper's orbit expansion (``orbits.expand_probabilities``) is exact only for
+n <= 2, and ``pimub verify`` runs it as a check.
 """
 
 from __future__ import annotations
@@ -93,7 +92,6 @@ from .errors import (
     DimensionOverflowError,
     InvalidSpinError,
     MissingBasisError,
-    MissingOrbitError,
     NotNormalizedError,
     SchemaError,
     UnsupportedFieldSizeError,
@@ -106,14 +104,13 @@ from .mub import (
     MubFamily,
     born_probabilities,
     check_distributions,
-    family_operator,
     foreign_slope,
     label_from_json,
     pauli_expectations,
     stabilizer_table,
 )
 from .operators import is_density_matrix, pauli_table, pi_types, qubit_count, type_grid
-from .orbits import OrbitTable, expand_probabilities, minimal_bases
+from .orbits import OrbitTable, minimal_bases
 
 _TWIRL_MAX_N = 8
 
@@ -599,57 +596,29 @@ def sample_counts(record: MeasurementRecord, shots: int, seed: int) -> Measureme
 # Reconstruction
 # ----------------------------------------------------------------------
 
-PI_SUBSPACE = "pi-subspace"
-RECONSTRUCT_MODES = (PI_SUBSPACE, "representative", "average")
-
-
-def reconstruct(
-    records,
-    table: OrbitTable | None,
-    family: MubFamily,
-    mode: str = PI_SUBSPACE,
-) -> np.ndarray:
+def reconstruct(records, table: OrbitTable | None, family: MubFamily) -> np.ndarray:
     """Invert measured records into a density-matrix estimate.
 
-    The records must cover the minimal bases; extra bases are used too.
-    ``mode`` "pi-subspace" (the default) fits the measured Pauli
-    expectations by least squares on the PI operator subspace: the
-    coordinate of each Pauli type is the mean of its measured expectations,
-    and types no record measures get 0, the minimum-norm solution.  It is
-    exact for PI states whenever ``unmeasured_pi_types`` is empty, which
-    holds for the minimal bases at n <= 4 but not at n = 5.  ``table`` is
-    not read in this mode and may be None, and ``family`` needs only the
-    recorded bases (``build_family`` with their labels).
-
-    ``mode`` "representative" or "average" is the orbit expansion: the
-    distributions are propagated to the full family along label orbits
-    (``expand_probabilities`` with that mode) and summed through
-    rho = sum_(k,nu) p_(nu,k) P_(nu,k) - identity (``mub.family_operator``).
-    Qubit swaps do not map the family to itself for n >= 3, so this is exact
-    only for n <= 2.  These modes need the orbit table (else
-    ``MissingOrbitError``) and the full family.
-
-    No physicality projection is applied here.  Any other ``mode`` raises
-    ``ValueError`` before a record is read.
+    The records, any iterable of them, must cover the minimal bases; extra
+    bases are used too.  The measured Pauli expectations are fitted by
+    least squares on the PI operator subspace: the coordinate of each Pauli
+    type is the mean of its measured expectations, and types no record
+    measures get 0, the minimum-norm solution.  It is exact for PI states
+    whenever ``unmeasured_pi_types`` is empty, which holds for the minimal
+    bases at n <= 4 but not at n = 5.  ``table`` is not read and may be
+    None, and ``family`` needs only the recorded bases (``build_family``
+    with their labels).  No physicality projection is applied here.
     """
-    if mode not in RECONSTRUCT_MODES:
-        raise ValueError(f"unknown reconstruct mode {mode!r}, expected one of {RECONSTRUCT_MODES}")
-    field, n = family.field, family.field.n
-    labels, probs = _distributions(records, field)
-
-    if mode == PI_SUBSPACE:
-        # one Walsh product for every basis, then one bincount per sum over types
-        expect = pauli_expectations(family, labels, probs).ravel()
-        types = family.plan(labels).types
-        count = math.comb(n + 3, 3)
-        sums = np.bincount(types, expect, minlength=count)
-        hits = np.bincount(types, minlength=count)
-        coords = np.divide(sums, hits, out=np.zeros(count), where=hits > 0)
-        return (_type_map(n) @ coords)[type_grid(n)]
-
-    if table is None:
-        raise MissingOrbitError(f"mode {mode!r} expands along orbits and needs an orbit table")
-    return family_operator(family, table.labels, expand_probabilities(table, labels, probs, mode))
+    n = family.field.n
+    labels, probs = _distributions(records, family.field)
+    # one Walsh product for every basis, then one bincount per sum over types
+    expect = pauli_expectations(family, labels, probs).ravel()
+    types = family.plan(labels).types
+    count = math.comb(n + 3, 3)
+    sums = np.bincount(types, expect, minlength=count)
+    hits = np.bincount(types, minlength=count)
+    coords = np.divide(sums, hits, out=np.zeros(count), where=hits > 0)
+    return (_type_map(n) @ coords)[type_grid(n)]
 
 
 class _LabelGate(NamedTuple):
@@ -690,7 +659,9 @@ def _distributions(records, field: Field) -> tuple[list, np.ndarray]:
     and records that miss a minimal basis ``MissingBasisError``, after every
     other check.  The checks on the labels alone are decided once per
     label tuple (``_label_gate``); a failed one raises on every call.
+    ``records`` is read once, so an iterator serves as well as a list.
     """
+    records = list(records)
     labels = [record.basis for record in records]
     gate = _label_gate(field, tuple(labels))
     shape = (field.size,)

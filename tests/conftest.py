@@ -8,7 +8,8 @@ by products with it, the dense Ginibre twirl that fixes the law of the
 "twirl" states, the physicality projection one sector at a time, the
 phase-space points of a basis, the Born probabilities one basis at a time,
 the frame identity over a whole family, the record gate as a scan of the
-records one by one, and the quality metrics computed on 2^n-sided matrices.
+records one by one, the paper's orbit expansion summed over the family,
+and the quality metrics computed on 2^n-sided matrices.
 
 ``src`` goes on ``sys.path`` and on ``PYTHONPATH``, so a bare ``pytest``
 finds the package without an install, and so do the CLI subprocesses the
@@ -30,7 +31,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 import numpy as np  # noqa: E402
 
-from pimub import build_family, enumerate_orbits, make_field  # noqa: E402
+from pimub import build_family, enumerate_orbits, make_field, orbits  # noqa: E402
 from pimub.gf2n import _selfdual_basis  # noqa: E402
 from pimub.mub import born_probabilities, family_operator  # noqa: E402
 from pimub.operators import (pauli_phase, pauli_table, pauli_types, pi_types,  # noqa: E402
@@ -38,8 +39,8 @@ from pimub.operators import (pauli_phase, pauli_table, pauli_types, pi_types,  #
 from pimub.errors import (DimensionOverflowError, MissingBasisError,  # noqa: E402
                           NotNormalizedError, SchemaError, UnsupportedFieldSizeError)
 from pimub.orbits import minimal_bases  # noqa: E402
-from pimub.tomography import (_TWIRL_MAX_N, _project_to_simplex,  # noqa: E402
-                              random_density_matrix, twirl)
+from pimub.tomography import (_TWIRL_MAX_N, _distributions, _project_to_simplex,  # noqa: E402
+                              random_density_matrix, reconstruct, twirl)
 
 
 @lru_cache(maxsize=None)
@@ -240,6 +241,47 @@ def reconstruct_identity_check(fam, rho):
     """
     labels = fam.labels()
     return family_operator(fam, labels, born_probabilities(fam, labels, pauli_table(rho).real))
+
+
+# The estimates of records that the estimator tests run: the PI-subspace fit
+# (``reconstruct``), and the paper's orbit expansion summed over the family, each
+# orbit carrying its representative (``orbits.expand_probabilities``, the check of
+# ``pimub verify``) or the mean of its measured points (a rule kept only here).
+ESTIMATES = ("pi-subspace", "representative", "average")
+
+
+def expand_orbits(table, labels, probs, rule="representative"):
+    """The orbit expansion of the distributions ``probs`` of ``labels`` to ``table.labels``.
+
+    "representative" is ``orbits.expand_probabilities``.  "average" runs its
+    checks and then gives each orbit the mean of its measured points, summed
+    in label-key order, so the input row order does not move a bit.
+    """
+    expanded = orbits.expand_probabilities(table, labels, probs)
+    if rule == "representative":
+        return expanded
+    rows = np.array([orbits._row(label, 1 << table.n) for label in labels], dtype=np.intp)
+    order = np.argsort(rows)
+    ids = table.ids[rows[order]].ravel()
+    count = len(table.orbits)
+    mean = np.bincount(ids, np.asarray(probs, dtype=float)[order].ravel(), minlength=count)
+    return (mean / np.bincount(ids, minlength=count))[table.ids]
+
+
+def orbit_estimate(fam, table, labels, probs, rule="representative"):
+    """sum_(k,nu) p_(nu,k) P_(nu,k) - identity over the orbit expansion of ``probs``.
+
+    With the representative rule this is the estimate whose minimal-basis
+    round trip ``pimub verify`` checks; it is exact only for n <= 2.
+    """
+    return family_operator(fam, table.labels, expand_orbits(table, labels, probs, rule))
+
+
+def estimate(records, table, fam, name):
+    """The estimate ``name`` (one of ``ESTIMATES``) of ``records``, read through the record gate."""
+    if name == "pi-subspace":
+        return reconstruct(records, table, fam)
+    return orbit_estimate(fam, table, *_distributions(records, fam.field), name)
 
 
 def permutation_matrix(f, perm):

@@ -10,6 +10,7 @@ import pytest
 
 import pimub.cli
 from pimub.cli import main
+from pimub.errors import PimubError
 from pimub.gf2n import make_field
 from pimub.mub import build_family
 from pimub.operators import matrix_from_json, matrix_to_json
@@ -18,7 +19,8 @@ from pimub.tomography import (PIStateSpec, exact_probabilities, project_physical
                               random_density_matrix, random_pi_state, reconstruct,
                               record_from_json, record_to_json)
 
-from conftest import dense_fidelity, dense_trace_distance
+from conftest import (ESTIMATES, dense_fidelity, dense_trace_distance, estimate, family,
+                      orbit_estimate, orbit_table)
 from reference_data import ORBIT_EXPORT_SHA256
 
 
@@ -145,28 +147,33 @@ def test_exact_pipeline_round_trip(tmp_path):
     assert report["trace_distance"] < 1e-9
     assert report["fidelity"] > 1 - 1e-9
     assert len(report["bases_used"]) == 4
-    # exact inputs: orbit-average combination agrees with the default
-    rep2 = tmp_path / "report_avg.json"
-    assert run_cli(
-        "reconstruct", "--records", str(rec), "--mode", "average", "--out", str(rep2)
-    ) == 0
-    assert json.loads(rep2.read_text())["trace_distance"] < 1e-9
 
 
 def test_default_mode_is_exact_for_three_qubits(tmp_path):
     rec = tmp_path / "records.json"
+    out = tmp_path / "report.json"
     assert run_cli("simulate", "--n", "3", "--seed", "5", "--exact", "--out", str(rec)) == 0
-    reports = {}
-    for mode in (None, "pi-subspace", "representative", "average"):
-        out = tmp_path / f"report-{mode}.json"
-        extra = [] if mode is None else ["--mode", mode]
-        assert run_cli("reconstruct", "--records", str(rec), *extra, "--out", str(out)) == 0
-        reports[mode] = out.read_bytes()
-    assert reports[None] == reports["pi-subspace"]
-    assert json.loads(reports[None])["trace_distance"] < 1e-9
-    # the orbit expansion is exact only for n <= 2
-    assert json.loads(reports["representative"])["trace_distance"] > 1e-3
-    assert json.loads(reports["average"])["trace_distance"] > 1e-3
+    assert run_cli("reconstruct", "--records", str(rec), "--out", str(out)) == 0
+    assert json.loads(out.read_text())["trace_distance"] < 1e-9
+    # the paper's orbit expansion of the same records is exact only for n <= 2
+    payload = json.loads(rec.read_text())
+    records = [record_from_json(make_field(3), obj) for obj in payload["records"]]
+    expanded = orbit_estimate(family(3), orbit_table(3), [r.basis for r in records],
+                              np.array([r.data for r in records]))
+    assert dense_trace_distance(matrix_from_json(payload["truth"]), expanded) > 1e-3
+
+
+def test_reconstruct_has_no_mode_flag(tmp_path, capsys):
+    rec = tmp_path / "records.json"
+    assert run_cli("simulate", "--n", "2", "--seed", "3", "--exact", "--out", str(rec)) == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli("reconstruct", "--records", str(rec), "--mode", "pi-subspace")
+    assert exc.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli("reconstruct", "--help")
+    assert exc.value.code == 0
+    assert "--mode" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("n", (2, 5))
@@ -180,11 +187,9 @@ def test_cli_builds_only_the_bases_it_reads(tmp_path, monkeypatch, n):
     monkeypatch.setattr(pimub.cli, "build_family", spy)
     rec = tmp_path / "records.json"
     assert run_cli("simulate", "--n", str(n), "--seed", "1", "--exact", "--out", str(rec)) == 0
-    for mode in ("pi-subspace", "representative"):
-        out = tmp_path / f"{mode}.json"
-        assert run_cli("reconstruct", "--records", str(rec), "--mode", mode, "--out", str(out)) == 0
+    assert run_cli("reconstruct", "--records", str(rec), "--out", str(tmp_path / "report.json")) == 0
     minimal = minimal_bases(make_field(n))
-    assert calls == [minimal, minimal, None]
+    assert calls == [minimal, minimal]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -317,6 +322,16 @@ def test_reconstruct_rejects_malformed_records(tmp_path, capsys):
         assert err["error"] == "schema"
 
 
+@pytest.mark.parametrize("records", (5, None, "abc", {}))
+def test_reconstruct_rejects_records_that_are_not_a_list(tmp_path, capsys, records):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 2, "records": records}))
+    assert run_cli("reconstruct", "--records", str(bad)) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "schema"
+
+
 def test_reconstruct_rejects_out_of_range_nu_bitmask(tmp_path):
     records = tmp_path / "records.json"
     assert run_cli("simulate", "--n", "2", "--seed", "1", "--exact", "--out", str(records)) == 0
@@ -336,7 +351,7 @@ def test_reconstruct_rejects_out_of_range_nu_bitmask(tmp_path):
     assert "99" in err["message"]
 
 
-@pytest.mark.parametrize("mode", ("pi-subspace", "representative", "average"))
+@pytest.mark.parametrize("mode", ESTIMATES)
 @pytest.mark.parametrize("bad", ("nan", "inf", "pair", "duplicate"))
 def test_reconstruct_rejects_invalid_records_as_json(tmp_path, capsys, mode, bad):
     records = tmp_path / "records.json"
@@ -352,11 +367,16 @@ def test_reconstruct_rejects_invalid_records_as_json(tmp_path, capsys, mode, bad
     else:
         low["p"] = float(bad)
     records.write_text(json.dumps(payload))
-    code = run_cli("reconstruct", "--records", str(records), "--mode", mode, "--project")
+    code = run_cli("reconstruct", "--records", str(records), "--project")
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == ("schema" if bad == "duplicate" else "not-normalized")
     assert "np.float64" not in err["message"]
+    # the command reports the error that each estimate of the same records raises
+    parsed = [record_from_json(make_field(3), obj) for obj in payload["records"]]
+    with pytest.raises(PimubError) as info:
+        estimate(parsed, orbit_table(3), family(3), mode)
+    assert (info.value.code, str(info.value)) == (err["error"], err["message"])
 
 
 @pytest.mark.parametrize("bad", ("shots-0", "shots-x", "other-n", "nu-twice"))

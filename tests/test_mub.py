@@ -37,11 +37,11 @@ from pimub.mub import (
 )
 from pimub.operators import (build_x, build_z, fourier, pauli_phase, pauli_table, permute_label,
                              walsh)
-from pimub.orbits import expand_probabilities, minimal_bases
+from pimub.orbits import minimal_bases
 from pimub.tomography import exact_probabilities, random_density_matrix, random_pure_state
 
-from conftest import (family, field, orbit_table, per_slope_exponents, per_slope_invariant,
-                      reconstruct_identity_check, stabilizer_points)
+from conftest import (expand_orbits, family, field, orbit_table, per_slope_exponents,
+                      per_slope_invariant, reconstruct_identity_check, stabilizer_points)
 from reference_data import SLOPE_ANCHOR_EXPONENTS, SLOPE_ANCHOR_SHA256, TWO_QUBIT_BASES
 
 
@@ -236,7 +236,7 @@ def test_family_operator_trace_is_the_pairwise_total(n, mode):
     for seed in (1, 2, n):
         rho = random_density_matrix(2**n, seed=seed)
         probs = np.array([r.data for r in exact_probabilities(rho, family(n), labels)])
-        expanded = expand_probabilities(table, labels, probs, mode=mode)
+        expanded = expand_orbits(table, labels, probs, mode)
         trace = np.trace(family_operator(family(n), table.labels, expanded)).real
         exact = math.fsum(expanded.ravel().tolist()) - 2**n
         assert abs(trace - exact) <= np.spacing(2.0**n + 1)

@@ -29,7 +29,7 @@ from pimub.tomography import (
     sample_counts,
 )
 
-from conftest import family, field, orbit_table
+from conftest import expand_orbits, family, field, orbit_table
 from reference_data import THREE_QUBIT_ORBIT_CLASSES, THREE_QUBIT_TOTAL_POINTS
 
 
@@ -400,7 +400,7 @@ def _sampled_beyond_minimal(n, seed):
 @pytest.mark.parametrize("mode", ("representative", "average"))
 def test_expansion_matches_the_member_oracle(n, mode):
     labels, probs = _distributions(_sampled_beyond_minimal(n, seed=40 + n))
-    expanded = expand_probabilities(orbit_table(n), labels, probs, mode=mode)
+    expanded = expand_orbits(orbit_table(n), labels, probs, mode)
     oracle = _member_expansion(labels, probs, orbit_table(n), mode)
     assert expanded.shape == oracle.shape == (2**n + 1, 2**n)
     assert np.array_equal(expanded, oracle)
@@ -412,11 +412,10 @@ def test_expansion_is_independent_of_the_input_row_order(n, mode):
     # the representative is the smallest measured label key and the average
     # sums in label-key order, whatever order the rows come in
     labels, probs = _distributions(_sampled_beyond_minimal(n, seed=60 + n))
-    expanded = expand_probabilities(orbit_table(n), labels, probs, mode=mode)
+    expanded = expand_orbits(orbit_table(n), labels, probs, mode)
     rng = np.random.default_rng(n)
     for order in [np.arange(len(labels))[::-1]] + [rng.permutation(len(labels)) for _ in range(5)]:
-        shuffled = expand_probabilities(orbit_table(n), [labels[k] for k in order], probs[order],
-                                        mode=mode)
+        shuffled = expand_orbits(orbit_table(n), [labels[k] for k in order], probs[order], mode)
         assert np.array_equal(shuffled, expanded)
 
 
@@ -425,8 +424,7 @@ def test_expansion_rejects_a_repeated_label(mode):
     labels, probs = _distributions(exact_probabilities(np.eye(8, dtype=complex) / 8.0, family(3),
                                                        minimal_bases(field(3))))
     with pytest.raises(ValueError, match=re.escape(f"{labels[2]!r} is given more than once")):
-        expand_probabilities(orbit_table(3), labels + labels[2:3], np.vstack([probs, probs[2]]),
-                             mode=mode)
+        expand_orbits(orbit_table(3), labels + labels[2:3], np.vstack([probs, probs[2]]), mode)
 
 
 def test_expansion_of_maximally_mixed_is_uniform():
@@ -492,12 +490,13 @@ def test_expansion_modes_average_vs_representative():
     fam = family(2)
     rho = random_pi_state(PIStateSpec.twirl(2, seed=5))
     labels, probs = _distributions(exact_probabilities(rho, fam, minimal_bases(f)))
-    rep = expand_probabilities(orbit_table(2), labels, probs, mode="representative")
-    avg = expand_probabilities(orbit_table(2), labels, probs, mode="average")
-    # exact inputs: both modes agree
+    rep = expand_probabilities(orbit_table(2), labels, probs)
+    avg = expand_orbits(orbit_table(2), labels, probs, "average")
+    # exact inputs: the measured points of an orbit agree, so both rules do
     assert all(np.abs(r - a).max() < 1e-12 for r, a in zip(rep, avg))
-    with pytest.raises(ValueError):
-        expand_probabilities(orbit_table(2), labels, probs, mode="median")
+    # the representative is the one rule the package keeps
+    with pytest.raises(TypeError, match="mode"):
+        expand_probabilities(orbit_table(2), labels, probs, mode="average")
 
 
 def test_expansion_per_basis_sums_for_exact_inputs():
@@ -560,7 +559,7 @@ def test_expansion_rejects_a_slope_of_another_field():
         with pytest.raises(SchemaError, match=message):
             expand_probabilities(orbit_table(2), [*labels, BasisLabel(field(3).element(bits))],
                                  np.vstack([probs, np.full(4, 0.25)]))
-    # ``reconstruct`` rejects such a record in its record gate, in every mode
+    # ``reconstruct`` rejects such a record in its record gate, before any estimate
     # (``test_every_mode_rejects_a_slope_of_another_field``)
 
 

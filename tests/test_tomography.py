@@ -1,6 +1,7 @@
 """PI states, measurement simulation, inversion, physicality projection."""
 
 import collections
+import inspect
 import itertools
 import math
 import re
@@ -10,13 +11,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pimub import mub, operators, tomography
+from pimub import mub, operators, orbits, tomography
 from pimub.errors import (
     DimensionMismatchError,
     DimensionOverflowError,
     InvalidSpinError,
     MissingBasisError,
-    MissingOrbitError,
     NotNormalizedError,
     PimubError,
     SchemaError,
@@ -31,9 +31,8 @@ from pimub.mub import (
 )
 from pimub.operators import (build_x, build_z, is_density_matrix, pauli_operator, pauli_table,
                              qubit_count, swap_index, type_grid)
-from pimub.orbits import LabelPoint, expand_probabilities, minimal_bases
+from pimub.orbits import LabelPoint, minimal_bases
 from pimub.tomography import (
-    RECONSTRUCT_MODES,
     MeasurementRecord,
     PIStateSpec,
     dicke_state,
@@ -59,10 +58,11 @@ from pimub.tomography import (
 from pimub.tomography import (_class_sums, _classes, _distributions, _from_entries, _mean_stack,
                               _project_to_simplex, _type_map)
 
-from conftest import (_representatives, coupled_basis, coupled_from_blocks, coupled_mean_blocks,
-                      coupled_units, dense_fidelity, dense_trace_distance, family, field,
-                      ginibre_twirl_state, looped_born_probabilities, looped_projection,
-                      looped_record_gate, orbit_table, permutation_matrix, phase_sum_type_map,
+from conftest import (ESTIMATES, _representatives, coupled_basis, coupled_from_blocks,
+                      coupled_mean_blocks, coupled_units, dense_fidelity, dense_trace_distance,
+                      estimate, expand_orbits, family, field, ginibre_twirl_state,
+                      looped_born_probabilities, looped_projection, looped_record_gate,
+                      orbit_estimate, orbit_table, permutation_matrix, phase_sum_type_map,
                       reconstruct_identity_check, stabilizer_points, swap_invariant)
 
 
@@ -900,7 +900,7 @@ def test_reconstruct_requires_the_minimal_bases():
         reconstruct(records, orbit_table(2), fam)
 
 
-@pytest.mark.parametrize("mode", RECONSTRUCT_MODES)
+@pytest.mark.parametrize("mode", ESTIMATES)
 def test_every_mode_rejects_a_slope_of_another_field(mode, monkeypatch):
     # bits 2 of an n = 3 slope would read as the n = 2 slope 2, which the family holds
     f = field(2)
@@ -911,11 +911,11 @@ def test_every_mode_rejects_a_slope_of_another_field(mode, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("table read")
 
-    monkeypatch.setattr(tomography, "expand_probabilities", refuse)
+    monkeypatch.setattr(orbits, "expand_probabilities", refuse)
     with pytest.raises(SchemaError, match=re.escape("is a slope of n=3, not of the family's n=2")):
-        reconstruct([*records, alien], orbit_table(2), family(2), mode=mode)
+        estimate([*records, alien], orbit_table(2), family(2), mode)
     with pytest.raises(MissingBasisError):
-        reconstruct(records[1:], orbit_table(2), family(2), mode=mode)
+        estimate(records[1:], orbit_table(2), family(2), mode)
 
 
 @pytest.mark.parametrize("mode", ("representative", "average"))
@@ -927,16 +927,7 @@ def test_orbit_modes_need_the_full_family(mode):
                                   minimal_bases(f))
     outside = next(label for label in family_labels(f) if label not in minimal_bases(f))
     with pytest.raises(MissingBasisError, match=re.escape(f"{outside!r} is not in the family")):
-        reconstruct(records, orbit_table(3), partial, mode=mode)
-
-
-@pytest.mark.parametrize("mode", ("representative", "average"))
-def test_orbit_modes_name_a_missing_orbit_table(mode):
-    f = field(2)
-    records = exact_probabilities(random_pi_state(PIStateSpec.twirl(2, seed=3)), family(2),
-                                  minimal_bases(f))
-    with pytest.raises(MissingOrbitError, match=mode):
-        reconstruct(records, None, family(2), mode=mode)
+        estimate(records, orbit_table(3), partial, mode)
 
 
 def test_default_mode_needs_only_the_recorded_bases():
@@ -1021,11 +1012,11 @@ def test_out_of_range_record_key_is_rejected():
     records, _, _ = _three_qubit_records()
     other_n = exact_probabilities(rho, family(2), minimal_bases(f)[1:2])[0]
     short = MeasurementRecord(n=3, basis=records[1].basis, data=records[1].data[:-1])
-    for mode in RECONSTRUCT_MODES:
+    for mode in ESTIMATES:
         for wrong in (other_n, short):
             records[1] = wrong
             with pytest.raises(SchemaError, match="outcome shape"):
-                reconstruct(records, orbit_table(3), family(3), mode=mode)
+                estimate(records, orbit_table(3), family(3), mode)
 
 
 def test_record_json_rejects_bad_shots_n_and_duplicate_outcomes():
@@ -1212,7 +1203,7 @@ def test_orbit_expansion_modes_remain_biased_for_three_qubits():
     records = exact_probabilities(rho, fam, minimal_bases(f))
     assert trace_distance(rho, reconstruct(records, orbit_table(3), fam)) < 1e-9
     for mode in ("representative", "average"):
-        rho_hat = reconstruct(records, orbit_table(3), fam, mode=mode)
+        rho_hat = estimate(records, orbit_table(3), fam, mode)
         assert trace_distance(rho, rho_hat) > 1e-3
 
 
@@ -1221,7 +1212,7 @@ def _dense_orbit_sum(records, table, fam, mode):
     orbit values, with every family basis expanded to a dense matrix."""
     f = fam.field
     measured = np.array([[rec.frequencies()[bits] for bits in range(f.size)] for rec in records])
-    expanded = expand_probabilities(table, [rec.basis for rec in records], measured, mode=mode)
+    expanded = expand_orbits(table, [rec.basis for rec in records], measured, mode)
     rho = -np.eye(f.size, dtype=complex)
     for label in fam.labels():
         v = fam.basis(label)
@@ -1242,7 +1233,7 @@ def test_orbit_modes_match_dense_projector_sum(n, mode):
     worst_total = 0.0
     for records in (exact, sampled):
         dense, expanded = _dense_orbit_sum(records, table, fam, mode)
-        assert np.abs(reconstruct(records, table, fam, mode=mode) - dense).max() <= 1e-12
+        assert np.abs(estimate(records, table, fam, mode) - dense).max() <= 1e-12
         totals = [probs.sum() for probs in expanded]
         worst_total = max(worst_total, max(abs(t - 1.0) for t in totals))
     # the representative expansion need not sum to one on unmeasured bases,
@@ -1261,8 +1252,8 @@ def test_estimators_never_expand_a_basis(monkeypatch):
     rho = random_pi_state(PIStateSpec.twirl(3, seed=31))
     exact = exact_probabilities(rho, fam, minimal_bases(f))
     sampled = [sample_counts(r, shots=1000, seed=i) for i, r in enumerate(exact)]
-    for mode in ("pi-subspace", "representative", "average"):
-        project_physical(reconstruct(sampled, orbit_table(3), fam, mode=mode))
+    for mode in ESTIMATES:
+        project_physical(estimate(sampled, orbit_table(3), fam, mode))
     assert np.abs(reconstruct_identity_check(fam, rho) - rho).max() < 1e-12
 
 
@@ -1326,24 +1317,21 @@ def test_stacked_born_probabilities_match_the_per_label_products(n):
 
 
 def test_reconstruct_rejects_unknown_mode_and_unnormalized_records():
+    # there is one estimator, so a mode is an unknown argument
     f = field(2)
     fam = family(2)
     records = exact_probabilities(np.eye(4, dtype=complex) / 4.0, fam, minimal_bases(f))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="mode"):
         reconstruct(records, orbit_table(2), fam, mode="median")
     records[1].data[0] += 0.1
     with pytest.raises(NotNormalizedError):
         reconstruct(records, orbit_table(2), fam)
 
 
-def test_reconstruct_names_the_modes_before_reading_records():
-    fam = family(2)
-    records = exact_probabilities(np.eye(4, dtype=complex) / 4.0, fam, minimal_bases(field(2)))
-    with pytest.raises(ValueError, match="unknown reconstruct mode 'foo'.*pi-subspace"):
-        reconstruct(records, None, fam, mode="foo")
-    records[1].data[0] += 0.1
-    with pytest.raises(ValueError, match="unknown reconstruct mode 'foo'.*average"):
-        reconstruct(records, orbit_table(2), fam, mode="foo")
+def test_reconstruct_takes_records_table_and_family_only():
+    assert list(inspect.signature(reconstruct).parameters) == ["records", "table", "family"]
+    assert not hasattr(tomography, "RECONSTRUCT_MODES")
+    assert "mode" not in inspect.signature(orbits.expand_probabilities).parameters
 
 
 def test_estimators_never_hash_label_points(monkeypatch):
@@ -1357,8 +1345,8 @@ def test_estimators_never_hash_label_points(monkeypatch):
     exact = exact_probabilities(rho, fam, minimal_bases(f))
     sampled = [sample_counts(r, shots=1000, seed=i) for i, r in enumerate(exact)]
     monkeypatch.setattr(LabelPoint, "__hash__", refuse)
-    for mode in RECONSTRUCT_MODES:
-        reconstruct(sampled, table, fam, mode=mode)
+    for mode in ESTIMATES:
+        estimate(sampled, table, fam, mode)
 
 
 def _three_qubit_records(seed=35):
@@ -1371,7 +1359,7 @@ def _three_qubit_records(seed=35):
     return records, low, (low + 1) % 8
 
 
-@pytest.mark.parametrize("mode", RECONSTRUCT_MODES)
+@pytest.mark.parametrize("mode", ESTIMATES)
 @pytest.mark.parametrize("bad", ("nan", "inf", "-inf", "pair"))
 def test_reconstruct_rejects_non_finite_and_negative_entries(mode, bad):
     records, low, other = _three_qubit_records()
@@ -1382,39 +1370,39 @@ def test_reconstruct_rejects_non_finite_and_negative_entries(mode, bad):
     else:
         data[low] = float(bad)
     with pytest.raises(NotNormalizedError) as info:
-        reconstruct(records, orbit_table(3), family(3), mode=mode)
+        estimate(records, orbit_table(3), family(3), mode)
     assert "np.float64" not in str(info.value)
 
 
-@pytest.mark.parametrize("mode", RECONSTRUCT_MODES)
+@pytest.mark.parametrize("mode", ESTIMATES)
 def test_reconstruct_rejects_a_duplicated_basis(mode):
     records, _, _ = _three_qubit_records()
     with pytest.raises(SchemaError, match="more than once"):
-        reconstruct(records + records[1:2], orbit_table(3), family(3), mode=mode)
+        estimate(records + records[1:2], orbit_table(3), family(3), mode)
 
 
-@pytest.mark.parametrize("mode", RECONSTRUCT_MODES)
+@pytest.mark.parametrize("mode", ESTIMATES)
 def test_roundoff_below_zero_is_accepted(mode):
     # exact records of pure and Dicke states hold entries down to about -3e-17
     records, low, other = _three_qubit_records()
     data = records[1].data
     data[other] += data[low] + 1e-17
     data[low] = -1e-17
-    assert np.isfinite(reconstruct(records, orbit_table(3), family(3), mode=mode)).all()
+    assert np.isfinite(estimate(records, orbit_table(3), family(3), mode)).all()
 
 
-@pytest.mark.parametrize("mode", RECONSTRUCT_MODES)
+@pytest.mark.parametrize("mode", ESTIMATES)
 def test_omitted_outcome_reads_as_zero(mode):
     records, low, other = _three_qubit_records()
     data = records[1].data
     data[other] += data[low]
     data[low] = 0.0
-    explicit = reconstruct(records, orbit_table(3), family(3), mode=mode)
+    explicit = estimate(records, orbit_table(3), family(3), mode)
     obj = record_to_json(records[1])
     del obj["data"][low]
     records[1] = record_from_json(field(3), obj)
     assert records[1].data[low] == 0.0
-    omitted = reconstruct(records, orbit_table(3), family(3), mode=mode)
+    omitted = estimate(records, orbit_table(3), family(3), mode)
     assert np.array_equal(omitted, explicit)
 
 
@@ -1470,9 +1458,22 @@ def test_record_gate_raises_the_fault_a_record_scan_meets_first(sampled):
             faulty = _with_fault(faulty, fault, i)
         expected = _raised(lambda: looped_record_gate(faulty, f))
         assert expected is not None, faults
-        for mode in RECONSTRUCT_MODES:
+        for mode in ESTIMATES:
             for _ in range(2):
-                assert _raised(lambda: reconstruct(faulty, table, fam, mode=mode)) == expected
+                assert _raised(lambda: estimate(faulty, table, fam, mode)) == expected
+
+
+def test_reconstruct_reads_an_iterator_of_records_once():
+    fam = family(3)
+    records, _, _ = _three_qubit_records()
+    expected = reconstruct(records, None, fam)
+    assert np.array_equal(reconstruct(iter(records), None, fam), expected)
+    assert np.array_equal(reconstruct((record for record in records), None, fam), expected)
+    for fault in _FAULTS:
+        faulty = _with_fault(records, fault, 1)
+        raised = _raised(lambda: reconstruct(faulty, None, fam))
+        assert raised is not None
+        assert _raised(lambda: reconstruct((record for record in faulty), None, fam)) == raised
 
 
 def test_a_warm_label_tuple_reads_no_basis_table(monkeypatch):

@@ -6,8 +6,8 @@ Each SRC is a directory holding the ``pimub`` package (a checkout's
 ``src``).  The cases are, for every n up to ``--max-n``, ``field --n k
 --verify``, ``orbits --n k`` (JSON and CSV), ``mubs --n k`` for k <= 5,
 ``verify --n k`` for k <= 6, and ``simulate`` with each state method, exact
-and sampled, each followed by ``reconstruct`` in every mode, with and
-without ``--project``.  One case past the spin-block cap always runs too:
+and sampled, each followed by ``reconstruct`` with and without
+``--project``.  One case past the spin-block cap always runs too:
 each tree writes exact n = 9 Dicke-mixture records with its own library
 (``RECORDS_N9``, one ``python -c``) and runs ``reconstruct`` on them.  For
 every n, each tree also reverses the order of the records of its last
@@ -44,7 +44,6 @@ from pathlib import Path
 
 METHODS = ("twirl", "dicke", "blocks")
 SAMPLING = (("--exact",), ("--shots", "1000"))
-MODES = ("pi-subspace", "representative", "average")
 # exact records of a seeded n = 9 Dicke mixture on the minimal bases, as JSON on stdout
 RECORDS_N9 = """
 import json, sys
@@ -191,9 +190,7 @@ def main() -> int:
                             *sampling]
                     outputs = {side: run(src, argv, tmp) for side, src in trees.items()}
                     record(n, f"simulate {method}", " ".join(argv), outputs)
-                    reconstructs(n, " ".join(argv), outputs,
-                                 [["--mode", mode, *project] for mode in MODES
-                                  for project in ((), ("--project",))])
+                    reconstructs(n, " ".join(argv), outputs, [[], ["--project"]])
             # the last simulate's records, each tree's own, with the bases reversed
             outputs = {side: run(src, [f"{side}.json"], tmp, ("-c", REVERSED))
                        for side, src in trees.items()}
