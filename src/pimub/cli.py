@@ -342,7 +342,8 @@ def _verify_rows(n: int, tolerance: float | None) -> list[tuple[str, bool | None
         worst_fit = max(worst_fit, trace_distance(rho, reconstruct(recs, table, family)))
     unmeasured = unmeasured_pi_types(field, bases)
     rows += [
-        ("tomography: minimal-basis exact round trip", worst_orbit <= round_trip,
+        ("tomography: minimal-basis exact round trip",
+         worst_orbit <= round_trip if n <= 2 else None,
          f"orbit expansion, max trace distance {worst_orbit:.2e}"),
         ("tomography: PI-subspace exact round trip", worst_fit <= round_trip,
          f"max trace distance {worst_fit:.2e}; "

@@ -81,18 +81,16 @@ the whole family or only the labels a caller reads, such as the n + 2
 minimal bases of a measurement.  The Pauli strings a basis diagonalizes
 are a function of bit masks (``stabilizer_table``): z is the index of
 alpha and x that of mu alpha, one product by the multiplication matrix of
-mu.  ``MubFamily.table`` holds them with the anchor's eigenvalue on each,
-filled once per family and label on first read.  A measurement repeats
-one label tuple, such as the n + 2 minimal bases, trial after trial, so
-``MubFamily.plan`` stacks the tables of a tuple once per family: the flat
-place x 2^n + z of every row, the eigenvalues and the Pauli types.  Both
-directions of the measurement map read labels and an array with one row
-per label, through that plan: ``born_probabilities`` reads the
-expectations of every basis's strings from the state's
-``operators.pauli_table`` in one gather (one table serves every basis) and
-Walsh transforms them in one stacked product, and ``pauli_expectations``
-recovers them from the distributions in one Walsh product;
-``family_operator`` adds them onto their (x, z) places in one
+mu.  A measurement repeats one label tuple, such as the n + 2 minimal
+bases, trial after trial, so ``MubFamily.plan`` stacks their rows once per
+family: the flat place x 2^n + z of each, the anchor's eigenvalue on it
+and its Pauli type.  Both directions of the measurement map read labels
+and an array with one row per label, through that plan:
+``born_probabilities`` reads the expectations of every basis's strings
+from the state's ``operators.pauli_table`` in one gather (one table serves
+every basis) and Walsh transforms them in one stacked product, and
+``pauli_expectations`` recovers them from the distributions in one Walsh
+product; ``family_operator`` adds them onto their (x, z) places in one
 ``np.bincount``, giving sum p P - identity.  The family is
 deterministic for a fixed n: identical labels, vectors and exported bytes.
 """
@@ -186,7 +184,7 @@ def label_from_json(field: Field, obj) -> BasisLabel:
 
 
 # ----------------------------------------------------------------------
-# Stabilizer tables
+# Stabilizer table
 # ----------------------------------------------------------------------
 
 class StabilizerTable(NamedTuple):
@@ -195,9 +193,7 @@ class StabilizerTable(NamedTuple):
     Rows run over alpha in field order.  Row alpha is the string
     (-i)^|z & x| Z_z X_x with computational masks z and x: the indices of
     alpha and mu alpha on the slope-mu ray, of 0 and alpha on the vertical
-    ray.  ``types`` is its position in ``pi_types``.  The arrays are int16
-    (n <= 12 fits), so the tables of a whole family take less memory than
-    its anchors.
+    ray.  ``types`` is its position in ``pi_types``.
     """
 
     z: np.ndarray
@@ -212,8 +208,7 @@ def stabilizer_table(field: Field, label: BasisLabel) -> StabilizerTable:
         z, x = np.zeros_like(alpha), alpha
     else:
         z, x = alpha, _span(_multiplication_rows(field, [label.slope.index]))[0, alpha]
-    z, x = z.astype(np.int16), x.astype(np.int16)
-    table = StabilizerTable(z, x, pauli_types(field.n, z, x).astype(np.int16))
+    table = StabilizerTable(z, x, pauli_types(field.n, z, x))
     for arr in table:
         arr.flags.writeable = False
     return table
@@ -371,17 +366,8 @@ def build_vertical(field: Field) -> np.ndarray:
     return _expand(_vertical_anchor(field), vertical=True)
 
 
-class BasisTable(NamedTuple):
-    """A family basis's ``StabilizerTable`` and its anchor's eigenvalue on each row."""
-
-    z: np.ndarray
-    x: np.ndarray
-    types: np.ndarray
-    eigenvalues: np.ndarray
-
-
 class MeasurementPlan(NamedTuple):
-    """The ``MubFamily.table`` rows of a label tuple, stacked once for both directions of the map.
+    """The ``stabilizer_table`` rows of a label tuple, stacked once for both directions of the map.
 
     Row k belongs to label k.  ``index`` is x 2^n + z, the flat place of each
     row's string in a 2^n-sided [x, z] table such as ``operators.pauli_table``,
@@ -406,14 +392,13 @@ class MubFamily:
     ``build_family``) is the same type with fewer entries in ``bases``;
     asking it for a basis it lacks raises ``MissingBasisError``.  Families
     compare by identity, so a partial family is unequal to the full one.
-    ``tables`` caches ``table`` by label and ``plans`` caches ``plan`` by
-    label tuple, both filled on first read; the constructor takes neither,
-    so every family starts with empty caches.
+    ``plans`` caches ``plan`` by label tuple, filled on first read; the
+    constructor does not take it, so every family starts with an empty
+    cache.
     """
 
     field: Field
     bases: dict  # BasisLabel -> read-only (dim,) anchor column
-    tables: dict = dataclasses.field(default_factory=dict, init=False, compare=False, repr=False)
     plans: dict = dataclasses.field(default_factory=dict, init=False, compare=False, repr=False)
 
     def labels(self) -> list[BasisLabel]:
@@ -429,41 +414,26 @@ class MubFamily:
     def basis(self, label: BasisLabel) -> np.ndarray:
         return _expand(self.anchor(label), label.is_vertical)
 
-    def table(self, label: BasisLabel) -> BasisTable:
-        """Read-only ``BasisTable`` of a basis, built on the first read for its label.
+    def plan(self, labels) -> MeasurementPlan:
+        """Read-only ``MeasurementPlan`` of ``labels``, stacked on the first read for the tuple.
 
         P_alpha |anchor> = lambda_alpha |anchor>, and entry r of the left side is
         (-i)^|z & x| (-1)^|z & r| anchor[r ^ x], so lambda_alpha is that over
         anchor[r] at any r where the anchor is nonzero: O(2^n), not a 4^n moment.
         Every anchor (i^k / 2^(n/2), e_0 or the uniform vector) is nonzero at
-        r = 0, where the sign is 1.
-        """
-        entry = self.tables.get(label)
-        if entry is None:
-            anchor = self.anchor(label)
-            z, x, types = stabilizer_table(self.field, label)
-            ratio = pauli_phase(self.field.n, z, x) * anchor[x] / anchor[0]
-            eigenvalues = ratio.real.copy()
-            eigenvalues.flags.writeable = False
-            entry = self.tables[label] = BasisTable(z, x, types, eigenvalues)
-        return entry
-
-    def plan(self, labels) -> MeasurementPlan:
-        """Read-only ``MeasurementPlan`` of ``labels``, stacked from their tables on the first read.
-
-        The family keeps the plans of the last ``_PLAN_CACHE_SIZE`` label tuples built.
+        r = 0, where the sign is 1.  The family keeps the plans of the last
+        ``_PLAN_CACHE_SIZE`` label tuples built.
         """
         key = tuple(labels)
         entry = self.plans.get(key)
         if entry is None:
-            tables = [self.table(label) for label in key]
             dim = self.field.size
-            rows = (len(key), dim)
-            index = np.array([t.x for t in tables], dtype=np.intp).reshape(rows) * dim
-            index += np.array([t.z for t in tables], dtype=np.intp).reshape(rows)
-            eigenvalues = np.array([t.eigenvalues for t in tables]).reshape(rows)
-            types = np.array([t.types for t in tables], dtype=np.intp).ravel()
-            entry = MeasurementPlan(index, eigenvalues, types)
+            anchors = np.array([self.anchor(label) for label in key]).reshape(len(key), dim)
+            rows = [stabilizer_table(self.field, label) for label in key]
+            z, x, types = np.array(rows, dtype=np.intp).reshape(len(key), 3, dim).swapaxes(0, 1)
+            ratio = pauli_phase(self.field.n, z, x) * np.take_along_axis(anchors, x, 1)
+            eigenvalues = (ratio / anchors[:, :1]).real.copy()
+            entry = MeasurementPlan(x * dim + z, eigenvalues, types.ravel())
             for arr in entry:
                 arr.flags.writeable = False
             if len(self.plans) >= _PLAN_CACHE_SIZE:
@@ -515,7 +485,7 @@ def born_probabilities(family: MubFamily, labels, expect: np.ndarray) -> np.ndar
 
 
 def pauli_expectations(family: MubFamily, labels, probs: np.ndarray) -> np.ndarray:
-    """<P_alpha> on the rows of each basis's ``MubFamily.table``, one row per label.
+    """<P_alpha> on the ``stabilizer_table`` rows of each basis, one row per label.
 
     Row k of ``probs`` is the distribution of ``labels[k]`` by the bits of nu.
     The inverse of ``born_probabilities``: the anchors' eigenvalues, from the

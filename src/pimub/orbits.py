@@ -164,9 +164,9 @@ def expand_probabilities(table: OrbitTable, labels, probs: np.ndarray) -> np.nda
     """Propagate measured distributions to every basis of the family.
 
     Row k of ``probs`` is the distribution of ``labels[k]`` by the bits of
-    nu, so its shape must be (len(labels), 2^n) (else ``SchemaError``); the
-    rows must pass ``mub.check_distributions`` and no label may repeat.  A
-    slope label of another n raises ``SchemaError`` before any row is read.
+    nu, so its shape must be (len(labels), 2^n), and no label may repeat
+    (else ``SchemaError``); the rows must pass ``mub.check_distributions``.
+    A slope label of another n raises ``SchemaError`` before any row is read.
     Every orbit must own at least one measured point (else
     ``MissingOrbitError``).  An orbit measured at several points carries
     the one with the smallest label key, the paper's representative.
@@ -188,7 +188,7 @@ def expand_probabilities(table: OrbitTable, labels, probs: np.ndarray) -> np.nda
     measured, rows = [labels[k] for k in order], rows[order]
     twice = np.flatnonzero(np.diff(rows) == 0)
     if twice.size:
-        raise ValueError(f"basis {measured[twice[0]]!r} is given more than once")
+        raise SchemaError(f"basis {measured[twice[0]]!r} is given more than once")
     values = values[order]
     check_distributions(measured, values)
     ids = table.ids[rows].ravel()

@@ -45,10 +45,10 @@ format.  The gate's checks on the labels alone (a slope of
 another n, a basis recorded twice, a minimal basis missing) are decided
 once per label tuple (``_label_gate``), and raised in the order of a scan
 of the records.
-Both directions of the measurement map go through one table per basis of
-the family, ``MubFamily.table``: the 2^n Pauli strings, identity included,
-that the basis diagonalizes, and the anchor's eigenvalue on each.  A label
-tuple's tables are stacked once per family, ``MubFamily.plan``, which every
+Both directions of the measurement map read each basis through the 2^n
+Pauli strings, identity included, that it diagonalizes
+(``mub.stabilizer_table``), and the anchor's eigenvalue on each.  A label
+tuple's rows are stacked once per family, ``MubFamily.plan``, which every
 trial on the same bases reuses.  Simulation builds the state's table of
 all 4^n Pauli expectations once (``operators.pauli_table``), reads every
 basis's rows from it in one gather and Walsh transforms them into Born
@@ -211,6 +211,13 @@ def _multinomial(*parts) -> np.ndarray:
     return np.where(ok, factorials[parts.sum(axis=0)] // factorials[parts].prod(axis=0), 0)
 
 
+def _type_parts(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (k_X, k_Y, k_Z, k_I) rows, a column per type of ``pi_types(n)``, and the class sizes
+    N_k = n! / (k_X! k_Y! k_Z! k_I!), the number of entries (or strings) of each type."""
+    parts = np.array([(*t, n - sum(t)) for t in pi_types(n)]).T
+    return parts, _multinomial(*parts)
+
+
 def _units(n: int) -> np.ndarray:
     """``units[k, b]``, the value on class k of the spin-block unit b, in closed form.
 
@@ -229,8 +236,7 @@ def _units(n: int) -> np.ndarray:
     over the q of the singlets of types {I, Y}.  The multinomials are exact
     in int64 for every n <= ``gf2n.MAX_N``, and no 2^n-sided array is built.
     """
-    kx, ky, kz, ki = np.array([(*t, n - sum(t)) for t in pi_types(n)]).T
-    entries = _multinomial(kx, ky, kz, ki)
+    (kx, ky, kz, ki), entries = _type_parts(n)
     units = []
     for size, count in zip(*_sectors(n)):
         two_j, p = size - 1, (n + 1 - size) // 2
@@ -268,8 +274,7 @@ def _classes(n: int) -> _Classes:
                              (2 * padded[row > col, None] + [0, 1]).ravel()])
     dof = 2.0 * ((np.array(block_counts) << n)[padded // (side * side)] - row)[row == col]
     counts = np.array(block_counts, dtype=float)[:, None]
-    types = np.array([(*t, n - sum(t)) for t in pi_types(n)]).T
-    sizes = _multinomial(*types)[:, None].astype(float)
+    sizes = _type_parts(n)[1][:, None].astype(float)
     reps = np.repeat(block_counts, block_sizes)
     spread = kept.repeat(reps)
     firsts = np.cumsum(reps) - reps
@@ -290,7 +295,7 @@ def _type_map(n: int) -> np.ndarray:
     is 2^-n i^t_Y K(k_X, k_Z; t_Y) K(k_I, k_Y; t_Z) if t_X + t_Y = k_X + k_Z, else
     0, with K(p, q; m) = [y^m] (1 + y)^p (1 - y)^q exact in int64.
     """
-    kx, ky, kz, ki = np.array([(*t, n - sum(t)) for t in pi_types(n)]).T
+    kx, ky, kz, ki = _type_parts(n)[0]
     p, q, m, b = np.ogrid[:n + 1, :n + 1, :n + 1, :n + 1]
     krawtchouk = ((-1) ** b * _multinomial(b, q - b) * _multinomial(m - b, p - m + b)).sum(axis=-1)
     counts = krawtchouk[kx[:, None], kz[:, None], ky] * krawtchouk[ki[:, None], ky[:, None], kz]
@@ -575,12 +580,15 @@ def sample_counts(record: MeasurementRecord, shots: int, seed: int) -> Measureme
 
     The negative entries are clipped to 0, and the rest must have a finite
     positive sum (else ``NotNormalizedError``); they are scaled to sum to 1.
-    The seed must be a nonnegative int or numpy integer (else ``ValueError``).
+    The seed must be a nonnegative int or numpy integer and ``shots`` a
+    positive one (else ``ValueError``), which the record holds as an int.
     """
     _check_seed(seed)
     if record.is_sampled:
         raise ValueError("record already holds sampled counts")
-    if json_int(shots, "shots") < 1:
+    if not (type(shots) is int or isinstance(shots, np.integer)):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
+    if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     pvals = np.maximum(record.data, 0.0)
     total = pvals.sum()
@@ -589,7 +597,7 @@ def sample_counts(record: MeasurementRecord, shots: int, seed: int) -> Measureme
         raise NotNormalizedError(f"record of basis {record.basis!r} has no finite positive mass "
                                  f"to sample: its clipped entries sum to {float(total)}")
     counts = np.random.default_rng(seed).multinomial(shots, pvals / total)
-    return MeasurementRecord(n=record.n, basis=record.basis, data=counts, shots=shots)
+    return MeasurementRecord(n=record.n, basis=record.basis, data=counts, shots=int(shots))
 
 
 # ----------------------------------------------------------------------

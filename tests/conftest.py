@@ -6,7 +6,8 @@ operators, one representative entry per entry class and the phase-sum
 type map at it, the coupled spin basis and the spin blocks read and written
 by products with it, the dense Ginibre twirl that fixes the law of the
 "twirl" states, the physicality projection one sector at a time, the
-phase-space points of a basis, the Born probabilities one basis at a time,
+phase-space points of a basis, one basis's stabilizer rows and anchor
+eigenvalues built alone, the Born probabilities one basis at a time,
 the frame identity over a whole family, the record gate as a scan of the
 records one by one, the paper's orbit expansion summed over the family,
 and the quality metrics computed on 2^n-sided matrices.
@@ -33,7 +34,7 @@ import numpy as np  # noqa: E402
 
 from pimub import build_family, enumerate_orbits, make_field, orbits  # noqa: E402
 from pimub.gf2n import _selfdual_basis  # noqa: E402
-from pimub.mub import born_probabilities, family_operator  # noqa: E402
+from pimub.mub import born_probabilities, family_operator, stabilizer_table  # noqa: E402
 from pimub.operators import (pauli_phase, pauli_table, pauli_types, pi_types,  # noqa: E402
                              popcounts, swap_index, walsh)
 from pimub.errors import (DimensionOverflowError, MissingBasisError,  # noqa: E402
@@ -188,11 +189,22 @@ def stabilizer_points(f, label):
     return [(a, label.slope * a) for a in f.elements()]
 
 
+def label_table(fam, label):
+    """Oracle: (z, x, types, eigenvalues) of one basis, built alone with no cache.
+
+    The rows of ``mub.stabilizer_table`` and the anchor's eigenvalue on each,
+    read at entry 0 of the anchor, where every anchor is nonzero.
+    """
+    anchor = fam.anchor(label)
+    z, x, types = stabilizer_table(fam.field, label)
+    return z, x, types, (pauli_phase(fam.field.n, z, x) * anchor[x] / anchor[0]).real
+
+
 def looped_born_probabilities(fam, labels, expect):
     """Oracle: the Born probabilities of each basis in ``labels`` from its own Walsh product."""
     rows = []
     for label in labels:
-        z, x, _, eigenvalues = fam.table(label)
+        z, x, _, eigenvalues = label_table(fam, label)
         rows.append(walsh(fam.field.size) @ (eigenvalues * expect[x, z]) / fam.field.size)
     return np.array(rows)
 

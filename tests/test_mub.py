@@ -40,7 +40,7 @@ from pimub.operators import (build_x, build_z, fourier, pauli_phase, pauli_table
 from pimub.orbits import minimal_bases
 from pimub.tomography import exact_probabilities, random_density_matrix, random_pure_state
 
-from conftest import (expand_orbits, family, field, orbit_table, per_slope_exponents,
+from conftest import (expand_orbits, family, field, label_table, orbit_table, per_slope_exponents,
                       per_slope_invariant, reconstruct_identity_check, stabilizer_points)
 from reference_data import SLOPE_ANCHOR_EXPONENTS, SLOPE_ANCHOR_SHA256, TWO_QUBIT_BASES
 
@@ -343,7 +343,7 @@ def test_overlap_law_including_within_basis(n):
 
 
 def _anchor_moments(fam, label):
-    """Oracle: <anchor|P_alpha|anchor> on the rows of the basis's table, in O(4^n)."""
+    """Oracle: <anchor|P_alpha|anchor> on the basis's ``stabilizer_table`` rows, in O(4^n)."""
     z, x, _ = stabilizer_table(fam.field, label)
     anchor = fam.anchor(label)
     dim = anchor.shape[0]
@@ -354,14 +354,15 @@ def _anchor_moments(fam, label):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_basis_tables_match_the_point_and_moment_oracles(n):
-    # every label of the full family: the masks are the indices of the ray's
-    # points, and the eigenvalues are the signs of the anchor's moments
+    # every label of the full family's plan: the masks are the indices of the
+    # ray's points, and the eigenvalues are the signs of the anchor's moments
     f = field(n)
     fam = family(n)
-    for label in fam.labels():
-        # the table reads the eigenvalues at index 0 of the anchor
+    plan = fam.plan(fam.labels())
+    for label, index, eigenvalues in zip(fam.labels(), plan.index, plan.eigenvalues):
+        # the plan reads the eigenvalues at index 0 of the anchor
         assert fam.anchor(label)[0] != 0
-        z, x, _, eigenvalues = fam.table(label)
+        x, z = np.divmod(index, f.size)
         points = stabilizer_points(f, label)
         assert z.tolist() == [a.index for a, _ in points]
         assert x.tolist() == [b.index for _, b in points]
@@ -376,20 +377,13 @@ def test_basis_tables_match_the_point_and_moment_oracles(n):
 
 
 @pytest.mark.parametrize("n", (2, 6))
-def test_stabilizer_tables_are_cached_and_smaller_than_the_anchors(n):
-    # the cache belongs to the family: a read fills it once per label, and
-    # another family of the same field starts empty
+def test_stabilizer_tables_are_read_only_and_built_on_each_call(n):
+    # no table is cached: the family keeps only the plans stacked from them
     f = field(n)
-    fam = build_family(f)
-    tables = [fam.table(label) for label in fam.labels()]
-    for label, table in zip(fam.labels(), tables):
+    for label in family_labels(f):
+        table = stabilizer_table(f, label)
         assert not any(arr.flags.writeable for arr in table)
-        assert fam.table(label) is table
-        assert stabilizer_table(f, label) is not stabilizer_table(f, label)
-    assert list(fam.tables) == fam.labels()
-    assert build_family(f).tables == {}
-    table_bytes = sum(arr.nbytes for table in tables for arr in table)
-    assert table_bytes <= sum(anchor.nbytes for anchor in fam.bases.values())
+        assert stabilizer_table(f, label) is not table
 
 
 def test_anchor_eigenvalues_belong_to_their_family():
@@ -399,14 +393,14 @@ def test_anchor_eigenvalues_belong_to_their_family():
     fam = family(3)
     label = BasisLabel(f.element(0b011))
     other = MubFamily(f, {**fam.bases, label: fam.basis(label)[:, 5]})
-    first, second = fam.table(label).eigenvalues, other.table(label).eigenvalues
+    first, second = fam.plan([label]).eigenvalues[0], other.plan([label]).eigenvalues[0]
     assert not np.array_equal(first, second)
     for fam_, values in ((fam, first), (other, second)):
         anchor = fam_.anchor(label)
         for (alpha, beta), value in zip(stabilizer_points(f, label), values):
             pauli = (-1j) ** (alpha.index & beta.index).bit_count() * build_z(alpha) @ build_x(beta)
             assert abs(value - (anchor.conj() @ pauli @ anchor).real) < 1e-12
-    assert fam.table(label).eigenvalues is first
+    assert fam.plan([label]).eigenvalues[0].tobytes() == first.tobytes()
     assert not first.flags.writeable
 
 
@@ -427,10 +421,10 @@ def test_partial_family_names_a_basis_it_lacks():
     f = field(3)
     partial = build_family(f, minimal_bases(f))
     absent = BasisLabel(f.element(0b010))
-    for read in (partial.anchor, partial.basis, partial.table):
+    for read in (partial.anchor, partial.basis, lambda label: partial.plan([label])):
         with pytest.raises(MissingBasisError, match=re.escape(repr(absent))):
             read(absent)
-    assert partial.tables == {}
+    assert partial.plans == {}
 
 
 def test_a_label_of_another_field_is_named_with_both_sizes():
@@ -440,17 +434,17 @@ def test_a_label_of_another_field_is_named_with_both_sizes():
     assert BasisLabel(field(2).element(2)) in fam.bases
     message = re.escape("basis BasisLabel(slope=2) is a slope of n=3, not of the family's n=2")
     expect = pauli_table(np.eye(4, dtype=complex) / 4.0).real
-    reads = (fam.anchor, fam.basis, fam.table, lambda label: fam.plan([label]),
+    reads = (fam.anchor, fam.basis, lambda label: fam.plan([label]),
              lambda label: born_probabilities(fam, [label], expect),
              lambda label: pauli_expectations(fam, [label], np.full((1, 4), 0.25)))
     for read in reads:
         with pytest.raises(MissingBasisError, match=message):
             read(foreign)
-    assert fam.tables == {} and fam.plans == {}
+    assert fam.plans == {}
     # a label of the family's n that it lacks keeps the short message
     partial = build_family(field(2), [vertical_label()])
     with pytest.raises(MissingBasisError, match=r"BasisLabel\(slope=2\) is not in the family$"):
-        partial.table(BasisLabel(field(2).element(2)))
+        partial.plan([BasisLabel(field(2).element(2))])
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -466,8 +460,8 @@ def test_plan_stacks_the_table_rows_of_its_labels(n):
         assert plan.index.dtype == plan.types.dtype == np.intp
         assert plan.types.shape == (len(labels) * dim,)
         for k, label in enumerate(labels):
-            z, x, types, eigenvalues = fam.table(label)
-            assert np.array_equal(plan.index[k], x.astype(np.intp) * dim + z)
+            z, x, types, eigenvalues = label_table(fam, label)
+            assert np.array_equal(plan.index[k], x * dim + z)
             assert plan.eigenvalues[k].tobytes() == eigenvalues.tobytes()
             assert np.array_equal(plan.types[k * dim:(k + 1) * dim], types)
         assert not any(arr.flags.writeable for arr in plan)
@@ -494,15 +488,14 @@ def test_plan_cache_keeps_a_bounded_number_of_label_tuples():
         assert len(fam.plans) <= mub._PLAN_CACHE_SIZE
         assert fam.plan(list(labels)) is plan
     assert len(fam.plans) == mub._PLAN_CACHE_SIZE
-    assert len(fam.tables) == len(fam.labels())
 
 
 def test_family_constructor_takes_no_eigenvalues():
-    # the table cache, eigenvalues included, is filled only by reads, never passed in
+    # the plan cache, eigenvalues included, is filled only by reads, never passed in
     fam = family(2)
     with pytest.raises(TypeError):
-        MubFamily(fam.field, fam.bases, tables={})
-    assert MubFamily(fam.field, fam.bases).tables == {}
+        MubFamily(fam.field, fam.bases, plans={})
+    assert MubFamily(fam.field, fam.bases).plans == {}
 
 
 # Performance guards: they count work, so no timing threshold can flake.

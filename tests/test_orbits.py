@@ -423,7 +423,7 @@ def test_expansion_is_independent_of_the_input_row_order(n, mode):
 def test_expansion_rejects_a_repeated_label(mode):
     labels, probs = _distributions(exact_probabilities(np.eye(8, dtype=complex) / 8.0, family(3),
                                                        minimal_bases(field(3))))
-    with pytest.raises(ValueError, match=re.escape(f"{labels[2]!r} is given more than once")):
+    with pytest.raises(SchemaError, match=re.escape(f"{labels[2]!r} is given more than once")):
         expand_orbits(orbit_table(3), labels + labels[2:3], np.vstack([probs, probs[2]]), mode)
 
 

@@ -3,6 +3,7 @@
 import collections
 import inspect
 import itertools
+import json
 import math
 import re
 import tracemalloc
@@ -847,6 +848,21 @@ def test_sampling_rejects_invalid_input():
             sample_counts(_exact_record(), shots=shots, seed=1)
 
 
+@pytest.mark.parametrize("kind", (np.int64, np.int32))
+def test_sampling_takes_numpy_integer_shots(kind):
+    # a shot split across bases yields numpy integers; the record holds an int
+    expected = sample_counts(_exact_record(), shots=100, seed=3)
+    sampled = sample_counts(_exact_record(), shots=kind(100), seed=3)
+    assert type(sampled.shots) is int and sampled.shots == 100
+    assert np.array_equal(sampled.data, expected.data)
+    assert json.dumps(record_to_json(sampled)) == json.dumps(record_to_json(expected))
+    with pytest.raises(ValueError, match="shots must be >= 1"):
+        sample_counts(_exact_record(), shots=kind(0), seed=3)
+    for shots in (np.bool_(True), np.float64(100.0)):
+        with pytest.raises(ValueError, match="shots must be an integer"):
+            sample_counts(_exact_record(), shots=shots, seed=3)
+
+
 @pytest.mark.parametrize("value", (0.0, np.nan, np.inf))
 def test_sampling_needs_a_finite_positive_mass(value):
     record = _exact_record()
@@ -1260,7 +1276,8 @@ def test_estimators_never_expand_a_basis(monkeypatch):
 # Performance guards: they count work, so no timing threshold can flake.
 
 def test_anchor_eigenvalues_are_computed_once_per_label(monkeypatch):
-    # a family fills its table of a label, eigenvalues included, on the first read
+    # a family builds the plan of a label tuple, eigenvalues included, on the
+    # first read: one stabilizer table per label, and 50 trials build one plan
     calls = collections.Counter()
     build = mub.stabilizer_table
 
@@ -1277,8 +1294,8 @@ def test_anchor_eigenvalues_are_computed_once_per_label(monkeypatch):
         sampled = [sample_counts(r, shots=1000, seed=seed * 10 + i) for i, r in enumerate(exact)]
         reconstruct(sampled, orbit_table(3), fam)
     assert calls == {label: 1 for label in minimal_bases(f)}
-    assert list(fam.tables) == minimal_bases(f)
-    values = fam.table(minimal_bases(f)[1]).eigenvalues
+    assert list(fam.plans) == [tuple(minimal_bases(f))]
+    values = fam.plan(minimal_bases(f)).eigenvalues
     with pytest.raises(ValueError):
         values[0] = 0.0
 
@@ -1489,13 +1506,13 @@ def test_a_warm_label_tuple_reads_no_basis_table(monkeypatch):
 
     warm = trial(minimal_bases(f))
     reads = []
-    read = MubFamily.table
+    read = mub.stabilizer_table
 
-    def counted(self, label):
+    def counted(f, label):
         reads.append(label)
-        return read(self, label)
+        return read(f, label)
 
-    monkeypatch.setattr(MubFamily, "table", counted)
+    monkeypatch.setattr(mub, "stabilizer_table", counted)
     assert np.array_equal(trial(minimal_bases(f)), warm)  # equal labels, new objects
     assert reads == []
     assert len(fam.plans) == 1
