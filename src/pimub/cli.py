@@ -76,8 +76,11 @@ from .tomography import (
 
 def _write(text: str, path: str | None) -> None:
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise PimubError(f"cannot write {path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -92,7 +95,10 @@ def _load_json(path: str):
             return json.load(fh)
     except FileNotFoundError as exc:
         raise PimubError(f"missing file: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise PimubError(f"cannot read {path}: {exc.strerror}") from exc
+    except (ValueError, RecursionError) as exc:
+        # malformed JSON, bytes that are not UTF-8, an overlong integer, nesting past the stack
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -111,15 +117,7 @@ def _read_state(obj, n: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def cmd_field(args) -> int:
-    field = make_field(args.n)
-    payload = field.to_json()
-    if args.verify:
-        # both hold for every field make_field returns: Field() raises otherwise
-        payload["checks"] = {
-            "irreducible": is_irreducible(field.poly),
-            "selfdual_gram_identity": field.selfdual_gram_identity(),
-        }
-    _dump(payload, args.out)
+    _dump(make_field(args.n).to_json(), args.out)
     return 0
 
 
@@ -381,7 +379,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("field", help="export the finite-field context")
     add_n(p)
-    p.add_argument("--verify", action="store_true", help="re-run construction checks")
     p.add_argument("--out", help="output path (stdout if omitted)")
     p.set_defaults(func=cmd_field, max_n=MAX_N)
 

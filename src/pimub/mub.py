@@ -79,12 +79,12 @@ A family stores each basis by its column 0; ``MubFamily.basis`` expands it
 for the structural checks and the JSON export only.  ``build_family`` builds
 the whole family or only the labels a caller reads, such as the n + 2
 minimal bases of a measurement.  The Pauli strings a basis diagonalizes
-are a function of bit masks (``stabilizer_table``): z is the index of
-alpha and x that of mu alpha, one product by the multiplication matrix of
-mu.  A measurement repeats one label tuple, such as the n + 2 minimal
-bases, trial after trial, so ``MubFamily.plan`` stacks their rows once per
-family: the flat place x 2^n + z of each, the anchor's eigenvalue on it
-and its Pauli type.  Both directions of the measurement map read labels
+are a function of bit masks (``stabilizer_masks``, one row per label): z is
+the index of alpha and x that of mu alpha, one product by the
+multiplication matrix of mu.  A measurement repeats one label tuple, such
+as the n + 2 minimal bases, trial after trial, so ``MubFamily.plan`` stacks
+their rows once per family: the flat place x 2^n + z of each, the anchor's
+eigenvalue on it and its Pauli type.  Both directions of the measurement map read labels
 and an array with one row per label, through that plan:
 ``born_probabilities`` reads the expectations of every basis's strings
 from the state's ``operators.pauli_table`` in one gather (one table serves
@@ -184,34 +184,23 @@ def label_from_json(field: Field, obj) -> BasisLabel:
 
 
 # ----------------------------------------------------------------------
-# Stabilizer table
+# Stabilizer masks
 # ----------------------------------------------------------------------
 
-class StabilizerTable(NamedTuple):
-    """The Pauli strings a basis diagonalizes, one row per ray parameter alpha.
+def stabilizer_masks(field: Field, labels) -> tuple[np.ndarray, np.ndarray]:
+    """The masks (z, x) of the Pauli strings that each basis of ``labels`` diagonalizes.
 
-    Rows run over alpha in field order.  Row alpha is the string
-    (-i)^|z & x| Z_z X_x with computational masks z and x: the indices of
+    Two (k, 2^n) intp arrays, row k for ``labels[k]`` and column alpha in
+    field order: the string (-i)^|z & x| Z_z X_x with z and x the indices of
     alpha and mu alpha on the slope-mu ray, of 0 and alpha on the vertical
-    ray.  ``types`` is its position in ``pi_types``.
+    ray.  Every slope's row comes from one pass over the multiplication
+    matrices of all of them, O(n 2^n) per label and no field product.
     """
-
-    z: np.ndarray
-    x: np.ndarray
-    types: np.ndarray
-
-
-def stabilizer_table(field: Field, label: BasisLabel) -> StabilizerTable:
-    """Read-only ``StabilizerTable`` of a basis, from bit masks in O(n 2^n)."""
-    alpha = np.array(field.bit_reversal)  # index of the element with self-dual bits b
-    if label.is_vertical:
-        z, x = np.zeros_like(alpha), alpha
-    else:
-        z, x = alpha, _span(_multiplication_rows(field, [label.slope.index]))[0, alpha]
-    table = StabilizerTable(z, x, pauli_types(field.n, z, x))
-    for arr in table:
-        arr.flags.writeable = False
-    return table
+    vertical = np.array([label.is_vertical for label in labels], dtype=bool)[:, None]
+    slopes = [0 if label.is_vertical else label.slope.index for label in labels]
+    alpha = np.array(field.bit_reversal, dtype=np.intp)  # index of the element with bits b
+    times = _span(_multiplication_rows(field, slopes))[:, alpha]
+    return np.where(vertical, 0, alpha), np.where(vertical, alpha, times)
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +356,7 @@ def build_vertical(field: Field) -> np.ndarray:
 
 
 class MeasurementPlan(NamedTuple):
-    """The ``stabilizer_table`` rows of a label tuple, stacked once for both directions of the map.
+    """The ``stabilizer_masks`` of a label tuple, stacked once for both directions of the map.
 
     Row k belongs to label k.  ``index`` is x 2^n + z, the flat place of each
     row's string in a 2^n-sided [x, z] table such as ``operators.pauli_table``,
@@ -427,13 +416,12 @@ class MubFamily:
         key = tuple(labels)
         entry = self.plans.get(key)
         if entry is None:
-            dim = self.field.size
+            dim, n = self.field.size, self.field.n
             anchors = np.array([self.anchor(label) for label in key]).reshape(len(key), dim)
-            rows = [stabilizer_table(self.field, label) for label in key]
-            z, x, types = np.array(rows, dtype=np.intp).reshape(len(key), 3, dim).swapaxes(0, 1)
-            ratio = pauli_phase(self.field.n, z, x) * np.take_along_axis(anchors, x, 1)
+            z, x = stabilizer_masks(self.field, key)
+            ratio = pauli_phase(n, z, x) * np.take_along_axis(anchors, x, 1)
             eigenvalues = (ratio / anchors[:, :1]).real.copy()
-            entry = MeasurementPlan(x * dim + z, eigenvalues, types.ravel())
+            entry = MeasurementPlan(x * dim + z, eigenvalues, pauli_types(n, z, x).ravel())
             for arr in entry:
                 arr.flags.writeable = False
             if len(self.plans) >= _PLAN_CACHE_SIZE:
@@ -485,7 +473,7 @@ def born_probabilities(family: MubFamily, labels, expect: np.ndarray) -> np.ndar
 
 
 def pauli_expectations(family: MubFamily, labels, probs: np.ndarray) -> np.ndarray:
-    """<P_alpha> on the ``stabilizer_table`` rows of each basis, one row per label.
+    """<P_alpha> on the ``stabilizer_masks`` row of each basis, one row per label.
 
     Row k of ``probs`` is the distribution of ``labels[k]`` by the bits of nu.
     The inverse of ``born_probabilities``: the anchors' eigenvalues, from the
@@ -659,11 +647,9 @@ def predicted_swap_escapes(field: Field) -> set[tuple[int, int, str]]:
 # ----------------------------------------------------------------------
 
 def basis_to_json(field: Field, label: BasisLabel, basis: np.ndarray) -> dict:
-    vectors = [
-        [[float(z.real), float(z.imag)] for z in basis[:, j]]
-        for j in range(basis.shape[1])
-    ]
-    return {"n": field.n, "label": label.to_json(), "vectors": vectors}
+    # vector j is column j of the basis, as [re, im] pairs
+    vectors = np.ascontiguousarray(basis.T, dtype=complex).view(float).reshape(*basis.T.shape, 2)
+    return {"n": field.n, "label": label.to_json(), "vectors": vectors.tolist()}
 
 
 def family_to_json(family: MubFamily) -> dict:

@@ -275,9 +275,8 @@ def is_density_matrix(mat: np.ndarray, herm_tol: float = 1e-12, trace_tol: float
 
 def matrix_to_json(mat: np.ndarray) -> dict:
     """{dim, entries: row-major [re, im] pairs}."""
-    dim = mat.shape[0]
-    entries = [[float(z.real), float(z.imag)] for z in mat.reshape(-1)]
-    return {"dim": dim, "entries": entries}
+    entries = np.ascontiguousarray(mat, dtype=complex).view(float).reshape(-1, 2).tolist()
+    return {"dim": mat.shape[0], "entries": entries}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:

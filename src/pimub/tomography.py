@@ -47,7 +47,7 @@ once per label tuple (``_label_gate``), and raised in the order of a scan
 of the records.
 Both directions of the measurement map read each basis through the 2^n
 Pauli strings, identity included, that it diagonalizes
-(``mub.stabilizer_table``), and the anchor's eigenvalue on each.  A label
+(``mub.stabilizer_masks``), and the anchor's eigenvalue on each.  A label
 tuple's rows are stacked once per family, ``MubFamily.plan``, which every
 trial on the same bases reuses.  Simulation builds the state's table of
 all 4^n Pauli expectations once (``operators.pauli_table``), reads every
@@ -107,9 +107,10 @@ from .mub import (
     foreign_slope,
     label_from_json,
     pauli_expectations,
-    stabilizer_table,
+    stabilizer_masks,
 )
-from .operators import is_density_matrix, pauli_table, pi_types, qubit_count, type_grid
+from .operators import (is_density_matrix, pauli_table, pauli_types, pi_types, qubit_count,
+                        type_grid)
 from .orbits import OrbitTable, minimal_bases
 
 _TWIRL_MAX_N = 8
@@ -705,9 +706,7 @@ def unmeasured_pi_types(field: Field, bases) -> list[tuple[int, int, int]]:
     these types and sets them to zero.  An empty list means the bases are
     informationally complete for PI states.
     """
-    seen: set[int] = set()
-    for label in bases:
-        seen.update(stabilizer_table(field, label).types.tolist())
+    seen = set(pauli_types(field.n, *stabilizer_masks(field, list(bases))).ravel().tolist())
     return [t for i, t in enumerate(pi_types(field.n)) if i not in seen]
 
 

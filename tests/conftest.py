@@ -34,7 +34,7 @@ import numpy as np  # noqa: E402
 
 from pimub import build_family, enumerate_orbits, make_field, orbits  # noqa: E402
 from pimub.gf2n import _selfdual_basis  # noqa: E402
-from pimub.mub import born_probabilities, family_operator, stabilizer_table  # noqa: E402
+from pimub.mub import born_probabilities, family_operator, stabilizer_masks  # noqa: E402
 from pimub.operators import (pauli_phase, pauli_table, pauli_types, pi_types,  # noqa: E402
                              popcounts, swap_index, walsh)
 from pimub.errors import (DimensionOverflowError, MissingBasisError,  # noqa: E402
@@ -192,12 +192,14 @@ def stabilizer_points(f, label):
 def label_table(fam, label):
     """Oracle: (z, x, types, eigenvalues) of one basis, built alone with no cache.
 
-    The rows of ``mub.stabilizer_table`` and the anchor's eigenvalue on each,
-    read at entry 0 of the anchor, where every anchor is nonzero.
+    The ``mub.stabilizer_masks`` row of the basis, its Pauli types and the
+    anchor's eigenvalue on each, read at entry 0 of the anchor, where every
+    anchor is nonzero.
     """
     anchor = fam.anchor(label)
-    z, x, types = stabilizer_table(fam.field, label)
-    return z, x, types, (pauli_phase(fam.field.n, z, x) * anchor[x] / anchor[0]).real
+    (z,), (x,) = stabilizer_masks(fam.field, [label])
+    n = fam.field.n
+    return z, x, pauli_types(n, z, x), (pauli_phase(n, z, x) * anchor[x] / anchor[0]).real
 
 
 def looped_born_probabilities(fam, labels, expect):

@@ -42,11 +42,12 @@ def test_field_export(tmp_path, capsys):
     assert len(obj["selfdual_basis"]) == 2
 
 
-def test_field_verify_flag(tmp_path):
-    out = tmp_path / "field8.json"
-    assert run_cli("field", "--n", "8", "--verify", "--out", str(out)) == 0
-    obj = json.loads(out.read_text())
-    assert obj["checks"] == {"irreducible": True, "selfdual_gram_identity": True}
+def test_field_has_no_verify_flag(capsys):
+    # every field make_field returns is irreducible and self-dual: Field() raises otherwise
+    with pytest.raises(SystemExit) as exc:
+        run_cli("field", "--n", "2", "--verify")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --verify" in capsys.readouterr().err
 
 
 def test_field_usage_errors_exit_2():
@@ -312,6 +313,55 @@ def test_reconstruct_missing_file_reports_json_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "error"
     assert "nope.json" in err["message"]
+
+
+def _json_error(capsys) -> dict:
+    """The one stderr line of a failed command, parsed: {"error", "message"}."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert set(err) == {"error", "message"}
+    return err
+
+
+def _reconstruct_input(tmp_path, flag, path):
+    """``reconstruct`` argv that reads ``path`` through ``flag``, --records or --state."""
+    if flag == "--records":
+        return ["reconstruct", "--records", str(path)]
+    records = tmp_path / "records.json"
+    assert run_cli("simulate", "--n", "2", "--seed", "1", "--exact", "--out", str(records)) == 0
+    return ["reconstruct", "--records", str(records), "--state", str(path)]
+
+
+@pytest.mark.parametrize("flag", ("--records", "--state"))
+def test_an_input_that_is_a_directory_reports_json_error(tmp_path, capsys, flag):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    assert run_cli(*_reconstruct_input(tmp_path, flag, folder)) == 1
+    err = _json_error(capsys)
+    assert err["error"] == "error"
+    assert err["message"].startswith(f"cannot read {folder}: ")
+
+
+@pytest.mark.parametrize("content", (b"\xff\xfe{}", b'{"n": 1' + b"0" * 5000 + b"}",
+                                     b"[" * 100_000 + b"]" * 100_000),
+                         ids=("utf16-byte-order-mark", "overlong-integer", "deeply-nested"))
+@pytest.mark.parametrize("flag", ("--records", "--state"))
+def test_an_input_that_does_not_decode_reports_json_error(tmp_path, capsys, flag, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert run_cli(*_reconstruct_input(tmp_path, flag, bad)) == 1
+    err = _json_error(capsys)
+    assert err["error"] == "schema"
+    assert err["message"].startswith(f"invalid JSON in {bad}: ")
+
+
+def test_an_output_that_cannot_be_written_reports_json_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert run_cli("field", "--n", "2", "--out", str(out)) == 1
+    err = _json_error(capsys)
+    assert err["error"] == "error"
+    assert err["message"].startswith(f"cannot write {out}: ")
 
 
 def test_reconstruct_rejects_malformed_records(tmp_path, capsys):

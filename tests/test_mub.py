@@ -30,7 +30,7 @@ from pimub.mub import (
     predicted_swap_escapes,
     _slope_exponents,
     _walsh_rows,
-    stabilizer_table,
+    stabilizer_masks,
     swap_covariance_report,
     unbiasedness_deviation,
     vertical_label,
@@ -343,8 +343,8 @@ def test_overlap_law_including_within_basis(n):
 
 
 def _anchor_moments(fam, label):
-    """Oracle: <anchor|P_alpha|anchor> on the basis's ``stabilizer_table`` rows, in O(4^n)."""
-    z, x, _ = stabilizer_table(fam.field, label)
+    """Oracle: <anchor|P_alpha|anchor> on the basis's ``stabilizer_masks`` row, in O(4^n)."""
+    (z,), (x,) = stabilizer_masks(fam.field, [label])
     anchor = fam.anchor(label)
     dim = anchor.shape[0]
     shifted = anchor[np.bitwise_xor.outer(x, np.arange(dim))]  # row alpha: X_x applied
@@ -376,14 +376,20 @@ def test_basis_tables_match_the_point_and_moment_oracles(n):
             assert np.abs(eigenvalues - moments).max() <= np.finfo(float).eps
 
 
-@pytest.mark.parametrize("n", (2, 6))
-def test_stabilizer_tables_are_read_only_and_built_on_each_call(n):
-    # no table is cached: the family keeps only the plans stacked from them
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stabilizer_masks_are_the_points_of_each_ray(n):
+    # one pass over a label tuple in any order, vertical rows included: row k
+    # holds the indices of the points of labels[k]'s ray, in field order
     f = field(n)
-    for label in family_labels(f):
-        table = stabilizer_table(f, label)
-        assert not any(arr.flags.writeable for arr in table)
-        assert stabilizer_table(f, label) is not table
+    labels = family_labels(f)
+    for key in (labels, minimal_bases(f), labels[::-1], [vertical_label()], []):
+        z, x = stabilizer_masks(f, key)
+        assert z.shape == x.shape == (len(key), f.size)
+        assert z.dtype == x.dtype == np.intp
+        for label, z_row, x_row in zip(key, z, x):
+            points = stabilizer_points(f, label)
+            assert z_row.tolist() == [a.index for a, _ in points]
+            assert x_row.tolist() == [b.index for _, b in points]
 
 
 def test_anchor_eigenvalues_belong_to_their_family():
@@ -500,22 +506,6 @@ def test_family_constructor_takes_no_eigenvalues():
 
 # Performance guards: they count work, so no timing threshold can flake.
 
-def test_a_stabilizer_table_costs_order_n_field_products(monkeypatch):
-    calls = []
-    multiply = FieldElement.__mul__
-
-    def counted(a, b):
-        calls.append(1)
-        return multiply(a, b)
-
-    monkeypatch.setattr(FieldElement, "__mul__", counted)
-    f = field(6)
-    for bits in (1, 0b101101, 63):
-        calls.clear()
-        stabilizer_table(f, BasisLabel(f.element(bits)))
-        assert len(calls) <= f.n  # one per row of the multiplication matrix, not 2^n
-
-
 def test_a_field_costs_order_n_squared_field_products(monkeypatch):
     # the trace of the n powers t^i, the Gram check and the basis products;
     # the trace table and the coordinate tables come from bit masks
@@ -541,7 +531,7 @@ def test_a_family_build_makes_no_field_product(monkeypatch):
     monkeypatch.setattr(FieldElement, "__mul__", refuse)
     for n in (1, 4, 6):
         build_family(field(n))
-        stabilizer_table(field(n), BasisLabel(field(n).element(1)))
+        stabilizer_masks(field(n), family_labels(field(n)))
 
 
 # ----------------------------------------------------------------------

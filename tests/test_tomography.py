@@ -31,7 +31,7 @@ from pimub.mub import (
     pauli_expectations,
 )
 from pimub.operators import (build_x, build_z, is_density_matrix, pauli_operator, pauli_table,
-                             qubit_count, swap_index, type_grid)
+                             pauli_types, qubit_count, swap_index, type_grid)
 from pimub.orbits import LabelPoint, minimal_bases
 from pimub.tomography import (
     MeasurementRecord,
@@ -1113,7 +1113,7 @@ def looped_pi_subspace_fit(records, fam):
     count = len(pi_types(f.n))
     sums, hits = np.zeros(count), np.zeros(count)
     for record in records:
-        types = mub.stabilizer_table(f, record.basis).types
+        types = pauli_types(f.n, *mub.stabilizer_masks(f, [record.basis]))[0]
         np.add.at(sums, types,
                   pauli_expectations(fam, [record.basis], record.frequencies()[None])[0])
         np.add.at(hits, types, 1)
@@ -1277,15 +1277,15 @@ def test_estimators_never_expand_a_basis(monkeypatch):
 
 def test_anchor_eigenvalues_are_computed_once_per_label(monkeypatch):
     # a family builds the plan of a label tuple, eigenvalues included, on the
-    # first read: one stabilizer table per label, and 50 trials build one plan
+    # first read: one mask pass for the tuple, and 50 trials build one plan
     calls = collections.Counter()
-    build = mub.stabilizer_table
+    build = mub.stabilizer_masks
 
-    def counted(f, label):
-        calls[label] += 1
-        return build(f, label)
+    def counted(f, labels):
+        calls[tuple(labels)] += 1
+        return build(f, labels)
 
-    monkeypatch.setattr(mub, "stabilizer_table", counted)
+    monkeypatch.setattr(mub, "stabilizer_masks", counted)
     f = field(3)
     fam = build_family(f)  # a fresh family, so no label is cached yet
     for seed in range(50):
@@ -1293,7 +1293,7 @@ def test_anchor_eigenvalues_are_computed_once_per_label(monkeypatch):
         exact = exact_probabilities(rho, fam, minimal_bases(f))
         sampled = [sample_counts(r, shots=1000, seed=seed * 10 + i) for i, r in enumerate(exact)]
         reconstruct(sampled, orbit_table(3), fam)
-    assert calls == {label: 1 for label in minimal_bases(f)}
+    assert calls == {tuple(minimal_bases(f)): 1}
     assert list(fam.plans) == [tuple(minimal_bases(f))]
     values = fam.plan(minimal_bases(f)).eigenvalues
     with pytest.raises(ValueError):
@@ -1506,13 +1506,13 @@ def test_a_warm_label_tuple_reads_no_basis_table(monkeypatch):
 
     warm = trial(minimal_bases(f))
     reads = []
-    read = mub.stabilizer_table
+    read = mub.stabilizer_masks
 
-    def counted(f, label):
-        reads.append(label)
-        return read(f, label)
+    def counted(f, labels):
+        reads.append(labels)
+        return read(f, labels)
 
-    monkeypatch.setattr(mub, "stabilizer_table", counted)
+    monkeypatch.setattr(mub, "stabilizer_masks", counted)
     assert np.array_equal(trial(minimal_bases(f)), warm)  # equal labels, new objects
     assert reads == []
     assert len(fam.plans) == 1

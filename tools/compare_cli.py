@@ -3,8 +3,8 @@
     python tools/compare_cli.py PARENT_SRC CHANGE_SRC [--max-n 8]
 
 Each SRC is a directory holding the ``pimub`` package (a checkout's
-``src``).  The cases are, for every n up to ``--max-n``, ``field --n k
---verify``, ``orbits --n k`` (JSON and CSV), ``mubs --n k`` for k <= 5,
+``src``).  The cases are, for every n up to ``--max-n``, ``field --n k``,
+``orbits --n k`` (JSON and CSV), ``mubs --n k`` for k <= 5,
 ``verify --n k`` for k <= 6, and ``simulate`` with each state method, exact
 and sampled, each followed by ``reconstruct`` with and without
 ``--project``.  One case past the spin-block cap always runs too:
@@ -13,22 +13,26 @@ each tree writes exact n = 9 Dicke-mixture records with its own library
 every n, each tree also reverses the order of the records of its last
 ``simulate`` case (``REVERSED``, one ``python -c``) and reconstructs them,
 so the bases reach ``reconstruct`` in another order than ``simulate``
-wrote them.  A
-pipeline runs within one tree: the change's reconstruct reads the change's
-records.  Where the two trees' records differ, each ``reconstruct`` case
-also runs in both trees on the parent's records, so a change of the
-records does not hide a change of ``reconstruct`` itself; where they are
-byte-identical nothing more runs.  For every case the exit code, stdout and
-stderr are compared byte for byte.  Where stdout differs but both sides
-parse as JSON of the same shape, the largest absolute difference between
-their numbers is reported instead, with the JSON path where it sits (e.g.
-``at fidelity``).  Where stdout is text on both sides (``verify``) and the
+wrote them.  Four error paths run once (``ERRORS``), each with a one-line
+JSON error on stderr and exit 1 expected: ``reconstruct`` of a directory
+(``.``), of a file that is not UTF-8 (``bad.json``, a UTF-16 byte-order
+mark) and of a missing file, and ``simulate --out`` into a missing
+directory.  They run in the shared working directory with relative paths,
+so both trees print the same bytes.  A pipeline runs within one tree: the
+change's reconstruct reads the change's records.  Where the two trees'
+records differ, each ``reconstruct`` case also runs in both trees on the
+parent's records, so a change of the records does not hide a change of
+``reconstruct`` itself; where they are byte-identical nothing more runs.
+For every case the exit code, stdout and stderr are compared byte for
+byte.  Where stdout differs but both sides parse as JSON of the same shape,
+the largest absolute difference between their numbers is reported instead,
+with the JSON path where it sits (e.g. ``at fidelity``).  Where stdout is text on both sides (``verify``) and the
 two texts match once every number is masked, it is the largest difference
 between their numbers, with the line where it sits.  The summary gives the
 largest deviation by n and by kind of case (field, orbits, mubs, verify,
 simulate per state method, reconstruct, reconstruct of the parent's
-records), 0 where every case of it is byte-identical.  Exit status 0 when
-every case matches byte for byte, else 1.
+records, errors), 0 where every case of it is byte-identical.  Exit status
+0 when every case matches byte for byte, else 1.
 """
 
 from __future__ import annotations
@@ -65,6 +69,10 @@ with open(sys.argv[1]) as handle:
 payload["records"].reverse()
 json.dump(payload, sys.stdout)
 """
+# file errors: each case must end in one JSON line on stderr, never a traceback
+ERRORS = (["reconstruct", "--records", "."], ["reconstruct", "--records", "bad.json"],
+          ["reconstruct", "--records", "missing.json"],
+          ["simulate", "--n", "2", "--seed", "1", "--exact", "--out", "missing/x.json"])
 
 
 def run(src: str, argv: list[str], cwd: str,
@@ -146,14 +154,15 @@ def main() -> int:
     worst: dict[int, float] = {}
     by_kind = dict.fromkeys(["field", "orbits", "mubs", "verify",
                              *(f"simulate {m}" for m in METHODS), "reconstruct",
-                             "reconstruct of parent's records"], 0.0)
+                             "reconstruct of parent's records", "errors"], 0.0)
     identical = True
 
-    def record(n: int, kind: str, name: str, outputs: dict) -> None:
+    def record(n: int | None, kind: str, name: str, outputs: dict) -> None:
         nonlocal identical
         same, dev = compare(name, outputs["parent"], outputs["change"])
         identical &= same
-        worst[n] = max(worst.get(n, 0.0), dev)
+        if n is not None:
+            worst[n] = max(worst.get(n, 0.0), dev)
         by_kind[kind] = max(by_kind[kind], dev)
 
     def reconstructs(n: int, name: str, outputs: dict, tails) -> None:
@@ -177,7 +186,7 @@ def main() -> int:
             # mubs stops at n = 5 (2.5 MB of JSON, ~0.6 s per side) and verify at n = 6,
             # because verify --n 7 takes ~25 s per side; verify's round-trip rows
             # score through the metrics' PI gate
-            cases = [["field", "--n", str(n), "--verify"], ["orbits", "--n", str(n)],
+            cases = [["field", "--n", str(n)], ["orbits", "--n", str(n)],
                      ["orbits", "--n", str(n), "--csv"]]
             cases += [["mubs", "--n", str(n)]] if n <= 5 else []
             cases += [["verify", "--n", str(n)]] if n <= 6 else []
@@ -199,6 +208,10 @@ def main() -> int:
         outputs = {side: run(src, [], tmp, ("-c", RECORDS_N9)) for side, src in trees.items()}
         record(9, "simulate dicke", "python -c RECORDS_N9", outputs)
         reconstructs(9, "python -c RECORDS_N9", outputs, [[]])
+        Path(tmp, "bad.json").write_bytes(b"\xff\xfe{}")
+        for argv in ERRORS:
+            record(None, "errors", " ".join(argv),
+                   {side: run(src, argv, tmp) for side, src in trees.items()})
     print("largest stdout deviation by n: "
           + ", ".join(f"{n}: {dev:.3g}" for n, dev in sorted(worst.items())))
     print("largest stdout deviation by kind: "
