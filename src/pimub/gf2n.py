@@ -10,15 +10,28 @@ Field elements are handled in two coordinate systems:
   public representation (:attr:`FieldElement.bits`), because it identifies
   field elements with n-bit strings, one bit per qubit.
 
-The trace is GF(2)-linear, so tr(x) is the parity of x & tau, where bit i of
-tau is tr(t^i) for the polynomial basis 1, t, .., t^(n-1): n traces, found
-by squaring, give all 2^n.  The trace form tr(xy) is then x^T H y with the
-Hankel bit matrix H_ij = tr(t^(i+j)), so the self-dual basis is found on
-bit masks with no field product, and the coordinate tables are built by
-doubling, one XOR per entry.  Construction makes O(n^2) field products.
+Every table polynomial is primitive: its root t generates the 2^n - 1
+nonzero elements.  Construction walks the powers t^k once, by a shift and a
+conditional XOR each, into an exp table and its inverse, the log table, and
+raises unless t first returns to 1 at k = 2^n - 1 (t of order 2^n - 1).  A
+product of nonzero elements is then exp[log a + log b], two lookups and an
+addition, with the exp table stored twice over so the sum needs no
+reduction.
 
-Irreducible polynomials used (lowest-weight conventional choices, verified
-at construction time):
+The trace is GF(2)-linear, so tr(x) is the parity of x & tau, where bit i of
+tau is tr(t^i) = sum_k t^(i 2^k) for the polynomial basis 1, t, .., t^(n-1):
+n traces, read from the exp table, give all 2^n.  The trace form tr(xy) is
+then x^T H y with the Hankel bit matrix H_ij = tr(t^(i+j)), so the self-dual
+basis is found on bit masks with no field product, and the coordinate
+tables are built by doubling, one XOR per entry.  The Gram check and the
+n^2 ``basis_products`` are the only field products of construction, each
+through the log tables.
+
+Elements are shared: each field builds its 2^n ``FieldElement`` objects
+once, on first use, and every constructor and product returns one of them.
+
+Irreducible (and primitive) polynomials used (lowest-weight conventional
+choices, verified at construction time):
 
     n=1  : x + 1
     n=2  : x^2 + x + 1
@@ -37,7 +50,7 @@ at construction time):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import ContextMismatchError, UnsupportedFieldSizeError
 
@@ -72,18 +85,6 @@ def _poly_mod(a: int, m: int) -> int:
     while a and _poly_deg(a) >= dm:
         a ^= m << (_poly_deg(a) - dm)
     return a
-
-
-def _poly_mul(a: int, b: int) -> int:
-    """Carry-less product of two coefficient bitmasks (no reduction)."""
-    r = 0
-    shift = 0
-    while b:
-        if b & 1:
-            r ^= a << shift
-        b >>= 1
-        shift += 1
-    return r
 
 
 def is_irreducible(p: int) -> bool:
@@ -131,8 +132,9 @@ def _selfdual_basis(n: int, form) -> tuple[int, ...]:
         # Gaussian elimination: basis of {u : form(u, r) = 0 for all accepted r}.
         gens = [1 << j for j in range(n)]
         for r in accepted:
-            hot = [g for g in gens if form(g, r) == 1]
-            cold = [g for g in gens if form(g, r) == 0]
+            hot, cold = [], []
+            for g in gens:
+                (hot if form(g, r) else cold).append(g)
             if hot:
                 pivot = hot[0]
                 gens = cold + [g ^ pivot for g in hot[1:]]
@@ -160,7 +162,10 @@ class Field:
     """The algebra of GF(2^n): multiplication, trace, self-dual labeling.
 
     Immutable after construction; all operations are pure functions, safe
-    for unrestricted concurrent use.
+    for unrestricted concurrent use.  The 2^n elements are built once per
+    field, on the first call that returns one, and then shared: ``element``,
+    ``elements``, ``zero``, ``one``, ``from_poly`` and the element arithmetic
+    all return entries of that one table, which lives and dies with the field.
     """
 
     def __init__(self, n: int) -> None:
@@ -174,14 +179,30 @@ class Field:
         if not is_irreducible(self.poly):
             raise AssertionError(f"polynomial table entry for n={n} is reducible")
 
+        # exp[k] = t^k, by a shift and a reduction each, and log[t^k] = k; t is
+        # primitive iff its powers first return to 1 at k = 2^n - 1
+        order = self.size - 1
+        exp, x = [], 1
+        for _ in range(order):
+            exp.append(x)
+            x = x << 1 ^ (self.poly if x >> (n - 1) else 0)
+            if x == 1:
+                break
+        if len(exp) != order or x != 1:
+            raise AssertionError(f"polynomial table entry for n={n} is not primitive")
+        log = [0] * self.size
+        for k, x in enumerate(exp):
+            log[x] = k
+        self._exp = exp + exp  # log a + log b < 2 (2^n - 1) needs no reduction
+        self._log = log
+
         # The trace is GF(2)-linear, so tr(x) is the parity of x & tau, where
-        # bit i of tau is tr(t^i) = sum_k t^(i 2^k): n(n - 1) field products
+        # bit i of tau is tr(t^i) = sum_k t^(i 2^k): n^2 lookups, no product
         tau = 0
         for i in range(n):
-            t = y = 1 << i
-            for _ in range(n - 1):
-                y = self._mul_poly(y, y)
-                t ^= y
+            t = 0
+            for k in range(n):
+                t ^= exp[(i << k) % order]
             if t not in (0, 1):
                 raise AssertionError("trace landed outside the base field")
             tau |= t << i
@@ -189,7 +210,7 @@ class Field:
 
         # tr(xy) = x^T H y with the Hankel bit matrix H_ij = tr(t^(i+j)), so
         # the trace form is a parity of bit masks: no field product
-        traces = [(_poly_mod(1 << k, self.poly) & tau).bit_count() & 1 for k in range(2 * n - 1)]
+        traces = [(self._exp[k] & tau).bit_count() & 1 for k in range(2 * n - 1)]
         hankel = _xor_span([sum(traces[i + j] << j for j in range(n)) for i in range(n)])
         self.selfdual_basis = _selfdual_basis(n, lambda x, y: (hankel[x] & y).bit_count() & 1)
         if not self.selfdual_gram_identity():
@@ -218,7 +239,10 @@ class Field:
     # -- raw polynomial-coordinate helpers ------------------------------
 
     def _mul_poly(self, a: int, b: int) -> int:
-        return _poly_mod(_poly_mul(a, b), self.poly)
+        """Product in polynomial coordinates, through the exp and log tables of t."""
+        if a and b:
+            return self._exp[self._log[a] + self._log[b]]
+        return 0
 
     def trace_poly(self, x: int) -> int:
         """Trace Z_2 value of an element given in polynomial coordinates."""
@@ -234,28 +258,33 @@ class Field:
 
     # -- element constructors -------------------------------------------
 
+    @cached_property
+    def _elements(self) -> tuple["FieldElement", ...]:
+        """The field's one table of elements, by self-dual bits, built on first read."""
+        return tuple(FieldElement(bits, self) for bits in range(self.size))
+
     def element(self, bits: int) -> "FieldElement":
         """Element from self-dual coordinates (bit i-1 is the theta_i coefficient)."""
         if not 0 <= bits < self.size:
             raise ValueError(f"bits out of range for n={self.n}: {bits}")
-        return FieldElement(bits, self)
+        return self._elements[bits]
 
     def from_poly(self, mask: int) -> "FieldElement":
-        return FieldElement(self._poly_to_sd[mask], self)
+        return self._elements[self._poly_to_sd[mask]]
 
     def from_index(self, index: int) -> "FieldElement":
         """Element whose computational-basis index is ``index`` (qubit 1 = MSB)."""
         return self.element(self.bits_from_index(index))
 
     def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
+        return self._elements[0]
 
     def one(self) -> "FieldElement":
         return self.from_poly(1)
 
     def elements(self) -> list["FieldElement"]:
         """All 2^n elements ordered by self-dual bits."""
-        return [FieldElement(b, self) for b in range(self.size)]
+        return list(self._elements)
 
     # -- index convention ------------------------------------------------
 
@@ -292,8 +321,9 @@ class FieldElement:
     """A GF(2^n) element carrying its self-dual coordinates.
 
     ``bits`` packs the coordinates ``(n_1 .. n_n)`` with ``theta_i`` at bit
-    position ``i - 1``.  Addition is bitwise XOR; multiplication is delegated
-    to the parent field's polynomial arithmetic.
+    position ``i - 1``.  Addition is bitwise XOR; multiplication goes through
+    the parent field's log tables.  Obtain elements from their ``Field``,
+    which returns its shared ones.
     """
 
     bits: int
@@ -307,13 +337,12 @@ class FieldElement:
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        return FieldElement(self.bits ^ other.bits, self.field)
+        return self.field._elements[self.bits ^ other.bits]
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
         f = self.field
-        prod = f._mul_poly(f._sd_to_poly[self.bits], f._sd_to_poly[other.bits])
-        return FieldElement(f._poly_to_sd[prod], f)
+        return f.from_poly(f._mul_poly(f._sd_to_poly[self.bits], f._sd_to_poly[other.bits]))
 
     def square(self) -> "FieldElement":
         return self * self

@@ -33,8 +33,11 @@ Which shift is the anchor |0, mu> is fixed by a deterministic gauge:
 Every candidate is i^k / sqrt(2^n) exactly, so the gauge runs on the
 integer exponents k, for all the slopes of a family in one pass.  The
 multiplication matrix of mu is GF(2)-linear in mu, so every slope's matrix
-is an XOR of the field's n^2 basis products, and G is that of mu^-1, found
-as the alpha with mu alpha = 1.  No field product is made per slope.
+is an XOR of the field's n^2 basis products, and its span by doubling is
+the map a -> mu a on every index.  G, the map of mu^-1, is that map's
+inverse permutation, one scatter.  No field product is made per slope.  The arrays are held as (2^n, slopes), so
+every block of indices is contiguous, and the Walsh butterflies of rule 2
+run over runs of whole blocks.
 
 Rule 1 reads two rows of G per swap.  A qubit swap pi fixes mu when mu's
 coordinates on its two qubits agree; it is linear on indices, so
@@ -71,9 +74,11 @@ The unit indices, t = 0 first, therefore decide the order.  At each i the
 two values Q(i) and Q(i) + 2 differ in the real part when Q(i) is even and
 in the imaginary part when it is odd; the smaller (re, im) pair is the one
 that is i^2 = -1 or i^3 = -i, so the preferred bit is
-<Gj, i> = [Q(i) mod 4 in {0, 1}].  The winner is the candidate whose
-misses of the preferred bits at the 2^t, read as a binary number with
-t = 0 the most significant bit, are least: no component array is sorted.
+<Gj, i> = [Q(i) mod 4 in {0, 1}].  At a unit Q(2^t) = G_tt is 0 or 1, so
+the preferred bit is 1 at every 2^t, and the winner is the candidate whose
+Gj, read as a binary number with t = 0 the most significant bit, is
+greatest: no component array is sorted, and the winner's components are
+Q(i) + 2 <i, Gj>, read from Q and Gj alone.
 
 A family stores each basis by its column 0; ``MubFamily.basis`` expands it
 for the structural checks and the JSON export only.  ``build_family`` builds
@@ -106,7 +111,8 @@ import numpy as np
 
 from .errors import MissingBasisError, NotNormalizedError, SchemaError, json_int
 from .gf2n import Field, FieldElement
-from .operators import pauli_operator, pauli_phase, pauli_types, permute_label, swap_index, walsh
+from .operators import (pauli_operator, pauli_phase, pauli_types, permute_label, popcounts,
+                        swap_index, walsh)
 
 
 # ----------------------------------------------------------------------
@@ -156,7 +162,7 @@ def slope_label(mu: FieldElement) -> BasisLabel:
 
 def family_labels(field: Field) -> list[BasisLabel]:
     """All 2^n + 1 labels: slopes ordered by bits, then the vertical basis."""
-    return [BasisLabel(field.element(b)) for b in range(field.size)] + [BasisLabel(None)]
+    return [BasisLabel(mu) for mu in field.elements()] + [BasisLabel(None)]
 
 
 def foreign_slope(field: Field, label: BasisLabel) -> str | None:
@@ -199,7 +205,7 @@ def stabilizer_masks(field: Field, labels) -> tuple[np.ndarray, np.ndarray]:
     vertical = np.array([label.is_vertical for label in labels], dtype=bool)[:, None]
     slopes = [0 if label.is_vertical else label.slope.index for label in labels]
     alpha = np.array(field.bit_reversal, dtype=np.intp)  # index of the element with bits b
-    times = _span(_multiplication_rows(field, slopes))[:, alpha]
+    times = _span(_multiplication_rows(field, slopes, alpha))[alpha].T
     return np.where(vertical, 0, alpha), np.where(vertical, alpha, times)
 
 
@@ -219,105 +225,136 @@ def _xor_table(dim: int) -> np.ndarray:
     return out
 
 
-def _multiplication_rows(field: Field, indices) -> np.ndarray:
-    """Row s, column t: the index of mu e_t, for mu the element at ``indices[s]``, e_t at 2^t.
+def _multiplication_rows(field: Field, indices, reversal: np.ndarray) -> np.ndarray:
+    """Row t, column s: the index of mu e_t, for mu the element at ``indices[s]``, e_t at 2^t.
 
-    These are the rows of the multiplication matrix of mu in index bits.  It
-    is GF(2)-linear in mu, so the field's n^2 ``basis_products`` give every
-    row with no field product.
+    Column s is the multiplication matrix of mu in index bits, so its
+    ``_span`` is the map a -> mu a on every index.  The matrix is
+    GF(2)-linear in mu, so the span of the field's n^2 ``basis_products``
+    gives the columns of every mu at once, with no field product.
+    ``reversal`` is the field's ``bit_reversal`` as an array.
     """
-    reversal = np.array(field.bit_reversal)
     products = reversal[np.array(field.basis_products)[::-1, ::-1]]  # index of e_k e_t
-    indices = np.asarray(indices, dtype=np.int64)
-    rows = np.zeros((len(indices), field.n), dtype=np.int64)
-    for k in range(field.n):
-        rows ^= (indices[:, None] >> k & 1) * products[k]
-    return rows
+    return _span(products)[indices].T
 
 
 def _span(rows: np.ndarray) -> np.ndarray:
-    """out[s, j]: the XOR of rows[s, t] over the set bits t of j, the linear map on every index."""
-    out = np.zeros((len(rows), 1), dtype=rows.dtype)
-    for t in range(rows.shape[1]):
-        out = np.concatenate([out, out ^ rows[:, t:t + 1]], axis=1)
+    """out[j]: the XOR of rows[t] over the set bits t of j, for every j < 2^len(rows).
+
+    Each row may be an array: out[j] is then the linear map with columns
+    ``rows`` applied to j, one map per trailing entry.  Built by doubling
+    into one preallocated array, a contiguous block per row.
+    """
+    out = np.empty((1 << len(rows), *rows.shape[1:]), dtype=rows.dtype)
+    out[0] = 0
+    for t, row in enumerate(rows):
+        np.bitwise_xor(out[:1 << t], row, out=out[1 << t:2 << t])
     return out
 
 
 def _walsh_rows(v: np.ndarray) -> np.ndarray:
     """v @ walsh(2^n) for every row of v, by butterflies in place: O(n 2^n) per row, no 4^n
-    matrix."""
-    count, dim = v.shape
+    matrix.
+
+    The butterflies run on the (2^n, rows) transpose, so at step ``half``
+    the two halves of every butterfly are runs of ``half * rows``
+    contiguous entries, three whole-block passes per step.  The gauge
+    passes the transpose of a C-ordered array, which is worked on as it is;
+    any other v is copied once.
+    """
+    columns = np.ascontiguousarray(v.T)
+    dim, count = columns.shape
     half = 1
     while half < dim:
-        pairs = v.reshape(count, dim // (2 * half), 2, half)
-        low, high = pairs[:, :, 0], pairs[:, :, 1]
+        pairs = columns.reshape(dim // (2 * half), 2, half * count)
+        low, high = pairs[:, 0], pairs[:, 1]
         low += high  # a + b
         high *= -2
         high += low  # a + b - 2b = a - b
         half *= 2
-    return v
+    return columns.T
 
 
 def _slope_exponents(field: Field, slopes) -> np.ndarray:
-    """Exponents k of the anchors |0, mu> = i^k / sqrt(2^n), one row per slope mu != 0.
+    """Exponents k of the anchors |0, mu> = i^k / sqrt(2^n), one uint8 row per slope mu != 0.
 
     Candidate j is X_j c, column j of the closed form; the gauge rules pick
     one and fix its phase (module docstring).  Every slope is handled at
-    once on integer arrays of its own 2^n indices.
+    once on integer arrays of its own 2^n indices, held as (2^n, slopes)
+    so that each block of indices is contiguous; the result is their
+    transpose.
     """
     n, dim = field.n, field.size
     count = len(slopes)
-    indices = np.array([mu.index for mu in slopes], dtype=np.int64)
-    times = _span(_multiplication_rows(field, indices))  # index of mu a
-    # G is the multiplication matrix of mu^-1, where mu^-1 mu = 1 has every coordinate 1
-    gram = _span(_multiplication_rows(field, np.argmax(times == dim - 1, axis=1)))
-    # Q(j + 2^t) = Q(j) + 2 <Gj, 2^t> + Q(2^t) mod 4 for j < 2^t
-    quad = np.zeros((count, 1), dtype=np.int64)
+    reversal = np.array(field.bit_reversal, dtype=np.intp)
+    indices = reversal[[mu.bits for mu in slopes]]
+    pop = popcounts(dim).astype(np.uint8)
+    j = np.arange(dim)[:, None]
+    units = 1 << np.arange(n)
+    times = _span(_multiplication_rows(field, indices, reversal))  # [a, s]: index of mu a
+    flat = times * count + np.arange(count)  # place of [mu a, s] in a raveled (2^n, slopes) array
+    # G, the multiplication by mu^-1, undoes that by mu: each column of times inverted
+    gram = np.empty_like(times)
+    gram.reshape(-1)[flat] = j
+    rows = gram[units]  # row t of the symmetric G, per slope
+    # Q(j + 2^t) = Q(j) + 2 <Gj, 2^t> + Q(2^t) mod 4 for j < 2^t, Q(2^t) = G_tt.
+    # Each step adds at most 3, so the sums stay far below 256 until the one mod
+    diagonal = (rows >> np.arange(n)[:, None] & 1).astype(np.uint8)
+    quad = np.empty((dim, count), dtype=np.uint8)
+    quad[0] = 0
     for t in range(n):
-        diagonal = gram[:, 1 << t, None] >> t & 1
-        quad = np.concatenate([quad, (quad + 2 * (gram[:, :1 << t] >> t & 1) + diagonal) & 3],
-                              axis=1)
+        low, high = quad[:1 << t], quad[1 << t:2 << t]
+        np.bitwise_and(gram[:1 << t] >> t << 1, 2, out=high, casting="unsafe")
+        high += low
+        high += diagonal[t]
+    quad &= 3
 
     # 1) keep candidates fixed (up to phase) by every slope-stabilizing swap,
     #    if any are.  A swap fixes X_j c iff it fixes j and G (module
     #    docstring), and it fixes mu iff mu's index m agrees on its two bits.
     #    So if all of those swaps fix G, the j they all fix are 0, m, its
-    #    complement and 2^n - 1; if one moves G, no j is fixed
-    x, y = np.triu_indices(n, 1)  # the index bits of each qubit swap
-    fixes = (indices[:, None] >> x ^ indices[:, None] >> y) & 1 == 0
-    row_x, row_y = gram[:, 1 << x], gram[:, 1 << y]  # rows x and y of G, per slope and swap
-    differ = (row_x >> x ^ row_x >> y) & 1
-    keeps = ~(fixes & (row_x ^ differ << x ^ differ << y != row_y)).any(axis=1)
-    fixed = np.stack([np.zeros_like(indices), indices, indices ^ (dim - 1),
-                      np.full_like(indices, dim - 1)], axis=1)
-    candidates = np.repeat(~keeps[:, None], dim, axis=1)
-    candidates[np.flatnonzero(keeps)[:, None], fixed[keeps]] = True
+    #    complement and 2^n - 1; if one moves G, no j is fixed.  The swap of
+    #    bits x and y fixes the symmetric G iff rows x and y of G differ by 0
+    #    or by 2^x + 2^y; x = y and either order of a pair ask the same, so
+    #    the whole (x, y) square is compared
+    bits = indices >> np.arange(n)[:, None] & 1
+    fixes = bits[:, None] == bits
+    differ = rows[:, None] ^ rows
+    moves = (differ != 0) & (differ != (units[:, None] | units)[:, :, None])
+    keeps = ~(fixes & moves).any(axis=(0, 1))
+    candidates = (j == indices) | (j == indices ^ (dim - 1))
+    candidates[[0, -1]] = True
+    candidates |= ~keeps
 
     # 2) prefer eigenvalue +1 on the Hermitian monomials: one Walsh transform
     #    of Re i^Q(mu a) scores every candidate (module docstring)
-    scores = _walsh_rows(_REAL_PHASES[np.take_along_axis(quad, times, axis=1)])
+    scores = _walsh_rows(_REAL_PHASES[quad.reshape(-1)[flat]].T).T
     scores = np.where(candidates, scores, -dim - 1)
-    candidates &= scores == scores.max(axis=1, keepdims=True)
+    candidates &= scores == scores.max(axis=0)
 
     # 3) smallest (re, im) component sequence once component 0 is made real:
-    #    the unit indices 2^t decide, t = 0 first, and the smaller value at 2^t
-    #    has <Gj, 2^t> = [Q(2^t) in {0, 1}] (module docstring).  So the winner's
-    #    mismatches against that target, read from t = 0, form the least number
-    units = 1 << np.arange(n)
-    target = (quad[:, units] < 2) @ units
-    mismatch = np.array(field.bit_reversal)[gram ^ target[:, None]]  # bit t moved to n - 1 - t
-    best = np.where(candidates, mismatch, dim).argmin(axis=1)[:, None]
-    return (np.take_along_axis(quad, best ^ np.arange(dim), axis=1)
-            - np.take_along_axis(quad, best, axis=1)) & 3
+    #    the unit indices 2^t decide, t = 0 first, and Q(2^t) = G_tt is 0 or 1,
+    #    so the smaller value has <Gj, 2^t> = 1 (module docstring).  The winner's
+    #    Gj, read with t = 0 as the most significant bit, is therefore the
+    #    greatest, and its component i is Q(i + j) - Q(j) = Q(i) + 2 <i, Gj>
+    shift = reversal[np.where(candidates, reversal[gram], -1).max(axis=0)]  # Gj of the winner
+    quad += pop[j & shift] << 1
+    quad &= 3
+    return quad.T
 
 
 def _slope_anchors(field: Field, slopes) -> np.ndarray:
-    """Read-only anchors |0, mu>, one row per slope: the unit vector e_0 for mu = 0."""
+    """Read-only anchors |0, mu>, one row per slope: the unit vector e_0 for mu = 0.
+
+    One gather from six values: codes 0..3 are i^k / sqrt(2^n), 4 and 5 the
+    entries 1 and 0 of e_0.
+    """
     proper = np.array([mu.bits != 0 for mu in slopes], dtype=bool)
-    anchors = np.zeros((len(slopes), field.size), dtype=complex)
-    anchors[:, 0] = 1.0
-    anchors[proper] = _PHASES[_slope_exponents(field, [mu for mu in slopes if mu.bits])]
-    anchors[proper] /= np.sqrt(field.size)
+    values = np.append(_PHASES / np.sqrt(field.size), [1.0, 0.0])
+    codes = np.full((len(slopes), field.size), 5, dtype=np.uint8)
+    codes[:, 0] = 4
+    codes[proper] = _slope_exponents(field, [mu for mu in slopes if mu.bits])
+    anchors = values[codes]
     anchors.flags.writeable = False
     return anchors
 
@@ -438,9 +475,8 @@ def build_family(field: Field, labels=None) -> MubFamily:
     those labels alone.  Families compare by identity (``MubFamily``).
     """
     labels = family_labels(field) if labels is None else list(labels)
-    slopes = [label for label in labels if not label.is_vertical]
-    anchors = dict(zip(slopes, _slope_anchors(field, [label.slope for label in slopes])))
-    bases = {label: _vertical_anchor(field) if label.is_vertical else anchors[label]
+    anchors = iter(_slope_anchors(field, [label.slope for label in labels if not label.is_vertical]))
+    bases = {label: _vertical_anchor(field) if label.is_vertical else next(anchors)
              for label in labels}
     return MubFamily(field=field, bases=bases)
 

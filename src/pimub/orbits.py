@@ -119,13 +119,13 @@ def enumerate_orbits(field: Field) -> OrbitTable:
     ids.flags.writeable = False
 
     labels = tuple(family_labels(field))
+    elements = field.elements()
     orbits = []
     for orbit_id, (point, count) in enumerate(zip(first[order].tolist(), counts[order].tolist())):
         row, bits = divmod(point, size)
         l = bits.bit_count()
         invariants = (row.bit_count(), l, (row ^ bits).bit_count()) if 0 < row < size else (l,)
-        orbits.append(Orbit(orbit_id, LabelPoint(field.element(bits), labels[row]), invariants,
-                            count))
+        orbits.append(Orbit(orbit_id, LabelPoint(elements[bits], labels[row]), invariants, count))
     return OrbitTable(n=n, orbits=tuple(orbits), labels=labels, ids=ids)
 
 
@@ -133,13 +133,10 @@ def minimal_bases(field: Field) -> list[BasisLabel]:
     """The n + 2 measured bases: slope 0, one slope per weight class, vertical.
 
     The weight-m representative is theta_1 + ... + theta_m (lowest self-dual
-    bitmask of that weight).
+    bitmask of that weight); slope 0 is the weight-0 one.
     """
-    labels = [BasisLabel(field.zero())]
-    for m in range(1, field.n + 1):
-        labels.append(BasisLabel(field.element((1 << m) - 1)))
-    labels.append(vertical_label())
-    return labels
+    elements = field.elements()
+    return [BasisLabel(elements[(1 << m) - 1]) for m in range(field.n + 1)] + [vertical_label()]
 
 
 def independent_count(field: Field, table: OrbitTable) -> int:

@@ -16,10 +16,17 @@ SLOPE_ANCHOR_EXPONENTS: the exponents k of every proper slope anchor,
 family (joint eigenbasis by eigh, then the same three-rule gauge), which
 was within 1.2e-12 of i^k / sqrt(2^n) entrywise for n <= 6.  One row per
 slope mu with self-dual bits 1 .. 2^n - 1, entries by computational index.
-SLOPE_ANCHOR_SHA256 holds, for n = 5 .. 8, the sha256 of those rows packed
+SLOPE_ANCHOR_SHA256 holds, for n = 5 .. 10, the sha256 of those rows packed
 as uint8, row-major.  The n = 7 and 8 digests were recorded from the
 per-slope closed-form gauge (integer exponents, stable lexsort in rule 3)
-that preceded the batched one.
+that preceded the batched one, and the n = 9 and 10 digests from the
+batched gauge that took G from a second multiplication pass.
+
+FIELD_TABLE_SHA256: for n = 1 .. 12, the sha256 of the JSON object (sorted
+keys, default separators) that maps the names ``selfdual_basis``,
+``basis_products``, ``bit_reversal``, ``_sd_to_poly``, ``_poly_to_sd`` and
+``_trace_poly`` to those tables of ``Field(n)``, recorded from the field
+that multiplied by carry-less products and long division.
 
 ORBIT_EXPORT_SHA256: for n = 1 .. 8, the sha256 of the bytes of
 `pimub orbits --n n`: its JSON stdout, its `--csv` stdout and its stderr
@@ -133,6 +140,23 @@ SLOPE_ANCHOR_SHA256 = {
     6: "f0500736f3017414dc9c9d4c784e44105dfba6dab31ff1b982f90057ec8af378",
     7: "2627b4291ebdeb65791ce64ae192b4b4263b0ce08c08c6540fd675c2552d4025",
     8: "41a35d37c39d28c841b4c7676f6d54b25be1ca9484a4676049560361da13a6bb",
+    9: "c36accd248cbe5b982b65c57f712a68ab178f21146c0c572de360e6f6fe69a4c",
+    10: "c33e3a604ee62bfe200344990941bc700f638909971d95e49811c807e2d1bb66",
+}
+
+FIELD_TABLE_SHA256 = {
+    1: "199d357c529f1ed5fbfdfdace60166911766a9728982ab62fc4f278d5e937625",
+    2: "87bf26bcf65e021627013182d6e6365957fc6306e50e9227fe473d7006c6da14",
+    3: "4d7ad25ef106a1c26084b0ed5bd544bcf3e7eb55a85224cef254d71d34d17e2b",
+    4: "a356984ea1b70b25f51133ce68dfb4eaf9d10a1fa0ea2c55eb1276d0a3f93cf1",
+    5: "17511747df3c9640bc031153d9a474989277bda174ba97b5f7d8ca0c3255e8a4",
+    6: "36ca792d4e1e8aa51f335e724e734a256d0e1253224a58e591b06229f4ad5c2d",
+    7: "cee315b879012f8a381e9b3b9683b7ff4aff32d5b08bc4715e8d1714531da29b",
+    8: "dd07e3866400486a7d96ed626d5b9054af9150a9a818e31d797c20c1b68cfa28",
+    9: "d9de5ac431c3dc1888620c90d2abd12842cbda2b8553649de0df580626f65cbe",
+    10: "6758c82821d5a7a3383c96c02c036838be422503314cb01e310c5d7793106dcf",
+    11: "1771f02283d721175113a5348d2797806454536c443d81c9662a460e02c5a50f",
+    12: "86d74217accfc145f1a4f60c1066f9b8287502ce3a6523f7b1763fc42266d284",
 }
 
 ORBIT_EXPORT_SHA256 = {

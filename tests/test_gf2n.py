@@ -1,5 +1,7 @@
 """Field layer: arithmetic axioms, trace identities, self-dual basis."""
 
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from pimub.errors import ContextMismatchError, UnsupportedFieldSizeError
 from pimub.gf2n import (
     _IRREDUCIBLE,
+    Field,
     _poly_deg,
     _poly_mod,
     is_irreducible,
@@ -15,6 +18,7 @@ from pimub.gf2n import (
 )
 
 from conftest import field, per_bit_selfdual_to_poly, product_selfdual_basis, squaring_traces
+from reference_data import FIELD_TABLE_SHA256
 
 
 # ---------------------------------------------------------------------
@@ -53,6 +57,40 @@ def test_polynomial_table_irreducible(n):
     assert is_irreducible(_IRREDUCIBLE[n])
     assert not has_small_factor(_IRREDUCIBLE[n])
     assert _poly_deg(_IRREDUCIBLE[n]) == n
+
+
+@pytest.mark.parametrize("n", sorted(_IRREDUCIBLE))
+def test_polynomial_table_primitive(n):
+    # the powers of x, reduced one multiplication by x at a time, first
+    # return to 1 at 2^n - 1: x generates every nonzero residue
+    p, x, order = _IRREDUCIBLE[n], 1, 0
+    while order < 2**n:
+        x, order = _poly_mod(x << 1, p), order + 1
+        if x == 1:
+            break
+    assert order == 2**n - 1
+
+
+def test_a_non_primitive_table_polynomial_is_refused(monkeypatch):
+    # x^4 + x^3 + x^2 + x + 1 is irreducible, but x has order 5 modulo it,
+    # so the log tables of x would not reach every element
+    monkeypatch.setitem(_IRREDUCIBLE, 4, 0b11111)
+    assert is_irreducible(0b11111)
+    with pytest.raises(AssertionError, match="not primitive"):
+        Field(4)
+
+
+def _table_digest(f):
+    names = ("selfdual_basis", "basis_products", "bit_reversal", "_sd_to_poly", "_poly_to_sd",
+             "_trace_poly")
+    tables = {name: getattr(f, name) for name in names}
+    return hashlib.sha256(json.dumps(tables, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_field_tables_match_their_frozen_digests(n):
+    # every table a field builds is the one the carry-less-product field built
+    assert _table_digest(field(n)) == FIELD_TABLE_SHA256[n]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -111,6 +149,23 @@ def test_element_coordinates_out_of_range():
         f.element(-1)
 
 
+def test_elements_are_shared_within_a_field_and_frozen():
+    f = Field(3)
+    table = f.elements()
+    assert f.zero() is table[0] and f.element(5) is table[5] and f.one() is f.from_poly(1)
+    assert all(f.from_poly(a.poly) is a and f.from_index(a.index) is a for a in table)
+    assert (table[3] * table[6]) is table[(table[3] * table[6]).bits]
+    assert (table[3] + table[6]) is table[5]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table[1].bits = 2
+
+
+def test_fresh_fields_share_no_element_table():
+    a, b = Field(3), Field(3)
+    assert a == b and a.elements() == b.elements()
+    assert not {id(x) for x in a.elements()} & {id(x) for x in b.elements()}
+
+
 def test_make_field_deterministic():
     assert make_field(5).to_json() == make_field(5).to_json()
 
@@ -127,6 +182,16 @@ def test_mul_matches_schoolbook_oracle_all_pairs(n):
         for b in range(f.size):
             prod = ea * f.from_poly(b)
             assert prod.poly == schoolbook_mul(a, b, f.poly)
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_log_table_products_match_schoolbook_oracle(n):
+    f = field(n)
+    rng = np.random.default_rng(n)
+    edges = [(a, b) for a in (0, 1) for b in (0, 1, f.size - 1, f.poly ^ f.size)]
+    pairs = edges + [(b, a) for a, b in edges] + rng.integers(0, f.size, size=(200, 2)).tolist()
+    for a, b in pairs:
+        assert (f.from_poly(a) * f.from_poly(b)).poly == schoolbook_mul(a, b, f.poly)
 
 
 def test_mul_axioms_random_triples():

@@ -197,11 +197,11 @@ def _anchor_exponents(fam):
     return np.array(rows, dtype=np.uint8)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 11))
 def test_slope_labelling_matches_frozen_reference(n):
     # the anchor, and so the nu labelling of every slope basis, is the one
-    # the earlier eigensolver construction chose (n <= 6) and the per-slope
-    # gauge chose (n = 7, 8)
+    # the earlier eigensolver construction chose (n <= 6), the per-slope
+    # gauge chose (n = 7, 8) and the two-pass batched gauge chose (n = 9, 10)
     rows = _anchor_exponents(family(n))
     if n in SLOPE_ANCHOR_EXPONENTS:
         assert rows.tolist() == SLOPE_ANCHOR_EXPONENTS[n]
@@ -507,8 +507,9 @@ def test_family_constructor_takes_no_eigenvalues():
 # Performance guards: they count work, so no timing threshold can flake.
 
 def test_a_field_costs_order_n_squared_field_products(monkeypatch):
-    # the trace of the n powers t^i, the Gram check and the basis products;
-    # the trace table and the coordinate tables come from bit masks
+    # the Gram check and the basis products, one log-table product each; the
+    # traces of the powers t^i come from the exp table, and the trace table and
+    # the coordinate tables from bit masks
     calls = []
     multiply = Field._mul_poly
 
@@ -520,7 +521,7 @@ def test_a_field_costs_order_n_squared_field_products(monkeypatch):
     for n in (1, 6, 12):
         calls.clear()
         Field(n)  # what make_field(n) builds
-        assert len(calls) <= 3 * n * n  # not 2^n (n - 1)
+        assert len(calls) <= 2 * n * n  # not 2^n (n - 1)
 
 
 def test_a_family_build_makes_no_field_product(monkeypatch):
@@ -532,6 +533,24 @@ def test_a_family_build_makes_no_field_product(monkeypatch):
     for n in (1, 4, 6):
         build_family(field(n))
         stabilizer_masks(field(n), family_labels(field(n)))
+
+
+def test_no_family_content_outlives_its_field(monkeypatch):
+    # a set-up timed with the field cache cleared builds everything again: a
+    # new field, its own element table and a gauge pass of its own
+    fields = []
+    gauge = mub._slope_exponents
+
+    def counted(f, slopes):
+        fields.append(f)
+        return gauge(f, slopes)
+
+    monkeypatch.setattr(mub, "_slope_exponents", counted)
+    for _ in range(2):
+        make_field.cache_clear()
+        build_family(make_field(3))
+    assert len(fields) == 2 and fields[0] is not fields[1]
+    assert fields[0].zero() is not fields[1].zero()
 
 
 # ----------------------------------------------------------------------

@@ -3,11 +3,17 @@
     python tools/compare_cli.py PARENT_SRC CHANGE_SRC [--max-n 8]
 
 Each SRC is a directory holding the ``pimub`` package (a checkout's
-``src``).  The cases are, for every n up to ``--max-n``, ``field --n k``,
-``orbits --n k`` (JSON and CSV), ``mubs --n k`` for k <= 5,
-``verify --n k`` for k <= 6, and ``simulate`` with each state method, exact
-and sampled, each followed by ``reconstruct`` with and without
-``--project``.  One case past the spin-block cap always runs too:
+``src``).  Whatever ``--max-n`` is, ``field --n k`` runs for every k <= 12
+and ``orbits --n k`` (JSON and CSV) for every k <= 10: their exports hold
+only integers and cost little, and they pin the field and the orbit table
+past the sizes the pipeline reaches.  ``orbits`` accepts n <= 8 on the
+command line, so for k = 9 and 10 each tree runs the command through the
+CLI's own parser and command body without that cap (``UNCAPPED``, one
+``python -c``).  The other cases are, for every n up to ``--max-n``,
+``mubs --n k`` for k <= 5, ``verify --n k`` for k <= 6, and ``simulate``
+with each state method, exact and sampled, each followed by
+``reconstruct`` with and without ``--project``.  One case past the
+spin-block cap always runs too:
 each tree writes exact n = 9 Dicke-mixture records with its own library
 (``RECORDS_N9``, one ``python -c``) and runs ``reconstruct`` on them.  For
 every n, each tree also reverses the order of the records of its last
@@ -47,6 +53,17 @@ import tempfile
 from pathlib import Path
 
 METHODS = ("twirl", "dicke", "blocks")
+FIELD_MAX_N = 12  # field cases run up to this n, and orbit cases up to ORBITS_MAX_N,
+ORBITS_MAX_N = 10  # at any --max-n
+CLI_ORBITS_MAX_N = 8  # the largest n that `pimub orbits` accepts
+# a command past the command line's n cap: the CLI's parser and command body, without main's
+# range checks; argv as for `pimub`
+UNCAPPED = """
+import sys
+from pimub.cli import _build_parser
+args = _build_parser().parse_args(sys.argv[1:])
+sys.exit(args.func(args))
+"""
 SAMPLING = (("--exact",), ("--shots", "1000"))
 # exact records of a seeded n = 9 Dicke mixture on the minimal bases, as JSON on stdout
 RECORDS_N9 = """
@@ -182,13 +199,20 @@ def main() -> int:
                 })
 
     with tempfile.TemporaryDirectory() as tmp:
+        for n in range(1, FIELD_MAX_N + 1):
+            argv = ["field", "--n", str(n)]
+            record(n, "field", " ".join(argv),
+                   {side: run(src, argv, tmp) for side, src in trees.items()})
+        for n in range(1, ORBITS_MAX_N + 1):
+            command = ("-m", "pimub.cli") if n <= CLI_ORBITS_MAX_N else ("-c", UNCAPPED)
+            for argv in (["orbits", "--n", str(n)], ["orbits", "--n", str(n), "--csv"]):
+                record(n, "orbits", " ".join(argv),
+                       {side: run(src, argv, tmp, command) for side, src in trees.items()})
         for n in range(1, args.max_n + 1):
             # mubs stops at n = 5 (2.5 MB of JSON, ~0.6 s per side) and verify at n = 6,
             # because verify --n 7 takes ~25 s per side; verify's round-trip rows
             # score through the metrics' PI gate
-            cases = [["field", "--n", str(n)], ["orbits", "--n", str(n)],
-                     ["orbits", "--n", str(n), "--csv"]]
-            cases += [["mubs", "--n", str(n)]] if n <= 5 else []
+            cases = [["mubs", "--n", str(n)]] if n <= 5 else []
             cases += [["verify", "--n", str(n)]] if n <= 6 else []
             for argv in cases:
                 record(n, argv[0], " ".join(argv),
