@@ -166,6 +166,7 @@ class Field:
     field, on the first call that returns one, and then shared: ``element``,
     ``elements``, ``zero``, ``one``, ``from_poly`` and the element arithmetic
     all return entries of that one table, which lives and dies with the field.
+    ``mub.family_labels`` keeps the field's basis labels on it the same way.
     """
 
     def __init__(self, n: int) -> None:

@@ -161,8 +161,15 @@ def slope_label(mu: FieldElement) -> BasisLabel:
 
 
 def family_labels(field: Field) -> list[BasisLabel]:
-    """All 2^n + 1 labels: slopes ordered by bits, then the vertical basis."""
-    return [BasisLabel(mu) for mu in field.elements()] + [BasisLabel(None)]
+    """All 2^n + 1 labels: slopes ordered by bits, then the vertical basis.
+
+    They are built once per field and kept on it, as its element table is,
+    so they live and die with the field.
+    """
+    labels = vars(field).get("_family_labels")
+    if labels is None:
+        labels = field._family_labels = (*map(BasisLabel, field.elements()), BasisLabel(None))
+    return list(labels)
 
 
 def foreign_slope(field: Field, label: BasisLabel) -> str | None:
@@ -497,14 +504,17 @@ def born_probabilities(family: MubFamily, labels, expect: np.ndarray) -> np.ndar
     """Tr(rho |nu, label><nu, label|), row k for ``labels[k]`` and column nu by the bits of nu.
 
     ``expect`` is the state's [x, z] table of Pauli expectations
-    (``operators.pauli_table``); one gather through the ``MubFamily.plan``
-    of ``labels`` reads every basis's rows from it.  The Walsh transforms
+    (``operators.pauli_table``), or for a PI state the vector of its one
+    expectation per type of ``operators.pi_types``; one gather through the
+    ``MubFamily.plan`` of ``labels`` (its ``index``, or its ``types``) reads
+    every basis's rows from it.  The Walsh transforms
     run as one stacked product over the labels, a column per label, so
     each row has the bits of a product with that row alone.
     """
     dim = family.field.size
     plan = family.plan(labels)
-    stack = plan.eigenvalues * np.take(expect, plan.index)
+    places = plan.index if np.ndim(expect) == 2 else plan.types.reshape(plan.index.shape)
+    stack = plan.eigenvalues * np.take(expect, places)
     return (walsh(dim) @ stack.reshape(-1, dim, 1)).reshape(-1, dim) / dim
 
 

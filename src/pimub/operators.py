@@ -260,8 +260,9 @@ def is_hermitian(mat: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.allclose(mat, mat.conj().T, rtol=0, atol=tol))
 
 
-def is_density_matrix(mat: np.ndarray, herm_tol: float = 1e-12, trace_tol: float = 1e-12) -> bool:
-    """Hermitian, unit trace, and no eigenvalue below -1e-10."""
+def is_density_matrix(mat, herm_tol: float = 1e-12, trace_tol: float = 1e-12) -> bool:
+    """Hermitian, unit trace, and no eigenvalue below -1e-10, checked on ``np.asarray(mat)``."""
+    mat = np.asarray(mat)
     if not is_hermitian(mat, herm_tol):
         return False
     if abs(np.trace(mat).real - 1.0) > trace_tol or abs(np.trace(mat).imag) > trace_tol:

@@ -11,6 +11,19 @@ MUB family exactly or with multinomial shot noise, inverts measured
 probabilities back to a density matrix, and projects noisy estimates to the
 physical PI set.
 
+A PI operator is constant on each of the C(n + 3, 3) classes of entries
+below, so the pipeline hands PI operators from stage to stage as a
+``PIState``, those class values alone: ``random_pi_state``,
+``reconstruct`` and ``project_physical`` return one, and
+``exact_probabilities``, ``project_physical``, ``fidelity`` and
+``trace_distance`` read its values with no 2^n-sided matrix, no PI gate
+and no finiteness scan of 4^n entries.  ``np.asarray`` gives its dense
+matrix, built afresh on each call, and every function here also takes a
+dense ndarray, which keeps its dense path and its checks.  The checks
+(``is_permutation_invariant``, ``operators.is_density_matrix``) and
+``twirl`` read a ``PIState`` through its dense matrix, so they test it
+rather than trust its type.
+
 The spin blocks rho_j are read in one convention: |0> is spin up, each
 spin-j copy |j, c, m> runs over m = j .. -j, and its phases are the
 standard ones (J_+ and J_- have nonnegative entries), so a PI operator is
@@ -30,10 +43,11 @@ singlets (``_units``), form one real square map between the class sums
 and the mean rho_j of the m_j diagonal copy blocks of each sector.  The
 "blocks" states are built through it, and ``project_physical``
 diagonalizes only the (2j+1)-sided mean blocks, all in one stacked
-eigensolve.  So do ``fidelity`` and ``trace_distance`` for 5 <= n <= 8
-when their inputs (for the trace distance, their difference) pass that
-gate.  Anything else, and every input below n = 5, where the 2^n-sided
-eigensolves are the cheaper path, is scored on the dense matrices.
+eigensolve.  So do ``fidelity`` and ``trace_distance`` on two
+``PIState``s for 4 <= n <= 8, and with a dense input for 5 <= n <= 8 when
+it (for the trace distance, the difference) passes that gate.  Anything
+else is scored on the dense matrices; below those n the 2^n-sided
+eigensolves are the cheaper path.
 
 A measurement record holds its outcomes as one array indexed by the
 self-dual bits of nu, from simulation (``exact_probabilities``,
@@ -49,8 +63,10 @@ Both directions of the measurement map read each basis through the 2^n
 Pauli strings, identity included, that it diagonalizes
 (``mub.stabilizer_masks``), and the anchor's eigenvalue on each.  A label
 tuple's rows are stacked once per family, ``MubFamily.plan``, which every
-trial on the same bases reuses.  Simulation builds the state's table of
-all 4^n Pauli expectations once (``operators.pauli_table``), reads every
+trial on the same bases reuses.  Simulation takes a ``PIState``'s one
+expectation per Pauli type from its class values in one C(n + 3, 3)-sided
+product (``_expectation_map``), or builds a dense state's table of all
+4^n Pauli expectations once (``operators.pauli_table``), reads every
 basis's rows from it in one gather and Walsh transforms them into Born
 probabilities in one stacked product (``mub.born_probabilities``).  The
 inversion Walsh transforms them back into the same expectations in one
@@ -59,8 +75,8 @@ PI-subspace fit below bins them by the plan's types, leaving one
 coordinate per Pauli type, and a type sum S_t is PI, so constant on each
 entry class:
 ``_type_map`` holds 2^-n S_t on every class at every n, in closed form
-from the types alone, and the estimate is that map times the coordinates,
-gathered by class, with no 4^n array but the estimate itself.
+from the types alone, and the estimate is the ``PIState`` of that map
+times the coordinates, with no 4^n array.
 
 The inversion is least squares on the PI operator subspace.  Each
 measured basis is the joint eigenbasis of 2^n - 1 Pauli monomials, so its
@@ -308,8 +324,60 @@ def _type_map(n: int) -> np.ndarray:
     return V
 
 
-def _class_sums(classes: _Classes, mat: np.ndarray) -> np.ndarray:
-    """The sum of ``mat`` over each class, as (real, imaginary) rows."""
+@lru_cache(maxsize=None)
+def _expectation_map(n: int) -> np.ndarray:
+    """Read-only E[k, t] = 2^n N_k conj(V[k, t]) / N_t, with V the ``_type_map``.
+
+    A PI operator with class values ``means`` has Tr(rho S_t) =
+    2^n sum_k N_k means[k] conj(V[k, t]), and each of the N_t strings of type
+    t has the same expectation, so ``means @ E`` is that expectation per type.
+    """
+    sizes = _type_parts(n)[1]
+    E = (1 << n) * sizes[:, None] * _type_map(n).conj() / sizes
+    E.flags.writeable = False
+    return E
+
+
+class PIState:
+    """A PI operator on n qubits, held by its C(n + 3, 3) class values.
+
+    ``means`` is a read-only complex vector: entry k is the value of the
+    operator on every entry (r, s) of class k, the Pauli type ``pi_types(n)[k]``,
+    so the dense matrix is ``means[operators.type_grid(n)]`` (see the module
+    docstring for who returns and reads it).  ``shape`` is that of the dense
+    matrix, and ``np.asarray`` builds the dense matrix afresh on each call,
+    so numpy functions and operators with an ndarray partner
+    (``np.abs(mat - state)``) take it as that matrix.  It has no arithmetic
+    of its own.
+    """
+
+    __slots__ = ("n", "means")
+
+    def __init__(self, n: int, means) -> None:
+        means = np.array(means, dtype=complex)
+        if not n >= 1 or means.shape != (math.comb(n + 3, 3),):
+            raise DimensionMismatchError(f"a PI state needs n >= 1 and C(n + 3, 3) class values, "
+                                         f"got n={n!r} and shape {means.shape}")
+        means.flags.writeable = False
+        self.n = n
+        self.means = means
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (1 << self.n, 1 << self.n)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self.means[type_grid(self.n)], dtype=dtype)
+
+    def __repr__(self) -> str:
+        return f"PIState(n={self.n}, means={self.means!r})"
+
+
+def _class_sums(classes: _Classes, mat) -> np.ndarray:
+    """The sum of ``mat`` over each class, as (real, imaginary) rows (a ``PIState``'s means
+    times the class sizes)."""
+    if isinstance(mat, PIState):
+        return mat.means.view(float).reshape(-1, 2) * classes.sizes
     flat = np.ascontiguousarray(mat, dtype=complex).view(float).ravel()
     return np.bincount(classes.pairs, flat, minlength=2 * len(classes.sizes)).reshape(-1, 2)
 
@@ -327,14 +395,19 @@ def _mean_stack(classes: _Classes, sums: np.ndarray) -> np.ndarray:
     return stack
 
 
-def _from_entries(classes: _Classes, entries: np.ndarray) -> np.ndarray:
-    """The 2^n-sided sum_j sum_c rho_j from the complex entries of the rho_j, block after block."""
+def _from_entries(classes: _Classes, entries: np.ndarray) -> PIState:
+    """The ``PIState`` sum_j sum_c rho_j from the complex entries of the rho_j, block after block."""
     values = (classes.units @ entries.view(float).reshape(-1, 2)).view(complex).ravel()
-    return values[classes.keys]
+    return PIState(classes.shape[-1] - 1, values)  # the stack's side is n + 1
 
 
 def _adjoint(stack: np.ndarray) -> np.ndarray:
     return stack.conj().swapaxes(-1, -2)
+
+
+def _finite(mat) -> bool:
+    """Whether every entry of ``mat`` is finite, read on a ``PIState``'s class values."""
+    return bool(np.isfinite(mat.means if isinstance(mat, PIState) else mat).all())
 
 
 def _pi_means(classes: _Classes, mat: np.ndarray, tol: float) -> np.ndarray | None:
@@ -353,7 +426,7 @@ def _pi_means(classes: _Classes, mat: np.ndarray, tol: float) -> np.ndarray | No
 # Permutation twirl
 # ----------------------------------------------------------------------
 
-def twirl(rho: np.ndarray) -> np.ndarray:
+def twirl(rho) -> np.ndarray:
     """Exact average of U_pi rho U_pi^dag over the full symmetric group (n <= 8).
 
     A permutation moves entry (r, s) to (pi r, pi s), so the group average
@@ -361,19 +434,23 @@ def twirl(rho: np.ndarray) -> np.ndarray:
     ``type_grid``: one sum per class and one gather.
     Any square matrix of side 2^n is accepted, Hermitian or not, and no
     4^n Pauli table or basis of spin copies is formed.  A NaN entry stays
-    within its own class.
+    within its own class.  A ``PIState`` is read as its dense matrix, and the
+    result is always a new writable ndarray.
     """
+    rho = np.asarray(rho)
     classes = _classes(qubit_count(rho))
     return _class_means(classes, _class_sums(classes, rho))[classes.keys]
 
 
-def is_permutation_invariant(rho: np.ndarray, tol: float = 1e-10) -> bool:
+def is_permutation_invariant(rho, tol: float = 1e-10) -> bool:
     """Whether ``twirl`` moves no entry of ``rho`` by more than ``tol`` (n <= 8; NaN fails).
 
     So ``tol`` bounds the distance to the S_n average, as the metrics' gate
     does.  A transposition moves an entry by at most twice that distance,
-    and the distance is at most n - 1 times the largest such move.
+    and the distance is at most n - 1 times the largest such move.  A
+    ``PIState`` is checked on its dense matrix, not trusted to be PI.
     """
+    rho = np.asarray(rho)
     return _pi_means(_classes(qubit_count(rho)), rho, tol) is not None
 
 
@@ -461,8 +538,13 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
-def random_pi_state(spec: PIStateSpec) -> np.ndarray:
-    """Build the PI density matrix described by ``spec`` (1 <= n <= ``gf2n.MAX_N``).
+def random_pi_state(spec: PIStateSpec) -> PIState:
+    """Build the ``PIState`` described by ``spec`` (1 <= n <= ``gf2n.MAX_N``).
+
+    No method builds a 2^n-sided matrix: the class values come from the spin
+    blocks ("twirl", "blocks") or, for a Dicke mixture, from the weights, as
+    w_k / C(n, k) on the classes with |r| = |s| = k, the products of the outer
+    products of ``dicke_state``.
 
     The "twirl" state has the law of the S_n twirl of a Ginibre state,
     twirl(G G^dag) / tr(G G^dag) for a 2^n-sided complex Gaussian G, but it
@@ -482,8 +564,8 @@ def random_pi_state(spec: PIStateSpec) -> np.ndarray:
     ``_classes``.
     """
     n = spec.n
-    # the other methods stop here before any 2^n x 2^n allocation (1 GiB at n = 13); an int
-    # n > 8 of the twirl method meets the cap of ``_classes`` (DimensionOverflowError)
+    # the other methods stop here; an int n > 8 of the twirl method meets the cap of
+    # ``_classes`` (DimensionOverflowError)
     if not isinstance(n, int) or n < 1 or (n > MAX_N and spec.method != "twirl"):
         raise UnsupportedFieldSizeError(f"n must be an integer in 1..{MAX_N}, got {n!r}")
     if spec.method == "twirl":
@@ -497,18 +579,20 @@ def random_pi_state(spec: PIStateSpec) -> np.ndarray:
         sums = (factors @ _adjoint(factors)).ravel()[classes.padded]
         # values @ values is sum_t ||L_t||_F^2, the trace of the twirled Wishart matrix
         return _from_entries(classes, sums * (classes.weights / (values @ values)))
-    dim = 1 << n
     if spec.method == "dicke":
         weights = spec.weights
         if weights is None or len(weights) != n + 1:
             raise ValueError(f"dicke method needs {n + 1} weights")
         _check_simplex(weights, "dicke weights")
-        rho = np.zeros((dim, dim), dtype=complex)
+        # entry (r, s) of |D_k><D_k| is amp * amp with amp = 1 / sqrt C(n, k), where
+        # |r| = |s| = k, i.e. k_X = k_Z and k_X + k_Y = k
+        kx, ky, kz, _ = _type_parts(n)[0]
+        means = np.zeros(len(kx), dtype=complex)
         for k, w in enumerate(weights):
             if w:
-                vec = dicke_state(n, k)
-                rho += w * np.outer(vec, vec.conj())
-        return rho
+                amp = 1.0 / math.sqrt(math.comb(n, k))
+                means[(kx == kz) & (kx + ky == k)] = w * (amp * amp)
+        return PIState(n, means)
     if spec.method == "blocks":
         classes = _classes(n)
         sides, copies = _sectors(n)
@@ -558,20 +642,23 @@ class MeasurementRecord:
         return self.data if self.shots is None else self.data / self.shots
 
 
-def exact_probabilities(rho: np.ndarray, family: MubFamily, bases) -> list[MeasurementRecord]:
+def exact_probabilities(rho, family: MubFamily, bases) -> list[MeasurementRecord]:
     """Born probabilities Tr(rho P_(nu,k)) for each requested basis.
 
     They come through each basis's stabilizer table (``mub.born_probabilities``):
     the expectations of the 2^n - 1 Pauli strings it diagonalizes, Walsh
     transformed over the ray, the inverse of ``mub.pauli_expectations``.
-    The state's ``pauli_table`` is built once, and one stacked Walsh product
-    serves every basis; record k holds row k of it.  A ``rho`` of another n
-    raises ``DimensionMismatchError``.
+    A ``PIState`` gives one expectation per Pauli type, its class values
+    times ``_expectation_map``; a dense ``rho`` its ``pauli_table``, built
+    once.  One stacked Walsh product serves every basis; record k holds
+    row k of it.  A ``rho`` of another n raises ``DimensionMismatchError``.
     """
-    if qubit_count(rho) != family.field.n:
-        raise DimensionMismatchError(f"state of shape {np.shape(rho)} is not of n={family.field.n}")
+    n = family.field.n
+    if qubit_count(rho) != n:
+        raise DimensionMismatchError(f"state of shape {np.shape(rho)} is not of n={n}")
+    expect = (rho.means @ _expectation_map(n) if isinstance(rho, PIState) else pauli_table(rho)).real
     labels = list(bases)
-    probs = born_probabilities(family, labels, pauli_table(rho).real)
+    probs = born_probabilities(family, labels, expect)
     return [MeasurementRecord(n=family.field.n, basis=label, data=row)
             for label, row in zip(labels, probs)]
 
@@ -605,8 +692,8 @@ def sample_counts(record: MeasurementRecord, shots: int, seed: int) -> Measureme
 # Reconstruction
 # ----------------------------------------------------------------------
 
-def reconstruct(records, table: OrbitTable | None, family: MubFamily) -> np.ndarray:
-    """Invert measured records into a density-matrix estimate.
+def reconstruct(records, table: OrbitTable | None, family: MubFamily) -> PIState:
+    """Invert measured records into a ``PIState`` estimate, at every n.
 
     The records, any iterable of them, must cover the minimal bases; extra
     bases are used too.  The measured Pauli expectations are fitted by
@@ -627,7 +714,7 @@ def reconstruct(records, table: OrbitTable | None, family: MubFamily) -> np.ndar
     sums = np.bincount(types, expect, minlength=count)
     hits = np.bincount(types, minlength=count)
     coords = np.divide(sums, hits, out=np.zeros(count), where=hits > 0)
-    return (_type_map(n) @ coords)[type_grid(n)]
+    return PIState(n, _type_map(n) @ coords)
 
 
 class _LabelGate(NamedTuple):
@@ -730,8 +817,8 @@ def _project_to_simplex(values: np.ndarray) -> np.ndarray:
     return np.maximum(shifted - theta, 0.0)
 
 
-def project_physical(rho_hat: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest PI density matrix, projected spin block by spin block.
+def project_physical(rho_hat) -> PIState:
+    """Frobenius-nearest PI density matrix, as a ``PIState``, projected spin block by spin block.
 
     A PI operator is sum_j sum_c rho_j on the m_j spin-j copies, in the
     block convention of the module docstring.  The twirl, the orthogonal
@@ -744,10 +831,11 @@ def project_physical(rho_hat: np.ndarray) -> np.ndarray:
     spectrum first.  One simplex step (Smolin, Gambetta & Smith, PRL 108,
     070502 (2012)) acts on the block spectra with each eigenvalue counted
     m_j times, and one batched product rebuilds every block.  No 2^n-sided
-    matrix is twirled, diagonalized or multiplied.
+    matrix is twirled, diagonalized or multiplied, and a ``PIState`` input
+    is read by its class values, so none is built.
     """
     classes = _classes(qubit_count(rho_hat))
-    if not np.isfinite(rho_hat).all():
+    if not _finite(rho_hat):
         raise ValueError("project_physical input must be finite")
     stack = _mean_stack(classes, _class_sums(classes, rho_hat))
     herm = stack + _adjoint(stack)
@@ -767,57 +855,67 @@ def project_physical(rho_hat: np.ndarray) -> np.ndarray:
 # Quality metrics
 # ----------------------------------------------------------------------
 
-# The metrics score PI pairs on spin blocks for 5 <= n <= _TWIRL_MAX_N (the
-# cap of ``_classes``).  At n = 3 the 2^n-sided eigensolves cost less than
-# reading and checking the blocks; at n = 4 the blocks win the fidelity and
-# lose the trace distance, and the dense path keeps its exact results there.
+# The metrics score PI pairs on spin blocks up to n = _TWIRL_MAX_N (the cap of
+# ``_classes``).  With a dense input, which must pass the PI gate, from n = 5:
+# at n = 4 the blocks win the fidelity and lose the trace distance, and the
+# dense path keeps its exact results there.  Two ``PIState``s need no gate and
+# take the blocks from n = 4; at n = 3 the 2^n-sided eigensolves of their
+# dense matrices still cost less (fidelity 87 against 96 us, trace distance
+# 38 against 42 us).
 _BLOCK_METRICS_MIN_N = 5
+_STATE_BLOCKS_MIN_N = 4
 # an operator counts as PI when no entry of it differs from its twirl, the
 # mean of its class, by more than this
 _PI_GATE_TOL = 1e-12
 
 
-def _check_same_dim(rho: np.ndarray, sigma: np.ndarray) -> None:
-    if rho.ndim != 2 or rho.shape != sigma.shape or rho.shape[0] != rho.shape[1]:
-        raise DimensionMismatchError(f"incompatible shapes {rho.shape} vs {sigma.shape}")
-    if not (np.isfinite(rho).all() and np.isfinite(sigma).all()):
+def _check_same_dim(rho, sigma) -> None:
+    shape = np.shape(rho)
+    if len(shape) != 2 or shape != np.shape(sigma) or shape[0] != shape[1]:
+        raise DimensionMismatchError(f"incompatible shapes {shape} vs {np.shape(sigma)}")
+    if not (_finite(rho) and _finite(sigma)):
         raise ValueError("metric inputs must be finite")
 
 
-def _metric_stacks(*mats: np.ndarray) -> tuple[list, np.ndarray | int]:
+def _metric_stacks(*mats) -> tuple[list, np.ndarray | int]:
     """The matrices to score ``mats`` on, and how many times each counts.
 
-    For 2^n-sided PI operators with 5 <= n <= 8, each is the stack of its
-    mean copy blocks, zero padded to (sectors, n + 1, n + 1), and block j
-    counts m_j times (a column of the m_j).  An operator is PI when
-    ``_pi_means`` finds it so at ``_PI_GATE_TOL``.  If n lies outside that
-    range or any operator is not PI, ``mats`` are returned as they are,
-    counted once.
+    For PI operators of 4 <= n <= 8 qubits (5 <= n <= 8 with a dense one
+    in ``mats``), each is the stack of its mean copy blocks, zero padded to
+    (sectors, n + 1, n + 1), and block j counts m_j times (a column of the
+    m_j).  A ``PIState`` gives its blocks from its class values; a dense
+    operator is PI when ``_pi_means`` finds it so at ``_PI_GATE_TOL``.
+    Otherwise, or if any dense operator is not PI, ``mats`` are returned as
+    dense matrices, counted once.
     """
-    dim = mats[0].shape[0]
+    dim = np.shape(mats[0])[0]
     n = dim.bit_length() - 1
-    if _BLOCK_METRICS_MIN_N <= n <= _TWIRL_MAX_N and dim == 1 << n:
+    states = all(isinstance(mat, PIState) for mat in mats)
+    low = _STATE_BLOCKS_MIN_N if states else _BLOCK_METRICS_MIN_N
+    if low <= n <= _TWIRL_MAX_N and dim == 1 << n:
         classes = _classes(n)
         stacks = []
         for mat in mats:
-            stack = _pi_means(classes, mat, _PI_GATE_TOL)
+            stack = (_mean_stack(classes, _class_sums(classes, mat)) if isinstance(mat, PIState)
+                     else _pi_means(classes, mat, _PI_GATE_TOL))
             if stack is None:
                 break
             stacks.append(stack)
         else:
             return stacks, classes.counts
-    return list(mats), 1
+    return [np.asarray(mat) for mat in mats], 1
 
 
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity Tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1].
 
-    For two PI states with 5 <= n <= 8 it is the sum over spin blocks,
+    For two PI states it is the sum over spin blocks,
     sum_j m_j Tr sqrt(sqrt(rho_j) sigma_j sqrt(rho_j)), with the block
-    eigensolves batched in one stack.  If either input fails the PI gate of
-    ``_metric_stacks`` (every entry within 1e-12 of the operator rebuilt
-    from its blocks), both are scored as 2^n-sided matrices, and so are all
-    inputs below n = 5, where that is the faster path.
+    eigensolves batched in one stack (``_metric_stacks``): for two
+    ``PIState``s for 4 <= n <= 8, and with a dense input for 5 <= n <= 8
+    when it passes the PI gate (every entry within 1e-12 of the operator
+    rebuilt from its blocks).  Other inputs are scored as 2^n-sided
+    matrices.
     """
     _check_same_dim(rho, sigma)
     (rho_s, sigma_s), counts = _metric_stacks(rho, sigma)
@@ -831,16 +929,21 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(min(max(value, 0.0), 1.0))
 
 
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
+def trace_distance(rho, sigma) -> float:
     """Half the trace norm of rho - sigma, in [0, 1].
 
-    When rho - sigma is PI (the gate of ``_metric_stacks``, 1e-12 in every
-    entry) and 5 <= n <= 8, it is half of sum_j m_j sum |eig(rho_j - sigma_j)|
-    over the spin blocks, in one batched eigensolve; otherwise, and always
-    below n = 5, it is read from the 2^n-sided difference.
+    The difference of two ``PIState``s is the ``PIState`` of the difference
+    of their class values; with a dense input it is dense.  It is half of
+    sum_j m_j sum |eig(rho_j - sigma_j)| over the spin blocks of that
+    difference, in one batched eigensolve, where ``fidelity`` would read
+    blocks, and else it is read from the 2^n-sided difference.
     """
     _check_same_dim(rho, sigma)
-    (diff,), counts = _metric_stacks(rho - sigma)
+    if isinstance(rho, PIState) and isinstance(sigma, PIState):
+        diff = PIState(rho.n, rho.means - sigma.means)
+    else:
+        diff = np.asarray(rho) - np.asarray(sigma)
+    (diff,), counts = _metric_stacks(diff)
     diff = (diff + _adjoint(diff)) / 2.0
     value = 0.5 * (np.abs(np.linalg.eigvalsh(diff)) * counts).sum()
     return float(min(max(value, 0.0), 1.0))

@@ -10,13 +10,15 @@ phase-space points of a basis, one basis's stabilizer rows and anchor
 eigenvalues built alone, the Born probabilities one basis at a time,
 the frame identity over a whole family, the record gate as a scan of the
 records one by one, the paper's orbit expansion summed over the family,
-and the quality metrics computed on 2^n-sided matrices.
+the quality metrics computed on 2^n-sided matrices, and the producer
+outputs whose dense bytes ``reference_data`` pins.
 
 ``src`` goes on ``sys.path`` and on ``PYTHONPATH``, so a bare ``pytest``
 finds the package without an install, and so do the CLI subprocesses the
 tests start.
 """
 
+import hashlib
 import os
 import sys
 from functools import lru_cache
@@ -33,6 +35,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 import numpy as np  # noqa: E402
 
 from pimub import build_family, enumerate_orbits, make_field, orbits  # noqa: E402
+from pimub.cli import _generated_state  # noqa: E402
 from pimub.gf2n import _selfdual_basis  # noqa: E402
 from pimub.mub import born_probabilities, family_operator, stabilizer_masks  # noqa: E402
 from pimub.operators import (pauli_phase, pauli_table, pauli_types, pi_types,  # noqa: E402
@@ -41,7 +44,8 @@ from pimub.errors import (DimensionOverflowError, MissingBasisError,  # noqa: E4
                           NotNormalizedError, SchemaError, UnsupportedFieldSizeError)
 from pimub.orbits import minimal_bases  # noqa: E402
 from pimub.tomography import (_TWIRL_MAX_N, _distributions, _project_to_simplex,  # noqa: E402
-                              random_density_matrix, reconstruct, twirl)
+                              PIStateSpec, exact_probabilities, random_density_matrix,
+                              random_pi_state, reconstruct, twirl)
 
 
 @lru_cache(maxsize=None)
@@ -314,6 +318,7 @@ def permutation_matrix(f, perm):
 
 def swap_invariant(rho, tol):
     """Oracle: whether no transposition of two qubits moves an entry of rho by more than tol."""
+    rho = np.asarray(rho)
     n = rho.shape[0].bit_length() - 1
     for p in range(1, n + 1):
         for q in range(p + 1, n + 1):
@@ -472,6 +477,7 @@ def looped_projection(rho_hat):
 
 def dense_fidelity(rho, sigma):
     """Oracle: Uhlmann fidelity from two 2^n-sided eigensolves, whatever the input."""
+    rho, sigma = np.asarray(rho), np.asarray(sigma)
     evals, evecs = np.linalg.eigh((rho + rho.conj().T) / 2.0)
     root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
     inner = np.linalg.eigvalsh(root @ sigma @ root)
@@ -482,7 +488,38 @@ def dense_fidelity(rho, sigma):
 
 def dense_trace_distance(rho, sigma):
     """Oracle: half the trace norm of the Hermitian part of rho - sigma, 2^n-sided."""
+    rho, sigma = np.asarray(rho), np.asarray(sigma)
     diff = rho - sigma
     diff = (diff + diff.conj().T) / 2.0
     value = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum()
     return float(min(max(value, 0.0), 1.0))
+
+
+def dense_digest(mat):
+    """sha256 of the bytes of ``np.asarray(mat)`` as a C-ordered complex array."""
+    return hashlib.sha256(np.ascontiguousarray(np.asarray(mat), dtype=complex).tobytes()).hexdigest()
+
+
+def pinned_outputs():
+    """(key, output) of the producer calls whose dense bytes ``reference_data`` pins.
+
+    ``random_pi_state`` of each method for n = 1..8 and two seeds, through
+    the CLI's state generator, and ``reconstruct`` of exact minimal-basis
+    records for n = 1..9.  The records come from the dense matrix of a
+    seeded twirl state (n <= 8) or Dicke mixture (n = 9), measured on the
+    dense path, so they do not depend on the state's type.
+    """
+    for method in ("twirl", "dicke", "blocks"):
+        for n in range(1, _TWIRL_MAX_N + 1):
+            for seed in (n, 100 + n):
+                yield f"{method} n={n} seed={seed}", _generated_state(n, method, seed)
+    for n in range(1, _TWIRL_MAX_N + 2):
+        if n <= _TWIRL_MAX_N:
+            rho = random_pi_state(PIStateSpec.twirl(n, n))
+        else:
+            weights = np.random.default_rng(n).dirichlet(np.ones(n + 1))
+            rho = random_pi_state(PIStateSpec.dicke(n, weights))
+        bases = minimal_bases(field(n))
+        fam = build_family(field(n), bases)
+        records = exact_probabilities(np.array(rho), fam, bases)
+        yield f"reconstruct n={n}", reconstruct(records, None, fam)

@@ -37,7 +37,7 @@ from pimub.mub import (
 )
 from pimub.operators import (build_x, build_z, fourier, pauli_phase, pauli_table, permute_label,
                              walsh)
-from pimub.orbits import minimal_bases
+from pimub.orbits import enumerate_orbits, minimal_bases
 from pimub.tomography import exact_probabilities, random_density_matrix, random_pure_state
 
 from conftest import (expand_orbits, family, field, label_table, orbit_table, per_slope_exponents,
@@ -551,6 +551,30 @@ def test_no_family_content_outlives_its_field(monkeypatch):
         build_family(make_field(3))
     assert len(fields) == 2 and fields[0] is not fields[1]
     assert fields[0].zero() is not fields[1].zero()
+
+
+def test_family_labels_are_built_once_per_field(monkeypatch):
+    # a set-up builds the family and the orbit table, and both read the field's one label list
+    built = []
+    post_init = BasisLabel.__post_init__
+
+    def counted(label):
+        built.append(label)
+        post_init(label)
+
+    monkeypatch.setattr(BasisLabel, "__post_init__", counted)
+    make_field.cache_clear()
+    f = make_field(6)
+    build_family(f)
+    enumerate_orbits(f)
+    assert len(built) == f.size + 1
+    first, again = family_labels(f), family_labels(f)
+    assert first == again and first is not again  # a new list, the same labels
+    assert all(a is b for a, b in zip(first, again))
+    first.pop()
+    assert len(family_labels(f)) == f.size + 1
+    make_field.cache_clear()
+    assert family_labels(make_field(6))[1] is not again[1]  # no label outlives its field
 
 
 # ----------------------------------------------------------------------

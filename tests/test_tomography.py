@@ -35,6 +35,7 @@ from pimub.operators import (build_x, build_z, is_density_matrix, pauli_operator
 from pimub.orbits import LabelPoint, minimal_bases
 from pimub.tomography import (
     MeasurementRecord,
+    PIState,
     PIStateSpec,
     dicke_state,
     exact_probabilities,
@@ -58,9 +59,11 @@ from pimub.tomography import (
 )
 from pimub.tomography import (_class_sums, _classes, _distributions, _from_entries, _mean_stack,
                               _project_to_simplex, _type_map)
+from reference_data import PI_STATE_SHA256
 
 from conftest import (ESTIMATES, _representatives, coupled_basis, coupled_from_blocks,
-                      coupled_mean_blocks, coupled_units, dense_fidelity, dense_trace_distance,
+                      coupled_mean_blocks, coupled_units, dense_digest, dense_fidelity,
+                      dense_trace_distance, pinned_outputs,
                       estimate, expand_orbits, family, field, ginibre_twirl_state,
                       looped_born_probabilities, looped_projection, looped_record_gate,
                       orbit_estimate, orbit_table, permutation_matrix, phase_sum_type_map,
@@ -567,9 +570,10 @@ def test_twirl_states_are_seeded_pi_densities(n):
     for seed, rho in zip(seeds, states):
         assert is_density_matrix(rho)
         assert is_permutation_invariant(rho, tol=1e-15)
-        assert random_pi_state(PIStateSpec.twirl(n, seed)).tobytes() == rho.tobytes()
+        assert (np.asarray(random_pi_state(PIStateSpec.twirl(n, seed))).tobytes()
+                == np.asarray(rho).tobytes())
     for a, b in itertools.combinations(states, 2):
-        assert np.abs(a - b).max() > 1e-6
+        assert np.abs(np.asarray(a) - b).max() > 1e-6
 
 
 def _sector_probabilities_and_purity(n, rho):
@@ -698,7 +702,7 @@ def test_purity_respects_the_block_decomposition(n):
     sectors = spin_values(n)
     probs = rng.dirichlet(np.ones(len(sectors)))
     blocks = [random_density_matrix(int(2 * j) + 1, seed=int(2 * j) + 7) for j in sectors]
-    rho = random_pi_state(PIStateSpec.spin_blocks(n, probs, blocks))
+    rho = np.asarray(random_pi_state(PIStateSpec.spin_blocks(n, probs, blocks)))
     direct = np.trace(rho @ rho).real
     predicted = sum(
         p**2 * np.trace(b @ b).real / multiplicity(n, j)
@@ -731,7 +735,7 @@ def test_spin_block_states_past_three_qubits_are_pi_densities(n):
 @pytest.mark.parametrize("n", (4, 5, 6))
 def test_purity_respects_the_block_decomposition_past_three_qubits(n):
     spec = _random_spin_block_spec(n, seed=50 + n)
-    rho = random_pi_state(spec)
+    rho = np.asarray(random_pi_state(spec))
     predicted = sum(
         p**2 * np.trace(b @ b).real / multiplicity(n, j)
         for p, b, j in zip(spec.block_probs, spec.blocks, spin_values(n))
@@ -1523,7 +1527,7 @@ def test_a_warm_label_tuple_reads_no_basis_table(monkeypatch):
 # ----------------------------------------------------------------------
 
 def test_projection_is_idempotent_on_valid_pi_states():
-    rho = random_pi_state(PIStateSpec.twirl(2, seed=13))
+    rho = np.asarray(random_pi_state(PIStateSpec.twirl(2, seed=13)))
     assert np.abs(project_physical(rho) - rho).max() < 1e-10
 
 
@@ -1556,6 +1560,7 @@ def test_projection_is_the_nearest_pi_state_for_non_pi_input():
 
 def dense_projection(rho_hat):
     """Oracle: Hermitian part, twirl, then the simplex step on the full 2^n spectrum."""
+    rho_hat = np.asarray(rho_hat)
     evals, evecs = np.linalg.eigh(twirl((rho_hat + rho_hat.conj().T) / 2.0))
     return (evecs * _project_to_simplex(evals)) @ evecs.conj().T
 
@@ -1717,7 +1722,7 @@ def test_metrics_reject_mismatched_dimensions():
     # one non-finite entry: LAPACK would return zeros or fail without a reason
     for n, bad in ((3, np.nan), (6, np.nan), (6, np.inf)):
         rho = random_pi_state(PIStateSpec.twirl(n, seed=n))
-        broken = rho.copy()
+        broken = np.array(rho)
         broken[0, 1] = bad
         for metric in (fidelity, trace_distance):
             for pair in ((broken, rho), (rho, broken)):
@@ -1737,19 +1742,20 @@ def _sampled_estimate(rho, seed):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_metrics_of_pi_states_match_the_dense_formulas(n):
-    # from n = 5 on the metrics read spin blocks; below they are the dense formulas to the bit
+    # dense inputs: from n = 5 on the metrics read spin blocks; below they are the dense
+    # formulas to the bit (``PIState`` pairs: test_metrics_of_state_pairs_match_their_dense_forms)
     rng = np.random.default_rng(90 + n)
-    pure = random_pi_state(PIStateSpec.dicke(n, np.eye(n + 1)[n // 2]))  # rank deficient
-    estimate = _sampled_estimate(pure, seed=90 + n)
+    pure = np.asarray(random_pi_state(PIStateSpec.dicke(n, np.eye(n + 1)[n // 2])))  # rank 1
+    estimate = np.asarray(_sampled_estimate(pure, seed=90 + n))
     assert np.linalg.eigvalsh(estimate).min() < -1e-3
-    states = [
+    states = [np.asarray(state) for state in (
         random_pi_state(PIStateSpec.twirl(n, seed=90 + n)),
         random_pi_state(PIStateSpec.dicke(n, rng.dirichlet(np.ones(n + 1)))),
         pure,
         random_pi_state(_random_spin_block_spec(n, seed=90 + n)),
         project_physical(estimate),
         random_pi_state(PIStateSpec.dicke(n, np.eye(n + 1)[0])),
-    ]
+    )]
     tol = 0.0 if n <= 4 else 1e-12
     pairs = list(zip(states, states[1:] + states[:1]))
     for a, b in pairs + [(b, a) for a, b in pairs]:
@@ -1774,9 +1780,9 @@ def test_metrics_of_non_pi_inputs_are_the_dense_formulas(n):
                                           (6, False, True)])
 def test_metrics_diagonalize_spin_blocks_only_for_pi_pairs_past_four_qubits(monkeypatch, n, pi,
                                                                            dense):
-    # count-based guard: a PI pair at n >= 5 makes no 2^n-sided eigensolve
-    rho = random_pi_state(PIStateSpec.twirl(n, seed=n))
-    sigma = (project_physical(rho + 0.05 * np.diag(np.linspace(-1, 1, 2**n))) if pi
+    # count-based guard: a dense PI pair at n >= 5 makes no 2^n-sided eigensolve
+    rho = np.asarray(random_pi_state(PIStateSpec.twirl(n, seed=n)))
+    sigma = (np.asarray(project_physical(rho + 0.05 * np.diag(np.linspace(-1, 1, 2**n)))) if pi
              else random_density_matrix(2**n, seed=n))
     assert is_permutation_invariant(sigma, tol=1e-12) == pi
     sides = []
@@ -1800,3 +1806,193 @@ def test_symmetry_of_metrics():
     b = twirl(random_density_matrix(8, seed=15))
     assert abs(fidelity(a, b) - fidelity(b, a)) < 1e-10
     assert abs(trace_distance(a, b) - trace_distance(b, a)) < 1e-12
+
+
+# ----------------------------------------------------------------------
+# PI states as class values
+# ----------------------------------------------------------------------
+
+def test_producers_keep_the_dense_bytes_of_their_outputs():
+    # twirl, Dicke and spin-block states and reconstructions, digests of the dense producers
+    outputs = dict(pinned_outputs())
+    assert outputs.keys() == PI_STATE_SHA256.keys()
+    for key, out in outputs.items():
+        assert isinstance(out, PIState), key
+        assert dense_digest(out) == PI_STATE_SHA256[key], key
+
+
+def test_pi_state_is_read_only_and_densifies_afresh():
+    state = random_pi_state(PIStateSpec.twirl(3, seed=1))
+    assert state.n == 3 and state.shape == (8, 8) and np.shape(state) == (8, 8)
+    assert qubit_count(state) == 3 and state.means.shape == (math.comb(6, 3),)
+    with pytest.raises(ValueError):
+        state.means[0] = 0.0
+    first, second = np.asarray(state), np.asarray(state)
+    assert first is not second and np.array_equal(first, second)
+    assert np.array_equal(first, state.means[type_grid(3)])
+    first[0, 0] = 7.0  # the dense matrix is the caller's own
+    assert np.asarray(state)[0, 0] == state.means[0]
+    means = np.array(state.means)
+    copied = PIState(3, means)
+    means[0] = 7.0  # the state keeps its own copy
+    assert np.array_equal(copied.means, state.means)
+    assert np.asarray(state, dtype=complex).dtype == complex
+    # numpy's operators take it as its dense matrix
+    assert np.abs(first - state).max() == 7.0 - state.means[0].real
+    assert np.array_equal(np.eye(8) @ state, np.asarray(state))
+    for n, values in ((3, np.zeros(19)), (3, np.zeros((20, 1))), (0, np.zeros(1))):
+        with pytest.raises(DimensionMismatchError):
+            PIState(n, values)
+
+
+def _class_value_states(n):
+    """PI states of every producer, and an unprojected estimate with negative eigenvalues."""
+    rng = np.random.default_rng(300 + n)
+    pure = random_pi_state(PIStateSpec.dicke(n, np.eye(n + 1)[n // 2]))
+    estimate = _sampled_estimate(pure, seed=300 + n)
+    return [random_pi_state(PIStateSpec.twirl(n, seed=300 + n)),
+            random_pi_state(PIStateSpec.dicke(n, rng.dirichlet(np.ones(n + 1)))),
+            random_pi_state(_random_spin_block_spec(n, seed=300 + n)),
+            pure, estimate, project_physical(estimate)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_state_born_probabilities_match_the_dense_path(n):
+    fam = family(n)
+    labels = fam.labels()
+    for state in _class_value_states(n):
+        got = exact_probabilities(state, fam, labels)
+        want = exact_probabilities(np.asarray(state), fam, labels)
+        assert [r.basis for r in got] == labels
+        assert np.abs(np.array([r.data for r in got]) - [r.data for r in want]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n, shots", [(3, 10**5), (6, 10**4)])
+def test_state_born_probabilities_sample_the_same_counts(n, shots):
+    fam = family(n)
+    bases = minimal_bases(field(n))
+    for seed in range(100):
+        state = random_pi_state(PIStateSpec.twirl(n, seed))
+        for i, (a, b) in enumerate(zip(exact_probabilities(state, fam, bases),
+                                       exact_probabilities(np.asarray(state), fam, bases))):
+            counts = [sample_counts(r, shots, seed=seed * 1000 + i).data for r in (a, b)]
+            assert np.array_equal(*counts), (seed, i)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_state_projection_matches_the_dense_input(n):
+    # the dense input's class sums add up to 2520 equal entries one by one at n = 8,
+    # and from n = 7 on their rounding (1.4e-12 at n = 8) moves the projection past 1e-15
+    tol = 1e-15 if n <= 6 else 1e-14
+    for state in _class_value_states(n):
+        got = project_physical(state)
+        assert isinstance(got, PIState)
+        assert np.abs(np.asarray(got) - project_physical(np.asarray(state))).max() <= tol
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_metrics_of_state_pairs_match_their_dense_forms(n):
+    dim = 2**n
+    states = _class_value_states(n)
+    physical = [state for k, state in enumerate(states) if k != 4]  # not the raw estimate
+    others = [random_density_matrix(dim, seed=310 + n), random_pure_state(dim, seed=311 + n)]
+    for a, b in itertools.permutations(physical, 2):
+        for pair in ((a, b), (np.asarray(a), b), (a, np.asarray(b))):
+            assert abs(fidelity(*pair) - dense_fidelity(a, b)) <= 1e-12
+            assert abs(trace_distance(*pair) - dense_trace_distance(a, b)) <= 1e-12
+    for a in states:
+        for b in others:  # a dense partner that is not PI (below n = 2 every operator is)
+            for pair in ((a, b), (b, a)):
+                assert abs(trace_distance(*pair) - dense_trace_distance(*pair)) <= 1e-12
+                if a is not states[4]:
+                    assert abs(fidelity(*pair) - dense_fidelity(*pair)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, blocks", [(3, False), (4, True), (6, True), (8, True)])
+def test_metrics_of_state_pairs_diagonalize_spin_blocks_from_four_qubits(monkeypatch, n, blocks):
+    # count-based guard: two class-value states make no 2^n-sided eigensolve for 4 <= n <= 8
+    rho = random_pi_state(PIStateSpec.twirl(n, seed=n))
+    sigma = project_physical(np.asarray(rho) + 0.05 * np.diag(np.linspace(-1, 1, 2**n)))
+    sides = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(mat, *args, _solve=getattr(np.linalg, name), **kwargs):
+            sides.append(mat.shape[-1])
+            return _solve(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for metric in (fidelity, trace_distance):
+        sides.clear()
+        metric(rho, sigma)
+        assert sides and max(sides) == (n + 1 if blocks else 2**n)
+
+
+def test_class_value_inputs_are_checked():
+    fam = family(3)
+    for n in (2, 4):
+        with pytest.raises(DimensionMismatchError):
+            exact_probabilities(random_pi_state(PIStateSpec.twirl(n, seed=1)), fam, fam.labels())
+    state = random_pi_state(PIStateSpec.twirl(3, seed=1))
+    for bad in (np.nan, np.inf):
+        means = np.array(state.means)
+        means[5] = bad
+        broken = PIState(3, means)
+        with pytest.raises(ValueError, match="finite"):
+            project_physical(broken)
+        for metric in (fidelity, trace_distance):
+            for pair in ((broken, state), (state, broken), (broken, np.asarray(state))):
+                with pytest.raises(ValueError, match="finite"):
+                    metric(*pair)
+    for metric in (fidelity, trace_distance):
+        with pytest.raises(DimensionMismatchError):
+            metric(state, random_pi_state(PIStateSpec.twirl(4, seed=1)))
+
+
+def test_checks_read_the_dense_matrix_of_a_state():
+    # is_density_matrix and is_permutation_invariant do not trust the type, and twirl returns
+    # an ndarray the caller may write into
+    state = random_pi_state(PIStateSpec.twirl(3, seed=2))
+    assert is_density_matrix(state) and is_permutation_invariant(state, tol=1e-15)
+    out = twirl(state)
+    assert isinstance(out, np.ndarray) and out.flags.writeable
+    assert np.array_equal(out, twirl(np.asarray(state)))
+    assert not is_density_matrix(PIState(3, 2 * state.means))
+
+
+@pytest.mark.parametrize("n", (3, 4, 6))
+def test_trial_builds_no_dense_matrix_after_the_draw(monkeypatch, n):
+    # the benchmark's trial body on class values: densifying a PIState raises.  Below n = 4
+    # the metrics score two states on their dense matrices, the cheaper path there
+    def refuse(self, dtype=None, copy=None):
+        raise AssertionError("a PIState was densified")
+
+    monkeypatch.setattr(PIState, "__array__", refuse)
+    bases = minimal_bases(field(n))
+    fam = build_family(field(n), bases)
+    rho = random_pi_state(PIStateSpec.twirl(n, seed=n))
+    records = [sample_counts(rec, 10**4, seed=n * 1000 + i)
+               for i, rec in enumerate(exact_probabilities(rho, fam, bases))]
+    est = project_physical(reconstruct(records, orbit_table(n), fam))
+    with pytest.raises(AssertionError, match="densified"):
+        np.asarray(est)
+    if n < 4:
+        for metric in (fidelity, trace_distance):
+            with pytest.raises(AssertionError, match="densified"):
+                metric(rho, est)
+        monkeypatch.undo()
+    assert 0.9 < fidelity(rho, est) <= 1.0 and 0.0 <= trace_distance(rho, est) < 0.2
+
+
+def test_reconstruct_past_the_block_cap_builds_no_dense_matrix(monkeypatch):
+    def refuse(self, dtype=None, copy=None):
+        raise AssertionError("a PIState was densified")
+
+    monkeypatch.setattr(PIState, "__array__", refuse)
+    n = 9
+    bases = minimal_bases(field(n))
+    fam = build_family(field(n), bases)
+    rho = random_pi_state(PIStateSpec.dicke(n, np.random.default_rng(n).dirichlet(np.ones(n + 1))))
+    est = reconstruct(exact_probabilities(rho, fam, bases), None, fam)
+    assert isinstance(est, PIState) and est.n == n
+    monkeypatch.undo()
+    dense = reconstruct(exact_probabilities(np.asarray(rho), fam, bases), None, fam)
+    assert np.abs(np.asarray(est) - dense).max() <= 1e-15

@@ -19,7 +19,11 @@ each tree writes exact n = 9 Dicke-mixture records with its own library
 every n, each tree also reverses the order of the records of its last
 ``simulate`` case (``REVERSED``, one ``python -c``) and reconstructs them,
 so the bases reach ``reconstruct`` in another order than ``simulate``
-wrote them.  Four error paths run once (``ERRORS``), each with a one-line
+wrote them.  One more case runs the library path that the benchmark's
+study workloads time (``TRIALS``, one ``python -c``): seeded trials at
+n = 3 (10^5 shots) and n = 6 (10^4 shots), each a twirl state, sampled
+minimal-basis records, the projected estimate, its fidelity and its trace
+distance, printed as JSON.  Four error paths run once (``ERRORS``), each with a one-line
 JSON error on stderr and exit 1 expected: ``reconstruct`` of a directory
 (``.``), of a file that is not UTF-8 (``bad.json``, a UTF-16 byte-order
 mark) and of a missing file, and ``simulate --out`` into a missing
@@ -37,7 +41,7 @@ two texts match once every number is masked, it is the largest difference
 between their numbers, with the line where it sits.  The summary gives the
 largest deviation by n and by kind of case (field, orbits, mubs, verify,
 simulate per state method, reconstruct, reconstruct of the parent's
-records, errors), 0 where every case of it is byte-identical.  Exit status
+records, trials, errors), 0 where every case of it is byte-identical.  Exit status
 0 when every case matches byte for byte, else 1.
 """
 
@@ -77,6 +81,28 @@ bases = minimal_bases(f)
 rho = random_pi_state(PIStateSpec.dicke(n, np.random.default_rng(n).dirichlet(np.ones(n + 1))))
 records = exact_probabilities(rho, build_family(f, bases), bases)
 json.dump({"n": n, "records": [record_to_json(r) for r in records]}, sys.stdout)
+"""
+# seeded study trials through the library, as the benchmark's study workloads run them:
+# the projected estimate, its fidelity and its trace distance, as JSON on stdout
+TRIALS = """
+import json, sys
+from pimub import (PIStateSpec, build_family, exact_probabilities, fidelity, make_field,
+                   minimal_bases, project_physical, random_pi_state, reconstruct, sample_counts,
+                   trace_distance)
+from pimub.operators import matrix_to_json
+trials = []
+for n, shots in ((3, 10**5), (6, 10**4)):
+    f = make_field(n)
+    bases = minimal_bases(f)
+    family = build_family(f, bases)
+    for seed in range(10):
+        rho = random_pi_state(PIStateSpec.twirl(n, seed))
+        records = [sample_counts(r, shots, seed=seed * 1000 + i)
+                   for i, r in enumerate(exact_probabilities(rho, family, bases))]
+        est = project_physical(reconstruct(records, None, family))
+        trials.append({"n": n, "seed": seed, "estimate": matrix_to_json(est),
+                       "fidelity": fidelity(rho, est), "trace_distance": trace_distance(rho, est)})
+json.dump(trials, sys.stdout)
 """
 # the records file named by argv[1] with its records, so its bases, in reverse order
 REVERSED = """
@@ -171,7 +197,7 @@ def main() -> int:
     worst: dict[int, float] = {}
     by_kind = dict.fromkeys(["field", "orbits", "mubs", "verify",
                              *(f"simulate {m}" for m in METHODS), "reconstruct",
-                             "reconstruct of parent's records", "errors"], 0.0)
+                             "reconstruct of parent's records", "trials", "errors"], 0.0)
     identical = True
 
     def record(n: int | None, kind: str, name: str, outputs: dict) -> None:
@@ -232,6 +258,8 @@ def main() -> int:
         outputs = {side: run(src, [], tmp, ("-c", RECORDS_N9)) for side, src in trees.items()}
         record(9, "simulate dicke", "python -c RECORDS_N9", outputs)
         reconstructs(9, "python -c RECORDS_N9", outputs, [[]])
+        record(None, "trials", "python -c TRIALS",
+               {side: run(src, [], tmp, ("-c", TRIALS)) for side, src in trees.items()})
         Path(tmp, "bad.json").write_bytes(b"\xff\xfe{}")
         for argv in ERRORS:
             record(None, "errors", " ".join(argv),
